@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import manifolds, problem as prob, rtr, spectral
 from .manifolds import FactorPoint, HessianContext
@@ -37,6 +36,20 @@ class SolverOptions:
     seed: int = 0
 
     def validate(self):
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
+        if self.max_outer_iters < 1:
+            raise ValueError("max_outer_iters must be at least 1")
+        if self.max_inner_iters < 1:
+            raise ValueError("max_inner_iters must be at least 1")
+        if self.p0 < 1:
+            raise ValueError("p0 must be at least 1")
+        if not self.eps0 > 0:
+            raise ValueError("eps0 must be positive")
+        if not 0 < self.eps_decay <= 1:
+            raise ValueError("eps_decay must lie in (0, 1]")
+        if self.max_time is not None and not self.max_time > 0:
+            raise ValueError("max_time must be positive")
         if not self.gamma > 1:
             raise ValueError("gamma must exceed 1")
         if not self.tau > 0:
@@ -114,17 +127,9 @@ class AlmSubproblem:
         z = manifolds.multiplier_z(point, W)
         grad = manifolds.riem_grad(point, W, z)
 
-        # sparse map G with A(Y U^T + U Y^T) = G vec(U), built once per point
-        m, n, p = sdp.m, sdp.n, point.p
-        if m:
-            G = _sym_constraint_map(sdp, Y)
-            adjT = sdp._adjoint_map_T()
-
         def curvature(U):
-            if m == 0:
-                return np.zeros_like(U)
-            w = G @ U.ravel()
-            return sigma * (adjT @ w).reshape(n, n) @ Y
+            return sigma * prob.apply_adjoint_times(
+                sdp, prob.apply_constraints_sym(sdp, Y, U), Y)
 
         ctx = HessianContext(stilde_times, curvature, z)
         return _PointState(point, cost, grad, ctx)
@@ -132,22 +137,6 @@ class AlmSubproblem:
     def dual_residual(self, point):
         r0 = prob.apply_constraints(self.sdp, point.Y) - self.sdp.b
         return r0 - self.y / self.sigma if self.sdp.m else r0
-
-
-def _sym_constraint_map(sdp, Y):
-    """Sparse (m, n p) matrix G with A(Y U^T + U Y^T) = G vec(U).
-
-    Triplet t of A_k contributes w_t Y[r_t] at the columns of row c_t and
-    w_t Y[c_t] at the columns of row r_t.
-    """
-    n, p = Y.shape
-    tr, tc, tw, tm = sdp._tr, sdp._tc, sdp._tw, sdp._tm
-    rows = np.repeat(np.concatenate([tm, tm]), p)
-    cols = ((np.concatenate([tc, tr])[:, None] * p
-             + np.arange(p)[None, :]).ravel())
-    vals = np.concatenate([tw[:, None] * Y[tr],
-                           tw[:, None] * Y[tc]], axis=0).ravel()
-    return sp.csr_matrix((vals, (rows, cols)), shape=(sdp.m, n * p))
 
 
 @dataclass
@@ -305,8 +294,6 @@ def solve(sdp, opts=None):
         if eps_relaxed:
             eps = min(10.0 * eps, opts.eps0)
             eps_relaxed = False
-    else:
-        k = opts.max_outer_iters - 1
 
     obj = sdp.reported_objective(prob.objective(sdp, point.Y))
     return Solution(

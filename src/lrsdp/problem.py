@@ -1,7 +1,9 @@
 """Problem data model: sparse symmetric matrices, SDP instances, KKT residues.
 
 Everything operates on the factor Y of X = Y Y^T; the full matrix X is never
-formed by any routine in this module.
+formed by any routine in this module. Hessian products still form n x n
+arrays (``apply_constraints_sym``, ``apply_adjoint_times``), and so does the
+dense dual slack (``adjoint_dense``) when n <= spectral.DENSE_THRESHOLD.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import scipy.sparse as sp
 
 
 class ProblemError(ValueError):
-    """Invalid problem data (bad indices, shape mismatch, duplicates)."""
+    """Invalid problem data (bad indices, shape mismatch, duplicates, NaN)."""
 
 
 class ManifoldKind(enum.Enum):
@@ -115,7 +117,8 @@ class KktResidues:
 
     @property
     def eta_max(self):
-        return max(self.eta_p, self.eta_d, self.eta_g)
+        # np.max propagates NaN from any position; the builtin max does not
+        return float(np.max([self.eta_p, self.eta_d, self.eta_g]))
 
 
 class SdpProblem:
@@ -156,6 +159,8 @@ class SdpProblem:
             e = np.zeros(0)
             self._tr = self._tc = self._tm = e.astype(np.intp)
             self._tv = self._tw = e
+        if not np.all(np.isfinite(np.concatenate([C.vals, b, self._tv]))):
+            raise ProblemError("problem data contains NaN or inf")
         self._adj = None   # lazy (m, n*n) map for the adjoint
         self._adjT = None  # its transpose, cached as csr
 
@@ -216,13 +221,15 @@ def apply_constraints(problem, Y):
 
 
 def apply_constraints_sym(problem, Y, U):
-    """A(Y U^T + U Y^T) as a length-m vector (needed by Hessian products)."""
+    """A(Y U^T + U Y^T) as a length-m vector (needed by Hessian products).
+
+    Every A_i is symmetric, so <A_i, Y U^T + U Y^T> = 2 <A_i, Y U^T>.
+    """
     Y = _check_factor(problem, Y)
     U = _check_factor(problem, U)
-    prod = (np.einsum("ij,ij->i", Y[problem._tr], U[problem._tc])
-            + np.einsum("ij,ij->i", U[problem._tr], Y[problem._tc]))
-    return np.bincount(problem._tm, weights=problem._tw * prod,
-                       minlength=problem.m)
+    if problem.m == 0:
+        return np.zeros(0)
+    return 2.0 * (problem._adjoint_map() @ (Y @ U.T).ravel())
 
 
 def apply_adjoint_times(problem, v, V):

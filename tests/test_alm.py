@@ -31,6 +31,24 @@ class TestSolverOptions:
             SolverOptions(delta_ne=0).validate()
         SolverOptions().validate()
 
+    @pytest.mark.parametrize("field,value", [
+        ("tol", 0.0), ("tol", -1e-8), ("max_outer_iters", 0),
+        ("max_inner_iters", 0), ("p0", 0), ("eps0", 0.0),
+        ("eps_decay", 0.0), ("eps_decay", 1.5), ("max_time", 0.0),
+        ("max_time", -1.0),
+    ])
+    def test_every_field_validated(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverOptions(**{field: value}).validate()
+
+    def test_edge_values_accepted(self):
+        SolverOptions(eps_decay=1.0, max_outer_iters=1, max_inner_iters=1,
+                      p0=1, max_time=None).validate()
+
+    def test_zero_outer_iterations_rejected_by_solve(self):
+        with pytest.raises(ValueError, match="max_outer_iters"):
+            solve(_unit_trace_toy(), SolverOptions(max_outer_iters=0))
+
 
 class TestSubproblem:
     def test_cost_matches_dense(self, rng):
@@ -54,6 +72,46 @@ class TestSubproblem:
             G = dense_phi_grad(sdp, y, 1.7, point.Y)
             S = G - dense_bstar(manifold, state.ctx.z, 5)
             assert np.allclose(state.grad, 2.0 * S @ point.Y, atol=1e-10)
+
+
+def _dense_riem_grad(sdp, y, sigma, Y):
+    """Riemannian gradient of the ALM cost from dense matrices.
+
+    Uses transposes, never conjugates, so it is analytic in Y and a complex
+    step differentiates it to machine precision.
+    """
+    X = Y @ Y.T
+    As = [Ak.to_dense() for Ak in sdp.A]
+    shift = np.array([np.sum(A * X) for A in As]) - sdp.b - y / sigma
+    G = sdp.C.to_dense() + sigma * sum(
+        (s * A for s, A in zip(shift, As)), np.zeros((sdp.n, sdp.n)))
+    return _dense_project(sdp.manifold, Y, 2.0 * G @ Y)
+
+
+def _dense_project(manifold, Y, W):
+    if manifold is ManifoldKind.FREE:
+        return W
+    if manifold is ManifoldKind.UNIT_TRACE:
+        return W - np.sum(W * Y) * Y
+    return W - np.sum(W * Y, axis=1)[:, None] * Y
+
+
+class TestHessianOracle:
+    @pytest.mark.parametrize("m", [0, 3])
+    @pytest.mark.parametrize("manifold", list(ManifoldKind))
+    def test_hess_vec_matches_dense_oracle(self, manifold, m, rng):
+        # Riemannian Hessian of an embedded submanifold: the projected
+        # derivative of the projected gradient (Absil et al. 2008, 5.15)
+        sdp = random_problem(6, m, manifold, rng)
+        y = rng.standard_normal(m)
+        point = manifolds.random_point(6, 3, manifold, 11)
+        U = manifolds.project_tangent(point,
+                                      rng.standard_normal(point.Y.shape))
+        h = 1e-30
+        dgrad = _dense_riem_grad(sdp, y, 2.5, point.Y + 1j * h * U).imag / h
+        want = _dense_project(manifold, point.Y, dgrad)
+        got = AlmSubproblem(sdp, y, 2.5).at(point).hess_vec(U)
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
 class TestAssembleDual:

@@ -192,6 +192,20 @@ class TestCli:
     def test_input_and_generate_conflict(self, capsys):
         assert cli_main(["solve"]) == 1
 
+    def test_zero_outer_iterations_exit_1(self, capsys):
+        rc = cli_main(["solve", "--generate", "maxcut-edge",
+                       "--max-iters", "0"])
+        assert rc == 1
+        assert "max_outer_iters must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_input_exit_1(self, tmp_path, capsys, bad):
+        path = tmp_path / "nan.dat-s"
+        path.write_text(f"1\n1\n2\n1.0\n0 1 1 1 {bad}\n1 1 1 1 1.0\n")
+        rc = cli_main(["solve", "--input", str(path)])
+        assert rc == 1
+        assert "NaN or inf" in capsys.readouterr().err
+
     def test_limit_exit_2(self, capsys):
         rc = cli_main(["solve", "--generate", "bqp", "--q", "4",
                        "--tol", "1e-30", "--max-iters", "2"])

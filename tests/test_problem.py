@@ -90,16 +90,36 @@ class TestSdpProblem:
 
     def test_apply_constraints_no_constraints(self, rng):
         sdp = random_problem(4, 0, ManifoldKind.FREE, rng)
-        out = prob.apply_constraints(sdp, rng.standard_normal((4, 2)))
-        assert out.shape == (0,)
+        Y, U = rng.standard_normal((2, 4, 2))
+        assert prob.apply_constraints(sdp, Y).shape == (0,)
+        assert prob.apply_constraints_sym(sdp, Y, U).shape == (0,)
 
     def test_apply_constraints_sym_oracle(self, rng):
-        sdp = random_problem(6, 4, ManifoldKind.FREE, rng)
-        Y = rng.standard_normal((6, 3))
-        U = rng.standard_normal((6, 3))
-        want = dense_constraint_values(sdp, Y @ U.T + U @ Y.T)
-        assert np.allclose(prob.apply_constraints_sym(sdp, Y, U), want,
-                           atol=1e-12)
+        # A_0 and A_1 share position (0, 1); both hold diagonal triplets
+        shared = [SparseSymMatrix.from_triplets(
+                      4, [(0, 0, 1.5), (0, 1, -2.0), (3, 3, 0.5)]),
+                  SparseSymMatrix.from_triplets(
+                      4, [(0, 1, 3.0), (2, 2, -1.0)])]
+        C = SparseSymMatrix.identity(4)
+        problems = [random_problem(6, 4, ManifoldKind.FREE, rng),
+                    SdpProblem(4, C, shared, np.zeros(2), ManifoldKind.FREE)]
+        for sdp in problems:
+            Y = rng.standard_normal((sdp.n, 3))
+            U = rng.standard_normal((sdp.n, 3))
+            want = dense_constraint_values(sdp, Y @ U.T + U @ Y.T)
+            assert np.allclose(prob.apply_constraints_sym(sdp, Y, U), want,
+                               atol=1e-12)
+
+    @pytest.mark.parametrize("where", ["C", "b", "A"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, where, bad):
+        C = SparseSymMatrix.from_triplets(
+            2, [(0, 0, bad if where == "C" else 1.0)])
+        A = [SparseSymMatrix.from_triplets(
+            2, [(0, 1, bad if where == "A" else 1.0)])]
+        b = np.array([bad if where == "b" else 1.0])
+        with pytest.raises(ProblemError, match="NaN or inf"):
+            SdpProblem(2, C, A, b, ManifoldKind.FREE)
 
     def test_adjoint_identity(self, rng):
         # <A(Y Y^T), v> = <Y Y^T, A*(v)> for random data
@@ -156,6 +176,12 @@ class TestSdpProblem:
 class TestKktResidues:
     def test_eta_max(self):
         assert KktResidues(0.1, 0.3, 0.2).eta_max == 0.3
+
+    @pytest.mark.parametrize("pos", [0, 1, 2])
+    def test_eta_max_propagates_nan(self, pos):
+        etas = [0.1, 0.3, 0.2]
+        etas[pos] = float("nan")
+        assert np.isnan(KktResidues(*etas).eta_max)
 
     def test_formulas(self, rng):
         # independent recomputation of each scaled residue
