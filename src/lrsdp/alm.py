@@ -12,7 +12,7 @@ import numpy as np
 
 from . import manifolds, problem as prob, rtr, spectral
 from .manifolds import FactorPoint, HessianContext
-from .problem import KktResidues, ManifoldKind, SdpProblem
+from .problem import KktResidues
 from .spectral import SymOperator
 
 
@@ -56,6 +56,8 @@ class SolverOptions:
             raise ValueError("tau must be positive")
         if not 0 < self.theta < 1:
             raise ValueError("theta must lie in (0, 1)")
+        if not self.sigma_min > 0:
+            raise ValueError("sigma_min must be positive")
         if not self.sigma_min <= self.sigma0 <= self.sigma_max:
             raise ValueError("need sigma_min <= sigma0 <= sigma_max")
         if self.delta_ne < 1:
@@ -101,28 +103,22 @@ class AlmSubproblem:
         self.y = y
         self.sigma = sigma
 
+    def _cost(self, Y):
+        """(r0, cost): the constraint residual A(Y Y^T) - b and the cost."""
+        r0 = prob.apply_constraints(self.sdp, Y) - self.sdp.b
+        return r0, (prob.objective(self.sdp, Y) - float(np.dot(self.y, r0))
+                    + 0.5 * self.sigma * float(np.dot(r0, r0)))
+
     def cost(self, point):
-        r0 = prob.apply_constraints(self.sdp, point.Y) - self.sdp.b
-        return (prob.objective(self.sdp, point.Y) - float(np.dot(self.y, r0))
-                + 0.5 * self.sigma * float(np.dot(r0, r0)))
+        return self._cost(point.Y)[1]
 
     def at(self, point):
         sdp, sigma = self.sdp, self.sigma
         Y = point.Y
-        r0 = prob.apply_constraints(sdp, Y) - sdp.b
-        cost = (prob.objective(sdp, Y) - float(np.dot(self.y, r0))
-                + 0.5 * sigma * float(np.dot(r0, r0)))
-        resid = r0 - self.y / sigma if sdp.m else r0
-
-        # materialize grad Phi(X) once per point when the dimension allows;
-        # Hessian products then cost two dense matmuls plus one A / A* pass
-        if sdp.n <= spectral.DENSE_THRESHOLD:
-            Sd = sdp.C.to_dense() + sigma * prob.adjoint_dense(sdp, resid)
-            stilde_times = Sd.__matmul__
-        else:
-            def stilde_times(V):
-                return sdp.C.matvec(V) \
-                    + sigma * prob.apply_adjoint_times(sdp, resid, V)
+        r0, cost = self._cost(Y)
+        # grad Phi(X) is the slack at the multipliers y - sigma r0; Hessian
+        # products then cost two dense matmuls plus one A / A* pass
+        stilde_times = prob.dual_slack(sdp, self.y - sigma * r0).__matmul__
         W = stilde_times(Y)
         z = manifolds.multiplier_z(point, W)
         grad = manifolds.riem_grad(point, W, z)
@@ -133,10 +129,6 @@ class AlmSubproblem:
 
         ctx = HessianContext(stilde_times, curvature, z)
         return _PointState(point, cost, grad, ctx)
-
-    def dual_residual(self, point):
-        r0 = prob.apply_constraints(self.sdp, point.Y) - self.sdp.b
-        return r0 - self.y / self.sigma if self.sdp.m else r0
 
 
 @dataclass
@@ -152,24 +144,14 @@ class _PointState:
 
 def assemble_dual(sdp, point, y, sigma):
     """Multipliers z and the dual slack operator S = grad Phi(X) - B*(z)."""
-    sub = AlmSubproblem(sdp, y, sigma)
-    resid = sub.dual_residual(point)
+    r0 = prob.apply_constraints(sdp, point.Y) - sdp.b
+    resid = r0 - y / sigma
+    # z from this product, not from S @ Y: the two differ in the last bit,
+    # and on bqp-moment instance 0 that bit slowed the solve ~4.5x
     W = sdp.C.matvec(point.Y) \
         + sigma * prob.apply_adjoint_times(sdp, resid, point.Y)
     z = manifolds.multiplier_z(point, W)
-
-    def action(V):
-        out = sdp.C.matvec(V) + sigma * prob.apply_adjoint_times(sdp, resid, V)
-        return out - manifolds.bstar_times(point, z, V)
-
-    dense = None
-    if sdp.n <= spectral.DENSE_THRESHOLD:
-        dense = sdp.C.to_dense() + sigma * prob.adjoint_dense(sdp, resid)
-        if point.manifold is ManifoldKind.UNIT_TRACE:
-            dense = dense - z[0] * np.eye(sdp.n)
-        elif point.manifold is ManifoldKind.UNIT_DIAGONAL:
-            dense = dense - np.diag(z)
-    return z, SymOperator(sdp.n, action, dense=dense)
+    return z, SymOperator.from_dense(prob.dual_slack(sdp, y - sigma * r0, z))
 
 
 def escape_direction(S, r, delta_ne, tol_escape, seed=0):

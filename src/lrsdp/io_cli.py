@@ -165,9 +165,9 @@ def _matrix_doc(M):
 
 
 def _matrix_from_doc(n, doc):
-    return SparseSymMatrix(n, np.array(doc["rows"], dtype=np.intp),
-                           np.array(doc["cols"], dtype=np.intp),
-                           np.array(doc["vals"], dtype=float))
+    # from_triplets rejects out-of-range indices and duplicate entries
+    return SparseSymMatrix.from_triplets(
+        n, list(zip(doc["rows"], doc["cols"], doc["vals"])))
 
 
 def result_document(sdp, solution, options):
@@ -238,12 +238,7 @@ def check_document(doc, tol):
     Y = np.array(doc["Y"], dtype=float)
     y = np.array(doc["y"], dtype=float)
     z = np.array(doc["z"], dtype=float)
-    S = sdp.C.to_dense() - prob.adjoint_dense(sdp, y)
-    if sdp.manifold is ManifoldKind.UNIT_TRACE:
-        S = S - z[0] * np.eye(sdp.n)
-    elif sdp.manifold is ManifoldKind.UNIT_DIAGONAL:
-        S = S - np.diag(z)
-    vals = np.linalg.eigvalsh(0.5 * (S + S.T))
+    vals = np.linalg.eigvalsh(prob.dual_slack(sdp, y, z))
     res = prob.kkt_residues(sdp, Y, y, z, float(vals[0]), float(vals[-1]))
     return res, res.eta_max <= tol
 

@@ -2,8 +2,10 @@
 
 Everything operates on the factor Y of X = Y Y^T; the full matrix X is never
 formed by any routine in this module. Hessian products still form n x n
-arrays (``apply_constraints_sym``, ``apply_adjoint_times``), and so does the
-dense dual slack (``adjoint_dense``) when n <= spectral.DENSE_THRESHOLD.
+arrays (``apply_constraints_sym``, ``apply_adjoint_times``). The dual slack
+S = C - A*(y) - B*(z) is one dense n x n matrix per point, built only by
+``dual_slack``; ``spectral.extreme_eigs`` decomposes it with one ``eigh``
+up to the dense threshold and runs ARPACK on its dense products above it.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ class SdpProblem:
         if not np.all(np.isfinite(np.concatenate([C.vals, b, self._tv]))):
             raise ProblemError("problem data contains NaN or inf")
         self._adj = None   # lazy (m, n*n) map for the adjoint
-        self._adjT = None  # its transpose, cached as csr
+        self._adjT = None  # its csc transpose, a view sharing the arrays
 
     @property
     def m(self):
@@ -197,7 +199,7 @@ class SdpProblem:
 
     def _adjoint_map_T(self):
         if self._adjT is None:
-            self._adjT = self._adjoint_map().T.tocsr()
+            self._adjT = self._adjoint_map().T
         return self._adjT
 
     def reported_objective(self, value):
@@ -250,6 +252,15 @@ def adjoint_dense(problem, v):
     if problem.m == 0:
         return np.zeros((problem.n, problem.n))
     return (problem._adjoint_map_T() @ v).reshape(problem.n, problem.n)
+
+
+def dual_slack(problem, y, z=None):
+    """S = C - A*(y) - B*(z) as a dense n x n matrix; z=None drops B*."""
+    S = problem.C.to_dense()
+    S -= adjoint_dense(problem, y)
+    if z is not None and problem.manifold is not ManifoldKind.FREE:
+        S.flat[::problem.n + 1] -= z
+    return S
 
 
 def objective(problem, Y):

@@ -23,8 +23,9 @@ class EigsolverError(RuntimeError):
 class SymOperator:
     """Self-adjoint operator given by its action on tall-thin matrices.
 
-    ``dense`` holds a materialized form when the dimension is small enough
-    for direct eigensolves (n <= DENSE_THRESHOLD).
+    ``dense`` holds the matrix when it is known: the dual slack is one dense
+    S per point, built by ``problem.dual_slack``. Up to DENSE_THRESHOLD one
+    cached ``eigh`` serves every eigensolve of S; ARPACK runs above it.
     """
 
     n: int
@@ -40,6 +41,16 @@ class SymOperator:
         out = self.action(V)
         return out[:, 0] if single else out
 
+    def eigh(self):
+        """All eigenvalues (ascending) and eigenvectors, computed once."""
+        cached = getattr(self, "_eigh", None)
+        if cached is None:
+            S = self.dense
+            if S is None:
+                S = self.times(np.eye(self.n))
+            cached = self._eigh = np.linalg.eigh(0.5 * (S + S.T))
+        return cached
+
     @staticmethod
     def from_dense(S):
         S = np.asarray(S, dtype=float)
@@ -50,21 +61,17 @@ def extreme_eigs(op, count, side="smallest", tol=1e-10, seed=0):
     """``count`` extreme eigenpairs of a symmetric operator.
 
     Returns a list of (eigenvalue, eigenvector) pairs, sorted ascending for
-    side="smallest" and descending for side="largest". Below the dense
-    threshold the operator is materialized and solved directly; above it a
-    Lanczos iteration (implicitly restarted, deterministic start derived
+    side="smallest" and descending for side="largest". Up to the dense
+    threshold the pairs come from the operator's cached ``eigh``; above it
+    a Lanczos iteration (implicitly restarted, deterministic start derived
     from ``seed``) is used.
     """
     if side not in ("smallest", "largest"):
         raise ValueError(f"unknown side {side!r}")
     if not 1 <= count <= op.n:
         raise ValueError(f"count must be in [1, {op.n}]")
-    if op.dense is not None or op.n <= DENSE_THRESHOLD:
-        S = op.dense
-        if S is None:
-            S = op.times(np.eye(op.n))
-        S = 0.5 * (S + S.T)
-        vals, vecs = np.linalg.eigh(S)
+    if op.n <= DENSE_THRESHOLD:
+        vals, vecs = op.eigh()
         if side == "smallest":
             idx = np.arange(count)
         else:

@@ -35,7 +35,7 @@ class TestSolverOptions:
         ("tol", 0.0), ("tol", -1e-8), ("max_outer_iters", 0),
         ("max_inner_iters", 0), ("p0", 0), ("eps0", 0.0),
         ("eps_decay", 0.0), ("eps_decay", 1.5), ("max_time", 0.0),
-        ("max_time", -1.0),
+        ("max_time", -1.0), ("sigma_min", 0.0),
     ])
     def test_every_field_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -135,6 +135,25 @@ class TestAssembleDual:
         z, S = assemble_dual(sdp, point, y, 2.0)
         state = AlmSubproblem(sdp, y, 2.0).at(point)
         assert np.allclose(2.0 * S.times(point.Y), state.grad, atol=1e-10)
+
+
+    @pytest.mark.parametrize("manifold", list(ManifoldKind))
+    def test_above_dense_threshold(self, manifold, rng):
+        # n past the eigensolver's dense threshold: S is still one dense
+        # matrix, shared by the subproblem and the dual assembly
+        n = spectral.DENSE_THRESHOLD + 10
+        sdp = random_problem(n, 3, manifold, rng)
+        y = rng.standard_normal(3)
+        point = manifolds.random_point(n, 2, manifold, 6)
+        G = dense_phi_grad(sdp, y, 2.0, point.Y)
+        z, S = assemble_dual(sdp, point, y, 2.0)
+        want = G - dense_bstar(manifold, z, n)
+        assert np.allclose(S.dense, want, atol=1e-10)
+        state = AlmSubproblem(sdp, y, 2.0).at(point)
+        V = rng.standard_normal((n, 2))
+        assert np.allclose(state.ctx.stilde_times(V), G @ V, atol=1e-10)
+        assert np.allclose(state.ctx.z, z, atol=1e-10)
+        assert np.allclose(state.grad, 2.0 * want @ point.Y, atol=1e-10)
 
 
 class TestEscapeDirection:

@@ -229,6 +229,28 @@ class TestCli:
         assert cli_main(["check", str(out)]) == 2
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tamper,needle", [
+        ("negative-row", "out of range"), ("duplicate", "duplicate")])
+    def test_check_rejects_malformed_matrix(self, tmp_path, capsys, tamper,
+                                            needle):
+        out = tmp_path / "r.json"
+        assert cli_main(["solve", "--generate", "maxcut-edge",
+                         "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        C = doc["problem"]["C"]
+        if tamper == "negative-row":
+            # an off-diagonal entry in row 0: numpy indexing would wrap -n
+            # back to row 0 and certify the document
+            k = next(k for k, (r, c) in enumerate(zip(C["rows"], C["cols"]))
+                     if r == 0 != c)
+            C["rows"][k] = -doc["problem"]["n"]
+        else:
+            for key in ("rows", "cols", "vals"):
+                C[key].append(C[key][0])
+        out.write_text(json.dumps(doc))
+        assert cli_main(["check", str(out)]) == 1
+        assert needle in capsys.readouterr().err
+
     def test_determinism(self, tmp_path):
         docs = []
         for name in ("a.json", "b.json"):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_constraint_values, random_problem, \
-    random_sym_triplets
+from conftest import ALL_MANIFOLDS, dense_bstar, dense_constraint_values, \
+    random_problem, random_sym_triplets
 from lrsdp import problem as prob
 from lrsdp.problem import (KktResidues, ManifoldKind, ProblemError,
                            SdpProblem, SparseSymMatrix)
@@ -136,6 +136,21 @@ class TestSdpProblem:
         V = rng.standard_normal((5, 2))
         assert np.allclose(prob.apply_adjoint_times(sdp, v, V),
                            prob.adjoint_dense(sdp, v) @ V, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [0, 3])
+    @pytest.mark.parametrize("manifold", ALL_MANIFOLDS)
+    def test_dual_slack_oracle(self, manifold, m, rng):
+        sdp = random_problem(6, m, manifold, rng)
+        y = rng.standard_normal(m)
+        z = rng.standard_normal(sdp.manifold_rhs().size)
+        A_y = sum((yk * Ak.to_dense() for yk, Ak in zip(y, sdp.A)),
+                  np.zeros((6, 6)))
+        want = sdp.C.to_dense() - A_y
+        S = prob.dual_slack(sdp, y, z)
+        assert np.allclose(S, want - dense_bstar(manifold, z, 6),
+                           atol=1e-12)
+        assert np.array_equal(S, S.T)
+        assert np.allclose(prob.dual_slack(sdp, y), want, atol=1e-12)
 
     def test_objective_oracle(self, rng):
         sdp = random_problem(6, 0, ManifoldKind.FREE, rng)

@@ -53,6 +53,36 @@ class TestExtremeEigs:
         assert np.allclose([v for v, _ in lo], [0.0, 1.0], atol=1e-7)
         assert hi[0][0] == pytest.approx(n - 1, abs=1e-7)
 
+    def test_dense_operator_above_threshold_uses_lanczos(self, rng,
+                                                          monkeypatch):
+        n = spectral.DENSE_THRESHOLD + 10
+        op = SymOperator.from_dense(np.diag(np.arange(n, dtype=float)))
+
+        def no_eigh(S):
+            raise AssertionError("dense eigh above the threshold")
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        lo = extreme_eigs(op, 2, side="smallest", tol=1e-10, seed=3)
+        assert np.allclose([v for v, _ in lo], [0.0, 1.0], atol=1e-7)
+
+    def test_one_eigh_per_operator(self, rng, monkeypatch):
+        S = _random_sym(12, rng)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(M):
+            calls.append(M)
+            return eigh(M)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        op = SymOperator.from_dense(S)
+        lo = extreme_eigs(op, 1, side="smallest")
+        hi = extreme_eigs(op, 1, side="largest", tol=1e-8)
+        esc = extreme_eigs(op, 4, side="smallest", seed=5)
+        assert len(calls) == 1
+        vals = np.linalg.eigvalsh(S)
+        assert lo[0][0] == pytest.approx(vals[0], abs=1e-10)
+        assert hi[0][0] == pytest.approx(vals[-1], abs=1e-10)
+        assert np.allclose([v for v, _ in esc], vals[:4], atol=1e-10)
+
     def test_bad_arguments(self, rng):
         op = SymOperator.from_dense(np.eye(3))
         with pytest.raises(ValueError):
