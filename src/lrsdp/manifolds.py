@@ -109,7 +109,8 @@ class HessianContext:
     stilde_times: V -> grad Phi(X) V (the Euclidean dual matrix action).
     curvature:    U -> sigma * A*(A(Y U^T + U Y^T)) Y (penalty curvature).
     z:            manifold multipliers; on the sphere z[0] = Tr(grad Phi X)
-                  and on the oblique manifold z = diag(grad Phi X).
+                  and on the oblique manifold z = diag(grad Phi X). They
+                  enter the Hessian through the Weingarten term -2 B*(z) U.
     """
 
     stilde_times: Callable[[np.ndarray], np.ndarray]
@@ -118,19 +119,24 @@ class HessianContext:
 
 
 def riem_hess_vec(point, U, ctx, check_tangent=False):
-    """Riemannian Hessian of the penalized cost applied to a tangent U."""
+    """Riemannian Hessian of the penalized cost applied to a tangent U.
+
+    On the sphere and the oblique manifold this is
+    P_Y(2 (grad Phi U + curvature(U)) - 2 B*(z) U): the Weingarten term is
+    projected together with the Euclidean part, so every product lies in
+    the tangent space whatever the rounding of U. An unprojected -2 B*(z) U
+    would carry U's normal rounding error into each product, and over many
+    tCG steps the operator drifts from symmetric on the tangent space.
+    """
     if check_tangent:
         tu = project_tangent(point, U)
         if np.linalg.norm(tu - U) > 1e-8 * max(1.0, np.linalg.norm(U)):
             raise ValueError("input is not a tangent vector")
-    Y = point.Y
     htilde = 2.0 * (ctx.stilde_times(U) + ctx.curvature(U))
     if point.manifold is ManifoldKind.FREE:
         return htilde
-    if point.manifold is ManifoldKind.UNIT_TRACE:
-        return htilde - float(np.sum(htilde * Y)) * Y - 2.0 * ctx.z[0] * U
-    row_dots = np.einsum("ij,ij->i", htilde, Y)
-    return htilde - row_dots[:, None] * Y - 2.0 * ctx.z[:, None] * U
+    return project_tangent(point,
+                           htilde - bstar_times(point, 2.0 * ctx.z, U))
 
 
 def random_point(n, p, manifold, seed):

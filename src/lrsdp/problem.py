@@ -49,33 +49,40 @@ class SparseSymMatrix:
 
     @staticmethod
     def from_triplets(n, triplets, accumulate=False):
-        """Build from (row, col, value) tuples; indices are 0-based.
+        """Build from (row, col, value) tuples; indices are 0-based ints.
 
         With ``accumulate=True`` duplicate (row, col) pairs are summed
         (used by file parsers); otherwise duplicates raise ProblemError.
+        Indices that are not integers (1.5, None, "1") raise ProblemError
+        rather than being truncated or cast.
         """
         if n <= 0:
             raise ProblemError(f"dimension must be positive, got {n}")
         if not triplets:
             z = np.zeros(0)
             return SparseSymMatrix(n, z.astype(np.intp), z.astype(np.intp), z)
-        r = np.array([t[0] for t in triplets], dtype=np.intp)
-        c = np.array([t[1] for t in triplets], dtype=np.intp)
-        v = np.array([t[2] for t in triplets], dtype=float)
-        lo, hi = np.minimum(r, c), np.maximum(r, c)
-        if lo.min() < 0 or hi.max() >= n:
+        r, c, v = zip(*triplets)
+        idx = np.array((r, c))
+        if idx.dtype.kind not in "iu":
+            raise ProblemError("triplet indices must be integers")
+        idx = idx.astype(np.intp, copy=False)
+        # as unsigned, a negative index is huge: one test checks both ends
+        if np.count_nonzero(idx.view(np.uintp) >= n):
             raise ProblemError("triplet index out of range")
+        lo, hi = np.minimum(idx[0], idx[1]), np.maximum(idx[0], idx[1])
+        v = np.array(v, dtype=float)
+        if v.size == 1:  # sorted and free of duplicates already
+            return SparseSymMatrix(n, lo, hi, v)
         key = lo * n + hi
         if accumulate:
             key, inv = np.unique(key, return_inverse=True)
             v = np.bincount(inv, weights=v, minlength=key.size)
-            lo, hi = key // n, key % n
-        elif np.unique(key).size != key.size:
+            return SparseSymMatrix(n, key // n, key % n, v)
+        order = key.argsort()
+        key = key[order]
+        if np.count_nonzero(key[1:] == key[:-1]):
             raise ProblemError("duplicate (row, col) entry")
-        else:
-            order = np.argsort(key)
-            lo, hi, v = lo[order], hi[order], v[order]
-        return SparseSymMatrix(n, lo, hi, v)
+        return SparseSymMatrix(n, lo[order], hi[order], v[order])
 
     @staticmethod
     def identity(n):

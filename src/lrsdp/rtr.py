@@ -42,21 +42,28 @@ def _inner(A, B):
 def tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None):
     """Truncated CG (Steihaug-Toint) for the trust-region model.
 
-    Minimizes <grad, s> + 0.5 <s, H s> over ||s|| <= radius, stopping on
-    negative curvature, the boundary, or the residual rule
-    ||r|| <= ||r0|| * min(kappa, ||r0||^theta).
+    Minimizes m(s) = <grad, s> + 0.5 <s, H s> over ||s|| <= radius,
+    stopping on negative curvature, the boundary, or the residual rule
+    ||r|| <= ||r0|| * min(kappa, ||r0||^theta). Returns
+    ``(step, reason, model)`` with ``model`` = m(step), taken from H step
+    tracked alongside the iterate, so callers need no further product.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if max_iters is None:
         max_iters = grad.size
     eta = np.zeros_like(grad)
+    Heta = np.zeros_like(grad)
     r = grad.copy()
     d = -r
     rr = _inner(r, r)
     r0_norm = np.sqrt(rr)
     target = r0_norm * min(kappa, r0_norm ** theta)
     e_norm2 = 0.0
+
+    def result(s, Hs, reason):
+        return s, reason, _inner(grad, s) + 0.5 * _inner(s, Hs)
+
     for _ in range(max_iters):
         Hd = hess_vec(d)
         dHd = _inner(d, Hd)
@@ -64,21 +71,23 @@ def tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None):
         d_norm2 = _inner(d, d)
         if dHd <= 0:
             tau = _boundary_step(e_norm2, e_d, d_norm2, radius)
-            return eta + tau * d, "negative-curvature"
+            return result(eta + tau * d, Heta + tau * Hd,
+                          "negative-curvature")
         alpha = rr / dHd
         new_e_norm2 = e_norm2 + 2 * alpha * e_d + alpha * alpha * d_norm2
         if new_e_norm2 >= radius * radius:
             tau = _boundary_step(e_norm2, e_d, d_norm2, radius)
-            return eta + tau * d, "boundary"
+            return result(eta + tau * d, Heta + tau * Hd, "boundary")
         eta = eta + alpha * d
+        Heta = Heta + alpha * Hd
         e_norm2 = new_e_norm2
         r = r + alpha * Hd
         rr_new = _inner(r, r)
         if np.sqrt(rr_new) <= target:
-            return eta, "converged"
+            return result(eta, Heta, "converged")
         d = -r + (rr_new / rr) * d
         rr = rr_new
-    return eta, "max-cg-iters"
+    return result(eta, Heta, "max-cg-iters")
 
 
 def _boundary_step(e_norm2, e_d, d_norm2, radius):
@@ -114,7 +123,8 @@ def minimize(model, point, warm_dir=None, opts=None):
     ``model`` supplies ``cost(point)`` and ``at(point)``; the latter returns
     a state with ``cost``, ``grad`` (tangent ndarray) and ``hess_vec(U)``.
     A supplied warm direction is consumed by an Armijo line search before
-    the trust-region loop starts.
+    the trust-region loop starts. Hessian products run only inside tCG;
+    the predicted decrease of a step is tCG's model value.
     """
     opts = opts or RtrOptions()
     n, p = point.Y.shape
@@ -142,11 +152,11 @@ def minimize(model, point, warm_dir=None, opts=None):
             reason = "radius-collapse"
             break
         iters += 1
-        step, _stop = tcg(state.grad, state.hess_vec, radius,
-                          opts.tcg_kappa, opts.tcg_theta, opts.max_cg_iters)
+        step, _stop, model_value = tcg(
+            state.grad, state.hess_vec, radius, opts.tcg_kappa,
+            opts.tcg_theta, opts.max_cg_iters)
         step_norm = np.sqrt(_inner(step, step))
-        pred = -(_inner(state.grad, step)
-                 + 0.5 * _inner(step, state.hess_vec(step)))
+        pred = -model_value
         try:
             trial = retract(point, step)
             trial_cost = model.cost(trial)

@@ -251,6 +251,18 @@ class TestCli:
         assert cli_main(["check", str(out)]) == 1
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [None, 1.5])
+    def test_check_rejects_non_integer_index(self, tmp_path, capsys, bad):
+        # null used to escape as a TypeError traceback, 1.5 was truncated
+        out = tmp_path / "r.json"
+        assert cli_main(["solve", "--generate", "maxcut-edge",
+                         "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        doc["problem"]["C"]["rows"][0] = bad
+        out.write_text(json.dumps(doc))
+        assert cli_main(["check", str(out)]) == 1
+        assert "integers" in capsys.readouterr().err
+
     def test_determinism(self, tmp_path):
         docs = []
         for name in ("a.json", "b.json"):

@@ -229,6 +229,33 @@ class TestHessian:
             rhs = 2.0 * float(np.trace(U.T @ S @ U))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
 
+    def test_non_tangent_input_maps_into_tangent(self, manifold, rng):
+        # the Weingarten term -2 B*(z) U is projected with the rest, so
+        # even a normal component of U cannot leave the tangent space
+        for _ in range(20):
+            sdp, sub, point, y, sigma = _subproblem_state(manifold, rng)
+            state = sub.at(point)
+            U = rng.standard_normal(point.Y.shape)
+            H = manifolds.riem_hess_vec(point, U, state.ctx)
+            normal = H - manifolds.project_tangent(point, H)
+            assert np.linalg.norm(normal) <= 1e-12 * np.linalg.norm(H)
+
+    def test_tangent_input_matches_unprojected_weingarten(self, manifold,
+                                                          rng):
+        # on tangent inputs P_Y(-2 B*(z) U) = -2 B*(z) U, so the product
+        # equals P_Y(Euclidean part) - 2 B*(z) U
+        for _ in range(20):
+            sdp, sub, point, y, sigma = _subproblem_state(manifold, rng)
+            ctx = sub.at(point).ctx
+            U = manifolds.project_tangent(
+                point, rng.standard_normal(point.Y.shape))
+            htilde = 2.0 * (ctx.stilde_times(U) + ctx.curvature(U))
+            want = manifolds.project_tangent(point, htilde) \
+                - 2.0 * manifolds.bstar_times(point, ctx.z, U)
+            got = manifolds.riem_hess_vec(point, U, ctx)
+            assert np.linalg.norm(got - want) <= 1e-12 * max(
+                1.0, np.linalg.norm(want))
+
     def test_tangency_check_flag(self, manifold, rng):
         if manifold is ManifoldKind.FREE:
             pytest.skip("every direction is tangent on the free factor")

@@ -1,5 +1,7 @@
 """Problem data model against dense oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,71 @@ class TestSparseSymMatrix:
         want = float(np.sum(A.to_dense() * X))
         got = sum(v * X[i, j] * (2.0 if i != j else 1.0) for i, j, v in trips)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _from_triplets_oracle(n, triplets, accumulate=False):
+    """The original list-comprehension build, kept as the reference for
+    ``from_triplets``: (rows, cols, vals) or the ProblemError message."""
+    if n <= 0:
+        raise ProblemError(f"dimension must be positive, got {n}")
+    if not triplets:
+        z = np.zeros(0)
+        return z.astype(np.intp), z.astype(np.intp), z
+    r = np.array([t[0] for t in triplets], dtype=np.intp)
+    c = np.array([t[1] for t in triplets], dtype=np.intp)
+    v = np.array([t[2] for t in triplets], dtype=float)
+    lo, hi = np.minimum(r, c), np.maximum(r, c)
+    if lo.min() < 0 or hi.max() >= n:
+        raise ProblemError("triplet index out of range")
+    key = lo * n + hi
+    if accumulate:
+        key, inv = np.unique(key, return_inverse=True)
+        v = np.bincount(inv, weights=v, minlength=key.size)
+        lo, hi = key // n, key % n
+    elif np.unique(key).size != key.size:
+        raise ProblemError("duplicate (row, col) entry")
+    else:
+        order = np.argsort(key)
+        lo, hi, v = lo[order], hi[order], v[order]
+    return lo, hi, v
+
+
+class TestFromTriplets:
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1),
+                           st.floats(-1e3, 1e3)), max_size=6),
+        st.booleans())))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_original_build(self, case):
+        n, trips, accumulate = case
+        try:
+            want = _from_triplets_oracle(n, trips, accumulate)
+        except ProblemError as exc:
+            with pytest.raises(ProblemError, match=re.escape(str(exc))):
+                SparseSymMatrix.from_triplets(n, trips, accumulate)
+            return
+        got = SparseSymMatrix.from_triplets(n, trips, accumulate)
+        for g, w in zip((got.rows, got.cols, got.vals), want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("bad", [1.5, None, "1", 2.0])
+    @pytest.mark.parametrize("pos", [0, 1])
+    def test_non_integer_index_rejected(self, bad, pos):
+        # 1.5 used to be truncated to 1, None raised a bare TypeError
+        trip = [0, 1, 1.0]
+        trip[pos] = bad
+        with pytest.raises(ProblemError, match="integers"):
+            SparseSymMatrix.from_triplets(3, [(1, 1, 2.0), tuple(trip)])
+        with pytest.raises(ProblemError, match="integers"):
+            SparseSymMatrix.from_triplets(3, [tuple(trip)])
+
+    def test_numpy_integer_indices_accepted(self):
+        A = SparseSymMatrix.from_triplets(
+            3, [(np.int64(2), np.int32(0), 1.0), (np.uint8(1), 1, 2.0)])
+        assert A.rows.dtype == np.intp
+        assert A.to_dense()[0, 2] == 1.0 and A.to_dense()[1, 1] == 2.0
 
 
 class TestSdpProblem:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from lrsdp import manifolds, rtr
+from lrsdp import generators, manifolds, rtr
+from lrsdp.alm import SolverOptions, solve
 from lrsdp.manifolds import FactorPoint
 from lrsdp.problem import ManifoldKind
 from lrsdp.rtr import RtrOptions, minimize, tcg
@@ -40,22 +41,22 @@ class TestTcg:
         Q = rng.standard_normal((6, 6))
         H = Q @ Q.T + 6 * np.eye(6)
         g = rng.standard_normal((6, 1))
-        step, reason = tcg(g, lambda U: H @ U, radius=100.0, kappa=1e-10,
-                           theta=1.0)
+        step, reason, _ = tcg(g, lambda U: H @ U, radius=100.0, kappa=1e-10,
+                              theta=1.0)
         assert reason == "converged"
         assert np.allclose(step, -np.linalg.solve(H, g), atol=1e-8)
 
     def test_boundary_stop(self, rng):
         H = np.eye(4)
         g = np.ones((4, 1))
-        step, reason = tcg(g, lambda U: H @ U, radius=0.5)
+        step, reason, _ = tcg(g, lambda U: H @ U, radius=0.5)
         assert reason == "boundary"
         assert np.linalg.norm(step) == pytest.approx(0.5, rel=1e-12)
 
     def test_negative_curvature_stop(self, rng):
         H = np.diag([1.0, -2.0])
         g = np.array([[1.0], [0.3]])
-        step, reason = tcg(g, lambda U: H @ U, radius=10.0)
+        step, reason, _ = tcg(g, lambda U: H @ U, radius=10.0)
         assert reason == "negative-curvature"
         assert np.linalg.norm(step) == pytest.approx(10.0, rel=1e-12)
 
@@ -65,8 +66,8 @@ class TestTcg:
             Q = rng.standard_normal((5, 5))
             H = 0.5 * (Q + Q.T)
             g = rng.standard_normal((5, 1))
-            step, _ = tcg(g, lambda U: H @ U,
-                          radius=float(rng.uniform(0.1, 5.0)))
+            step, _, _ = tcg(g, lambda U: H @ U,
+                             radius=float(rng.uniform(0.1, 5.0)))
             dec = float(g[:, 0] @ step[:, 0]
                         + 0.5 * step[:, 0] @ H @ step[:, 0])
             assert dec <= 1e-12
@@ -74,9 +75,25 @@ class TestTcg:
     def test_max_iters_cap(self, rng):
         H = np.diag(np.linspace(1, 1e4, 30))
         g = np.ones((30, 1))
-        step, reason = tcg(g, lambda U: H @ U, radius=1e6, kappa=1e-14,
-                           theta=1.0, max_iters=2)
+        step, reason, _ = tcg(g, lambda U: H @ U, radius=1e6, kappa=1e-14,
+                              theta=1.0, max_iters=2)
         assert reason == "max-cg-iters"
+
+    @pytest.mark.parametrize("reason,H,g,kw", [
+        ("converged", np.diag([2.0, 3.0, 5.0]), np.ones((3, 1)),
+         dict(radius=100.0, kappa=1e-10)),
+        ("boundary", np.eye(4), np.ones((4, 1)), dict(radius=0.5)),
+        ("negative-curvature", np.diag([1.0, -2.0]),
+         np.array([[1.0], [0.3]]), dict(radius=10.0)),
+        ("max-cg-iters", np.diag(np.linspace(1, 1e4, 30)), np.ones((30, 1)),
+         dict(radius=1e6, kappa=1e-14, max_iters=2)),
+    ])
+    def test_model_value_matches_fresh_evaluation(self, reason, H, g, kw):
+        step, got_reason, model = tcg(g, lambda U: H @ U, **kw)
+        assert got_reason == reason
+        fresh = float(g[:, 0] @ step[:, 0]
+                      + 0.5 * step[:, 0] @ H @ step[:, 0])
+        assert model == pytest.approx(fresh, rel=1e-12, abs=1e-14)
 
     def test_bad_radius(self):
         with pytest.raises(ValueError):
@@ -127,6 +144,39 @@ class TestMinimize:
         assert report.iterations == 0
         assert report.reason == "tolerance"
 
+    def test_hess_vec_only_inside_tcg(self, rng, monkeypatch):
+        # the predicted decrease comes from tCG's model value, so minimize
+        # itself runs no Hessian-vector product
+        calls = {"model": 0, "tcg": 0}
+        model = _QuadraticModel(np.diag(np.linspace(1.0, 50.0, 12)),
+                                rng.standard_normal(12))
+        at = model.at
+
+        def counted_at(point):
+            state = at(point)
+            hess_vec = state.hess_vec
+
+            def counted(U):
+                calls["model"] += 1
+                return hess_vec(U)
+            state.hess_vec = counted
+            return state
+
+        def counted_tcg(grad, hess_vec, *args):
+            def counted(U):
+                calls["tcg"] += 1
+                return hess_vec(U)
+            return tcg(grad, counted, *args)
+
+        monkeypatch.setattr(model, "at", counted_at)
+        monkeypatch.setattr(rtr, "tcg", counted_tcg)
+        start = FactorPoint(rng.standard_normal((12, 1)), ManifoldKind.FREE)
+        _, report = minimize(model, start, opts=RtrOptions(
+            grad_tol=1e-9, initial_radius=0.5, tcg_kappa=0.5))
+        assert report.iterations > 1
+        assert calls["tcg"] > 0
+        assert calls["model"] == calls["tcg"]
+
     def test_sphere_rayleigh_quotient(self, rng):
         # min <Y, H Y> on the unit sphere = smallest eigenvalue of H
         A = rng.standard_normal((7, 7))
@@ -160,3 +210,22 @@ class TestMinimize:
                                                  max_inner_iters=500))
         want = np.linalg.eigvalsh(H)[0]
         assert Rayleigh().cost(point) == pytest.approx(want, abs=1e-8)
+
+
+def test_bqp_tcg_never_hits_the_iteration_cap(monkeypatch):
+    # with Hessian products kept on the tangent space, tCG on a small BQP
+    # moment relaxation stops on the boundary, negative curvature or its
+    # residual rule; an operator that is not symmetric on the tangent
+    # space sends CG to its cap of one product per tangent dimension
+    stops = []
+
+    def recorded_tcg(*args):
+        out = tcg(*args)
+        stops.append(out[1])
+        return out
+
+    monkeypatch.setattr(rtr, "tcg", recorded_tcg)
+    sol = solve(generators.gen_bqp_moment(*generators.random_bqp(6, 6)),
+                SolverOptions(seed=0))
+    assert sol.status == "converged"
+    assert stops and "max-cg-iters" not in stops
