@@ -17,17 +17,16 @@ from .io_cli import (FormatError, cli_main, read_gset, read_sdpa,
 from .manifolds import FactorPoint, RetractionError
 from .problem import (KktResidues, ManifoldKind, ProblemError, SdpProblem,
                       SparseSymMatrix, kkt_residues)
-from .spectral import EigsolverError, SymOperator, extreme_eigs
+from .spectral import SymOperator, extreme_eigs
 
 __all__ = [
-    "EigsolverError", "FactorPoint", "FormatError", "IterationTrace",
-    "KktResidues", "ManifoldKind", "ProblemError", "RetractionError",
-    "SdpProblem", "Solution", "SolverOptions", "SparseSymMatrix",
-    "SymOperator", "WeightedGraph", "cli_main", "extreme_eigs",
-    "gen_bqp_moment", "gen_matrix_completion", "gen_maxcut",
-    "gen_quartic_sphere", "kkt_residues", "random_bqp", "random_completion",
-    "random_quartic", "read_gset", "read_sdpa", "result_document", "solve",
-    "write_sdpa",
+    "FactorPoint", "FormatError", "IterationTrace", "KktResidues",
+    "ManifoldKind", "ProblemError", "RetractionError", "SdpProblem",
+    "Solution", "SolverOptions", "SparseSymMatrix", "SymOperator",
+    "WeightedGraph", "cli_main", "extreme_eigs", "gen_bqp_moment",
+    "gen_matrix_completion", "gen_maxcut", "gen_quartic_sphere",
+    "kkt_residues", "random_bqp", "random_completion", "random_quartic",
+    "read_gset", "read_sdpa", "result_document", "solve", "write_sdpa",
 ]
 
 __version__ = "0.1.0"

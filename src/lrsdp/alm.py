@@ -154,7 +154,7 @@ def assemble_dual(sdp, point, y, sigma):
     return z, SymOperator.from_dense(prob.dual_slack(sdp, y - sigma * r0, z))
 
 
-def escape_direction(S, r, delta_ne, tol_escape, seed=0):
+def escape_direction(S, r, delta_ne, tol_escape):
     """Second-order descent direction from negative eigenvalues of S.
 
     Returns (U, delta, n_ne_est) where U is n x (r + delta) with the first r
@@ -162,7 +162,7 @@ def escape_direction(S, r, delta_ne, tol_escape, seed=0):
     eigenvalues; delta = 0 means no escape is needed.
     """
     k = min(delta_ne + 1, S.n)
-    pairs = spectral.extreme_eigs(S, k, side="smallest", seed=seed)
+    pairs = spectral.extreme_eigs(S, k, side="smallest")
     n_ne_est = sum(1 for val, _ in pairs if val < -tol_escape)
     delta = min(n_ne_est, delta_ne)
     if delta == 0:
@@ -238,10 +238,8 @@ def solve(sdp, opts=None):
         r0 = prob.apply_constraints(sdp, point.Y) - sdp.b
         y_next = y - sigma * r0
         z, S = assemble_dual(sdp, point, y, sigma)
-        lam_min = spectral.extreme_eigs(S, 1, side="smallest",
-                                        seed=opts.seed)[0][0]
-        lam_max = spectral.extreme_eigs(S, 1, side="largest", tol=1e-8,
-                                        seed=opts.seed)[0][0]
+        lam_min = spectral.extreme_eigs(S, 1, side="smallest")[0][0]
+        lam_max = spectral.extreme_eigs(S, 1, side="largest")[0][0]
         res = prob.kkt_residues(sdp, point.Y, y_next, z, lam_min, lam_max)
         trace.append(IterationTrace(
             k=k, p=point.p, sigma=sigma, eps=eps,
@@ -262,8 +260,7 @@ def solve(sdp, opts=None):
         # rank truncation, then saddle escape padding (new columns of zeros)
         point, r = truncate_rank(point, opts.theta, rng)
         tol_escape = max(1e-12, 1e-4 * opts.tol * (1.0 + abs(lam_max)))
-        U, delta, _ = escape_direction(S, r, opts.delta_ne, tol_escape,
-                                       seed=opts.seed + k + 1)
+        U, delta, _ = escape_direction(S, r, opts.delta_ne, tol_escape)
         if delta > 0:
             Y_pad = np.concatenate(
                 [point.Y, np.zeros((sdp.n, delta))], axis=1)

@@ -164,10 +164,47 @@ def _matrix_doc(M):
             "vals": M.vals.tolist()}
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", int: "an integer",
+               (int, float): "a number"}
+
+
+def _doc_field(doc, key, kind):
+    """``doc[key]`` checked to have the JSON type ``kind``; a malformed
+    document raises ProblemError here instead of a TypeError later."""
+    if not isinstance(doc, dict):
+        raise ProblemError(f"expected an object with field {key!r}, "
+                           f"got {type(doc).__name__}")
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ProblemError(f"field {key!r} must be {_JSON_TYPES[kind]}, "
+                           f"got {type(value).__name__}")
+    return value
+
+
+def _doc_numbers(doc, key, ndim=1):
+    """``doc[key]`` as a float array with ``ndim`` axes; ProblemError if it
+    is not a list of numbers nested that deep."""
+    values = _doc_field(doc, key, list)
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != ndim:
+        raise ProblemError(f"field {key!r} must be a {ndim}-D list of numbers")
+    return arr
+
+
 def _matrix_from_doc(n, doc):
-    # from_triplets rejects out-of-range indices and duplicate entries
-    return SparseSymMatrix.from_triplets(
-        n, list(zip(doc["rows"], doc["cols"], doc["vals"])))
+    rows = _doc_field(doc, "rows", list)
+    cols = _doc_field(doc, "cols", list)
+    vals = _doc_numbers(doc, "vals")
+    try:
+        triplets = list(zip(rows, cols, vals, strict=True))
+    except ValueError:
+        raise ProblemError("rows, cols and vals differ in length") from None
+    # from_triplets rejects out-of-range or non-integer indices and
+    # duplicate entries
+    return SparseSymMatrix.from_triplets(n, triplets)
 
 
 def result_document(sdp, solution, options):
@@ -202,14 +239,16 @@ def result_document(sdp, solution, options):
 
 
 def problem_from_document(doc):
-    pd = doc["problem"]
-    n = pd["n"]
+    """The SdpProblem stored in a result document; a field of the wrong
+    type or shape raises ProblemError."""
+    pd = _doc_field(doc, "problem", dict)
+    n = _doc_field(pd, "n", int)
     return SdpProblem(
         n, _matrix_from_doc(n, pd["C"]),
-        [_matrix_from_doc(n, Ad) for Ad in pd["A"]],
-        np.array(pd["b"], dtype=float), ManifoldKind(pd["manifold"]),
-        objective_sign=pd["objective_sign"],
-        objective_offset=pd["objective_offset"])
+        [_matrix_from_doc(n, Ad) for Ad in _doc_field(pd, "A", list)],
+        _doc_numbers(pd, "b"), ManifoldKind(pd["manifold"]),
+        objective_sign=_doc_field(pd, "objective_sign", (int, float)),
+        objective_offset=_doc_field(pd, "objective_offset", (int, float)))
 
 
 def write_result(doc, path):
@@ -235,9 +274,9 @@ def check_document(doc, tol):
     S = C - A*(y) - B*(z), independent of the penalty bookkeeping.
     """
     sdp = problem_from_document(doc)
-    Y = np.array(doc["Y"], dtype=float)
-    y = np.array(doc["y"], dtype=float)
-    z = np.array(doc["z"], dtype=float)
+    Y = _doc_numbers(doc, "Y", ndim=2)
+    y = _doc_numbers(doc, "y")
+    z = _doc_numbers(doc, "z")
     vals = np.linalg.eigvalsh(prob.dual_slack(sdp, y, z))
     res = prob.kkt_residues(sdp, Y, y, z, float(vals[0]), float(vals[-1]))
     return res, res.eta_max <= tol

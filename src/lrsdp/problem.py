@@ -5,7 +5,7 @@ formed by any routine in this module. Hessian products still form n x n
 arrays (``apply_constraints_sym``, ``apply_adjoint_times``). The dual slack
 S = C - A*(y) - B*(z) is one dense n x n matrix per point, built only by
 ``dual_slack``; ``spectral.extreme_eigs`` decomposes it with one ``eigh``
-up to the dense threshold and runs ARPACK on its dense products above it.
+at every n.
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ class SdpProblem:
             self._tr = np.concatenate([Ak.rows for Ak in A])
             self._tc = np.concatenate([Ak.cols for Ak in A])
             self._tv = np.concatenate([Ak.vals for Ak in A])
-            self._tm = np.concatenate(
-                [np.full(Ak.nnz, k, dtype=np.intp) for k, Ak in enumerate(A)])
+            self._tm = np.repeat(np.arange(len(A), dtype=np.intp),
+                                 [Ak.nnz for Ak in A])
             self._tw = self._tv * np.where(self._tr != self._tc, 2.0, 1.0)
         else:
             e = np.zeros(0)

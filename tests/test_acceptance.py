@@ -301,23 +301,39 @@ def _poly_values(coeffs, X):
     return out
 
 
-def _poly_grad(coeffs, x):
-    g = np.zeros_like(x)
+def _poly_by_degree(coeffs):
+    """Monomials grouped by degree, as (index array k x d, coefficients k)."""
+    groups = {}
     for mono, cf in coeffs.items():
-        for pos in range(len(mono)):
-            rest = mono[:pos] + mono[pos + 1:]
-            g[mono[pos]] += cf * (np.prod(x[list(rest)]) if rest else 1.0)
-    return g
+        monos, cfs = groups.setdefault(len(mono), ([], []))
+        monos.append(mono)
+        cfs.append(cf)
+    return [(np.array(monos, dtype=np.intp).reshape(len(monos), deg),
+             np.array(cfs)) for deg, (monos, cfs) in groups.items()]
+
+
+def _poly_value_grad(groups, x):
+    val = 0.0
+    g = np.zeros_like(x)
+    for idx, cf in groups:
+        xs = x[idx]
+        val += float(cf @ np.prod(xs, axis=1))
+        for pos in range(idx.shape[1]):
+            rest = np.prod(np.delete(xs, pos, axis=1), axis=1)
+            g += np.bincount(idx[:, pos], weights=cf * rest,
+                             minlength=x.size)
+    return val, g
 
 
 def _sphere_polish(coeffs, x0):
     """Local minimization of the polynomial on the unit sphere via BFGS on
     the scale-invariant composite u -> f(u / ||u||)."""
+    groups = _poly_by_degree(coeffs)
+
     def fun(u):
         r = np.linalg.norm(u)
         x = u / r
-        val = float(_poly_values(coeffs, x[None, :])[0])
-        gx = _poly_grad(coeffs, x)
+        val, gx = _poly_value_grad(groups, x)
         return val, (gx - float(gx @ x) * x) / r
 
     res = scipy_minimize(fun, x0, jac=True, method="BFGS",

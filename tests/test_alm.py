@@ -139,9 +139,9 @@ class TestAssembleDual:
 
     @pytest.mark.parametrize("manifold", list(ManifoldKind))
     def test_above_dense_threshold(self, manifold, rng):
-        # n past the eigensolver's dense threshold: S is still one dense
-        # matrix, shared by the subproblem and the dual assembly
-        n = spectral.DENSE_THRESHOLD + 10
+        # n past the eigensolver's former dense threshold (1024): S is one
+        # dense matrix, shared by the subproblem and the dual assembly
+        n = 1034
         sdp = random_problem(n, 3, manifold, rng)
         y = rng.standard_normal(3)
         point = manifolds.random_point(n, 2, manifold, 6)
@@ -192,6 +192,21 @@ class TestEscapeDirection:
         assert delta == 2 and n_ne >= 2
         assert U.shape == (4, 3)
         assert np.allclose(U[:, 0], 0.0)
+
+    def test_above_old_dense_threshold(self):
+        # n = 1034 once took an ARPACK path; the escape pairs come from the
+        # same cached eigh as at every other n
+        n = 1034
+        d = np.arange(n, dtype=float)
+        d[[7, 500, 1033]] = [-3.0, -2.0, -1.0]
+        S = spectral.SymOperator.from_dense(np.diag(d))
+        U, delta, n_ne = escape_direction(S, r=2, delta_ne=10,
+                                          tol_escape=1e-10)
+        assert delta == 3 and n_ne == 3
+        assert U.shape == (n, 5)
+        assert np.array_equal(U[:, :2], np.zeros((n, 2)))
+        for col, i in zip(U[:, 2:].T, (7, 500, 1033)):
+            assert np.array_equal(np.abs(col), np.eye(n)[i])
 
     def test_eigenvector_columns(self, rng):
         A = rng.standard_normal((6, 6))

@@ -263,6 +263,34 @@ class TestCli:
         assert cli_main(["check", str(out)]) == 1
         assert "integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tamper,needle", [
+        (lambda d: d["problem"]["C"]["rows"].append(0), "differ in length"),
+        (lambda d: d["problem"].update(n="2"), "'n' must be an integer"),
+        (lambda d: d["problem"]["C"].update(rows=5), "'rows' must be a list"),
+        (lambda d: d.update(y=[{}]), "'y' must be a 1-D list"),
+        (lambda d: d["Y"][0].__setitem__(0, {}), "'Y' must be a 2-D list"),
+    ], ids=["ragged-rows", "string-n", "scalar-rows", "object-in-y",
+            "object-in-Y"])
+    def test_check_rejects_malformed_field(self, tmp_path, capsys, tamper,
+                                           needle):
+        # a plain zip dropped the extra row index and certified the document;
+        # the mistyped fields escaped as TypeError tracebacks
+        out = tmp_path / "r.json"
+        assert cli_main(["solve", "--generate", "maxcut-edge",
+                         "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        tamper(doc)
+        out.write_text(json.dumps(doc))
+        assert cli_main(["check", str(out)]) == 1
+        assert needle in capsys.readouterr().err
+
+    def test_type_error_in_solve_is_not_swallowed(self, monkeypatch):
+        def broken(sdp, opts):
+            raise TypeError("bug")
+        monkeypatch.setattr(alm, "solve", broken)
+        with pytest.raises(TypeError, match="bug"):
+            cli_main(["solve", "--generate", "maxcut-edge"])
+
     def test_determinism(self, tmp_path):
         docs = []
         for name in ("a.json", "b.json"):

@@ -155,6 +155,19 @@ class TestSdpProblem:
             assert np.allclose(prob.apply_constraints(sdp, Y), want,
                                atol=1e-12)
 
+    def test_constraint_index(self, rng):
+        # _tm[t] is the constraint that flattened triplet t belongs to
+        A = [SparseSymMatrix.from_triplets(5, random_sym_triplets(5, k, rng))
+             for k in (3, 1, 4)]
+        A.insert(1, SparseSymMatrix.from_triplets(5, []))
+        sdp = SdpProblem(5, A[0], A, np.zeros(4), ManifoldKind.FREE)
+        want = np.concatenate([np.full(Ak.nnz, k, dtype=np.intp)
+                               for k, Ak in enumerate(A)])
+        assert sdp._tm.dtype == np.intp
+        assert np.array_equal(sdp._tm, want)
+        empty = random_problem(4, 0, ManifoldKind.FREE, rng)
+        assert empty._tm.dtype == np.intp and empty._tm.shape == (0,)
+
     def test_apply_constraints_no_constraints(self, rng):
         sdp = random_problem(4, 0, ManifoldKind.FREE, rng)
         Y, U = rng.standard_normal((2, 4, 2))
