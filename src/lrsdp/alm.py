@@ -44,8 +44,10 @@ class SolverOptions:
             raise ValueError("max_inner_iters must be at least 1")
         if self.p0 < 1:
             raise ValueError("p0 must be at least 1")
-        if not self.eps0 > 0:
-            raise ValueError("eps0 must be positive")
+        if not 0 < self.eps0 < np.inf:
+            raise ValueError("eps0 must be positive and finite")
+        if not 0 < self.eps_floor <= self.eps0:
+            raise ValueError("eps_floor must lie in (0, eps0]")
         if not 0 < self.eps_decay <= 1:
             raise ValueError("eps_decay must lie in (0, 1]")
         if self.max_time is not None and not self.max_time > 0:
@@ -118,8 +120,8 @@ class AlmSubproblem:
         r0, cost = self._cost(Y)
         # grad Phi(X) is the slack at the multipliers y - sigma r0; Hessian
         # products then cost two dense matmuls plus one A / A* pass
-        stilde_times = prob.dual_slack(sdp, self.y - sigma * r0).__matmul__
-        W = stilde_times(Y)
+        stilde = prob.dual_slack(sdp, self.y - sigma * r0)
+        W = stilde @ Y
         z = manifolds.multiplier_z(point, W)
         grad = manifolds.riem_grad(point, W, z)
 
@@ -127,7 +129,7 @@ class AlmSubproblem:
             return sigma * prob.apply_adjoint_times(
                 sdp, prob.apply_constraints_sym(sdp, Y, U), Y)
 
-        ctx = HessianContext(stilde_times, curvature, z)
+        ctx = HessianContext(stilde, curvature, z)
         return _PointState(point, cost, grad, ctx)
 
 
@@ -151,7 +153,7 @@ def assemble_dual(sdp, point, y, sigma):
     W = sdp.C.matvec(point.Y) \
         + sigma * prob.apply_adjoint_times(sdp, resid, point.Y)
     z = manifolds.multiplier_z(point, W)
-    return z, SymOperator.from_dense(prob.dual_slack(sdp, y - sigma * r0, z))
+    return z, SymOperator(prob.dual_slack(sdp, y - sigma * r0, z))
 
 
 def escape_direction(S, r, delta_ne, tol_escape):
@@ -213,26 +215,19 @@ def solve(sdp, opts=None):
     t_start = time.perf_counter()
     rng = np.random.default_rng(opts.seed)
 
-    p = max(1, opts.p0)
-    point = manifolds.random_point(sdp.n, p, sdp.manifold, opts.seed)
+    point = manifolds.random_point(sdp.n, opts.p0, sdp.manifold, opts.seed)
     y = np.zeros(sdp.m)
     sigma = opts.sigma0
     eps = opts.eps0
     pending_dir = None
     trace: List[IterationTrace] = []
     status = "iteration-limit"
-    eps_relaxed = False
 
     for k in range(opts.max_outer_iters):
         sub = AlmSubproblem(sdp, y, sigma)
-        inner_opts = rtr.RtrOptions(grad_tol=eps,
-                                    max_inner_iters=opts.max_inner_iters)
-        point, report = rtr.minimize(sub, point, warm_dir=pending_dir,
-                                     opts=inner_opts)
+        point, report = rtr.minimize(sub, point, eps, opts.max_inner_iters,
+                                     warm_dir=pending_dir)
         pending_dir = None
-        if report.reason == "radius-collapse" and not eps_relaxed:
-            # soft failure: accept a 10x looser gradient this iteration
-            eps_relaxed = True
         gradnorm = report.gradnorm
 
         r0 = prob.apply_constraints(sdp, point.Y) - sdp.b
@@ -270,9 +265,9 @@ def solve(sdp, opts=None):
         eta_p_raw = np.linalg.norm(r0) / (1.0 + np.linalg.norm(sdp.b))
         sigma = update_penalty(sigma, eta_p_raw, gradnorm, opts)
         eps = max(opts.eps_floor, eps * opts.eps_decay)
-        if eps_relaxed:
+        if report.reason == "radius-collapse":
+            # soft failure: the next inner solve gets a 10x looser gradient
             eps = min(10.0 * eps, opts.eps0)
-            eps_relaxed = False
 
     obj = sdp.reported_objective(prob.objective(sdp, point.Y))
     return Solution(

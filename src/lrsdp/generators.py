@@ -146,10 +146,6 @@ def gen_bqp_moment(Q, c):
                       objective_offset=float(np.trace(Q)))
 
 
-def bqp_basis_size(q):
-    return 1 + q + q * (q - 1) // 2
-
-
 def gen_quartic_sphere(q, coeffs):
     """Second-order moment relaxation of min c . [x]_4 on the unit sphere.
 
@@ -206,10 +202,6 @@ def gen_quartic_sphere(q, coeffs):
     C = SparseSymMatrix.from_triplets(n, cost) if cost \
         else SparseSymMatrix.from_triplets(n, [(0, 0, 0.0)])
     return SdpProblem(n, C, A, np.array(rhs), ManifoldKind.FREE)
-
-
-def quartic_basis_size(q):
-    return 1 + q + q * (q + 1) // 2
 
 
 # --- random benchmark instances ----------------------------------------

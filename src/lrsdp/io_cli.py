@@ -8,7 +8,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
@@ -17,8 +17,7 @@ from .alm import SolverOptions
 from .generators import WeightedGraph
 from .problem import ManifoldKind, ProblemError, SdpProblem, SparseSymMatrix
 
-TRACE_COLUMNS = ("k", "p", "sigma", "eps", "eta_p", "eta_d", "eta_g",
-                 "eta_max", "gradnorm", "inner_iters", "time")
+TRACE_COLUMNS = tuple(f.name for f in fields(alm.IterationTrace))
 
 
 class FormatError(ProblemError):
@@ -262,9 +261,8 @@ def write_trace_csv(trace, path):
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for row in trace:
-            d = asdict(row)
-            writer.writerow([repr(d[c]) if isinstance(d[c], float) else d[c]
-                             for c in TRACE_COLUMNS])
+            writer.writerow([repr(v) if isinstance(v, float) else v
+                             for v in astuple(row)])
 
 
 def check_document(doc, tol):

@@ -8,13 +8,11 @@ vectors are plain ndarrays tied to a base point by context.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable
 
 import numpy as np
 
 from .problem import ManifoldKind
-
-_FEAS_TOL = 1e-12
 
 
 class RetractionError(RuntimeError):
@@ -106,19 +104,20 @@ def riem_grad(point, grad_phi_Y, z):
 class HessianContext:
     """Point-local data needed for Riemannian Hessian-vector products.
 
-    stilde_times: V -> grad Phi(X) V (the Euclidean dual matrix action).
+    stilde:       the dense n x n S~ = grad Phi(X), the dual slack at the
+                  first-order multipliers; products are ``stilde @ V``.
     curvature:    U -> sigma * A*(A(Y U^T + U Y^T)) Y (penalty curvature).
     z:            manifold multipliers; on the sphere z[0] = Tr(grad Phi X)
                   and on the oblique manifold z = diag(grad Phi X). They
                   enter the Hessian through the Weingarten term -2 B*(z) U.
     """
 
-    stilde_times: Callable[[np.ndarray], np.ndarray]
+    stilde: np.ndarray
     curvature: Callable[[np.ndarray], np.ndarray]
     z: np.ndarray
 
 
-def riem_hess_vec(point, U, ctx, check_tangent=False):
+def riem_hess_vec(point, U, ctx):
     """Riemannian Hessian of the penalized cost applied to a tangent U.
 
     On the sphere and the oblique manifold this is
@@ -128,11 +127,7 @@ def riem_hess_vec(point, U, ctx, check_tangent=False):
     would carry U's normal rounding error into each product, and over many
     tCG steps the operator drifts from symmetric on the tangent space.
     """
-    if check_tangent:
-        tu = project_tangent(point, U)
-        if np.linalg.norm(tu - U) > 1e-8 * max(1.0, np.linalg.norm(U)):
-            raise ValueError("input is not a tangent vector")
-    htilde = 2.0 * (ctx.stilde_times(U) + ctx.curvature(U))
+    htilde = 2.0 * (ctx.stilde @ U + ctx.curvature(U))
     if point.manifold is ManifoldKind.FREE:
         return htilde
     return project_tangent(point,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -13,25 +12,13 @@ _ARMIJO_C1 = 1e-4
 _ARMIJO_FACTOR = 0.5
 _ARMIJO_MAX_BACKTRACKS = 40
 _RADIUS_COLLAPSE = 1e-14
-
-
-@dataclass
-class RtrOptions:
-    grad_tol: float = 1e-8
-    max_inner_iters: int = 200
-    initial_radius: Optional[float] = None  # default 0.1 * sqrt(n p)
-    max_radius: Optional[float] = None      # default 10 * initial_radius
-    rho_prime: float = 0.1
-    tcg_kappa: float = 0.1
-    tcg_theta: float = 1.0
-    max_cg_iters: Optional[int] = None      # default dim of the tangent space
+_RHO_PRIME = 0.1  # a step is accepted when its decrease ratio exceeds this
 
 
 @dataclass
 class RtrReport:
     gradnorm: float
     iterations: int
-    cost_decrease: float
     reason: str  # "tolerance" | "max-iters" | "radius-collapse"
 
 
@@ -117,23 +104,22 @@ def _line_search(model, point, state, direction):
     return None
 
 
-def minimize(model, point, warm_dir=None, opts=None):
+def minimize(model, point, grad_tol, max_iters, warm_dir=None):
     """Drive the Riemannian gradient norm of the model below grad_tol.
 
     ``model`` supplies ``cost(point)`` and ``at(point)``; the latter returns
     a state with ``cost``, ``grad`` (tangent ndarray) and ``hess_vec(U)``.
-    A supplied warm direction is consumed by an Armijo line search before
-    the trust-region loop starts. Hessian products run only inside tCG;
-    the predicted decrease of a step is tCG's model value.
+    At most ``max_iters`` trust-region steps are taken, from the radius
+    0.1 sqrt(n p), capped at ten times that. A supplied warm direction is
+    consumed by an Armijo line search before the trust-region loop starts.
+    Hessian products run only inside tCG, with its default truncation; the
+    predicted decrease of a step is tCG's model value.
     """
-    opts = opts or RtrOptions()
     n, p = point.Y.shape
-    radius = opts.initial_radius or 0.1 * np.sqrt(n * p)
-    max_radius = opts.max_radius or 10.0 * radius
-    radius = min(radius, max_radius)
+    radius = 0.1 * np.sqrt(n * p)
+    max_radius = 10.0 * radius
 
     state = model.at(point)
-    cost0 = state.cost
     if warm_dir is not None:
         warmed = _line_search(model, point, state, warm_dir)
         if warmed is not None:
@@ -144,17 +130,15 @@ def minimize(model, point, warm_dir=None, opts=None):
     reason = "max-iters"
     gradnorm = np.sqrt(_inner(state.grad, state.grad))
     best_point, best_cost, best_gradnorm = point, state.cost, gradnorm
-    while iters < opts.max_inner_iters:
-        if gradnorm <= opts.grad_tol:
+    while iters < max_iters:
+        if gradnorm <= grad_tol:
             reason = "tolerance"
             break
         if radius < _RADIUS_COLLAPSE:
             reason = "radius-collapse"
             break
         iters += 1
-        step, _stop, model_value = tcg(
-            state.grad, state.hess_vec, radius, opts.tcg_kappa,
-            opts.tcg_theta, opts.max_cg_iters)
+        step, _stop, model_value = tcg(state.grad, state.hess_vec, radius)
         step_norm = np.sqrt(_inner(step, step))
         pred = -model_value
         try:
@@ -171,22 +155,18 @@ def minimize(model, point, warm_dir=None, opts=None):
             radius *= 0.25
         elif rho > 0.75 and step_norm >= 0.99 * radius:
             radius = min(2.0 * radius, max_radius)
-        if rho > opts.rho_prime:
+        if rho > _RHO_PRIME:
             point = trial
             state = model.at(point)
             gradnorm = np.sqrt(_inner(state.grad, state.grad))
             if state.cost <= best_cost:
                 best_point, best_cost = point, state.cost
                 best_gradnorm = gradnorm
-    else:
-        reason = "max-iters"
-    if gradnorm <= opts.grad_tol:
+    if gradnorm <= grad_tol:
         reason = "tolerance"
     elif state.cost > best_cost:
         # noise-scale uphill accepts can end above the best visited cost;
         # the returned iterate must keep the monotone decrease guarantee
         point, gradnorm = best_point, best_gradnorm
-        state = model.at(point)
     return point, RtrReport(gradnorm=float(gradnorm), iterations=iters,
-                            cost_decrease=float(cost0 - state.cost),
                             reason=reason)

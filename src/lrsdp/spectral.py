@@ -13,7 +13,8 @@ class SymOperator:
 
     The dual slack is one dense S per point, built by
     ``problem.dual_slack``; one cached ``eigh`` serves every eigensolve of
-    S (lambda_min, lambda_max and the escape pairs) at every n.
+    S (lambda_min, lambda_max and the escape pairs) at every n. ``dense``
+    must be exactly symmetric: ``eigh`` reads only its lower triangle.
     """
 
     dense: np.ndarray
@@ -29,13 +30,8 @@ class SymOperator:
         """All eigenvalues (ascending) and eigenvectors, computed once."""
         cached = getattr(self, "_eigh", None)
         if cached is None:
-            S = self.dense
-            cached = self._eigh = np.linalg.eigh(0.5 * (S + S.T))
+            cached = self._eigh = np.linalg.eigh(self.dense)
         return cached
-
-    @staticmethod
-    def from_dense(S):
-        return SymOperator(np.asarray(S, dtype=float))
 
 
 def extreme_eigs(op, count, side="smallest"):

@@ -1,10 +1,12 @@
 """Outer loop: dual assembly, escape, rank truncation, penalty, solve."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import dense_bstar, dense_phi_grad, random_problem
-from lrsdp import alm, manifolds, spectral
+from lrsdp import alm, manifolds, rtr, spectral
 from lrsdp.alm import (AlmSubproblem, SolverOptions, assemble_dual,
                        escape_direction, solve, truncate_rank, update_penalty)
 from lrsdp.manifolds import FactorPoint
@@ -35,7 +37,8 @@ class TestSolverOptions:
         ("tol", 0.0), ("tol", -1e-8), ("max_outer_iters", 0),
         ("max_inner_iters", 0), ("p0", 0), ("eps0", 0.0),
         ("eps_decay", 0.0), ("eps_decay", 1.5), ("max_time", 0.0),
-        ("max_time", -1.0), ("sigma_min", 0.0),
+        ("max_time", -1.0), ("sigma_min", 0.0), ("eps_floor", np.nan),
+        ("eps_floor", 0.0), ("eps_floor", np.inf), ("eps0", np.inf),
     ])
     def test_every_field_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -151,7 +154,7 @@ class TestAssembleDual:
         assert np.allclose(S.dense, want, atol=1e-10)
         state = AlmSubproblem(sdp, y, 2.0).at(point)
         V = rng.standard_normal((n, 2))
-        assert np.allclose(state.ctx.stilde_times(V), G @ V, atol=1e-10)
+        assert np.allclose(state.ctx.stilde @ V, G @ V, atol=1e-10)
         assert np.allclose(state.ctx.z, z, atol=1e-10)
         assert np.allclose(state.grad, 2.0 * want @ point.Y, atol=1e-10)
 
@@ -180,13 +183,13 @@ class TestEscapeDirection:
                                                               abs=1e-10)
 
     def test_psd_slack_no_escape(self, rng):
-        S = spectral.SymOperator.from_dense(np.diag([0.5, 1.0, 2.0]))
+        S = spectral.SymOperator(np.diag([0.5, 1.0, 2.0]))
         U, delta, n_ne = escape_direction(S, r=2, delta_ne=5,
                                           tol_escape=1e-10)
         assert delta == 0 and n_ne == 0
 
     def test_delta_capped(self, rng):
-        S = spectral.SymOperator.from_dense(np.diag([-3.0, -2.0, -1.0, 1.0]))
+        S = spectral.SymOperator(np.diag([-3.0, -2.0, -1.0, 1.0]))
         U, delta, n_ne = escape_direction(S, r=1, delta_ne=2,
                                           tol_escape=1e-10)
         assert delta == 2 and n_ne >= 2
@@ -199,7 +202,7 @@ class TestEscapeDirection:
         n = 1034
         d = np.arange(n, dtype=float)
         d[[7, 500, 1033]] = [-3.0, -2.0, -1.0]
-        S = spectral.SymOperator.from_dense(np.diag(d))
+        S = spectral.SymOperator(np.diag(d))
         U, delta, n_ne = escape_direction(S, r=2, delta_ne=10,
                                           tol_escape=1e-10)
         assert delta == 3 and n_ne == 3
@@ -211,7 +214,7 @@ class TestEscapeDirection:
     def test_eigenvector_columns(self, rng):
         A = rng.standard_normal((6, 6))
         S_dense = 0.5 * (A + A.T) - 2 * np.eye(6)
-        S = spectral.SymOperator.from_dense(S_dense)
+        S = spectral.SymOperator(S_dense)
         vals = np.linalg.eigvalsh(S_dense)
         n_neg = int(np.sum(vals < -1e-10))
         U, delta, _ = escape_direction(S, r=2, delta_ne=10, tol_escape=1e-10)
@@ -282,6 +285,36 @@ class TestSolve:
         assert sol.trace[-1].eta_max == sol.residues.eta_max
         ts = [t.time for t in sol.trace]
         assert all(b >= a for a, b in zip(ts, ts[1:]))
+
+    def test_radius_collapse_relaxes_the_next_tolerance(self, monkeypatch):
+        # one inner solve that ends in radius-collapse gives the next outer
+        # iteration a 10x looser gradient tolerance (capped at eps0); the
+        # one after that decays from the relaxed value as usual
+        collapse_at = 3
+        grad_tols = []
+        minimize = rtr.minimize
+
+        def collapsing(model, point, grad_tol, max_iters, warm_dir=None):
+            grad_tols.append(grad_tol)
+            point, report = minimize(model, point, grad_tol, max_iters,
+                                     warm_dir=warm_dir)
+            if len(grad_tols) == collapse_at + 1:
+                report = replace(report, reason="radius-collapse")
+            return point, report
+
+        monkeypatch.setattr(rtr, "minimize", collapsing)
+        opts = SolverOptions(tol=1e-300, max_outer_iters=collapse_at + 3)
+        sol = solve(_unit_trace_toy(), opts)
+        assert sol.iterations == len(grad_tols) == collapse_at + 3
+        assert grad_tols == [t.eps for t in sol.trace]
+        for k in range(1, len(grad_tols)):
+            decayed = max(opts.eps_floor, grad_tols[k - 1] * opts.eps_decay)
+            if k == collapse_at + 1:
+                want = min(10.0 * decayed, opts.eps0)
+                assert want > decayed
+            else:
+                want = decayed
+            assert grad_tols[k] == want
 
     def test_iteration_limit_status(self):
         sdp = _unit_trace_toy()

@@ -1,6 +1,7 @@
 """File formats and command-line interface."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -151,6 +152,10 @@ class TestResultDocument:
         write_trace_csv(sol.trace, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ",".join(TRACE_COLUMNS)
+        # a field added to IterationTrace reaches the CSV without a second
+        # list to keep in step
+        assert lines[0].split(",") == [
+            f.name for f in fields(alm.IterationTrace)]
         assert len(lines) == 1 + len(sol.trace)
         first = lines[1].split(",")
         assert int(first[0]) == 0

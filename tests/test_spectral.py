@@ -14,7 +14,7 @@ def _random_sym(n, rng):
 class TestSymOperator:
     def test_times_matrix_and_vector(self, rng):
         S = _random_sym(5, rng)
-        op = SymOperator.from_dense(S)
+        op = SymOperator(S)
         assert op.n == 5
         v = rng.standard_normal(5)
         V = rng.standard_normal((5, 2))
@@ -26,14 +26,14 @@ class TestExtremeEigs:
     def test_dense_path_matches_eigh(self, rng):
         S = _random_sym(20, rng)
         vals = np.linalg.eigvalsh(S)
-        lo = extreme_eigs(SymOperator.from_dense(S), 3, side="smallest")
-        hi = extreme_eigs(SymOperator.from_dense(S), 2, side="largest")
+        lo = extreme_eigs(SymOperator(S), 3, side="smallest")
+        hi = extreme_eigs(SymOperator(S), 2, side="largest")
         assert np.allclose([v for v, _ in lo], vals[:3], atol=1e-10)
         assert np.allclose([v for v, _ in hi], vals[::-1][:2], atol=1e-10)
 
     def test_eigenpair_residual(self, rng):
         S = _random_sym(15, rng)
-        op = SymOperator.from_dense(S)
+        op = SymOperator(S)
         for val, vec in extreme_eigs(op, 2, side="smallest"):
             assert np.linalg.norm(S @ vec - val * vec) < 1e-9
 
@@ -47,7 +47,7 @@ class TestExtremeEigs:
             calls.append(M)
             return eigh(M)
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        op = SymOperator.from_dense(np.diag(np.arange(n, dtype=float)))
+        op = SymOperator(np.diag(np.arange(n, dtype=float)))
         lo = extreme_eigs(op, 1, side="smallest")
         hi = extreme_eigs(op, 1, side="largest")
         esc = extreme_eigs(op, 4, side="smallest")
@@ -67,7 +67,7 @@ class TestExtremeEigs:
             calls.append(M)
             return eigh(M)
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        op = SymOperator.from_dense(S)
+        op = SymOperator(S)
         lo = extreme_eigs(op, 1, side="smallest")
         hi = extreme_eigs(op, 1, side="largest")
         esc = extreme_eigs(op, 4, side="smallest")
@@ -78,7 +78,7 @@ class TestExtremeEigs:
         assert np.allclose([v for v, _ in esc], vals[:4], atol=1e-10)
 
     def test_bad_arguments(self, rng):
-        op = SymOperator.from_dense(np.eye(3))
+        op = SymOperator(np.eye(3))
         with pytest.raises(ValueError):
             extreme_eigs(op, 0)
         with pytest.raises(ValueError):
@@ -88,7 +88,7 @@ class TestExtremeEigs:
 
     def test_deterministic(self, rng):
         S = _random_sym(12, rng)
-        op = SymOperator.from_dense(S)
+        op = SymOperator(S)
         a = extreme_eigs(op, 2)
         b = extreme_eigs(op, 2)
         for (va, xa), (vb, xb) in zip(a, b):
