@@ -104,20 +104,26 @@ class AlmSubproblem:
         self.sdp = sdp
         self.y = y
         self.sigma = sigma
+        self._last = (None, None, None)  # (point, r0, cost)
 
-    def _cost(self, Y):
-        """(r0, cost): the constraint residual A(Y Y^T) - b and the cost."""
-        r0 = prob.apply_constraints(self.sdp, Y) - self.sdp.b
-        return r0, (prob.objective(self.sdp, Y) - float(np.dot(self.y, r0))
+    def residual_cost(self, point):
+        """(r0, cost): the constraint residual A(Y Y^T) - b and the cost.
+        The last point's pair is kept: ``at`` after ``cost`` evaluates once."""
+        if self._last[0] is not point:
+            Y = point.Y
+            r0 = prob.apply_constraints(self.sdp, Y) - self.sdp.b
+            cost = (prob.objective(self.sdp, Y) - float(np.dot(self.y, r0))
                     + 0.5 * self.sigma * float(np.dot(r0, r0)))
+            self._last = (point, r0, cost)
+        return self._last[1:]
 
     def cost(self, point):
-        return self._cost(point.Y)[1]
+        return self.residual_cost(point)[1]
 
     def at(self, point):
         sdp, sigma = self.sdp, self.sigma
         Y = point.Y
-        r0, cost = self._cost(Y)
+        r0, cost = self.residual_cost(point)
         # grad Phi(X) is the slack at the multipliers y - sigma r0; Hessian
         # products then cost two dense matmuls plus one A / A* pass
         stilde = prob.dual_slack(sdp, self.y - sigma * r0)
@@ -144,9 +150,9 @@ class _PointState:
         return manifolds.riem_hess_vec(self.point, U, self.ctx)
 
 
-def assemble_dual(sdp, point, y, sigma):
-    """Multipliers z and the dual slack operator S = grad Phi(X) - B*(z)."""
-    r0 = prob.apply_constraints(sdp, point.Y) - sdp.b
+def assemble_dual(sdp, point, y, sigma, r0):
+    """Multipliers z and the dual slack operator S = grad Phi(X) - B*(z),
+    given the constraint residual r0 = A(Y Y^T) - b at the point."""
     resid = r0 - y / sigma
     # z from this product, not from S @ Y: the two differ in the last bit,
     # and on bqp-moment instance 0 that bit slowed the solve ~4.5x
@@ -230,9 +236,9 @@ def solve(sdp, opts=None):
         pending_dir = None
         gradnorm = report.gradnorm
 
-        r0 = prob.apply_constraints(sdp, point.Y) - sdp.b
+        r0, _ = sub.residual_cost(point)
         y_next = y - sigma * r0
-        z, S = assemble_dual(sdp, point, y, sigma)
+        z, S = assemble_dual(sdp, point, y, sigma, r0)
         lam_min = spectral.extreme_eigs(S, 1, side="smallest")[0][0]
         lam_max = spectral.extreme_eigs(S, 1, side="largest")[0][0]
         res = prob.kkt_residues(sdp, point.Y, y_next, z, lam_min, lam_max)

@@ -1,11 +1,13 @@
 """Problem data model: sparse symmetric matrices, SDP instances, KKT residues.
 
 Everything operates on the factor Y of X = Y Y^T; the full matrix X is never
-formed by any routine in this module. Hessian products still form n x n
-arrays (``apply_constraints_sym``, ``apply_adjoint_times``). The dual slack
-S = C - A*(y) - B*(z) is one dense n x n matrix per point, built only by
-``dual_slack``; ``spectral.extreme_eigs`` decomposes it with one ``eigh``
-at every n.
+formed by any routine in this module. ``apply_constraints`` takes one row
+product Y[r] . Y[c] per distinct (r, c) position, gathered in blocks, with the
+bits of one product per triplet; an ALM subproblem calls it once per point.
+Hessian products still form n x n arrays (``apply_constraints_sym``,
+``apply_adjoint_times``). The dual slack S = C - A*(y) - B*(z) is one dense
+n x n matrix per point, built only by ``dual_slack``;
+``spectral.extreme_eigs`` decomposes it with one ``eigh`` at every n.
 """
 
 from __future__ import annotations
@@ -156,20 +158,24 @@ class SdpProblem:
         self.manifold = ManifoldKind(manifold)
         self.objective_sign = float(objective_sign)
         self.objective_offset = float(objective_offset)
-        # flattened triplets of all A_i, for vectorized constraint application
-        if A:
-            self._tr = np.concatenate([Ak.rows for Ak in A])
-            self._tc = np.concatenate([Ak.cols for Ak in A])
-            self._tv = np.concatenate([Ak.vals for Ak in A])
-            self._tm = np.repeat(np.arange(len(A), dtype=np.intp),
-                                 [Ak.nnz for Ak in A])
-            self._tw = self._tv * np.where(self._tr != self._tc, 2.0, 1.0)
-        else:
-            e = np.zeros(0)
-            self._tr = self._tc = self._tm = e.astype(np.intp)
-            self._tv = self._tw = e
-        if not np.all(np.isfinite(np.concatenate([C.vals, b, self._tv]))):
+        # flattened triplets of C (matrix 0) and of every A_i (matrix i + 1)
+        mats = (C,) + self.A
+        k = np.repeat(np.arange(len(mats), dtype=np.intp),
+                      [M.nnz for M in mats])
+        r, c, v = (np.concatenate([getattr(M, f) for M in mats])
+                   for f in ("rows", "cols", "vals"))
+        if not np.all(np.isfinite(np.concatenate([b, v]))):
             raise ProblemError("problem data contains NaN or inf")
+        if r.size and not (r.min() >= 0 and c.max() < n and np.all(r <= c)):
+            raise ProblemError("triplets must satisfy 0 <= row <= col < n")
+        t = np.stack([k, r, c])[:, np.lexsort((c, r, k))]
+        if np.any(np.all(t[:, 1:] == t[:, :-1], axis=0)):
+            raise ProblemError("duplicate (row, col) entry in one matrix")
+        # the A_i part, for vectorized constraint application
+        self._tr, self._tc, self._tv = r[C.nnz:], c[C.nnz:], v[C.nnz:]
+        self._tm = k[C.nnz:] - 1
+        self._tw = self._tv * np.where(self._tr != self._tc, 2.0, 1.0)
+        self._pos = None   # lazy distinct (row, col) positions of the A_i
         self._adj = None   # lazy (m, n*n) map for the adjoint
         self._adjT = None  # its csc transpose, a view sharing the arrays
 
@@ -193,6 +199,15 @@ class SdpProblem:
             return np.array([float(np.sum(Y * Y)) - 1.0])
         return np.einsum("ij,ij->i", Y, Y) - 1.0
 
+    def _positions(self):
+        """(rows, cols, index): the distinct (row, col) positions of the
+        A_i triplets, sorted, and the position of every triplet."""
+        if self._pos is None:
+            key, index = np.unique(self._tr * self.n + self._tc,
+                                   return_inverse=True)
+            self._pos = (key // self.n, key % self.n, index)
+        return self._pos
+
     def _adjoint_map(self):
         if self._adj is None:
             off = self._tr != self._tc
@@ -213,6 +228,11 @@ class SdpProblem:
         return self.objective_sign * value + self.objective_offset
 
 
+# bytes of one gathered block of rows: the allocator reuses it, where a gather
+# of all positions at once was mapped and faulted in afresh on every call
+_GATHER_BYTES = 1 << 18
+
+
 def _check_factor(problem, Y):
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] != problem.n:
@@ -222,10 +242,17 @@ def _check_factor(problem, Y):
 
 
 def apply_constraints(problem, Y):
-    """A(Y Y^T) as a length-m vector, without forming Y Y^T."""
+    """A(Y Y^T) as a length-m vector, without forming Y Y^T; one row product
+    per distinct position, with the bits of one product per triplet."""
     Y = _check_factor(problem, Y)
-    prod = np.einsum("ij,ij->i", Y[problem._tr], Y[problem._tc])
-    return np.bincount(problem._tm, weights=problem._tw * prod,
+    rows, cols, index = problem._positions()
+    step = _GATHER_BYTES // max(Y.shape[1] * Y.itemsize, 1)
+    prod = np.empty(rows.size)
+    for s in range(0, rows.size, step):
+        block = slice(s, s + step)
+        np.einsum("ij,ij->i", Y.take(rows[block], axis=0),
+                  Y.take(cols[block], axis=0), out=prod[block])
+    return np.bincount(problem._tm, weights=problem._tw * prod[index],
                        minlength=problem.m)
 
 

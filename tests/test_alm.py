@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import dense_bstar, dense_phi_grad, random_problem
-from lrsdp import alm, manifolds, rtr, spectral
+from lrsdp import alm, manifolds, problem as prob, rtr, spectral
 from lrsdp.alm import (AlmSubproblem, SolverOptions, assemble_dual,
                        escape_direction, solve, truncate_rank, update_penalty)
 from lrsdp.manifolds import FactorPoint
 from lrsdp.problem import ManifoldKind, SdpProblem, SparseSymMatrix
+
+
+def _residual(sdp, point):
+    return prob.apply_constraints(sdp, point.Y) - sdp.b
 
 
 def _unit_trace_toy():
@@ -63,6 +67,23 @@ class TestSubproblem:
         want = dense_alm_cost(sdp, y, 2.5, point.Y)
         assert sub.cost(point) == pytest.approx(want, rel=1e-12)
         assert sub.at(point).cost == pytest.approx(want, rel=1e-12)
+
+    def test_one_evaluation_per_point(self, rng, monkeypatch):
+        # at(point) after cost(point) reuses the residual; a new point
+        # evaluates again, and only the last point is kept
+        sdp = random_problem(5, 3, ManifoldKind.UNIT_DIAGONAL, rng)
+        calls = []
+        apply = prob.apply_constraints
+        monkeypatch.setattr(prob, "apply_constraints",
+                            lambda *args: calls.append(1) or apply(*args))
+        sub = AlmSubproblem(sdp, rng.standard_normal(3), 2.5)
+        pt = manifolds.random_point(5, 2, sdp.manifold, 3)
+        pt2 = manifolds.random_point(5, 2, sdp.manifold, 4)
+        cost = sub.cost(pt)
+        assert sub.at(pt).cost == cost and len(calls) == 1
+        sub.at(pt2)
+        assert len(calls) == 2
+        assert sub.cost(pt) == cost and len(calls) == 3
 
     def test_gradient_is_2SY(self, rng):
         # grad = 2 (gradPhi(X) - B*(z)) Y with dense reference matrices
@@ -123,7 +144,7 @@ class TestAssembleDual:
             sdp = random_problem(6, 3, manifold, rng)
             y = rng.standard_normal(3)
             point = manifolds.random_point(6, 2, manifold, 4)
-            z, S = assemble_dual(sdp, point, y, 3.0)
+            z, S = assemble_dual(sdp, point, y, 3.0, _residual(sdp, point))
             G = dense_phi_grad(sdp, y, 3.0, point.Y)
             want = G - dense_bstar(manifold, z, 6)
             assert np.allclose(S.dense, want, atol=1e-10)
@@ -135,7 +156,7 @@ class TestAssembleDual:
         sdp = random_problem(6, 2, ManifoldKind.UNIT_DIAGONAL, rng)
         y = rng.standard_normal(2)
         point = manifolds.random_point(6, 3, sdp.manifold, 8)
-        z, S = assemble_dual(sdp, point, y, 2.0)
+        z, S = assemble_dual(sdp, point, y, 2.0, _residual(sdp, point))
         state = AlmSubproblem(sdp, y, 2.0).at(point)
         assert np.allclose(2.0 * S.times(point.Y), state.grad, atol=1e-10)
 
@@ -149,7 +170,7 @@ class TestAssembleDual:
         y = rng.standard_normal(3)
         point = manifolds.random_point(n, 2, manifold, 6)
         G = dense_phi_grad(sdp, y, 2.0, point.Y)
-        z, S = assemble_dual(sdp, point, y, 2.0)
+        z, S = assemble_dual(sdp, point, y, 2.0, _residual(sdp, point))
         want = G - dense_bstar(manifold, z, n)
         assert np.allclose(S.dense, want, atol=1e-10)
         state = AlmSubproblem(sdp, y, 2.0).at(point)
@@ -166,7 +187,7 @@ class TestEscapeDirection:
         sdp = _unit_trace_toy()
         point = FactorPoint(np.array([[1.0], [0.0]]),
                             ManifoldKind.UNIT_TRACE)
-        z, S = assemble_dual(sdp, point, np.zeros(0), 1.0)
+        z, S = assemble_dual(sdp, point, np.zeros(0), 1.0, np.zeros(0))
         assert np.allclose(S.dense, np.diag([0.0, -2.0]), atol=1e-12)
         U, delta, n_ne = escape_direction(S, r=1, delta_ne=10,
                                           tol_escape=1e-10)
@@ -315,6 +336,33 @@ class TestSolve:
             else:
                 want = decayed
             assert grad_tols[k] == want
+
+    def test_dual_assembly_takes_the_residual_from_solve(self, monkeypatch):
+        # solve hands assemble_dual the residual of the returned point, and
+        # assemble_dual does not evaluate A(Y Y^T) itself
+        C = SparseSymMatrix.identity(2)
+        A = [SparseSymMatrix.from_triplets(2, [(0, 0, 1.0), (0, 1, 0.5)])]
+        sdp = SdpProblem(2, C, A, np.array([4.0]), ManifoldKind.FREE)
+        calls = []
+        apply, assemble = prob.apply_constraints, alm.assemble_dual
+
+        def counted(*args):
+            calls.append(1)
+            return apply(*args)
+
+        def checked(sdp, point, y, sigma, r0):
+            assert np.array_equal(r0, apply(sdp, point.Y) - sdp.b)
+            before = len(calls)
+            out = assemble(sdp, point, y, sigma, r0)
+            assert len(calls) == before
+            calls.append("assembled")
+            return out
+
+        monkeypatch.setattr(prob, "apply_constraints", counted)
+        monkeypatch.setattr(alm, "assemble_dual", checked)
+        sol = solve(sdp)
+        assert sol.status == "converged"
+        assert calls.count("assembled") == sol.iterations
 
     def test_iteration_limit_status(self):
         sdp = _unit_trace_toy()

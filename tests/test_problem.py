@@ -174,6 +174,35 @@ class TestSdpProblem:
         assert prob.apply_constraints(sdp, Y).shape == (0,)
         assert prob.apply_constraints_sym(sdp, Y, U).shape == (0,)
 
+    @pytest.mark.parametrize("gather_bytes", [None, 4096])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("p", [1, 3, 21])
+    def test_apply_constraints_bitwise_per_triplet(self, p, order,
+                                                   gather_bytes, rng,
+                                                   monkeypatch):
+        # the per-position gather gives exactly the bits of the per-triplet
+        # formula it replaced, which is kept here as the oracle
+        if gather_bytes is not None:
+            monkeypatch.setattr(prob, "_GATHER_BYTES", gather_bytes)
+        n, m, nnz = 120, 400, 25
+        iu, ju = np.triu_indices(n)
+        A = []
+        for _ in range(m):
+            pick = np.sort(rng.choice(iu.size, nnz, replace=False))
+            A.append(SparseSymMatrix(n, iu[pick], ju[pick],
+                                     rng.standard_normal(nnz)))
+        sdp = SdpProblem(n, SparseSymMatrix.identity(n), A,
+                         rng.standard_normal(m), ManifoldKind.FREE)
+        positions = sdp._positions()[0].size
+        if gather_bytes is not None:  # block edges crossed
+            assert positions > 2 * gather_bytes // (8 * p)
+        assert positions < m * nnz  # positions shared by constraints
+        assert np.any(sdp._tr == sdp._tc)  # diagonal triplets
+        Y = np.asarray(rng.standard_normal((n, p)), order=order)
+        prod = np.einsum("ij,ij->i", Y[sdp._tr], Y[sdp._tc])
+        want = np.bincount(sdp._tm, weights=sdp._tw * prod, minlength=m)
+        assert np.array_equal(prob.apply_constraints(sdp, Y), want)
+
     def test_apply_constraints_sym_oracle(self, rng):
         # A_0 and A_1 share position (0, 1); both hold diagonal triplets
         shared = [SparseSymMatrix.from_triplets(
@@ -200,6 +229,29 @@ class TestSdpProblem:
         b = np.array([bad if where == "b" else 1.0])
         with pytest.raises(ProblemError, match="NaN or inf"):
             SdpProblem(2, C, A, b, ManifoldKind.FREE)
+
+    @pytest.mark.parametrize("where", ["C", "A"])
+    @pytest.mark.parametrize("rows,cols,match", [
+        ([0, 1], [1, 0], "0 <= row <= col < n"),  # mirrored pair
+        ([1], [0], "0 <= row <= col < n"),
+        ([0], [2], "0 <= row <= col < n"),
+        ([-1], [0], "0 <= row <= col < n"),
+        ([0, 0], [1, 1], "duplicate"),
+    ])
+    def test_malformed_triplets_rejected(self, where, rows, cols, match):
+        # data built with the constructor skips from_triplets' checks
+        bad = SparseSymMatrix(2, np.array(rows), np.array(cols),
+                              np.arange(1.0, len(rows) + 1))
+        good = SparseSymMatrix.identity(2)
+        C, A = (bad, [good]) if where == "C" else (good, [good, bad])
+        with pytest.raises(ProblemError, match=re.escape(match)):
+            SdpProblem(2, C, A, np.zeros(len(A)), ManifoldKind.FREE)
+
+    def test_positions_shared_across_matrices_accepted(self):
+        M = SparseSymMatrix.from_triplets(2, [(0, 1, 1.0), (1, 1, 2.0)])
+        sdp = SdpProblem(2, M, [M, M], np.zeros(2), ManifoldKind.FREE)
+        assert np.array_equal(prob.apply_constraints(sdp, np.ones((2, 1))),
+                              [4.0, 4.0])
 
     def test_adjoint_identity(self, rng):
         # <A(Y Y^T), v> = <Y Y^T, A*(v)> for random data
