@@ -15,12 +15,12 @@ from .generators import (WeightedGraph, gen_bqp_moment, gen_matrix_completion,
 from .io_cli import (FormatError, cli_main, read_gset, read_sdpa,
                      result_document, write_sdpa)
 from .manifolds import FactorPoint, RetractionError
-from .problem import (KktResidues, ManifoldKind, ProblemError, SdpProblem,
-                      SparseSymMatrix, kkt_residues)
+from .problem import (ConstraintSet, KktResidues, ManifoldKind, ProblemError,
+                      SdpProblem, SparseSymMatrix, kkt_residues)
 from .spectral import SymOperator, extreme_eigs
 
 __all__ = [
-    "FactorPoint", "FormatError", "IterationTrace", "KktResidues",
+    "ConstraintSet", "FactorPoint", "FormatError", "IterationTrace", "KktResidues",
     "ManifoldKind", "ProblemError", "RetractionError", "SdpProblem",
     "Solution", "SolverOptions", "SparseSymMatrix", "SymOperator",
     "WeightedGraph", "cli_main", "extreme_eigs", "gen_bqp_moment",

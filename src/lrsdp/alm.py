@@ -219,6 +219,7 @@ def solve(sdp, opts=None):
     opts = opts or SolverOptions()
     opts.validate()
     t_start = time.perf_counter()
+    deadline = None if opts.max_time is None else t_start + opts.max_time
     rng = np.random.default_rng(opts.seed)
 
     point = manifolds.random_point(sdp.n, opts.p0, sdp.manifold, opts.seed)
@@ -232,7 +233,7 @@ def solve(sdp, opts=None):
     for k in range(opts.max_outer_iters):
         sub = AlmSubproblem(sdp, y, sigma)
         point, report = rtr.minimize(sub, point, eps, opts.max_inner_iters,
-                                     warm_dir=pending_dir)
+                                     warm_dir=pending_dir, deadline=deadline)
         pending_dir = None
         gradnorm = report.gradnorm
 

@@ -11,7 +11,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .problem import ManifoldKind, ProblemError, SdpProblem, SparseSymMatrix
+from .problem import (ConstraintSet, ManifoldKind, ProblemError, SdpProblem,
+                      SparseSymMatrix)
 
 
 @dataclass(frozen=True)
@@ -61,17 +62,21 @@ def gen_matrix_completion(s, t, entries):
     variable: <A_ij, X> = 2 value.
     """
     n = s + t
-    seen = set()
-    A, b = [], []
-    for i, j, val in entries:
-        if not (0 <= i < s and 0 <= j < t):
-            raise ProblemError(f"sample index ({i}, {j}) out of range")
-        if (i, j) in seen:
-            raise ProblemError(f"duplicate sample ({i}, {j})")
-        seen.add((i, j))
-        A.append(SparseSymMatrix.from_triplets(n, [(i, s + j, 1.0)]))
-        b.append(2.0 * val)
-    return SdpProblem(n, SparseSymMatrix.identity(n), A, np.array(b),
+    rows, cols, vals = (map(np.asarray, zip(*entries)) if len(entries)
+                        else (np.zeros(0, np.intp),) * 3)
+    if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
+        raise ProblemError("sample indices must be integers")
+    bad = (rows < 0) | (rows >= s) | (cols < 0) | (cols >= t)
+    if bad.any():
+        k = np.argmax(bad)
+        raise ProblemError(f"sample index ({rows[k]}, {cols[k]}) out of range")
+    key, count = np.unique(rows * t + cols, return_counts=True)
+    if np.any(count > 1):
+        i, j = divmod(int(key[np.argmax(count > 1)]), t)
+        raise ProblemError(f"duplicate sample ({i}, {j})")
+    m = rows.size
+    A = ConstraintSet(n, m, np.arange(m), rows, s + cols, np.ones(m))
+    return SdpProblem(n, SparseSymMatrix.identity(n), A, 2.0 * vals,
                       ManifoldKind.FREE)
 
 
@@ -82,6 +87,20 @@ def _entry_triplet(a, b, coeff):
     if a == b:
         return (a, a, coeff)
     return (min(a, b), max(a, b), coeff / 2.0)
+
+
+def _tie(trips, rhs, e, f):
+    """Append X[e] - X[f] = 0 as (constraint, row, col, value) triplets."""
+    k = len(rhs)
+    trips += [(k,) + _entry_triplet(*e, 1.0), (k,) + _entry_triplet(*f, -1.0)]
+    rhs.append(0.0)
+
+
+def _constraint_set(n, m, triplets):
+    """The ConstraintSet of (constraint, row, col, value) tuples."""
+    k, r, c, v = zip(*triplets)
+    return ConstraintSet(n, m, np.array(k), np.array(r), np.array(c),
+                         np.array(v, dtype=float))
 
 
 def gen_bqp_moment(Q, c):
@@ -116,22 +135,15 @@ def gen_bqp_moment(Q, c):
         for b_ in range(a + 1, n):
             classes.setdefault(basis[a] ^ basis[b_], []).append((a, b_))
 
-    A, rhs = [], []
-    for a in range(n):  # diagonal entries of the moment matrix are ones
-        A.append(SparseSymMatrix.from_triplets(n, [(a, a, 1.0)]))
-        rhs.append(1.0)
+    # diagonal entries of the moment matrix are ones
+    trips = [(a, a, a, 1.0) for a in range(n)]
+    rhs = [1.0] * n
     for mono in sorted(classes, key=lambda s: tuple(sorted(s))):
         members = classes[mono]
-        rep = members[0]
         for other in members[1:]:
-            A.append(SparseSymMatrix.from_triplets(
-                n, [_entry_triplet(*rep, 1.0), _entry_triplet(*other, -1.0)]))
-            rhs.append(0.0)
+            _tie(trips, rhs, members[0], other)
         if len(mono) == 2 and len(members) >= 3:
-            A.append(SparseSymMatrix.from_triplets(
-                n, [_entry_triplet(*members[1], 1.0),
-                    _entry_triplet(*members[2], -1.0)]))
-            rhs.append(0.0)
+            _tie(trips, rhs, members[1], members[2])
 
     cost = []
     for i, j in combinations(range(q), 2):
@@ -142,7 +154,8 @@ def gen_bqp_moment(Q, c):
             cost.append(_entry_triplet(0, 1 + i, c[i]))
     C = SparseSymMatrix.from_triplets(n, cost) if cost \
         else SparseSymMatrix.from_triplets(n, [(0, 0, 0.0)])
-    return SdpProblem(n, C, A, np.array(rhs), ManifoldKind.UNIT_DIAGONAL,
+    return SdpProblem(n, C, _constraint_set(n, len(rhs), trips),
+                      np.array(rhs), ManifoldKind.UNIT_DIAGONAL,
                       objective_offset=float(np.trace(Q)))
 
 
@@ -171,11 +184,9 @@ def gen_quartic_sphere(q, coeffs):
             else:
                 rep[mono] = (a, b_)
 
-    A, rhs = [], []
+    trips, rhs = [], []
     for anchor, other in coincidences:
-        A.append(SparseSymMatrix.from_triplets(
-            n, [_entry_triplet(*anchor, 1.0), _entry_triplet(*other, -1.0)]))
-        rhs.append(0.0)
+        _tie(trips, rhs, anchor, other)
     for w in basis:  # w * (sum_i x_i^2 - 1) = 0
         acc: Dict[Tuple[int, int], float] = {}
         for i in range(q):
@@ -183,10 +194,10 @@ def gen_quartic_sphere(q, coeffs):
             acc[e] = acc.get(e, 0.0) + 1.0
         e = rep[w]
         acc[e] = acc.get(e, 0.0) - 1.0
-        A.append(SparseSymMatrix.from_triplets(
-            n, [_entry_triplet(a, b_, g) for (a, b_), g in acc.items() if g]))
+        trips.extend((len(rhs),) + _entry_triplet(a, b_, g)
+                     for (a, b_), g in acc.items() if g)
         rhs.append(0.0)
-    A.append(SparseSymMatrix.from_triplets(n, [(0, 0, 1.0)]))
+    trips.append((len(rhs), 0, 0, 1.0))
     rhs.append(1.0)
 
     acc: Dict[Tuple[int, int], float] = {}
@@ -201,7 +212,8 @@ def gen_quartic_sphere(q, coeffs):
     cost = [_entry_triplet(a, b_, g) for (a, b_), g in acc.items() if g]
     C = SparseSymMatrix.from_triplets(n, cost) if cost \
         else SparseSymMatrix.from_triplets(n, [(0, 0, 0.0)])
-    return SdpProblem(n, C, A, np.array(rhs), ManifoldKind.FREE)
+    return SdpProblem(n, C, _constraint_set(n, len(rhs), trips),
+                      np.array(rhs), ManifoldKind.FREE)
 
 
 # --- random benchmark instances ----------------------------------------

@@ -15,7 +15,8 @@ import numpy as np
 from . import alm, generators, problem as prob, spectral
 from .alm import SolverOptions
 from .generators import WeightedGraph
-from .problem import ManifoldKind, ProblemError, SdpProblem, SparseSymMatrix
+from .problem import (ConstraintSet, ManifoldKind, ProblemError, SdpProblem,
+                      SparseSymMatrix)
 
 TRACE_COLUMNS = tuple(f.name for f in fields(alm.IterationTrace))
 
@@ -76,7 +77,7 @@ def read_sdpa(path):
                 f"{path}:{no}: expected {m} rhs values, got {b.size}")
         body = lines[4:]
 
-    entries = {k: [] for k in range(m + 1)}
+    entries, vals = [], []
     for no, text in body:
         toks = _sdpa_numbers(text)
         try:
@@ -94,15 +95,19 @@ def read_sdpa(path):
             raise FormatError(
                 f"{path}:{no}: entry ({i}, {j}) outside upper triangle of "
                 f"a {n} x {n} block")
-        entries[matno].append((i - 1, j - 1, val))
+        entries.append((matno, i - 1, j - 1))
+        vals.append(val)
 
-    def build(trips):
-        if not trips:
-            return SparseSymMatrix.from_triplets(n, [])
-        return SparseSymMatrix.from_triplets(n, trips, accumulate=True)
-
-    C = build(entries[0])
-    A = [build(entries[k]) for k in range(1, m + 1)]
+    # one entry per position, duplicates summed in file order
+    shape = (m + 1, n, n)
+    key, inv = np.unique(np.ravel_multi_index(
+        np.array(entries, dtype=np.intp).reshape(-1, 3).T, shape),
+        return_inverse=True)
+    v = np.bincount(inv, weights=vals, minlength=key.size)
+    k, r, c = np.unravel_index(key, shape)
+    nc = np.searchsorted(k, 1)  # matrix 0 is the cost
+    C = SparseSymMatrix(n, r[:nc], c[:nc], v[:nc])
+    A = ConstraintSet(n, m, k[nc:] - 1, r[nc:], c[nc:], v[nc:])
     return SdpProblem(n, C, A, b, ManifoldKind.FREE)
 
 
@@ -113,13 +118,12 @@ def write_sdpa(problem, path):
         fh.write(f"{problem.m}\n1\n{problem.n}\n")
         fh.write(" ".join(repr(float(v)) for v in problem.b) + "\n"
                  if problem.m else "\n")
-        mats = [(0, problem.C)] + [(k + 1, Ak)
-                                   for k, Ak in enumerate(problem.A)]
-        for matno, M in mats:
-            order = np.lexsort((M.cols, M.rows))
-            for idx in order:
-                fh.write(f"{matno} 1 {M.rows[idx] + 1} {M.cols[idx] + 1} "
-                         f"{repr(float(M.vals[idx]))}\n")
+        cost = ConstraintSet.from_matrices(problem.n, [problem.C])
+        for base, S in ((0, cost), (1, problem.A)):
+            fh.writelines(
+                f"{k + base} 1 {r + 1} {c + 1} {v!r}\n"
+                for k, r, c, v in zip(S.index.tolist(), S.rows.tolist(),
+                                      S.cols.tolist(), S.vals.tolist()))
 
 
 def read_gset(path):
@@ -163,6 +167,13 @@ def _matrix_doc(M):
             "vals": M.vals.tolist()}
 
 
+def _constraints_doc(A):
+    rows, cols, vals = A.rows.tolist(), A.cols.tolist(), A.vals.tolist()
+    s = A.start.tolist()
+    return [{"rows": rows[a:e], "cols": cols[a:e], "vals": vals[a:e]}
+            for a, e in zip(s[:-1], s[1:])]
+
+
 _JSON_TYPES = {dict: "an object", list: "a list", int: "an integer",
                (int, float): "a number"}
 
@@ -183,7 +194,10 @@ def _doc_field(doc, key, kind):
 def _doc_numbers(doc, key, ndim=1):
     """``doc[key]`` as a float array with ``ndim`` axes; ProblemError if it
     is not a list of numbers nested that deep."""
-    values = _doc_field(doc, key, list)
+    return _numbers(_doc_field(doc, key, list), key, ndim)
+
+
+def _numbers(values, key, ndim=1):
     try:
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError):
@@ -193,17 +207,26 @@ def _doc_numbers(doc, key, ndim=1):
     return arr
 
 
-def _matrix_from_doc(n, doc):
-    rows = _doc_field(doc, "rows", list)
-    cols = _doc_field(doc, "cols", list)
-    vals = _doc_numbers(doc, "vals")
-    try:
-        triplets = list(zip(rows, cols, vals, strict=True))
-    except ValueError:
-        raise ProblemError("rows, cols and vals differ in length") from None
-    # from_triplets rejects out-of-range or non-integer indices and
-    # duplicate entries
-    return SparseSymMatrix.from_triplets(n, triplets)
+def _constraints_from_doc(n, docs):
+    """The ConstraintSet of a list of matrix documents; entries below the
+    diagonal are mirrored into the upper triangle."""
+    rows, cols, vals, nnz = [], [], [], []
+    for doc in docs:
+        r, c = _doc_field(doc, "rows", list), _doc_field(doc, "cols", list)
+        v = _doc_field(doc, "vals", list)
+        if not len(r) == len(c) == len(v):
+            raise ProblemError("rows, cols and vals differ in length")
+        rows += r
+        cols += c
+        vals += v
+        nnz.append(len(r))
+    r, c = np.array(rows), np.array(cols)
+    if any(a.size and a.dtype.kind not in "iu" for a in (r, c)):
+        raise ProblemError("triplet indices must be integers")
+    # ConstraintSet rejects out-of-range indices and duplicate entries
+    return ConstraintSet(n, len(docs), np.repeat(np.arange(len(docs)), nnz),
+                         np.minimum(r, c), np.maximum(r, c),
+                         _numbers(vals, "vals"))
 
 
 def result_document(sdp, solution, options):
@@ -216,7 +239,7 @@ def result_document(sdp, solution, options):
             "objective_sign": sdp.objective_sign,
             "objective_offset": sdp.objective_offset,
             "C": _matrix_doc(sdp.C),
-            "A": [_matrix_doc(Ak) for Ak in sdp.A],
+            "A": _constraints_doc(sdp.A),
             "b": sdp.b.tolist(),
         },
         "options": asdict(options),
@@ -243,8 +266,8 @@ def problem_from_document(doc):
     pd = _doc_field(doc, "problem", dict)
     n = _doc_field(pd, "n", int)
     return SdpProblem(
-        n, _matrix_from_doc(n, pd["C"]),
-        [_matrix_from_doc(n, Ad) for Ad in _doc_field(pd, "A", list)],
+        n, _constraints_from_doc(n, [pd["C"]])[0],
+        _constraints_from_doc(n, _doc_field(pd, "A", list)),
         _doc_numbers(pd, "b"), ManifoldKind(pd["manifold"]),
         objective_sign=_doc_field(pd, "objective_sign", (int, float)),
         objective_offset=_doc_field(pd, "objective_offset", (int, float)))

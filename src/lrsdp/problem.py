@@ -1,5 +1,10 @@
 """Problem data model: sparse symmetric matrices, SDP instances, KKT residues.
 
+The A_i are one ``ConstraintSet``, a single sorted list of triplets with no
+object per A_i. ``SdpProblem`` takes one, or a sequence of
+``SparseSymMatrix`` that it converts once, and checks C and the A_i with
+one vectorized pass each.
+
 Everything operates on the factor Y of X = Y Y^T; the full matrix X is never
 formed by any routine in this module. ``apply_constraints`` takes one row
 product Y[r] . Y[c] per distinct (r, c) position, gathered in blocks, with the
@@ -73,8 +78,6 @@ class SparseSymMatrix:
             raise ProblemError("triplet index out of range")
         lo, hi = np.minimum(idx[0], idx[1]), np.maximum(idx[0], idx[1])
         v = np.array(v, dtype=float)
-        if v.size == 1:  # sorted and free of duplicates already
-            return SparseSymMatrix(n, lo, hi, v)
         key = lo * n + hi
         if accumulate:
             key, inv = np.unique(key, return_inverse=True)
@@ -118,6 +121,67 @@ class SparseSymMatrix:
         return csr
 
 
+class ConstraintSet:
+    """The m constraint matrices as one list of upper-triangular triplets,
+    sorted by (matrix, row, col): A_k holds entry (rows[t], cols[t]) =
+    vals[t] for t in start[k]:start[k + 1]. ``len`` is m, and ``A[k]`` and
+    iteration give A_k as a ``SparseSymMatrix`` of slices, not copies.
+    Non-integer or out-of-range indices, a position twice in one matrix and
+    non-finite values raise ProblemError."""
+
+    def __init__(self, n, m, index, rows, cols, vals):
+        if n <= 0:
+            raise ProblemError(f"dimension must be positive, got {n}")
+        t = [np.asarray(a) for a in (index, rows, cols)]
+        if any(a.size and a.dtype.kind not in "iu" for a in t):
+            raise ProblemError("triplet indices must be integers")
+        index, rows, cols = (a.astype(np.intp, copy=False) for a in t)
+        vals = np.asarray(vals, dtype=float)
+        if index.ndim != 1 \
+                or not index.shape == rows.shape == cols.shape == vals.shape:
+            raise ProblemError("index, rows, cols and vals differ in shape")
+        if not np.all(np.isfinite(vals)):
+            raise ProblemError("problem data contains NaN or inf")
+        # as unsigned, a negative index is huge: one test checks both ends
+        if np.count_nonzero(index.view(np.uintp) >= m):
+            raise ProblemError("constraint index out of range")
+        if rows.size and not (rows.min() >= 0 and cols.max() < n
+                              and np.all(rows <= cols)):
+            raise ProblemError("triplet index out of range or below the "
+                               "diagonal: need 0 <= row <= col < n")
+        order = np.lexsort((cols, rows, index))
+        if np.any(order[1:] < order[:-1]):  # sorted input is not copied
+            index, rows, cols, vals = (a[order]
+                                       for a in (index, rows, cols, vals))
+        if np.any((index[1:] == index[:-1]) & (rows[1:] == rows[:-1])
+                  & (cols[1:] == cols[:-1])):
+            raise ProblemError("duplicate (row, col) entry in one matrix")
+        self.n, self.m = n, m
+        self.index, self.rows, self.cols, self.vals = index, rows, cols, vals
+        self.start = np.searchsorted(index, np.arange(m + 1))
+
+    @staticmethod
+    def from_matrices(n, matrices):
+        """The set of a sequence of ``SparseSymMatrix``, in order."""
+        mats = list(matrices)
+        for k, M in enumerate(mats):
+            if M.n != n:
+                raise ProblemError(f"constraint {k} dimension mismatch")
+        index = np.repeat(np.arange(len(mats)), [M.nnz for M in mats])
+        return ConstraintSet(n, len(mats), index, *(
+            np.concatenate([getattr(M, f) for M in mats] or [np.zeros(0)])
+            for f in ("rows", "cols", "vals")))
+
+    def __len__(self):
+        return self.m
+
+    def __getitem__(self, k):
+        k = range(self.m)[k]  # IndexError past either end ends iteration
+        s = slice(self.start[k], self.start[k + 1])
+        return SparseSymMatrix(self.n, self.rows[s], self.cols[s],
+                               self.vals[s])
+
+
 @dataclass(frozen=True)
 class KktResidues:
     """Scaled primal/dual/gap residues; eta_max certifies the solution."""
@@ -146,34 +210,25 @@ class SdpProblem:
         b = np.asarray(b, dtype=float)
         if C.n != n:
             raise ProblemError("cost matrix dimension mismatch")
-        if len(A) != b.size:
-            raise ProblemError(f"|A| = {len(A)} but |b| = {b.size}")
-        for k, Ak in enumerate(A):
-            if Ak.n != n:
-                raise ProblemError(f"constraint {k} dimension mismatch")
+        if not isinstance(A, ConstraintSet):
+            A = ConstraintSet.from_matrices(n, A)
+        if A.n != n:
+            raise ProblemError("constraint dimension mismatch")
+        if A.m != b.size:
+            raise ProblemError(f"|A| = {A.m} but |b| = {b.size}")
+        if not np.all(np.isfinite(b)):
+            raise ProblemError("problem data contains NaN or inf")
+        ConstraintSet.from_matrices(n, [C])  # C passes the checks of an A_i
         self.n = n
         self.C = C
-        self.A = tuple(A)
+        self.A = A
         self.b = b
         self.manifold = ManifoldKind(manifold)
         self.objective_sign = float(objective_sign)
         self.objective_offset = float(objective_offset)
-        # flattened triplets of C (matrix 0) and of every A_i (matrix i + 1)
-        mats = (C,) + self.A
-        k = np.repeat(np.arange(len(mats), dtype=np.intp),
-                      [M.nnz for M in mats])
-        r, c, v = (np.concatenate([getattr(M, f) for M in mats])
-                   for f in ("rows", "cols", "vals"))
-        if not np.all(np.isfinite(np.concatenate([b, v]))):
-            raise ProblemError("problem data contains NaN or inf")
-        if r.size and not (r.min() >= 0 and c.max() < n and np.all(r <= c)):
-            raise ProblemError("triplets must satisfy 0 <= row <= col < n")
-        t = np.stack([k, r, c])[:, np.lexsort((c, r, k))]
-        if np.any(np.all(t[:, 1:] == t[:, :-1], axis=0)):
-            raise ProblemError("duplicate (row, col) entry in one matrix")
-        # the A_i part, for vectorized constraint application
-        self._tr, self._tc, self._tv = r[C.nnz:], c[C.nnz:], v[C.nnz:]
-        self._tm = k[C.nnz:] - 1
+        # the set's own arrays, for vectorized constraint application
+        self._tr, self._tc, self._tv, self._tm = A.rows, A.cols, A.vals, \
+            A.index
         self._tw = self._tv * np.where(self._tr != self._tc, 2.0, 1.0)
         self._pos = None   # lazy distinct (row, col) positions of the A_i
         self._adj = None   # lazy (m, n*n) map for the adjoint
@@ -181,7 +236,7 @@ class SdpProblem:
 
     @property
     def m(self):
-        return len(self.A)
+        return self.A.m
 
     def manifold_rhs(self):
         """The right-hand side d of the manifold constraints."""

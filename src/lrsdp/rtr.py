@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ _RHO_PRIME = 0.1  # a step is accepted when its decrease ratio exceeds this
 class RtrReport:
     gradnorm: float
     iterations: int
-    reason: str  # "tolerance" | "max-iters" | "radius-collapse"
+    reason: str  # "tolerance" | "max-iters" | "radius-collapse" | "time-limit"
 
 
 def _inner(A, B):
@@ -104,7 +105,8 @@ def _line_search(model, point, state, direction):
     return None
 
 
-def minimize(model, point, grad_tol, max_iters, warm_dir=None):
+def minimize(model, point, grad_tol, max_iters, warm_dir=None,
+             deadline=None):
     """Drive the Riemannian gradient norm of the model below grad_tol.
 
     ``model`` supplies ``cost(point)`` and ``at(point)``; the latter returns
@@ -113,7 +115,8 @@ def minimize(model, point, grad_tol, max_iters, warm_dir=None):
     0.1 sqrt(n p), capped at ten times that. A supplied warm direction is
     consumed by an Armijo line search before the trust-region loop starts.
     Hessian products run only inside tCG, with its default truncation; the
-    predicted decrease of a step is tCG's model value.
+    predicted decrease of a step is tCG's model value. No trust-region step
+    starts once ``time.perf_counter()`` has passed ``deadline``.
     """
     n, p = point.Y.shape
     radius = 0.1 * np.sqrt(n * p)
@@ -136,6 +139,9 @@ def minimize(model, point, grad_tol, max_iters, warm_dir=None):
             break
         if radius < _RADIUS_COLLAPSE:
             reason = "radius-collapse"
+            break
+        if deadline is not None and time.perf_counter() > deadline:
+            reason = "time-limit"
             break
         iters += 1
         step, _stop, model_value = tcg(state.grad, state.hess_vec, radius)

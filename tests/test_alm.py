@@ -1,12 +1,13 @@
 """Outer loop: dual assembly, escape, rank truncation, penalty, solve."""
 
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import dense_bstar, dense_phi_grad, random_problem
-from lrsdp import alm, manifolds, problem as prob, rtr, spectral
+from lrsdp import alm, generators, manifolds, problem as prob, rtr, spectral
 from lrsdp.alm import (AlmSubproblem, SolverOptions, assemble_dual,
                        escape_direction, solve, truncate_rank, update_penalty)
 from lrsdp.manifolds import FactorPoint
@@ -307,6 +308,20 @@ class TestSolve:
         ts = [t.time for t in sol.trace]
         assert all(b >= a for a, b in zip(ts, ts[1:]))
 
+    def test_max_time_bounds_the_inner_solve(self, monkeypatch):
+        # a clock that advances one second per reading: the solve starts at
+        # 1 with deadline 4, so the inner solve takes the steps read at 2, 3
+        # and 4 and stops at 5; the outer check then ends the solve
+        _, entries = generators.random_completion(6, 6, 1, 24, 0)
+        sdp = generators.gen_matrix_completion(6, 6, entries)
+        free = solve(sdp, SolverOptions(max_outer_iters=1))
+        assert free.trace[0].inner_iters > 3
+        readings = iter(range(1, 1000))
+        monkeypatch.setattr(time, "perf_counter", lambda: next(readings))
+        sol = solve(sdp, SolverOptions(max_time=3.0))
+        assert sol.status == "time-limit" and sol.iterations == 1
+        assert sol.trace[0].inner_iters == 3
+
     def test_radius_collapse_relaxes_the_next_tolerance(self, monkeypatch):
         # one inner solve that ends in radius-collapse gives the next outer
         # iteration a 10x looser gradient tolerance (capped at eps0); the
@@ -315,10 +330,11 @@ class TestSolve:
         grad_tols = []
         minimize = rtr.minimize
 
-        def collapsing(model, point, grad_tol, max_iters, warm_dir=None):
+        def collapsing(model, point, grad_tol, max_iters, warm_dir=None,
+                       deadline=None):
             grad_tols.append(grad_tol)
             point, report = minimize(model, point, grad_tol, max_iters,
-                                     warm_dir=warm_dir)
+                                     warm_dir=warm_dir, deadline=deadline)
             if len(grad_tols) == collapse_at + 1:
                 report = replace(report, reason="radius-collapse")
             return point, report

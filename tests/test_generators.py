@@ -97,6 +97,9 @@ class TestMatrixCompletion:
             gen_matrix_completion(2, 2, [(2, 0, 1.0)])
         with pytest.raises(ProblemError):
             gen_matrix_completion(2, 2, [(0, -1, 1.0)])
+        for bad in ((0.5, 0, 1.0), (0, None, 1.0)):
+            with pytest.raises(ProblemError, match="integers"):
+                gen_matrix_completion(2, 2, [(1, 1, 1.0), bad])
 
 
 def _bqp_moment_vector(x):

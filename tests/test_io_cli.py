@@ -256,6 +256,29 @@ class TestCli:
         assert cli_main(["check", str(out)]) == 1
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tamper,needle", [
+        (lambda A: A[1]["rows"].__setitem__(0, -9), "out of range"),
+        (lambda A: A[1]["cols"].__setitem__(0, 9), "out of range"),
+        (lambda A: [A[1][key].append(A[1][key][0])
+                    for key in ("rows", "cols", "vals")], "duplicate"),
+        (lambda A: A[1]["rows"].__setitem__(0, 1.5), "integers"),
+        (lambda A: A[1]["cols"].__setitem__(0, None), "integers"),
+        (lambda A: A[1]["vals"].append(1.0), "differ in length"),
+        (lambda A: A[1]["vals"].__setitem__(0, "x"), "'vals' must be"),
+        (lambda A: A.__setitem__(1, []), "expected an object"),
+    ], ids=["negative-row", "large-col", "duplicate", "float-row",
+            "null-col", "ragged", "string-val", "list-matrix"])
+    def test_check_rejects_malformed_constraint(self, tmp_path, capsys,
+                                                tamper, needle):
+        out = tmp_path / "r.json"
+        assert cli_main(["solve", "--generate", "completion", "--s", "2",
+                         "--t", "2", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        tamper(doc["problem"]["A"])
+        out.write_text(json.dumps(doc))
+        assert cli_main(["check", str(out)]) == 1
+        assert needle in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", [None, 1.5])
     def test_check_rejects_non_integer_index(self, tmp_path, capsys, bad):
         # null used to escape as a TypeError traceback, 1.5 was truncated

@@ -1,5 +1,7 @@
 """Trust-region inner solver: tCG oracles and minimization behavior."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,19 @@ class TestMinimize:
         warm = np.array([[0.0], [1.0]])
         point, _ = minimize(model, start, 1e-12, 0, warm_dir=warm)
         assert model.cost(point) < 0.0
+
+    def test_deadline_stops_before_the_next_step(self, rng, monkeypatch):
+        # a clock that advances one second per reading: readings 1, 2 and 3
+        # start a step, reading 4 is past the deadline 3.5
+        H = np.diag([1.0, -1.0, 2.0])  # unbounded below: never converges
+        model = _QuadraticModel(H, np.ones(3))
+        start = FactorPoint(np.zeros((3, 1)), ManifoldKind.FREE)
+        _, free = minimize(model, start, 1e-12, 10)
+        assert free.iterations == 10 and free.reason == "max-iters"
+        readings = iter(range(1, 100))
+        monkeypatch.setattr(time, "perf_counter", lambda: next(readings))
+        _, report = minimize(model, start, 1e-12, 10, deadline=3.5)
+        assert report.iterations == 3 and report.reason == "time-limit"
 
     def test_zero_iterations_at_optimum(self, rng):
         H = np.eye(3)
