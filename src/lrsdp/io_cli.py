@@ -162,18 +162,6 @@ def read_gset(path):
 
 # --- result documents ---------------------------------------------------
 
-def _matrix_doc(M):
-    return {"rows": M.rows.tolist(), "cols": M.cols.tolist(),
-            "vals": M.vals.tolist()}
-
-
-def _constraints_doc(A):
-    rows, cols, vals = A.rows.tolist(), A.cols.tolist(), A.vals.tolist()
-    s = A.start.tolist()
-    return [{"rows": rows[a:e], "cols": cols[a:e], "vals": vals[a:e]}
-            for a, e in zip(s[:-1], s[1:])]
-
-
 _JSON_TYPES = {dict: "an object", list: "a list", int: "an integer",
                (int, float): "a number"}
 
@@ -191,13 +179,24 @@ def _doc_field(doc, key, kind):
     return value
 
 
+def _has_bool(values):
+    return any(isinstance(v, bool) or isinstance(v, list) and _has_bool(v)
+               for v in values)
+
+
+def _doc_list(doc, key):
+    """``doc[key]``, a list with no JSON boolean at any depth: numpy would
+    read true as 1."""
+    values = _doc_field(doc, key, list)
+    if _has_bool(values):
+        raise ProblemError(f"field {key!r} holds a boolean, not a number")
+    return values
+
+
 def _doc_numbers(doc, key, ndim=1):
     """``doc[key]`` as a float array with ``ndim`` axes; ProblemError if it
     is not a list of numbers nested that deep."""
-    return _numbers(_doc_field(doc, key, list), key, ndim)
-
-
-def _numbers(values, key, ndim=1):
+    values = _doc_list(doc, key)
     try:
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError):
@@ -207,26 +206,15 @@ def _numbers(values, key, ndim=1):
     return arr
 
 
-def _constraints_from_doc(n, docs):
-    """The ConstraintSet of a list of matrix documents; entries below the
-    diagonal are mirrored into the upper triangle."""
-    rows, cols, vals, nnz = [], [], [], []
-    for doc in docs:
-        r, c = _doc_field(doc, "rows", list), _doc_field(doc, "cols", list)
-        v = _doc_field(doc, "vals", list)
-        if not len(r) == len(c) == len(v):
-            raise ProblemError("rows, cols and vals differ in length")
-        rows += r
-        cols += c
-        vals += v
-        nnz.append(len(r))
-    r, c = np.array(rows), np.array(cols)
-    if any(a.size and a.dtype.kind not in "iu" for a in (r, c)):
-        raise ProblemError("triplet indices must be integers")
-    # ConstraintSet rejects out-of-range indices and duplicate entries
-    return ConstraintSet(n, len(docs), np.repeat(np.arange(len(docs)), nnz),
-                         np.minimum(r, c), np.maximum(r, c),
-                         _numbers(vals, "vals"))
+def _doc_triplets(doc, key, n, m=None):
+    """The ConstraintSet of the triplet object ``doc[key]``, its lists taken
+    as written: the A_i with their "index" list, or, with no ``m``, C as the
+    one matrix of a set."""
+    doc = _doc_field(doc, key, dict)
+    rows, cols = _doc_list(doc, "rows"), _doc_list(doc, "cols")
+    index = [0] * len(rows) if m is None else _doc_list(doc, "index")
+    return ConstraintSet(n, 1 if m is None else m, index, rows, cols,
+                         _doc_numbers(doc, "vals"))
 
 
 def result_document(sdp, solution, options):
@@ -238,8 +226,10 @@ def result_document(sdp, solution, options):
             "n": sdp.n, "m": sdp.m, "manifold": sdp.manifold.value,
             "objective_sign": sdp.objective_sign,
             "objective_offset": sdp.objective_offset,
-            "C": _matrix_doc(sdp.C),
-            "A": _constraints_doc(sdp.A),
+            "C": {key: getattr(sdp.C, key).tolist()
+                  for key in ("rows", "cols", "vals")},
+            "A": {key: getattr(sdp.A, key).tolist()
+                  for key in ("index", "rows", "cols", "vals")},
             "b": sdp.b.tolist(),
         },
         "options": asdict(options),
@@ -266,8 +256,8 @@ def problem_from_document(doc):
     pd = _doc_field(doc, "problem", dict)
     n = _doc_field(pd, "n", int)
     return SdpProblem(
-        n, _constraints_from_doc(n, [pd["C"]])[0],
-        _constraints_from_doc(n, _doc_field(pd, "A", list)),
+        n, _doc_triplets(pd, "C", n)[0],
+        _doc_triplets(pd, "A", n, _doc_field(pd, "m", int)),
         _doc_numbers(pd, "b"), ManifoldKind(pd["manifold"]),
         objective_sign=_doc_field(pd, "objective_sign", (int, float)),
         objective_offset=_doc_field(pd, "objective_offset", (int, float)))

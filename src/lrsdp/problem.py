@@ -18,6 +18,7 @@ n x n matrix per point, built only by ``dual_slack``;
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,39 +56,17 @@ class SparseSymMatrix:
     vals: np.ndarray
 
     @staticmethod
-    def from_triplets(n, triplets, accumulate=False):
-        """Build from (row, col, value) tuples; indices are 0-based ints.
-
-        With ``accumulate=True`` duplicate (row, col) pairs are summed
-        (used by file parsers); otherwise duplicates raise ProblemError.
-        Indices that are not integers (1.5, None, "1") raise ProblemError
-        rather than being truncated or cast.
-        """
-        if n <= 0:
-            raise ProblemError(f"dimension must be positive, got {n}")
-        if not triplets:
-            z = np.zeros(0)
-            return SparseSymMatrix(n, z.astype(np.intp), z.astype(np.intp), z)
-        r, c, v = zip(*triplets)
+    def from_triplets(n, triplets):
+        """Build from (row, col, value) tuples; indices are 0-based ints, and
+        an entry below the diagonal is stored as its mirror. Indices that
+        are not integers (1.5, None, "1") raise ProblemError rather than
+        being truncated or cast; ``ConstraintSet`` checks the rest."""
+        r, c, v = zip(*triplets) if triplets else ((), (), ())
         idx = np.array((r, c))
-        if idx.dtype.kind not in "iu":
+        if idx.size and idx.dtype.kind not in "iu":
             raise ProblemError("triplet indices must be integers")
-        idx = idx.astype(np.intp, copy=False)
-        # as unsigned, a negative index is huge: one test checks both ends
-        if np.count_nonzero(idx.view(np.uintp) >= n):
-            raise ProblemError("triplet index out of range")
-        lo, hi = np.minimum(idx[0], idx[1]), np.maximum(idx[0], idx[1])
-        v = np.array(v, dtype=float)
-        key = lo * n + hi
-        if accumulate:
-            key, inv = np.unique(key, return_inverse=True)
-            v = np.bincount(inv, weights=v, minlength=key.size)
-            return SparseSymMatrix(n, key // n, key % n, v)
-        order = key.argsort()
-        key = key[order]
-        if np.count_nonzero(key[1:] == key[:-1]):
-            raise ProblemError("duplicate (row, col) entry")
-        return SparseSymMatrix(n, lo[order], hi[order], v[order])
+        return ConstraintSet(n, 1, np.zeros(idx.shape[1], np.intp),
+                             idx.min(axis=0), idx.max(axis=0), v)[0]
 
     @staticmethod
     def identity(n):
@@ -126,12 +105,18 @@ class ConstraintSet:
     sorted by (matrix, row, col): A_k holds entry (rows[t], cols[t]) =
     vals[t] for t in start[k]:start[k + 1]. ``len`` is m, and ``A[k]`` and
     iteration give A_k as a ``SparseSymMatrix`` of slices, not copies.
-    Non-integer or out-of-range indices, a position twice in one matrix and
+    An n that is not an integer >= 1, an m that is not an integer >= 0,
+    non-integer or out-of-range indices, a position twice in one matrix and
     non-finite values raise ProblemError."""
 
     def __init__(self, n, m, index, rows, cols, vals):
-        if n <= 0:
-            raise ProblemError(f"dimension must be positive, got {n}")
+        for name, value, least in (("dimension", n, 1),
+                                   ("constraint count", m, 0)):
+            if isinstance(value, bool) \
+                    or not isinstance(value, numbers.Integral) \
+                    or value < least:
+                raise ProblemError(f"{name} must be an integer >= {least}, "
+                                   f"got {value!r}")
         t = [np.asarray(a) for a in (index, rows, cols)]
         if any(a.size and a.dtype.kind not in "iu" for a in t):
             raise ProblemError("triplet indices must be integers")
@@ -139,7 +124,8 @@ class ConstraintSet:
         vals = np.asarray(vals, dtype=float)
         if index.ndim != 1 \
                 or not index.shape == rows.shape == cols.shape == vals.shape:
-            raise ProblemError("index, rows, cols and vals differ in shape")
+            raise ProblemError("index, rows, cols and vals must be 1-D and "
+                               "must not differ in length")
         if not np.all(np.isfinite(vals)):
             raise ProblemError("problem data contains NaN or inf")
         # as unsigned, a negative index is huge: one test checks both ends
@@ -226,10 +212,7 @@ class SdpProblem:
         self.manifold = ManifoldKind(manifold)
         self.objective_sign = float(objective_sign)
         self.objective_offset = float(objective_offset)
-        # the set's own arrays, for vectorized constraint application
-        self._tr, self._tc, self._tv, self._tm = A.rows, A.cols, A.vals, \
-            A.index
-        self._tw = self._tv * np.where(self._tr != self._tc, 2.0, 1.0)
+        self._tw = A.vals * np.where(A.rows != A.cols, 2.0, 1.0)
         self._pos = None   # lazy distinct (row, col) positions of the A_i
         self._adj = None   # lazy (m, n*n) map for the adjoint
         self._adjT = None  # its csc transpose, a view sharing the arrays
@@ -258,18 +241,19 @@ class SdpProblem:
         """(rows, cols, index): the distinct (row, col) positions of the
         A_i triplets, sorted, and the position of every triplet."""
         if self._pos is None:
-            key, index = np.unique(self._tr * self.n + self._tc,
+            key, index = np.unique(self.A.rows * self.n + self.A.cols,
                                    return_inverse=True)
             self._pos = (key // self.n, key % self.n, index)
         return self._pos
 
     def _adjoint_map(self):
         if self._adj is None:
-            off = self._tr != self._tc
-            r = np.concatenate([self._tr, self._tc[off]])
-            c = np.concatenate([self._tc, self._tr[off]])
-            v = np.concatenate([self._tv, self._tv[off]])
-            k = np.concatenate([self._tm, self._tm[off]])
+            A = self.A
+            off = A.rows != A.cols
+            r = np.concatenate([A.rows, A.cols[off]])
+            c = np.concatenate([A.cols, A.rows[off]])
+            v = np.concatenate([A.vals, A.vals[off]])
+            k = np.concatenate([A.index, A.index[off]])
             self._adj = sp.csr_matrix(
                 (v, (k, r * self.n + c)), shape=(self.m, self.n * self.n))
         return self._adj
@@ -307,7 +291,7 @@ def apply_constraints(problem, Y):
         block = slice(s, s + step)
         np.einsum("ij,ij->i", Y.take(rows[block], axis=0),
                   Y.take(cols[block], axis=0), out=prod[block])
-    return np.bincount(problem._tm, weights=problem._tw * prod[index],
+    return np.bincount(problem.A.index, weights=problem._tw * prod[index],
                        minlength=problem.m)
 
 

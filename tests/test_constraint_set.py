@@ -2,6 +2,7 @@
 against the per-constraint build it replaced (one ``from_triplets`` matrix
 per A_i, concatenated in order), which is kept here as the oracle."""
 
+import re
 import tracemalloc
 from itertools import combinations, combinations_with_replacement
 
@@ -27,7 +28,7 @@ def _flat(mats):
 
 
 def _assert_bitwise(sdp, mats, b):
-    got = (sdp._tm, sdp._tr, sdp._tc, sdp._tv, sdp._tw, sdp.b)
+    got = (sdp.A.index, sdp.A.rows, sdp.A.cols, sdp.A.vals, sdp._tw, sdp.b)
     want = _flat(mats) + (np.asarray(b, dtype=float),)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
@@ -91,14 +92,18 @@ def _old_quartic(q):
 
 
 def _old_read_sdpa(path):
-    """The file's matrices, one ``from_triplets`` each, duplicates summed."""
+    """The file's matrices, one ``from_triplets`` each, duplicates summed
+    in file order."""
     with open(path) as fh:
         lines = [ln.split() for ln in fh if ln.strip()]
     m, n = int(lines[0][0]), int(lines[2][0])
-    entries = {k: [] for k in range(m + 1)}
+    entries = {k: {} for k in range(m + 1)}
     for matno, _, i, j, val in lines[3 + (m > 0):]:
-        entries[int(matno)].append((int(i) - 1, int(j) - 1, float(val)))
-    return [SparseSymMatrix.from_triplets(n, entries[k], accumulate=True)
+        pos = entries[int(matno)]
+        key = (int(i) - 1, int(j) - 1)
+        pos[key] = pos.get(key, 0.0) + float(val)
+    return [SparseSymMatrix.from_triplets(
+                n, [(i, j, v) for (i, j), v in entries[k].items()])
             for k in range(1, m + 1)]
 
 
@@ -193,8 +198,27 @@ class TestConstraintSet:
         with pytest.raises(ProblemError, match="constraint index out of"):
             ConstraintSet(3, 2, [index], [0], [1], [1.0])
 
+    @pytest.mark.parametrize("n,m,needle", [
+        (0, 1, "dimension must be an integer >= 1, got 0"),
+        (3.0, 1, "dimension must be an integer >= 1, got 3.0"),
+        ("3", 1, "dimension must be an integer >= 1, got '3'"),
+        (True, 1, "dimension must be an integer >= 1, got True"),
+        (3, -1, "constraint count must be an integer >= 0, got -1"),
+        (3, 2.5, "constraint count must be an integer >= 0, got 2.5"),
+        (3, None, "constraint count must be an integer >= 0, got None"),
+    ])
+    def test_bad_size_rejected(self, n, m, needle):
+        # a negative m used to construct, and len() then raised a bare
+        # ValueError; a float m raised a TypeError there
+        with pytest.raises(ProblemError, match=re.escape(needle)):
+            ConstraintSet(n, m, [], [], [], [])
+
+    def test_numpy_integer_sizes_accepted(self):
+        A = ConstraintSet(np.int64(3), np.int32(2), [1], [0], [2], [1.0])
+        assert len(A) == 2 and A[1].n == 3 and A[0].nnz == 0
+
     def test_ragged_arrays_rejected(self):
-        with pytest.raises(ProblemError, match="differ in shape"):
+        with pytest.raises(ProblemError, match="differ in length"):
             ConstraintSet(3, 1, [0, 0], [0, 1], [1], [1.0, 2.0])
 
     def test_problem_accepts_set_or_sequence(self, rng):
@@ -204,7 +228,7 @@ class TestConstraintSet:
         from_set = SdpProblem(6, C, A, np.zeros(4), ManifoldKind.FREE)
         from_list = SdpProblem(6, C, mats, np.zeros(4), ManifoldKind.FREE)
         assert from_set.A is A and from_set.m == 4
-        assert from_set._tv is A.vals  # no second copy
+        assert from_set.A.vals is A.vals  # no second copy
         _assert_bitwise(from_list, mats, np.zeros(4))
         with pytest.raises(ProblemError, match="dimension"):
             SdpProblem(7, SparseSymMatrix.identity(7), A, np.zeros(4),

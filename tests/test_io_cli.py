@@ -5,7 +5,10 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import ALL_MANIFOLDS, random_sym_triplets
 from lrsdp import alm, generators as gen, manifolds, problem as prob
 from lrsdp.io_cli import (FormatError, check_document, cli_main,
                           problem_from_document, read_gset, read_sdpa,
@@ -134,6 +137,63 @@ class TestResultDocument:
         assert back.objective_sign == sdp.objective_sign
         assert np.array_equal(back.C.to_dense(), sdp.C.to_dense())
 
+    @pytest.mark.parametrize("source", [
+        "maxcut", "completion", "bqp", "quartic", "sdpa"])
+    def test_problem_round_trip_bytes(self, source, tmp_path):
+        # the document holds the set's own sorted arrays, read back as
+        # written: A, C and b come back with the same bytes and dtypes
+        if source == "maxcut":
+            sdp = gen.gen_maxcut(gen.unit_triangle_graph())
+        elif source == "completion":
+            _, entries = gen.random_completion(3, 4, 1, 7, 0)
+            sdp = gen.gen_matrix_completion(3, 4, entries)
+        elif source == "bqp":
+            sdp = gen.gen_bqp_moment(*gen.random_bqp(3, 0))
+        elif source == "quartic":
+            sdp = gen.gen_quartic_sphere(2, gen.random_quartic(2, 0))
+        else:  # entries out of order, a duplicate and an empty A_i
+            path = tmp_path / "p.dat-s"
+            path.write_text("3\n1\n3\n1 0 2\n3 1 2 3 0.1\n0 1 1 3 -1.0\n"
+                            "1 1 1 2 1.0\n3 1 1 1 2.0\n1 1 1 2 0.5\n")
+            sdp = read_sdpa(path)
+        opts = alm.SolverOptions(max_outer_iters=1)
+        doc = result_document(sdp, alm.solve(sdp, opts), opts)
+        back = problem_from_document(json.loads(json.dumps(doc)))
+        pairs = [(getattr(back.A, f), getattr(sdp.A, f))
+                 for f in ("index", "rows", "cols", "vals", "start")]
+        pairs += [(getattr(back.C, f), getattr(sdp.C, f))
+                  for f in ("rows", "cols", "vals")] + [(back.b, sdp.b)]
+        for got, want in pairs:
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert (back.n, back.m, back.manifold) == (sdp.n, sdp.m, sdp.manifold)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 3),
+           st.sampled_from(ALL_MANIFOLDS), st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_random_problem_certified_or_not_converged(self, seed, n, m,
+                                                       manifold, iters):
+        # a small feasible problem, bounded below by a PSD C on the free
+        # manifold: solve, a JSON round trip and the check never raise, and
+        # a "converged" status is confirmed by the check
+        rng = np.random.default_rng(seed)
+        nnz = int(rng.integers(1, n * (n + 1) // 2 + 1))
+        A = [SparseSymMatrix.from_triplets(n, random_sym_triplets(n, nnz, rng))
+             for _ in range(m)]
+        G = rng.standard_normal((n, n))
+        C = G @ G.T if manifold is ManifoldKind.FREE else G + G.T
+        iu, ju = np.triu_indices(n)
+        C = SparseSymMatrix(n, iu, ju, C[iu, ju])
+        Y0 = manifolds.random_point(n, 2, manifold, seed).Y
+        b = prob.apply_constraints(
+            SdpProblem(n, C, A, np.zeros(m), manifold), Y0)
+        sdp = SdpProblem(n, C, A, b, manifold)
+        opts = alm.SolverOptions(max_outer_iters=iters)
+        sol = alm.solve(sdp, opts)
+        doc = json.loads(json.dumps(result_document(sdp, sol, opts)))
+        _, ok = check_document(doc, opts.tol)
+        assert ok or sol.status != "converged"
+
     def test_check_accepts_good_solution(self):
         _, _, doc = self._solved()
         res, ok = check_document(doc, tol=1e-8)
@@ -160,6 +220,10 @@ class TestResultDocument:
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert float(first[2]) == sol.trace[0].sigma
+
+
+def _one_to_true(values):
+    values[values.index(1)] = True
 
 
 class TestCli:
@@ -257,15 +321,20 @@ class TestCli:
         assert needle in capsys.readouterr().err
 
     @pytest.mark.parametrize("tamper,needle", [
-        (lambda A: A[1]["rows"].__setitem__(0, -9), "out of range"),
-        (lambda A: A[1]["cols"].__setitem__(0, 9), "out of range"),
-        (lambda A: [A[1][key].append(A[1][key][0])
-                    for key in ("rows", "cols", "vals")], "duplicate"),
-        (lambda A: A[1]["rows"].__setitem__(0, 1.5), "integers"),
-        (lambda A: A[1]["cols"].__setitem__(0, None), "integers"),
-        (lambda A: A[1]["vals"].append(1.0), "differ in length"),
-        (lambda A: A[1]["vals"].__setitem__(0, "x"), "'vals' must be"),
-        (lambda A: A.__setitem__(1, []), "expected an object"),
+        (lambda p: p["A"]["rows"].__setitem__(1, -9), "out of range"),
+        (lambda p: p["A"]["cols"].__setitem__(1, 9), "out of range"),
+        (lambda p: [p["A"][key].append(p["A"][key][1])
+                    for key in ("index", "rows", "cols", "vals")],
+         "duplicate"),
+        (lambda p: p["A"]["rows"].__setitem__(1, 1.5), "integers"),
+        (lambda p: p["A"]["cols"].__setitem__(1, None), "integers"),
+        (lambda p: p["A"]["vals"].append(1.0), "differ in length"),
+        (lambda p: p["A"]["vals"].__setitem__(1, "x"), "'vals' must be"),
+        # the former layout, one object per A_i, is not read
+        (lambda p: p.update(A=[
+            {"rows": [r], "cols": [c], "vals": [v]} for r, c, v in
+            zip(p["A"]["rows"], p["A"]["cols"], p["A"]["vals"])]),
+         "'A' must be an object"),
     ], ids=["negative-row", "large-col", "duplicate", "float-row",
             "null-col", "ragged", "string-val", "list-matrix"])
     def test_check_rejects_malformed_constraint(self, tmp_path, capsys,
@@ -274,7 +343,7 @@ class TestCli:
         assert cli_main(["solve", "--generate", "completion", "--s", "2",
                          "--t", "2", "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
-        tamper(doc["problem"]["A"])
+        tamper(doc["problem"])
         out.write_text(json.dumps(doc))
         assert cli_main(["check", str(out)]) == 1
         assert needle in capsys.readouterr().err
@@ -297,14 +366,25 @@ class TestCli:
         (lambda d: d["problem"]["C"].update(rows=5), "'rows' must be a list"),
         (lambda d: d.update(y=[{}]), "'y' must be a 1-D list"),
         (lambda d: d["Y"][0].__setitem__(0, {}), "'Y' must be a 2-D list"),
+        (lambda d: _one_to_true(d["problem"]["C"]["cols"]), "'cols' holds"),
+        (lambda d: d["problem"]["C"]["vals"].__setitem__(0, True),
+         "'vals' holds"),
+        (lambda d: _one_to_true(d["problem"]["A"]["index"]), "'index' holds"),
+        (lambda d: _one_to_true(d["problem"]["A"]["rows"]), "'rows' holds"),
+        (lambda d: _one_to_true(d["problem"]["b"]), "'b' holds"),
+        (lambda d: d["Y"][0].__setitem__(0, True), "'Y' holds"),
+        (lambda d: d["y"].__setitem__(0, True), "'y' holds"),
+        (lambda d: d["z"].__setitem__(0, True), "'z' holds"),
     ], ids=["ragged-rows", "string-n", "scalar-rows", "object-in-y",
-            "object-in-Y"])
+            "object-in-Y", "bool-C-col", "bool-C-val", "bool-A-index",
+            "bool-A-row", "bool-b", "bool-Y", "bool-y", "bool-z"])
     def test_check_rejects_malformed_field(self, tmp_path, capsys, tamper,
                                            needle):
         # a plain zip dropped the extra row index and certified the document;
-        # the mistyped fields escaped as TypeError tracebacks
+        # the mistyped fields escaped as TypeError tracebacks; numpy read a
+        # boolean as 1, so true in place of a 1 certified the document
         out = tmp_path / "r.json"
-        assert cli_main(["solve", "--generate", "maxcut-edge",
+        assert cli_main(["solve", "--generate", "bqp", "--q", "2",
                          "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
         tamper(doc)

@@ -32,12 +32,6 @@ class TestSparseSymMatrix:
         with pytest.raises(ProblemError):
             SparseSymMatrix.from_triplets(3, [(0, 1, 1.0), (1, 0, 2.0)])
 
-    def test_duplicates_accumulated_when_asked(self):
-        A = SparseSymMatrix.from_triplets(3, [(0, 1, 1.0), (1, 0, 2.0)],
-                                          accumulate=True)
-        assert A.nnz == 1
-        assert A.to_dense()[0, 1] == 3.0
-
     def test_out_of_range_rejected(self):
         with pytest.raises(ProblemError):
             SparseSymMatrix.from_triplets(2, [(0, 2, 1.0)])
@@ -71,7 +65,7 @@ class TestSparseSymMatrix:
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
-def _from_triplets_oracle(n, triplets, accumulate=False):
+def _from_triplets_oracle(n, triplets):
     """The original list-comprehension build, kept as the reference for
     ``from_triplets``: (rows, cols, vals) or the ProblemError message."""
     if n <= 0:
@@ -86,11 +80,7 @@ def _from_triplets_oracle(n, triplets, accumulate=False):
     if lo.min() < 0 or hi.max() >= n:
         raise ProblemError("triplet index out of range")
     key = lo * n + hi
-    if accumulate:
-        key, inv = np.unique(key, return_inverse=True)
-        v = np.bincount(inv, weights=v, minlength=key.size)
-        lo, hi = key // n, key % n
-    elif np.unique(key).size != key.size:
+    if np.unique(key).size != key.size:
         raise ProblemError("duplicate (row, col) entry")
     else:
         order = np.argsort(key)
@@ -102,18 +92,17 @@ class TestFromTriplets:
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
         st.just(n),
         st.lists(st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1),
-                           st.floats(-1e3, 1e3)), max_size=6),
-        st.booleans())))
+                           st.floats(-1e3, 1e3)), max_size=6))))
     @settings(max_examples=300, deadline=None)
     def test_matches_original_build(self, case):
-        n, trips, accumulate = case
+        n, trips = case
         try:
-            want = _from_triplets_oracle(n, trips, accumulate)
+            want = _from_triplets_oracle(n, trips)
         except ProblemError as exc:
             with pytest.raises(ProblemError, match=re.escape(str(exc))):
-                SparseSymMatrix.from_triplets(n, trips, accumulate)
+                SparseSymMatrix.from_triplets(n, trips)
             return
-        got = SparseSymMatrix.from_triplets(n, trips, accumulate)
+        got = SparseSymMatrix.from_triplets(n, trips)
         for g, w in zip((got.rows, got.cols, got.vals), want):
             assert g.dtype == w.dtype
             assert np.array_equal(g, w)
@@ -156,17 +145,18 @@ class TestSdpProblem:
                                atol=1e-12)
 
     def test_constraint_index(self, rng):
-        # _tm[t] is the constraint that flattened triplet t belongs to
+        # A.index[t] is the constraint that flattened triplet t belongs to
         A = [SparseSymMatrix.from_triplets(5, random_sym_triplets(5, k, rng))
              for k in (3, 1, 4)]
         A.insert(1, SparseSymMatrix.from_triplets(5, []))
         sdp = SdpProblem(5, A[0], A, np.zeros(4), ManifoldKind.FREE)
         want = np.concatenate([np.full(Ak.nnz, k, dtype=np.intp)
                                for k, Ak in enumerate(A)])
-        assert sdp._tm.dtype == np.intp
-        assert np.array_equal(sdp._tm, want)
+        assert sdp.A.index.dtype == np.intp
+        assert np.array_equal(sdp.A.index, want)
         empty = random_problem(4, 0, ManifoldKind.FREE, rng)
-        assert empty._tm.dtype == np.intp and empty._tm.shape == (0,)
+        assert empty.A.index.dtype == np.intp
+        assert empty.A.index.shape == (0,)
 
     def test_apply_constraints_no_constraints(self, rng):
         sdp = random_problem(4, 0, ManifoldKind.FREE, rng)
@@ -197,10 +187,10 @@ class TestSdpProblem:
         if gather_bytes is not None:  # block edges crossed
             assert positions > 2 * gather_bytes // (8 * p)
         assert positions < m * nnz  # positions shared by constraints
-        assert np.any(sdp._tr == sdp._tc)  # diagonal triplets
+        assert np.any(sdp.A.rows == sdp.A.cols)  # diagonal triplets
         Y = np.asarray(rng.standard_normal((n, p)), order=order)
-        prod = np.einsum("ij,ij->i", Y[sdp._tr], Y[sdp._tc])
-        want = np.bincount(sdp._tm, weights=sdp._tw * prod, minlength=m)
+        prod = np.einsum("ij,ij->i", Y[sdp.A.rows], Y[sdp.A.cols])
+        want = np.bincount(sdp.A.index, weights=sdp._tw * prod, minlength=m)
         assert np.array_equal(prob.apply_constraints(sdp, Y), want)
 
     def test_apply_constraints_sym_oracle(self, rng):
@@ -222,12 +212,13 @@ class TestSdpProblem:
     @pytest.mark.parametrize("where", ["C", "b", "A"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_data_rejected(self, where, bad):
-        C = SparseSymMatrix.from_triplets(
-            2, [(0, 0, bad if where == "C" else 1.0)])
-        A = [SparseSymMatrix.from_triplets(
-            2, [(0, 1, bad if where == "A" else 1.0)])]
-        b = np.array([bad if where == "b" else 1.0])
+        # a non-finite C or A_i is rejected as it is built
         with pytest.raises(ProblemError, match="NaN or inf"):
+            C = SparseSymMatrix.from_triplets(
+                2, [(0, 0, bad if where == "C" else 1.0)])
+            A = [SparseSymMatrix.from_triplets(
+                2, [(0, 1, bad if where == "A" else 1.0)])]
+            b = np.array([bad if where == "b" else 1.0])
             SdpProblem(2, C, A, b, ManifoldKind.FREE)
 
     @pytest.mark.parametrize("where", ["C", "A"])
