@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -103,6 +103,80 @@ def _constraint_set(n, m, triplets):
                          np.array(v, dtype=float))
 
 
+def _bqp_keys(q):
+    """Basis size n, and the reduced monomial of every upper entry a < b of
+    the BQP moment matrix, in (a, b) order: its key and its degree.
+
+    Basis element a holds two slots, 0 for an empty slot and i + 1 for
+    x_i. The four slots of a pair are merged in order and equal neighbours
+    cancel (x_i^2 = 1). The slots left, in order and padded with 0 on the
+    right, are the digits of a base-(q + 1) key, so keys order monomials as
+    their sorted index tuples do."""
+    pi, pj = np.triu_indices(q, 1)
+    lo = np.concatenate([np.zeros(q + 1), pi + 1]).astype(np.int16)
+    hi = np.concatenate([np.arange(q + 1), pj + 1]).astype(np.int16)
+    a, b = np.triu_indices(lo.size, 1)
+    x0, x1, y0, y1 = lo[a], hi[a], lo[b], hi[b]
+    s0, s3 = np.minimum(x0, y0), np.maximum(x1, y1)
+    x, y = np.maximum(x0, y0), np.minimum(x1, y1)
+    s1, s2 = np.minimum(x, y), np.maximum(x, y)
+    e01, e12, e23 = s0 == s1, s1 == s2, s2 == s3
+    s0[e01] = 0
+    s1[e01 | e12] = 0
+    s2[e12 | e23] = 0
+    s3[e23] = 0
+    base = q + 1
+    key = np.zeros(s0.size, np.int64)
+    degree = np.zeros(s0.size, np.int8)
+    for s in (s0, s1, s2, s3):
+        nz = s != 0
+        key[nz] = key[nz] * base + s[nz]
+        degree += nz
+    key *= (base ** np.arange(4, -1, -1))[degree]
+    return lo.size, key, degree
+
+
+def _bqp_constraints(q):
+    """The ConstraintSet of the BQP moment relaxation: the n unit-diagonal
+    constraints, then per class of entries in key order the star ties from
+    its first member and, for a degree-two class of three or more members,
+    the tie (members[1], members[2]). A stable sort of the keys lists each
+    class's members in (a, b) order. Every array is built sorted and of
+    the store's dtype, so ``ConstraintSet`` keeps it without a copy."""
+    n, key, degree = _bqp_keys(q)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.ones(key.size, bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    del key
+    starts = np.flatnonzero(new)
+    size = np.diff(np.append(starts, order.size))
+    cycle = (degree[order[starts]] == 2) & (size >= 3)
+    # upper pair numbers of the two entries of every tie, in order
+    e = np.repeat(order[starts], size - 1)
+    f = order[~new]
+    at = np.cumsum(size - 1)[cycle]
+    e = np.insert(e, at, order[starts[cycle] + 1])
+    f = np.insert(f, at, order[starts[cycle] + 2])
+    del order
+    m = n + e.size
+    index = np.empty(n + 2 * e.size, np.intp)
+    rows, cols = np.empty_like(index), np.empty_like(index)
+    index[:n] = rows[:n] = cols[:n] = np.arange(n)
+    index[n::2] = index[n + 1::2] = np.arange(n, m)
+    # pair p is (a, b) with first[a] <= p < first[a + 1]
+    first = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
+    for p, half in ((e, slice(n, None, 2)), (f, slice(n + 1, None, 2))):
+        a = np.searchsorted(first, p, "right") - 1
+        rows[half] = a
+        cols[half] = p - first[a] + a + 1
+    vals = np.empty(index.size)
+    vals[:n] = 1.0
+    vals[n::2] = 0.5
+    vals[n + 1::2] = -0.5
+    return ConstraintSet(n, m, index, rows, cols, vals)
+
+
 def gen_bqp_moment(Q, c):
     """Second-order moment relaxation of min x'Qx + c'x over x in {-1, 1}^q.
 
@@ -112,50 +186,35 @@ def gen_bqp_moment(Q, c):
     sharing a reduced monomial (one spanning star per class), and closes
     one extra cycle edge per degree-two class; this reproduces the
     constraint counts of the reference relaxation exactly.
+
+    The constraints are built from arrays with no loop over entries
+    (``_bqp_keys``, ``_bqp_constraints``): each entry's reduced monomial
+    becomes an integer key whose order is that of the monomials' sorted
+    index tuples, and one stable sort of the keys gives the classes in
+    that order, each with its members in (row, col) order.
     """
     Q = np.asarray(Q, dtype=float)
     c = np.asarray(c, dtype=float)
-    q = c.size
+    if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(c))):
+        raise ProblemError("problem data contains NaN or inf")
+    q = c.shape[0] if c.ndim == 1 else 0
     if q < 2 or Q.shape != (q, q):
-        raise ProblemError("need q >= 2 with Q of shape (q, q)")
+        raise ProblemError("need q >= 2, c of shape (q,) and Q of shape "
+                           "(q, q)")
     if not np.allclose(Q, Q.T):
         raise ProblemError("Q must be symmetric")
 
-    basis = [frozenset()]
-    basis += [frozenset([i]) for i in range(q)]
-    pair_index = {}
-    for i, j in combinations(range(q), 2):
-        pair_index[(i, j)] = len(basis)
-        basis.append(frozenset([i, j]))
-    n = len(basis)
-
-    # group off-diagonal entries by the reduced monomial (symmetric diff)
-    classes: Dict[frozenset, List[Tuple[int, int]]] = {}
-    for a in range(n):
-        for b_ in range(a + 1, n):
-            classes.setdefault(basis[a] ^ basis[b_], []).append((a, b_))
-
-    # diagonal entries of the moment matrix are ones
-    trips = [(a, a, a, 1.0) for a in range(n)]
-    rhs = [1.0] * n
-    for mono in sorted(classes, key=lambda s: tuple(sorted(s))):
-        members = classes[mono]
-        for other in members[1:]:
-            _tie(trips, rhs, members[0], other)
-        if len(mono) == 2 and len(members) >= 3:
-            _tie(trips, rhs, members[1], members[2])
-
-    cost = []
-    for i, j in combinations(range(q), 2):
-        if Q[i, j]:
-            cost.append(_entry_triplet(0, pair_index[(i, j)], 2.0 * Q[i, j]))
-    for i in range(q):
-        if c[i]:
-            cost.append(_entry_triplet(0, 1 + i, c[i]))
+    A = _bqp_constraints(q)
+    n = A.n
+    # x_i x_j (i < j) is basis element q + 1 + k for the k-th pair
+    cost = [_entry_triplet(0, q + 1 + k, 2.0 * Q[i, j])
+            for k, (i, j) in enumerate(combinations(range(q), 2)) if Q[i, j]]
+    cost += [_entry_triplet(0, 1 + i, c[i]) for i in range(q) if c[i]]
     C = SparseSymMatrix.from_triplets(n, cost) if cost \
         else SparseSymMatrix.from_triplets(n, [(0, 0, 0.0)])
-    return SdpProblem(n, C, _constraint_set(n, len(rhs), trips),
-                      np.array(rhs), ManifoldKind.UNIT_DIAGONAL,
+    b = np.zeros(A.m)
+    b[:n] = 1.0
+    return SdpProblem(n, C, A, b, ManifoldKind.UNIT_DIAGONAL,
                       objective_offset=float(np.trace(Q)))
 
 

@@ -172,6 +172,8 @@ def _doc_field(doc, key, kind):
     if not isinstance(doc, dict):
         raise ProblemError(f"expected an object with field {key!r}, "
                            f"got {type(doc).__name__}")
+    if key not in doc:
+        raise ProblemError(f"missing field {key!r}")
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ProblemError(f"field {key!r} must be {_JSON_TYPES[kind]}, "

@@ -106,8 +106,9 @@ class ConstraintSet:
     vals[t] for t in start[k]:start[k + 1]. ``len`` is m, and ``A[k]`` and
     iteration give A_k as a ``SparseSymMatrix`` of slices, not copies.
     An n that is not an integer >= 1, an m that is not an integer >= 0,
-    non-integer or out-of-range indices, a position twice in one matrix and
-    non-finite values raise ProblemError."""
+    non-integer or out-of-range indices, a position twice in one matrix,
+    values that are not real numbers and non-finite values raise
+    ProblemError."""
 
     def __init__(self, n, m, index, rows, cols, vals):
         for name, value, least in (("dimension", n, 1),
@@ -121,7 +122,13 @@ class ConstraintSet:
         if any(a.size and a.dtype.kind not in "iu" for a in t):
             raise ProblemError("triplet indices must be integers")
         index, rows, cols = (a.astype(np.intp, copy=False) for a in t)
-        vals = np.asarray(vals, dtype=float)
+        vals = np.asarray(vals)
+        # as float, None would read as NaN and "x" raise a bare ValueError
+        if vals.dtype.kind not in "biuf" and not (
+                vals.dtype.kind == "O" and all(
+                    isinstance(v, numbers.Real) for v in vals.flat)):
+            raise ProblemError("triplet values must be real numbers")
+        vals = vals.astype(float, copy=False)
         if index.ndim != 1 \
                 or not index.shape == rows.shape == cols.shape == vals.shape:
             raise ProblemError("index, rows, cols and vals must be 1-D and "

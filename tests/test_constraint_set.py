@@ -4,6 +4,7 @@ per A_i, concatenated in order), which is kept here as the oracle."""
 
 import re
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -27,12 +28,15 @@ def _flat(mats):
     return k, r, c, v, v * np.where(r != c, 2.0, 1.0)
 
 
-def _assert_bitwise(sdp, mats, b):
-    got = (sdp.A.index, sdp.A.rows, sdp.A.cols, sdp.A.vals, sdp._tw, sdp.b)
-    want = _flat(mats) + (np.asarray(b, dtype=float),)
-    for g, w in zip(got, want):
+def _assert_same_bytes(got, want):
+    for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype
         assert g.tobytes() == w.tobytes()
+
+
+def _assert_bitwise(sdp, mats, b):
+    got = (sdp.A.index, sdp.A.rows, sdp.A.cols, sdp.A.vals, sdp._tw, sdp.b)
+    _assert_same_bytes(got, _flat(mats) + (np.asarray(b, dtype=float),))
 
 
 def _entry(a, b, coeff):
@@ -44,6 +48,17 @@ def _old_completion(s, t, entries):
     A = [SparseSymMatrix.from_triplets(n, [(i, s + j, 1.0)])
          for i, j, _ in entries]
     return A, np.array([2.0 * val for _, _, val in entries])
+
+
+def _old_bqp_cost(Q, c):
+    """C of the relaxation, from the pair numbers of a dict."""
+    q = c.size
+    pairs = list(combinations(range(q), 2))
+    pair_index = {p: q + 1 + k for k, p in enumerate(pairs)}
+    cost = [_entry(0, pair_index[(i, j)], 2.0 * Q[i, j])
+            for i, j in pairs if Q[i, j]]
+    cost += [_entry(0, 1 + i, c[i]) for i in range(q) if c[i]]
+    return SparseSymMatrix.from_triplets(1 + q + len(pairs), cost)
 
 
 def _old_bqp(q):
@@ -114,10 +129,20 @@ class TestBitwiseAgainstPerConstraintBuild:
         sdp = gen.gen_matrix_completion(7, 5, entries)
         _assert_bitwise(sdp, *_old_completion(7, 5, entries))
 
-    @pytest.mark.parametrize("q", [2, 4, 6])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 8, 12, 16])
     def test_bqp_moment(self, q):
-        sdp = gen.gen_bqp_moment(*gen.random_bqp(q, q))
+        # q = 16 is the benchmark's size; the oracle takes ~0.5 s there
+        Q, c = gen.random_bqp(q, q)
+        if q == 5:
+            Q[0, 1] = Q[1, 0] = c[2] = 0.0  # zeros stay out of C
+        sdp = gen.gen_bqp_moment(Q, c)
         _assert_bitwise(sdp, *_old_bqp(q))
+        C = _old_bqp_cost(Q, c)
+        _assert_same_bytes((sdp.C.rows, sdp.C.cols, sdp.C.vals),
+                           (C.rows, C.cols, C.vals))
+        assert sdp.objective_offset == float(np.trace(Q))
+        assert sdp.manifold is ManifoldKind.UNIT_DIAGONAL
+        assert sdp.objective_sign == 1.0
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_quartic_sphere(self, q):
@@ -217,6 +242,22 @@ class TestConstraintSet:
         A = ConstraintSet(np.int64(3), np.int32(2), [1], [0], [2], [1.0])
         assert len(A) == 2 and A[1].n == 3 and A[0].nnz == 0
 
+    @pytest.mark.parametrize("value", [None, "x", "1.0", 1 + 2j])
+    def test_non_numeric_value_rejected(self, value):
+        # None read as NaN ("NaN or inf"), "x" escaped as a bare ValueError
+        with pytest.raises(ProblemError, match="must be real numbers"):
+            SparseSymMatrix.from_triplets(2, [(0, 0, value)])
+        with pytest.raises(ProblemError, match="must be real numbers"):
+            ConstraintSet(2, 1, [0, 0], [0, 0], [0, 1], [1.0, value])
+
+    def test_real_values_of_any_type_accepted(self):
+        M = SparseSymMatrix.from_triplets(
+            2, [(0, 0, Fraction(1, 4)), (0, 1, 2), (1, 1, np.float32(0.5))])
+        assert M.vals.dtype == float
+        assert M.vals.tolist() == [0.25, 2.0, 0.5]
+        with pytest.raises(ProblemError, match="NaN or inf"):
+            SparseSymMatrix.from_triplets(2, [(0, 0, float("nan"))])
+
     def test_ragged_arrays_rejected(self):
         with pytest.raises(ProblemError, match="differ in length"):
             ConstraintSet(3, 1, [0, 0], [0, 1], [1], [1.0, 2.0])
@@ -252,3 +293,20 @@ def test_completion_retains_little_per_constraint():
         tracemalloc.stop()
     assert sdp.m == m
     assert retained / m < 150
+
+
+@pytest.mark.parametrize("q", [16, 20])
+def test_bqp_build_peak_under_twice_retained(q):
+    # the loop over entries peaked at 624 B per constraint against 134 B
+    # retained at q = 16; the array build stays within twice what it keeps
+    Q, c = gen.random_bqp(q, 0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sdp = gen.gen_bqp_moment(Q, c)
+        retained, peak = (x - before for x in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert sdp.m == {16: 7057, 20: 16361}[q]
+    assert peak <= 2 * retained
+    assert retained / sdp.m < 110

@@ -155,6 +155,24 @@ class TestBqpMoment:
         with pytest.raises(ProblemError):
             gen_bqp_moment(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))
 
+    def test_nan_reported_as_non_finite(self):
+        # np.allclose failed first and called a NaN "Q must be symmetric"
+        Q, c = gen.random_bqp(3, 0)
+        Q[0, 1] = Q[1, 0] = np.nan
+        with pytest.raises(ProblemError, match="NaN or inf"):
+            gen_bqp_moment(Q, c)
+        Q, c = gen.random_bqp(3, 0)
+        c[2] = np.inf
+        with pytest.raises(ProblemError, match="NaN or inf"):
+            gen_bqp_moment(Q, c)
+
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3), ()])
+    def test_c_must_be_one_dimensional(self, shape):
+        # a c of shape (q, 1) built a relaxation without a complaint
+        Q, c = gen.random_bqp(3, 0)
+        with pytest.raises(ProblemError, match=r"c of shape \(q,\)"):
+            gen_bqp_moment(Q, c.reshape(shape) if shape else c[0])
+
 
 def _quartic_moment_vector(q, x):
     v = [1.0]

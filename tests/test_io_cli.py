@@ -392,6 +392,21 @@ class TestCli:
         assert cli_main(["check", str(out)]) == 1
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", [("problem", "A", "index"), ("y",)])
+    def test_check_names_missing_field(self, tmp_path, capsys, path):
+        # a bare KeyError printed only "lrsdp: 'index'"
+        out = tmp_path / "r.json"
+        assert cli_main(["solve", "--generate", "completion", "--s", "2",
+                         "--t", "2", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        out.write_text(json.dumps(doc))
+        assert cli_main(["check", str(out)]) == 1
+        assert f"missing field {path[-1]!r}" in capsys.readouterr().err
+
     def test_type_error_in_solve_is_not_swallowed(self, monkeypatch):
         def broken(sdp, opts):
             raise TypeError("bug")
