@@ -206,10 +206,11 @@ def gen_bqp_moment(Q, c):
 
     A = _bqp_constraints(q)
     n = A.n
-    # x_i x_j (i < j) is basis element q + 1 + k for the k-th pair
-    cost = [_entry_triplet(0, q + 1 + k, 2.0 * Q[i, j])
-            for k, (i, j) in enumerate(combinations(range(q), 2)) if Q[i, j]]
-    cost += [_entry_triplet(0, 1 + i, c[i]) for i in range(q) if c[i]]
+    # x_i x_j (i < j) is basis element q + 1 + k for the k-th pair; row 0
+    # in column order, so C needs no sort
+    cost = [_entry_triplet(0, 1 + i, c[i]) for i in range(q) if c[i]]
+    cost += [_entry_triplet(0, q + 1 + k, 2.0 * Q[i, j])
+             for k, (i, j) in enumerate(combinations(range(q), 2)) if Q[i, j]]
     C = SparseSymMatrix.from_triplets(n, cost) if cost \
         else SparseSymMatrix.from_triplets(n, [(0, 0, 0.0)])
     b = np.zeros(A.m)

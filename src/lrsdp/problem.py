@@ -100,6 +100,14 @@ class SparseSymMatrix:
         return csr
 
 
+def _in_order(index, rows, cols):
+    """Whether the triplets are sorted by (index, row, col), ties allowed,
+    by comparing neighbours: linear time, and boolean temporaries only."""
+    i0, i1, r0, r1 = index[:-1], index[1:], rows[:-1], rows[1:]
+    return bool(np.all((i0 < i1) | ((i0 == i1) & (
+        (r0 < r1) | ((r0 == r1) & (cols[:-1] <= cols[1:]))))))
+
+
 class ConstraintSet:
     """The m constraint matrices as one list of upper-triangular triplets,
     sorted by (matrix, row, col): A_k holds entry (rows[t], cols[t]) =
@@ -142,8 +150,8 @@ class ConstraintSet:
                               and np.all(rows <= cols)):
             raise ProblemError("triplet index out of range or below the "
                                "diagonal: need 0 <= row <= col < n")
-        order = np.lexsort((cols, rows, index))
-        if np.any(order[1:] < order[:-1]):  # sorted input is not copied
+        if not _in_order(index, rows, cols):  # sorted input is not copied
+            order = np.lexsort((cols, rows, index))
             index, rows, cols, vals = (a[order]
                                        for a in (index, rows, cols, vals))
         if np.any((index[1:] == index[:-1]) & (rows[1:] == rows[:-1])
@@ -254,15 +262,41 @@ class SdpProblem:
         return self._pos
 
     def _adjoint_map(self):
+        """The (m, n*n) CSR map whose row k is vec(A_k): every triplet at
+        its flat position r n + c, an off-diagonal one also at c n + r,
+        with scipy's index dtype and column indices sorted in each row.
+
+        Built in place, with no COO copy: row k takes its triplets in
+        order, then their mirrors, and scipy sorts each row, which gives
+        the arrays of scipy's own COO conversion bit for bit."""
         if self._adj is None:
-            A = self.A
+            A, n, m = self.A, self.n, self.m
             off = A.rows != A.cols
-            r = np.concatenate([A.rows, A.cols[off]])
-            c = np.concatenate([A.cols, A.rows[off]])
-            v = np.concatenate([A.vals, A.vals[off]])
-            k = np.concatenate([A.index, A.index[off]])
-            self._adj = sp.csr_matrix(
-                (v, (k, r * self.n + c)), shape=(self.m, self.n * self.n))
+            t = A.rows.size
+            size = t + np.count_nonzero(off)
+            idx = np.int32 if max(m, n * n, size) \
+                <= np.iinfo(np.int32).max else np.int64
+            indptr = np.zeros(m + 1, idx)  # first the mirrors before row k
+            np.cumsum(np.bincount(A.index[off], minlength=m), out=indptr[1:])
+            indices, data = np.empty(size, idx), np.empty(size)
+            # triplet i goes to i + the mirrors of the rows before its own
+            dest = indptr[A.index]
+            dest += np.arange(t, dtype=idx)
+            pos = np.multiply(A.rows, n, dtype=idx)
+            pos += A.cols
+            indices[dest], data[dest] = pos, A.vals
+            del dest, pos
+            # mirror j goes to j + the triplets of the rows up to its own
+            dest = A.start[1:][A.index[off]].astype(idx)
+            dest += np.arange(size - t, dtype=idx)
+            pos = np.multiply(A.cols[off], n, dtype=idx)
+            pos += A.rows[off]
+            indices[dest], data[dest] = pos, A.vals[off]
+            del dest, pos
+            indptr += A.start
+            self._adj = sp.csr_matrix((data, indices, indptr),
+                                      shape=(m, n * n))
+            self._adj.sort_indices()
         return self._adj
 
     def _adjoint_map_T(self):

@@ -14,6 +14,9 @@ _ARMIJO_FACTOR = 0.5
 _ARMIJO_MAX_BACKTRACKS = 40
 _RADIUS_COLLAPSE = 1e-14
 _RHO_PRIME = 0.1  # a step is accepted when its decrease ratio exceeds this
+# radius factor after a rejected step; a power of two, so the retry radius
+# after k rejections is exactly radius * _SHRINK**k
+_SHRINK = 0.25
 
 
 @dataclass
@@ -27,7 +30,8 @@ def _inner(A, B):
     return float(np.dot(A.ravel(), B.ravel()))
 
 
-def tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None):
+def tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None,
+        retries=None):
     """Truncated CG (Steihaug-Toint) for the trust-region model.
 
     Minimizes m(s) = <grad, s> + 0.5 <s, H s> over ||s|| <= radius,
@@ -35,11 +39,29 @@ def tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None):
     ||r|| <= ||r0|| * min(kappa, ||r0||^theta). Returns
     ``(step, reason, model)`` with ``model`` = m(step), taken from H step
     tracked alongside the iterate, so callers need no further product.
+
+    Until it stops, the CG path does not depend on the radius, so a run at
+    a smaller radius stops on the same path: at the first step that meets
+    negative curvature or crosses that radius, else where this run stops.
+    Given a dict ``retries``, tCG fills it with one stop record for every
+    radius ``radius * _SHRINK**k >= _RADIUS_COLLAPSE`` (k >= 1), and
+    ``_answer(grad, retries[r], r)`` returns, bit for bit and with no
+    Hessian product, what this call with radius r would return. A record
+    holds references to the arrays of the path, not copies: tCG never
+    writes into an array once it is made, nor into a product ``hess_vec``
+    returned, and a caller must not write into a returned step, which can
+    be one of them.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if max_iters is None:
         max_iters = grad.size
+    pending = []  # retry radii the path has not crossed yet
+    if retries is not None:
+        level = radius * _SHRINK
+        while level >= _RADIUS_COLLAPSE:
+            pending.append(level)
+            level *= _SHRINK
     eta = np.zeros_like(grad)
     Heta = np.zeros_like(grad)
     r = grad.copy()
@@ -49,8 +71,11 @@ def tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None):
     target = r0_norm * min(kappa, r0_norm ** theta)
     e_norm2 = 0.0
 
-    def result(s, Hs, reason):
-        return s, reason, _inner(grad, s) + 0.5 * _inner(s, Hs)
+    def stop(record):
+        # every retry radius still pending stops where this run stops
+        if retries is not None:
+            retries.update(dict.fromkeys(pending, record))
+        return _answer(grad, record, radius)
 
     for _ in range(max_iters):
         Hd = hess_vec(d)
@@ -58,24 +83,39 @@ def tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None):
         e_d = _inner(eta, d)
         d_norm2 = _inner(d, d)
         if dHd <= 0:
-            tau = _boundary_step(e_norm2, e_d, d_norm2, radius)
-            return result(eta + tau * d, Heta + tau * Hd,
-                          "negative-curvature")
+            return stop(("negative-curvature", eta, Heta, d, Hd,
+                         e_norm2, e_d, d_norm2))
         alpha = rr / dHd
         new_e_norm2 = e_norm2 + 2 * alpha * e_d + alpha * alpha * d_norm2
+        boundary = ("boundary", eta, Heta, d, Hd, e_norm2, e_d, d_norm2)
         if new_e_norm2 >= radius * radius:
-            tau = _boundary_step(e_norm2, e_d, d_norm2, radius)
-            return result(eta + tau * d, Heta + tau * Hd, "boundary")
+            return stop(boundary)
+        crossed = [level for level in pending
+                   if new_e_norm2 >= level * level]
+        if crossed:
+            retries.update(dict.fromkeys(crossed, boundary))
+            pending = [level for level in pending if level not in crossed]
         eta = eta + alpha * d
         Heta = Heta + alpha * Hd
         e_norm2 = new_e_norm2
         r = r + alpha * Hd
         rr_new = _inner(r, r)
         if np.sqrt(rr_new) <= target:
-            return result(eta, Heta, "converged")
+            return stop(("converged", eta, Heta, None, None, 0.0, 0.0, 0.0))
         d = -r + (rr_new / rr) * d
         rr = rr_new
-    return result(eta, Heta, "max-cg-iters")
+    return stop(("max-cg-iters", eta, Heta, None, None, 0.0, 0.0, 0.0))
+
+
+def _answer(grad, record, radius):
+    """tCG's ``(step, reason, model)`` at ``radius`` from a stop record
+    ``(reason, eta, Heta, d, Hd, e_norm2, e_d, d_norm2)``: eta itself when
+    d is None, else the point where eta + tau d leaves the radius."""
+    reason, eta, Heta, d, Hd, e_norm2, e_d, d_norm2 = record
+    if d is not None:
+        tau = _boundary_step(e_norm2, e_d, d_norm2, radius)
+        eta, Heta = eta + tau * d, Heta + tau * Hd
+    return eta, reason, _inner(grad, eta) + 0.5 * _inner(eta, Heta)
 
 
 def _boundary_step(e_norm2, e_d, d_norm2, radius):
@@ -115,8 +155,14 @@ def minimize(model, point, grad_tol, max_iters, warm_dir=None,
     0.1 sqrt(n p), capped at ten times that. A supplied warm direction is
     consumed by an Armijo line search before the trust-region loop starts.
     Hessian products run only inside tCG, with its default truncation; the
-    predicted decrease of a step is tCG's model value. No trust-region step
-    starts once ``time.perf_counter()`` has passed ``deadline``.
+    predicted decrease of a step is tCG's model value. A rejected step
+    shrinks the radius by ``_SHRINK`` and retries from the same point, with
+    the same gradient: the retry's step is taken from the stop records of
+    the tCG run already made there, bit for bit what a new run would
+    return, with no Hessian product; the records are dropped when a step
+    is accepted. Every retry still counts as a trust-region step. No
+    trust-region step starts once ``time.perf_counter()`` has passed
+    ``deadline``.
     """
     n, p = point.Y.shape
     radius = 0.1 * np.sqrt(n * p)
@@ -131,6 +177,7 @@ def minimize(model, point, grad_tol, max_iters, warm_dir=None,
 
     iters = 0
     reason = "max-iters"
+    retries = {}  # tCG's stop records at the current point, by radius
     gradnorm = np.sqrt(_inner(state.grad, state.grad))
     best_point, best_cost, best_gradnorm = point, state.cost, gradnorm
     while iters < max_iters:
@@ -144,25 +191,31 @@ def minimize(model, point, grad_tol, max_iters, warm_dir=None,
             reason = "time-limit"
             break
         iters += 1
-        step, _stop, model_value = tcg(state.grad, state.hess_vec, radius)
+        if radius in retries:
+            step, _stop, model_value = _answer(state.grad, retries[radius],
+                                               radius)
+        else:
+            step, _stop, model_value = tcg(state.grad, state.hess_vec,
+                                           radius, retries=retries)
         step_norm = np.sqrt(_inner(step, step))
         pred = -model_value
         try:
             trial = retract(point, step)
             trial_cost = model.cost(trial)
         except RetractionError:
-            radius *= 0.25
+            radius *= _SHRINK
             continue
         # regularized ratio; near the noise floor rho ~ 1 and the
         # (noise-scale) step is accepted rather than spinning in place
         reg = 1e-13 * max(1.0, abs(state.cost))
         rho = (state.cost - trial_cost + reg) / (pred + reg)
         if rho < 0.25:
-            radius *= 0.25
+            radius *= _SHRINK
         elif rho > 0.75 and step_norm >= 0.99 * radius:
             radius = min(2.0 * radius, max_radius)
         if rho > _RHO_PRIME:
             point = trial
+            retries = {}
             state = model.at(point)
             gradnorm = np.sqrt(_inner(state.grad, state.grad))
             if state.cost <= best_cost:

@@ -310,3 +310,68 @@ def test_bqp_build_peak_under_twice_retained(q):
     assert sdp.m == {16: 7057, 20: 16361}[q]
     assert peak <= 2 * retained
     assert retained / sdp.m < 110
+
+
+def _old_order(index, rows, cols, vals):
+    """The arrays ConstraintSet keeps, as the full lexsort decided them:
+    the input itself when the sort leaves it in place, else sorted copies."""
+    order = np.lexsort((cols, rows, index))
+    if np.any(order[1:] < order[:-1]):
+        return tuple(a[order] for a in (index, rows, cols, vals))
+    return index, rows, cols, vals
+
+
+class TestSortedness:
+    def test_array_generators_build_without_a_sort(self, monkeypatch):
+        # the array-built generators hand over sorted triplets, C included;
+        # Max-Cut and the quartic take C and their constraints in the
+        # caller's order, which ConstraintSet sorts
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.lexsort called")
+        Q, c = gen.random_bqp(8, 0)
+        _, entries = gen.random_completion(7, 5, 2, 20, 0)
+        monkeypatch.setattr(np, "lexsort", no_sort)
+        assert gen.gen_bqp_moment(Q, c).m == 569
+        assert gen.gen_matrix_completion(7, 5, entries).m == 20
+
+    @pytest.mark.parametrize("case", ["sorted", "reversed", "last-swapped",
+                                      "shuffled", "ties"])
+    def test_same_arrays_and_copies_as_a_full_sort(self, case, rng):
+        n, m, size = 5, 4, 30
+        index = rng.integers(0, m, size)
+        rows = rng.integers(0, n, size)
+        cols = rng.integers(0, n, size)
+        rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
+        # one entry per (matrix, position): duplicates are a separate case
+        key = np.unique((index * n + rows) * n + cols)
+        index, rest = np.divmod(key, n * n)
+        rows, cols = np.divmod(rest, n)
+        vals = rng.standard_normal(index.size)
+        perm = {"sorted": np.arange(index.size),
+                "reversed": np.arange(index.size)[::-1],
+                "last-swapped": np.r_[np.arange(index.size - 2),
+                                      index.size - 1, index.size - 2],
+                "shuffled": rng.permutation(index.size),
+                # equal (matrix, row), columns out of order
+                "ties": np.arange(index.size)}[case]
+        t = [np.ascontiguousarray(a[perm]) for a in (index, rows, cols, vals)]
+        if case == "ties":
+            t = [np.array([0, 0, 1, 1]), np.array([1, 1, 0, 0]),
+                 np.array([3, 2, 0, 1]), np.array([1.0, 2.0, 3.0, 4.0])]
+        A = ConstraintSet(n, m, *t)
+        want = _old_order(*t)
+        _assert_same_bytes((A.index, A.rows, A.cols, A.vals), want)
+        for got, given, old in zip((A.index, A.rows, A.cols, A.vals), t,
+                                   want):
+            assert (got is given) == (old is given)
+
+    @pytest.mark.parametrize("triplets", [
+        ([0, 0], [1, 1], [2, 2]),             # sorted, equal neighbours
+        ([1, 0, 1], [0, 0, 0], [2, 1, 2]),     # unsorted, apart
+    ])
+    def test_duplicates_rejected_either_way(self, triplets):
+        index, rows, cols = (np.array(a) for a in triplets)
+        with pytest.raises(ProblemError,
+                           match=r"^duplicate \(row, col\) entry in one "
+                                 r"matrix$"):
+            ConstraintSet(3, 2, index, rows, cols, np.ones(index.size))

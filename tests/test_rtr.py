@@ -7,9 +7,9 @@ import pytest
 
 from lrsdp import generators, manifolds, rtr
 from lrsdp.alm import SolverOptions, solve
-from lrsdp.manifolds import FactorPoint
+from lrsdp.manifolds import FactorPoint, RetractionError, retract
 from lrsdp.problem import ManifoldKind
-from lrsdp.rtr import minimize, tcg
+from lrsdp.rtr import RtrReport, minimize, tcg
 
 
 class _QuadraticModel:
@@ -35,6 +35,85 @@ class _QuadraticModel:
                 return (model.H @ U[:, 0])[:, None]
 
         return State()
+
+
+def _old_minimize(model, point, grad_tol, max_iters):
+    """The trust-region loop that runs tCG afresh after every rejected
+    step (no warm direction, no deadline): the oracle of the retry."""
+    n, p = point.Y.shape
+    radius = 0.1 * np.sqrt(n * p)
+    max_radius = 10.0 * radius
+    state = model.at(point)
+    iters = 0
+    reason = "max-iters"
+    gradnorm = np.sqrt(rtr._inner(state.grad, state.grad))
+    best_point, best_cost, best_gradnorm = point, state.cost, gradnorm
+    while iters < max_iters:
+        if gradnorm <= grad_tol:
+            reason = "tolerance"
+            break
+        if radius < rtr._RADIUS_COLLAPSE:
+            reason = "radius-collapse"
+            break
+        iters += 1
+        step, _stop, model_value = tcg(state.grad, state.hess_vec, radius)
+        step_norm = np.sqrt(rtr._inner(step, step))
+        pred = -model_value
+        try:
+            trial = retract(point, step)
+            trial_cost = model.cost(trial)
+        except RetractionError:
+            radius *= 0.25
+            continue
+        reg = 1e-13 * max(1.0, abs(state.cost))
+        rho = (state.cost - trial_cost + reg) / (pred + reg)
+        if rho < 0.25:
+            radius *= 0.25
+        elif rho > 0.75 and step_norm >= 0.99 * radius:
+            radius = min(2.0 * radius, max_radius)
+        if rho > rtr._RHO_PRIME:
+            point = trial
+            state = model.at(point)
+            gradnorm = np.sqrt(rtr._inner(state.grad, state.grad))
+            if state.cost <= best_cost:
+                best_point, best_cost = point, state.cost
+                best_gradnorm = gradnorm
+    if gradnorm <= grad_tol:
+        reason = "tolerance"
+    elif state.cost > best_cost:
+        point, gradnorm = best_point, best_gradnorm
+    return point, RtrReport(gradnorm=float(gradnorm), iterations=iters,
+                            reason=reason)
+
+
+class _LoggedModel:
+    """A quadratic whose Hessian products under-report its curvature
+    ``scale``-fold, so tCG overshoots and steps are rejected; every call
+    is logged in order as "at", "cost" or "hess_vec"."""
+
+    def __init__(self, H, g, scale):
+        self.quadratic = _QuadraticModel(H, g)
+        self.scale = scale
+        self.log = []
+
+    def cost(self, point):
+        self.log.append("cost")
+        return self.quadratic.cost(point)
+
+    def at(self, point):
+        self.log.append("at")
+        state = self.quadratic.at(point)
+        model = self
+
+        class Logged:
+            cost = state.cost
+            grad = state.grad
+
+            def hess_vec(self, U):
+                model.log.append("hess_vec")
+                return state.hess_vec(U) / model.scale
+
+        return Logged()
 
 
 class TestTcg:
@@ -100,6 +179,36 @@ class TestTcg:
     def test_bad_radius(self):
         with pytest.raises(ValueError):
             tcg(np.ones((2, 1)), lambda U: U, radius=0.0)
+
+    def test_recorded_retries_equal_fresh_runs(self, rng):
+        # every radius R 4^-k that minimize can retry at is recorded, and
+        # its record gives what a fresh run at that radius returns, bit for
+        # bit, whatever stop the fresh run makes
+        seen = set()
+        for trial in range(80):
+            n = int(rng.integers(2, 10))
+            Q = rng.standard_normal((n, n))
+            H = Q @ Q.T + 0.1 * np.eye(n) if trial % 2 else 0.5 * (Q + Q.T)
+            g = rng.standard_normal((n, 2))
+            radius = float(10.0 ** rng.uniform(-2.0, 2.0))
+            kw = {"max_iters": int(rng.integers(1, n))} if trial % 5 == 0 \
+                else {"kappa": 1e-3}
+            retries = {}
+            tcg(g, lambda U: H @ U, radius, retries=retries, **kw)
+            levels, level = [], radius / 4
+            while level >= rtr._RADIUS_COLLAPSE:
+                levels.append(level)
+                level /= 4
+            assert sorted(retries, reverse=True) == levels
+            for k in range(1, 5):
+                level = radius * 4.0 ** -k
+                step, reason, model = rtr._answer(g, retries[level], level)
+                want = tcg(g, lambda U: H @ U, level, **kw)
+                assert np.array_equal(step, want[0])
+                assert reason == want[1] and model == want[2]
+                seen.add(reason)
+        assert seen == {"boundary", "negative-curvature", "converged",
+                        "max-cg-iters"}
 
 
 class TestMinimize:
@@ -171,11 +280,11 @@ class TestMinimize:
             state.hess_vec = counted
             return state
 
-        def counted_tcg(grad, hess_vec, *args):
+        def counted_tcg(grad, hess_vec, *args, **kwargs):
             def counted(U):
                 calls["tcg"] += 1
                 return hess_vec(U)
-            return tcg(grad, counted, *args)
+            return tcg(grad, counted, *args, **kwargs)
 
         monkeypatch.setattr(model, "at", counted_at)
         monkeypatch.setattr(rtr, "tcg", counted_tcg)
@@ -184,6 +293,37 @@ class TestMinimize:
         assert report.iterations > 1
         assert calls["tcg"] > 0
         assert calls["model"] == calls["tcg"]
+
+    def test_retry_runs_no_hessian_product(self, rng):
+        # a rejected step is retried from the records of the tCG run at the
+        # same point; the iterates and the report are the old loop's
+        # near the minimizer, where a model of a hundredth of the curvature
+        # sends tCG to the boundary uphill
+        H = np.diag(np.linspace(1.0, 30.0, 10))
+        g = rng.standard_normal(10)
+        y = -g / np.diag(H) + 1e-2 * rng.standard_normal(10)
+        start = FactorPoint(y[:, None], ManifoldKind.FREE)
+        old_model, model = (_LoggedModel(H, g, 100.0) for _ in range(2))
+        want_point, want = _old_minimize(old_model, start, 1e-9, 60)
+        point, report = minimize(model, start, 1e-9, 60)
+        assert point.Y.tobytes() == want_point.Y.tobytes()
+        assert report == want
+        # a retry is a cost evaluation with no "at" since the previous one
+        steps = [e for e in model.log if e != "hess_vec"]
+        assert steps[:3] == ["at", "cost", "cost"]  # first step rejected
+        retries, products, moved = 0, 0, True
+        for event in model.log[1:]:
+            if event == "cost":
+                if not moved:
+                    retries += 1
+                    assert products == 0
+                products, moved = 0, False
+            elif event == "at":
+                moved = True
+            else:
+                products += 1
+        assert retries >= 3
+        assert model.log.count("hess_vec") < old_model.log.count("hess_vec")
 
     def test_sphere_rayleigh_quotient(self, rng):
         # min <Y, H Y> on the unit sphere = smallest eigenvalue of H
@@ -225,8 +365,8 @@ def test_bqp_tcg_never_hits_the_iteration_cap(monkeypatch):
     # space sends CG to its cap of one product per tangent dimension
     stops = []
 
-    def recorded_tcg(*args):
-        out = tcg(*args)
+    def recorded_tcg(*args, **kwargs):
+        out = tcg(*args, **kwargs)
         stops.append(out[1])
         return out
 

@@ -1,0 +1,77 @@
+"""Check that this checkout and another solve the benchmark bit for bit alike.
+
+    python tools/same_iterates.py PARENT_CHECKOUT
+
+Solves the benchmark instances, ``bqp-moment`` 0-1 and ``completion`` 0-3
+as perfbench's ``WORKLOADS`` defines them, with the sources of this checkout
+and of PARENT_CHECKOUT. Each solve runs in its own subprocess with one BLAS
+thread. Compared: every trace column except ``time``, the bytes of Y, y, z
+and S, lambda_min and lambda_max, the objective and the status. Prints one
+line per instance and exits 1 on any difference.
+"""
+
+import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+INSTANCES = [("bqp-moment", i) for i in range(2)] \
+    + [("completion", i) for i in range(4)]
+
+
+def fingerprint(workload, index):
+    """Digest of every compared field of one solve, by field name."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import harness
+    import lrsdp
+    w = harness.WORKLOADS[workload]
+    sol = lrsdp.solve(w.build(w.inputs(w.params, index)),
+                      lrsdp.SolverOptions(seed=index))
+    trace = [[v for k, v in dataclasses.asdict(t).items() if k != "time"]
+             for t in sol.trace]
+    arrays = {"Y": sol.Y.Y, "y": sol.y, "z": sol.z, "S": sol.S.dense}
+    fields = {name: repr((a.dtype.str, a.shape)).encode() + a.tobytes()
+              for name, a in arrays.items()}
+    fields.update({
+        "trace": repr(trace).encode(),
+        "lambda": repr((sol.lambda_min, sol.lambda_max)).encode(),
+        "objective": repr(sol.objective).encode(),
+        "status": sol.status.encode()})
+    return {k: hashlib.sha256(v).hexdigest() for k, v in fields.items()}
+
+
+def solve_in(tree, workload, index):
+    """The fingerprint of one solve with the sources of ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, __file__, "--worker", workload, str(index)],
+        env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def main(argv):
+    if len(argv) == 3 and argv[0] == "--worker":
+        print(json.dumps(fingerprint(argv[1], int(argv[2]))))
+        return 0
+    if len(argv) != 1 or not (Path(argv[0]) / "src" / "lrsdp").is_dir():
+        print(__doc__.strip().split("\n\n")[1].strip(), file=sys.stderr)
+        return 2
+    differs = False
+    for workload, index in INSTANCES:
+        ours = solve_in(ROOT, workload, index)
+        theirs = solve_in(argv[0], workload, index)
+        diff = [k for k in ours if ours[k] != theirs.get(k)]
+        differs = differs or bool(diff)
+        print(f"{workload} {index}: "
+              + ("differs in " + ", ".join(diff) if diff else "identical"))
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
