@@ -14,6 +14,9 @@ _ARMIJO_FACTOR = 0.5
 _ARMIJO_MAX_BACKTRACKS = 40
 _RADIUS_COLLAPSE = 1e-14
 _RHO_PRIME = 0.1  # a step is accepted when its decrease ratio exceeds this
+# tCG's residual floor as a fraction of minimize's grad_tol; below 1, since
+# minimize runs tCG only when ||grad|| > grad_tol, so no run starts at it
+_FLOOR = 0.5
 # radius factor after a rejected step; a power of two, so the retry radius
 # after k rejections is exactly radius * _SHRINK**k
 _SHRINK = 0.25
@@ -31,18 +34,25 @@ def _inner(A, B):
 
 
 def tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None,
-        retries=None):
+        floor=0.0, retries=None):
     """Truncated CG (Steihaug-Toint) for the trust-region model.
 
     Minimizes m(s) = <grad, s> + 0.5 <s, H s> over ||s|| <= radius,
     stopping on negative curvature, the boundary, or the residual rule
-    ||r|| <= ||r0|| * min(kappa, ||r0||^theta). Returns
-    ``(step, reason, model)`` with ``model`` = m(step), taken from H step
-    tracked alongside the iterate, so callers need no further product.
+    ||r|| <= max(||r0|| * min(kappa, ||r0||^theta), floor), where
+    r = grad + H s is the model's gradient at the iterate s. The floor is
+    an inexact-Newton forcing term (Eisenstat and Walker 1996): once the
+    model gradient is below it, further CG steps buy accuracy the caller
+    does not need. An iterate s = 0 that already meets the rule (a zero
+    gradient, or ||grad|| <= floor) is returned as "converged" with model
+    0.0 and no Hessian product. Returns ``(step, reason, model)`` with
+    ``model`` = m(step), taken from H step tracked alongside the iterate,
+    so callers need no further product.
 
-    Until it stops, the CG path does not depend on the radius, so a run at
-    a smaller radius stops on the same path: at the first step that meets
-    negative curvature or crosses that radius, else where this run stops.
+    Until it stops, the CG path does not depend on the radius, and neither
+    does the stop rule (the floor included), so a run at a smaller radius
+    stops on the same path: at the first step that meets negative
+    curvature or crosses that radius, else where this run stops.
     Given a dict ``retries``, tCG fills it with one stop record for every
     radius ``radius * _SHRINK**k >= _RADIUS_COLLAPSE`` (k >= 1), and
     ``_answer(grad, retries[r], r)`` returns, bit for bit and with no
@@ -68,7 +78,7 @@ def tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None,
     d = -r
     rr = _inner(r, r)
     r0_norm = np.sqrt(rr)
-    target = r0_norm * min(kappa, r0_norm ** theta)
+    target = max(r0_norm * min(kappa, r0_norm ** theta), floor)
     e_norm2 = 0.0
 
     def stop(record):
@@ -77,6 +87,8 @@ def tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None,
             retries.update(dict.fromkeys(pending, record))
         return _answer(grad, record, radius)
 
+    if r0_norm <= target:
+        return stop(("converged", eta, Heta, None, None, 0.0, 0.0, 0.0))
     for _ in range(max_iters):
         Hd = hess_vec(d)
         dHd = _inner(d, Hd)
@@ -154,15 +166,20 @@ def minimize(model, point, grad_tol, max_iters, warm_dir=None,
     At most ``max_iters`` trust-region steps are taken, from the radius
     0.1 sqrt(n p), capped at ten times that. A supplied warm direction is
     consumed by an Armijo line search before the trust-region loop starts.
-    Hessian products run only inside tCG, with its default truncation; the
-    predicted decrease of a step is tCG's model value. A rejected step
-    shrinks the radius by ``_SHRINK`` and retries from the same point, with
-    the same gradient: the retry's step is taken from the stop records of
-    the tCG run already made there, bit for bit what a new run would
-    return, with no Hessian product; the records are dropped when a step
-    is accepted. Every retry still counts as a trust-region step. No
-    trust-region step starts once ``time.perf_counter()`` has passed
-    ``deadline``.
+    Hessian products run only inside tCG, with its default truncation and
+    the residual floor ``_FLOOR * grad_tol``: tCG stops once the model's
+    gradient is at or below half the tolerance, since a smaller one buys
+    accuracy this solve does not need. The floor is below grad_tol, so a
+    tCG run never starts at it, and it does not depend on the radius, so
+    the retry records below stay exact. The loop itself still stops only
+    on the true ||grad|| <= grad_tol. The predicted decrease of a step is
+    tCG's model value. A rejected step shrinks the radius by ``_SHRINK``
+    and retries from the same point, with the same gradient: the retry's
+    step is taken from the stop records of the tCG run already made
+    there, bit for bit what a new run would return, with no Hessian
+    product; the records are dropped when a step is accepted. Every retry
+    still counts as a trust-region step. No trust-region step starts once
+    ``time.perf_counter()`` has passed ``deadline``.
     """
     n, p = point.Y.shape
     radius = 0.1 * np.sqrt(n * p)
@@ -196,7 +213,8 @@ def minimize(model, point, grad_tol, max_iters, warm_dir=None,
                                                radius)
         else:
             step, _stop, model_value = tcg(state.grad, state.hess_vec,
-                                           radius, retries=retries)
+                                           radius, floor=_FLOOR * grad_tol,
+                                           retries=retries)
         step_norm = np.sqrt(_inner(step, step))
         pred = -model_value
         try:

@@ -1,6 +1,8 @@
 """Trust-region inner solver: tCG oracles and minimization behavior."""
 
+import dataclasses
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from lrsdp import generators, manifolds, rtr
 from lrsdp.alm import SolverOptions, solve
 from lrsdp.manifolds import FactorPoint, RetractionError, retract
-from lrsdp.problem import ManifoldKind
+from lrsdp.problem import ManifoldKind, SdpProblem
 from lrsdp.rtr import RtrReport, minimize, tcg
 
 
@@ -84,6 +86,57 @@ def _old_minimize(model, point, grad_tol, max_iters):
         point, gradnorm = best_point, best_gradnorm
     return point, RtrReport(gradnorm=float(gradnorm), iterations=iters,
                             reason=reason)
+
+
+def _old_tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None,
+              norms=None):
+    """Steihaug-Toint tCG with the residual rule alone, no floor and no
+    retry records: the oracle of a zero floor. Appends the residual norm of
+    every CG iterate it reaches to ``norms`` when given."""
+    if max_iters is None:
+        max_iters = grad.size
+    eta, Heta = np.zeros_like(grad), np.zeros_like(grad)
+    r = grad.copy()
+    d = -r
+    rr = rtr._inner(r, r)
+    r0_norm = np.sqrt(rr)
+    target = r0_norm * min(kappa, r0_norm ** theta)
+    e_norm2 = 0.0
+
+    def result(s, Hs, reason):
+        return s, reason, rtr._inner(grad, s) + 0.5 * rtr._inner(s, Hs)
+
+    for _ in range(max_iters):
+        Hd = hess_vec(d)
+        dHd = rtr._inner(d, Hd)
+        e_d = rtr._inner(eta, d)
+        d_norm2 = rtr._inner(d, d)
+        alpha = rr / dHd if dHd > 0 else 0.0
+        new_e_norm2 = e_norm2 + 2 * alpha * e_d + alpha * alpha * d_norm2
+        if dHd <= 0 or new_e_norm2 >= radius * radius:
+            tau = rtr._boundary_step(e_norm2, e_d, d_norm2, radius)
+            return result(eta + tau * d, Heta + tau * Hd,
+                          "boundary" if dHd > 0 else "negative-curvature")
+        eta = eta + alpha * d
+        Heta = Heta + alpha * Hd
+        e_norm2 = new_e_norm2
+        r = r + alpha * Hd
+        rr_new = rtr._inner(r, r)
+        if norms is not None:
+            norms.append(np.sqrt(rr_new))
+        if np.sqrt(rr_new) <= target:
+            return result(eta, Heta, "converged")
+        d = -r + (rr_new / rr) * d
+        rr = rr_new
+    return result(eta, Heta, "max-cg-iters")
+
+
+def _counted(hess_vec, calls):
+    """``hess_vec`` that appends each argument to the list ``calls``."""
+    def counted(U):
+        calls.append(U)
+        return hess_vec(U)
+    return counted
 
 
 class _LoggedModel:
@@ -180,11 +233,50 @@ class TestTcg:
         with pytest.raises(ValueError):
             tcg(np.ones((2, 1)), lambda U: U, radius=0.0)
 
+    @pytest.mark.parametrize("grad,floor", [
+        (np.zeros((3, 2)), 0.0),
+        (np.full((3, 2), 0.1), 1.0),  # ||grad|| ~ 0.245 is below the floor
+    ])
+    def test_start_at_target_returns_zero_step(self, grad, floor):
+        # the zero step already meets the stop rule: no product, no NaN
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step, reason, model = tcg(grad, _counted(lambda U: U, calls),
+                                      1.0, floor=floor)
+        assert reason == "converged" and model == 0.0 and not calls
+        assert step.shape == grad.shape and not step.any()
+
+    def test_floor_stops_at_first_iterate_below_it(self):
+        # on an SPD diagonal quadratic, a floor equal to the residual of
+        # CG iterate j stops tCG "converged" at the first iterate at or
+        # below it, with that iterate's bits and one product per iterate
+        H = np.linspace(1.0, 100.0, 40)[:, None]
+        g = np.ones((40, 1))
+        norms, plain = [], []
+        want = _old_tcg(g, _counted(lambda U: H * U, plain), 1e6,
+                        norms=norms)
+        assert want[1] == "converged"
+        target = np.sqrt(40.0) * 0.1
+        above = [k for k, rho in enumerate(norms) if rho > target]
+        assert len(above) >= 4
+        for j in above[1:]:
+            floor = norms[j]
+            first = min(k for k, rho in enumerate(norms) if rho <= floor)
+            calls = []
+            step, reason, _ = tcg(g, _counted(lambda U: H * U, calls), 1e6,
+                                  floor=floor)
+            assert reason == "converged"
+            assert len(calls) == first + 1 < len(plain)
+            capped = _old_tcg(g, lambda U: H * U, 1e6, max_iters=first + 1)
+            assert np.array_equal(step, capped[0])
+
     def test_recorded_retries_equal_fresh_runs(self, rng):
         # every radius R 4^-k that minimize can retry at is recorded, and
         # its record gives what a fresh run at that radius returns, bit for
-        # bit, whatever stop the fresh run makes
-        seen = set()
+        # bit, whatever stop the fresh run makes, with or without a floor;
+        # with a zero floor, the fresh run is the residual rule's alone
+        seen, floor_seen = set(), set()
         for trial in range(80):
             n = int(rng.integers(2, 10))
             Q = rng.standard_normal((n, n))
@@ -193,8 +285,11 @@ class TestTcg:
             radius = float(10.0 ** rng.uniform(-2.0, 2.0))
             kw = {"max_iters": int(rng.integers(1, n))} if trial % 5 == 0 \
                 else {"kappa": 1e-3}
+            floor = float(np.linalg.norm(g) * rng.uniform(0.01, 0.5)) \
+                if trial % 3 == 0 else 0.0
             retries = {}
-            tcg(g, lambda U: H @ U, radius, retries=retries, **kw)
+            tcg(g, lambda U: H @ U, radius, floor=floor, retries=retries,
+                **kw)
             levels, level = [], radius / 4
             while level >= rtr._RADIUS_COLLAPSE:
                 levels.append(level)
@@ -203,12 +298,17 @@ class TestTcg:
             for k in range(1, 5):
                 level = radius * 4.0 ** -k
                 step, reason, model = rtr._answer(g, retries[level], level)
-                want = tcg(g, lambda U: H @ U, level, **kw)
+                want = tcg(g, lambda U: H @ U, level, floor=floor, **kw)
                 assert np.array_equal(step, want[0])
                 assert reason == want[1] and model == want[2]
-                seen.add(reason)
+                if not floor:
+                    old = _old_tcg(g, lambda U: H @ U, level, **kw)
+                    assert np.array_equal(step, old[0])
+                    assert (reason, model) == old[1:]
+                (floor_seen if floor else seen).add(reason)
         assert seen == {"boundary", "negative-curvature", "converged",
                         "max-cg-iters"}
+        assert {"boundary", "converged"} <= floor_seen
 
 
 class TestMinimize:
@@ -375,3 +475,34 @@ def test_bqp_tcg_never_hits_the_iteration_cap(monkeypatch):
                 SolverOptions(seed=0))
     assert sol.status == "converged"
     assert stops and "max-cg-iters" not in stops
+
+
+def test_bqp_path_does_not_hang_on_the_last_bit(monkeypatch):
+    # the q = 16 instance 1 of the bqp-moment benchmark under C scaled by
+    # (1 + k 2^-52), k = 0..7: with tCG stopping at the residual floor,
+    # every rounding takes about the same number of Hessian products
+    # (without it, 1 939 to 4 127)
+    products = 0
+
+    def counted_tcg(grad, hess_vec, *args, **kwargs):
+        def counted(U):
+            nonlocal products
+            products += 1
+            return hess_vec(U)
+        return tcg(grad, counted, *args, **kwargs)
+
+    monkeypatch.setattr(rtr, "tcg", counted_tcg)
+    sdp = generators.gen_bqp_moment(*generators.random_bqp(16, 1))
+    counts, objectives = [], []
+    for k in range(8):
+        C = dataclasses.replace(sdp.C, vals=sdp.C.vals * (1 + k * 2.0 ** -52))
+        products = 0
+        sol = solve(SdpProblem(sdp.n, C, sdp.A, sdp.b, sdp.manifold,
+                               sdp.objective_sign, sdp.objective_offset),
+                    SolverOptions(seed=1))
+        assert sol.status == "converged"
+        counts.append(products)
+        objectives.append(sol.objective)
+    assert objectives == pytest.approx([objectives[0]] * 8, rel=1e-9)
+    assert max(counts) <= 1.5 * np.median(counts)
+    assert max(counts) <= 1500
