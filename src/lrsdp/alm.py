@@ -4,6 +4,7 @@ dual assembly, saddle escape, rank adaptation, penalty adaptation.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -36,14 +37,17 @@ class SolverOptions:
     seed: int = 0
 
     def validate(self):
+        # counts and the seed: integers (numpy's too, but not bools)
+        for name, least in (("max_outer_iters", 1), ("max_inner_iters", 1),
+                            ("p0", 1), ("delta_ne", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) \
+                    or not isinstance(value, numbers.Integral) \
+                    or value < least:
+                raise ValueError(f"{name} must be at least {least} and an "
+                                 f"integer, got {value!r}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be at least 1")
-        if self.max_inner_iters < 1:
-            raise ValueError("max_inner_iters must be at least 1")
-        if self.p0 < 1:
-            raise ValueError("p0 must be at least 1")
         if not 0 < self.eps0 < np.inf:
             raise ValueError("eps0 must be positive and finite")
         if not 0 < self.eps_floor <= self.eps0:
@@ -62,8 +66,6 @@ class SolverOptions:
             raise ValueError("sigma_min must be positive")
         if not self.sigma_min <= self.sigma0 <= self.sigma_max:
             raise ValueError("need sigma_min <= sigma0 <= sigma_max")
-        if self.delta_ne < 1:
-            raise ValueError("delta_ne must be at least 1")
 
 
 @dataclass
@@ -153,13 +155,9 @@ class _PointState:
 def assemble_dual(sdp, point, y, sigma, r0):
     """Multipliers z and the dual slack operator S = grad Phi(X) - B*(z),
     given the constraint residual r0 = A(Y Y^T) - b at the point."""
-    resid = r0 - y / sigma
-    # z from this product, not from S @ Y: the two differ in the last bit,
-    # and on bqp-moment instance 0 that bit slowed the solve ~4.5x
-    W = sdp.C.matvec(point.Y) \
-        + sigma * prob.apply_adjoint_times(sdp, resid, point.Y)
-    z = manifolds.multiplier_z(point, W)
-    return z, SymOperator(prob.dual_slack(sdp, y - sigma * r0, z))
+    S = prob.dual_slack(sdp, y - sigma * r0)  # grad Phi(X), as in ``at``
+    z = manifolds.multiplier_z(point, S @ point.Y)
+    return z, SymOperator(prob.subtract_bstar(sdp, S, z))
 
 
 def escape_direction(S, r, delta_ne, tol_escape):

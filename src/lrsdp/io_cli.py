@@ -389,6 +389,12 @@ _FAMILIES = ("maxcut-edge", "maxcut-triangle", "bqp", "quartic", "completion")
 def _run_solve(args):
     if (args.input is None) == (args.generate is None):
         raise _UsageError("solve needs exactly one of --input or --generate")
+    opts = SolverOptions(
+        tol=args.tol, p0=args.p0, sigma0=args.sigma0, tau=args.tau,
+        theta=args.theta, delta_ne=args.delta_ne, gamma=args.gamma,
+        seed=args.seed, max_outer_iters=args.max_iters,
+        max_time=args.time_limit)
+    opts.validate()  # before --seed reaches a generator
     if args.input is not None:
         sdp = read_sdpa(args.input)
     else:
@@ -399,11 +405,6 @@ def _run_solve(args):
                          ManifoldKind(args.manifold),
                          objective_sign=sdp.objective_sign,
                          objective_offset=sdp.objective_offset)
-    opts = SolverOptions(
-        tol=args.tol, p0=args.p0, sigma0=args.sigma0, tau=args.tau,
-        theta=args.theta, delta_ne=args.delta_ne, gamma=args.gamma,
-        seed=args.seed, max_outer_iters=args.max_iters,
-        max_time=args.time_limit)
     solution = alm.solve(sdp, opts)
     doc = result_document(sdp, solution, opts)
     if args.output:

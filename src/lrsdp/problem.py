@@ -5,21 +5,22 @@ object per A_i. ``SdpProblem`` takes one, or a sequence of
 ``SparseSymMatrix`` that it converts once, and checks C and the A_i with
 one vectorized pass each.
 
-Everything operates on the factor Y of X = Y Y^T; the full matrix X is never
-formed by any routine in this module. ``apply_constraints`` takes one row
-product Y[r] . Y[c] per distinct (r, c) position, gathered in blocks, with the
-bits of one product per triplet; an ALM subproblem calls it once per point.
-Hessian products still form n x n arrays (``apply_constraints_sym``,
-``apply_adjoint_times``). The dual slack S = C - A*(y) - B*(z) is one dense
-n x n matrix per point, built only by ``dual_slack``;
-``spectral.extreme_eigs`` decomposes it with one ``eigh`` at every n.
+The solver holds the factor Y of X = Y Y^T, not X. The four constraint
+products are passes of one cached (m, n*n) adjoint map over dense n x n
+arrays: A(Y Y^T) over the Gram matrix Y Y^T (``apply_constraints``, once
+per ALM point), A(Y U^T + U Y^T) over Y U^T (``apply_constraints_sym``),
+and A*(v) V and A*(v) through its transpose (``apply_adjoint_times``,
+``adjoint_dense``). A sparse side would replace all four together. The
+dual slack S = C - A*(y) - B*(z) is one dense n x n matrix per point,
+built only by ``dual_slack``; ``spectral.extreme_eigs`` decomposes it with
+one ``eigh`` at every n.
 """
 
 from __future__ import annotations
 
 import enum
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,22 +83,6 @@ class SparseSymMatrix:
         A[self.rows, self.cols] = self.vals
         A[self.cols, self.rows] = self.vals
         return A
-
-    def matvec(self, V):
-        """A @ V for a dense n x p (or length-n) array V."""
-        return self.as_csr() @ V
-
-    def as_csr(self):
-        # symmetric expansion, cached on first use
-        csr = getattr(self, "_csr", None)
-        if csr is None:
-            off = self.rows != self.cols
-            r = np.concatenate([self.rows, self.cols[off]])
-            c = np.concatenate([self.cols, self.rows[off]])
-            v = np.concatenate([self.vals, self.vals[off]])
-            csr = sp.csr_matrix((v, (r, c)), shape=(self.n, self.n))
-            object.__setattr__(self, "_csr", csr)
-        return csr
 
 
 def _in_order(index, rows, cols):
@@ -227,8 +212,6 @@ class SdpProblem:
         self.manifold = ManifoldKind(manifold)
         self.objective_sign = float(objective_sign)
         self.objective_offset = float(objective_offset)
-        self._tw = A.vals * np.where(A.rows != A.cols, 2.0, 1.0)
-        self._pos = None   # lazy distinct (row, col) positions of the A_i
         self._adj = None   # lazy (m, n*n) map for the adjoint
         self._adjT = None  # its csc transpose, a view sharing the arrays
 
@@ -251,15 +234,6 @@ class SdpProblem:
         if self.manifold is ManifoldKind.UNIT_TRACE:
             return np.array([float(np.sum(Y * Y)) - 1.0])
         return np.einsum("ij,ij->i", Y, Y) - 1.0
-
-    def _positions(self):
-        """(rows, cols, index): the distinct (row, col) positions of the
-        A_i triplets, sorted, and the position of every triplet."""
-        if self._pos is None:
-            key, index = np.unique(self.A.rows * self.n + self.A.cols,
-                                   return_inverse=True)
-            self._pos = (key // self.n, key % self.n, index)
-        return self._pos
 
     def _adjoint_map(self):
         """The (m, n*n) CSR map whose row k is vec(A_k): every triplet at
@@ -308,11 +282,6 @@ class SdpProblem:
         return self.objective_sign * value + self.objective_offset
 
 
-# bytes of one gathered block of rows: the allocator reuses it, where a gather
-# of all positions at once was mapped and faulted in afresh on every call
-_GATHER_BYTES = 1 << 18
-
-
 def _check_factor(problem, Y):
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] != problem.n:
@@ -322,18 +291,13 @@ def _check_factor(problem, Y):
 
 
 def apply_constraints(problem, Y):
-    """A(Y Y^T) as a length-m vector, without forming Y Y^T; one row product
-    per distinct position, with the bits of one product per triplet."""
+    """A(Y Y^T) as a length-m vector: one pass of the adjoint map over the
+    n x n Gram matrix Y Y^T, or an empty vector, with no n x n array, when
+    m = 0."""
     Y = _check_factor(problem, Y)
-    rows, cols, index = problem._positions()
-    step = _GATHER_BYTES // max(Y.shape[1] * Y.itemsize, 1)
-    prod = np.empty(rows.size)
-    for s in range(0, rows.size, step):
-        block = slice(s, s + step)
-        np.einsum("ij,ij->i", Y.take(rows[block], axis=0),
-                  Y.take(cols[block], axis=0), out=prod[block])
-    return np.bincount(problem.A.index, weights=problem._tw * prod[index],
-                       minlength=problem.m)
+    if problem.m == 0:
+        return np.zeros(0)
+    return problem._adjoint_map() @ (Y @ Y.T).ravel()
 
 
 def apply_constraints_sym(problem, Y, U):
@@ -368,12 +332,19 @@ def adjoint_dense(problem, v):
     return (problem._adjoint_map_T() @ v).reshape(problem.n, problem.n)
 
 
+def subtract_bstar(problem, S, z):
+    """S -= B*(z) in place, for a dense n x n S: a diagonal update."""
+    if problem.manifold is not ManifoldKind.FREE:
+        S.flat[::problem.n + 1] -= z
+    return S
+
+
 def dual_slack(problem, y, z=None):
     """S = C - A*(y) - B*(z) as a dense n x n matrix; z=None drops B*."""
     S = problem.C.to_dense()
     S -= adjoint_dense(problem, y)
-    if z is not None and problem.manifold is not ManifoldKind.FREE:
-        S.flat[::problem.n + 1] -= z
+    if z is not None:
+        subtract_bstar(problem, S, z)
     return S
 
 

@@ -44,6 +44,10 @@ class TestSolverOptions:
         ("eps_decay", 0.0), ("eps_decay", 1.5), ("max_time", 0.0),
         ("max_time", -1.0), ("sigma_min", 0.0), ("eps_floor", np.nan),
         ("eps_floor", 0.0), ("eps_floor", np.inf), ("eps0", np.inf),
+        ("p0", 2.5), ("p0", True), ("p0", 2.0), ("delta_ne", 2.5),
+        ("max_outer_iters", 3.5), ("max_inner_iters", 2.5),
+        ("max_inner_iters", None), ("seed", -1), ("seed", 1.0),
+        ("seed", False), ("delta_ne", np.int64(0)),
     ])
     def test_every_field_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -51,7 +55,9 @@ class TestSolverOptions:
 
     def test_edge_values_accepted(self):
         SolverOptions(eps_decay=1.0, max_outer_iters=1, max_inner_iters=1,
-                      p0=1, max_time=None).validate()
+                      p0=1, max_time=None, seed=0).validate()
+        SolverOptions(p0=np.int64(3), delta_ne=np.int32(2), seed=np.uint8(7),
+                      max_outer_iters=np.int16(5)).validate()
 
     def test_zero_outer_iterations_rejected_by_solve(self):
         with pytest.raises(ValueError, match="max_outer_iters"):
@@ -151,6 +157,20 @@ class TestAssembleDual:
             assert np.allclose(S.dense, want, atol=1e-10)
             V = rng.standard_normal((6, 2))
             assert np.allclose(S.times(V), want @ V, atol=1e-10)
+
+    @pytest.mark.parametrize("manifold", list(ManifoldKind))
+    def test_same_bits_as_subproblem(self, manifold, rng):
+        # z comes from the subproblem's own S~ Y, and S from that one S~
+        # less B*(z): both are the bits the solver's other routes give
+        sdp = random_problem(9, 4, manifold, rng)
+        y, sigma = rng.standard_normal(4), 3.0
+        point = manifolds.random_point(9, 3, manifold, 5)
+        r0 = _residual(sdp, point)
+        z, S = assemble_dual(sdp, point, y, sigma, r0)
+        want_z = AlmSubproblem(sdp, y, sigma).at(point).ctx.z
+        assert z.dtype == want_z.dtype and z.tobytes() == want_z.tobytes()
+        want_S = prob.dual_slack(sdp, y - sigma * r0, z)
+        assert S.dense.tobytes() == want_S.tobytes()
 
     def test_slack_is_gradient_over_2Y(self, rng):
         # S Y must equal half the Riemannian gradient of the subproblem

@@ -18,14 +18,14 @@ from lrsdp.problem import (ConstraintSet, ManifoldKind, ProblemError,
 
 
 def _flat(mats):
-    """The flattened (index, rows, cols, vals, weights) of a matrix list,
-    as ``SdpProblem`` concatenated them from one object per A_i."""
+    """The flattened (index, rows, cols, vals) of a matrix list, as
+    ``SdpProblem`` concatenated them from one object per A_i."""
     k = np.repeat(np.arange(len(mats), dtype=np.intp), [M.nnz for M in mats])
     r, c, v = (np.concatenate([np.zeros(0, dtype)]
                               + [getattr(M, f) for M in mats])
                for f, dtype in (("rows", np.intp), ("cols", np.intp),
                                 ("vals", float)))
-    return k, r, c, v, v * np.where(r != c, 2.0, 1.0)
+    return k, r, c, v
 
 
 def _assert_same_bytes(got, want):
@@ -35,7 +35,7 @@ def _assert_same_bytes(got, want):
 
 
 def _assert_bitwise(sdp, mats, b):
-    got = (sdp.A.index, sdp.A.rows, sdp.A.cols, sdp.A.vals, sdp._tw, sdp.b)
+    got = (sdp.A.index, sdp.A.rows, sdp.A.cols, sdp.A.vals, sdp.b)
     _assert_same_bytes(got, _flat(mats) + (np.asarray(b, dtype=float),))
 
 

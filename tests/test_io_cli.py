@@ -267,6 +267,13 @@ class TestCli:
         assert rc == 1
         assert "max_outer_iters must be at least 1" in capsys.readouterr().err
 
+    def test_negative_seed_exit_1(self, capsys):
+        # the options are checked before the seed reaches a generator
+        rc = cli_main(["solve", "--generate", "bqp", "--q", "3",
+                       "--seed", "-1"])
+        assert rc == 1
+        assert "seed must be at least 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_input_exit_1(self, tmp_path, capsys, bad):
         path = tmp_path / "nan.dat-s"

@@ -45,11 +45,6 @@ class TestSparseSymMatrix:
         with pytest.raises(ProblemError):
             SparseSymMatrix.from_triplets(0, [])
 
-    def test_matvec_matches_dense(self, rng):
-        A = SparseSymMatrix.from_triplets(7, random_sym_triplets(7, 10, rng))
-        V = rng.standard_normal((7, 3))
-        assert np.allclose(A.matvec(V), A.to_dense() @ V, atol=1e-14)
-
     def test_identity(self):
         assert np.array_equal(SparseSymMatrix.identity(4).to_dense(),
                               np.eye(4))
@@ -161,40 +156,84 @@ class TestSdpProblem:
         assert empty.A.index.dtype == np.intp
         assert empty.A.index.shape == (0,)
 
-    def test_apply_constraints_no_constraints(self, rng):
+    def test_apply_constraints_no_constraints(self, rng, monkeypatch):
+        # m = 0 returns before the map, or any n x n array, is built
         sdp = random_problem(4, 0, ManifoldKind.FREE, rng)
         Y, U = rng.standard_normal((2, 4, 2))
-        assert prob.apply_constraints(sdp, Y).shape == (0,)
+
+        def no_map():
+            raise AssertionError("adjoint map built with m = 0")
+
+        monkeypatch.setattr(sdp, "_adjoint_map", no_map)
+        assert np.array_equal(prob.apply_constraints(sdp, Y), np.zeros(0))
         assert prob.apply_constraints_sym(sdp, Y, U).shape == (0,)
 
-    @pytest.mark.parametrize("gather_bytes", [None, 4096])
-    @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("p", [1, 3, 21])
-    def test_apply_constraints_bitwise_per_triplet(self, p, order,
-                                                   gather_bytes, rng,
-                                                   monkeypatch):
-        # the per-position gather gives exactly the bits of the per-triplet
-        # formula it replaced, which is kept here as the oracle
-        if gather_bytes is not None:
-            monkeypatch.setattr(prob, "_GATHER_BYTES", gather_bytes)
+    @staticmethod
+    def _shared_position_problem(rng, draw):
+        # 400 constraints of 25 triplets each at n = 120, values from draw:
+        # many positions shared by several constraints, some diagonal
         n, m, nnz = 120, 400, 25
         iu, ju = np.triu_indices(n)
         A = []
         for _ in range(m):
             pick = np.sort(rng.choice(iu.size, nnz, replace=False))
-            A.append(SparseSymMatrix(n, iu[pick], ju[pick],
-                                     rng.standard_normal(nnz)))
+            A.append(SparseSymMatrix(n, iu[pick], ju[pick], draw(nnz)))
         sdp = SdpProblem(n, SparseSymMatrix.identity(n), A,
                          rng.standard_normal(m), ManifoldKind.FREE)
-        positions = sdp._positions()[0].size
-        if gather_bytes is not None:  # block edges crossed
-            assert positions > 2 * gather_bytes // (8 * p)
-        assert positions < m * nnz  # positions shared by constraints
-        assert np.any(sdp.A.rows == sdp.A.cols)  # diagonal triplets
-        Y = np.asarray(rng.standard_normal((n, p)), order=order)
+        rows, cols = sdp.A.rows, sdp.A.cols
+        assert np.unique(rows * n + cols).size < m * nnz  # shared positions
+        assert np.any(rows == cols)  # diagonal triplets
+        tw = sdp.A.vals * np.where(rows != cols, 2.0, 1.0)
+        return sdp, tw, nnz
+
+    @staticmethod
+    def _per_triplet(sdp, tw, Y):
+        # the per-triplet formula sum_t tw_t Y_r . Y_c, kept as the oracle
         prod = np.einsum("ij,ij->i", Y[sdp.A.rows], Y[sdp.A.cols])
-        want = np.bincount(sdp.A.index, weights=sdp._tw * prod, minlength=m)
-        assert np.array_equal(prob.apply_constraints(sdp, Y), want)
+        return np.bincount(sdp.A.index, weights=tw * prod, minlength=sdp.m)
+
+    @pytest.mark.parametrize("denominator", [None, 4096])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("p", [1, 3, 21])
+    def test_apply_constraints_bitwise_per_triplet(self, p, order,
+                                                   denominator, rng):
+        # on data whose products and partial sums are all exact, any
+        # summation order gives the exact value, so the map pass must give
+        # the oracle's bits: a wrong weight, a lost mirror or a doubled
+        # diagonal shows as a difference. The data are integers in
+        # [-3, 3] (denominator None) or such integers / 4096; then every
+        # partial sum is a multiple of 4096^-3 below 2^15 in magnitude,
+        # which needs at most 51 bits
+        scale = 1.0 if denominator is None else 1.0 / denominator
+
+        def draw(*shape):
+            k = rng.integers(1, 4, shape) * rng.choice([-1, 1], shape)
+            return k * scale
+
+        sdp, tw, _ = self._shared_position_problem(rng, draw)
+        Y = np.asarray(draw(sdp.n, p), order=order)
+        got = prob.apply_constraints(sdp, Y)
+        assert got.shape == (sdp.m,)
+        assert np.array_equal(got, self._per_triplet(sdp, tw, Y))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("p", [1, 3, 21])
+    def test_apply_constraints_per_triplet_oracle(self, p, order, rng):
+        # one pass of the adjoint map over Y Y^T against the per-triplet
+        # formula on random data. The two sum in different orders, so they
+        # agree to a rounding bound, not bit for bit: each is a sum of at
+        # most p + 2 nnz + 1 rounded terms per constraint, so each is
+        # within (p + 2 nnz + 1) eps sum_t |tw_t| |Y_r| . |Y_c| of the exact
+        # value, to first order, and twice that bounds their difference
+        sdp, tw, nnz = self._shared_position_problem(
+            rng, rng.standard_normal)
+        Y = np.asarray(rng.standard_normal((sdp.n, p)), order=order)
+        want = self._per_triplet(sdp, tw, Y)
+        scale = self._per_triplet(sdp, np.abs(tw), np.abs(Y))
+        bound = 2 * (p + 2 * nnz + 1) * np.finfo(float).eps * scale
+        got = prob.apply_constraints(sdp, Y)
+        assert got.shape == (sdp.m,)
+        assert np.all(np.abs(got - want) <= bound)
 
     def test_apply_constraints_sym_oracle(self, rng):
         # A_0 and A_1 share position (0, 1); both hold diagonal triplets
