@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -152,12 +152,12 @@ class _PointState:
         return manifolds.riem_hess_vec(self.point, U, self.ctx)
 
 
-def assemble_dual(sdp, point, y, sigma, r0):
-    """Multipliers z and the dual slack operator S = grad Phi(X) - B*(z),
-    given the constraint residual r0 = A(Y Y^T) - b at the point."""
-    S = prob.dual_slack(sdp, y - sigma * r0)  # grad Phi(X), as in ``at``
-    z = manifolds.multiplier_z(point, S @ point.Y)
-    return z, SymOperator(prob.subtract_bstar(sdp, S, z))
+def assemble_dual(sdp, state):
+    """Multipliers z and the dual slack operator S = grad Phi(X) - B*(z) at
+    the point of ``state``, an ``AlmSubproblem.at`` result: its own z, and
+    its S~ = grad Phi(X) less B*(z) in place, so the state is spent."""
+    z = state.ctx.z
+    return z, SymOperator(prob.subtract_bstar(sdp, state.ctx.stilde, z))
 
 
 def escape_direction(S, r, delta_ne, tol_escape):
@@ -237,7 +237,7 @@ def solve(sdp, opts=None):
 
         r0, _ = sub.residual_cost(point)
         y_next = y - sigma * r0
-        z, S = assemble_dual(sdp, point, y, sigma, r0)
+        z, S = assemble_dual(sdp, sub.at(point))
         lam_min = spectral.extreme_eigs(S, 1, side="smallest")[0][0]
         lam_max = spectral.extreme_eigs(S, 1, side="largest")[0][0]
         res = prob.kkt_residues(sdp, point.Y, y_next, z, lam_min, lam_max)

@@ -12,7 +12,7 @@ from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
-from . import alm, generators, problem as prob, spectral
+from . import alm, generators, problem as prob
 from .alm import SolverOptions
 from .generators import WeightedGraph
 from .problem import (ConstraintSet, ManifoldKind, ProblemError, SdpProblem,
@@ -288,8 +288,11 @@ def check_document(doc, tol):
     """
     sdp = problem_from_document(doc)
     Y = _doc_numbers(doc, "Y", ndim=2)
-    y = _doc_numbers(doc, "y")
-    z = _doc_numbers(doc, "z")
+    y, z = _doc_numbers(doc, "y"), _doc_numbers(doc, "z")
+    for key, v, size in ("y", y, sdp.m), ("z", z, sdp.manifold_rhs().size):
+        if v.size != size:
+            raise ProblemError(f"field {key!r} must have length {size}, "
+                               f"got {v.size}")
     vals = np.linalg.eigvalsh(prob.dual_slack(sdp, y, z))
     res = prob.kkt_residues(sdp, Y, y, z, float(vals[0]), float(vals[-1]))
     return res, res.eta_max <= tol

@@ -2,17 +2,48 @@
 Riemannian gradient and Hessian-vector products.
 
 A point is a dense n x p factor Y together with its manifold kind. Tangent
-vectors are plain ndarrays tied to a base point by context.
+vectors are plain ndarrays tied to a base point by context. The manifold
+constraints B(Y Y^T) = 1 are defined here once, by ``constraint_dots`` and
+``constraint_norms``; the rest, here and in ``problem``, derives from them.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .problem import ManifoldKind
+
+class ManifoldKind(enum.Enum):
+    """Structure imposed on X besides the arbitrary linear constraints.
+
+    FREE: no extra structure. UNIT_TRACE: Tr(X) = 1, so the factor lives on
+    the Frobenius sphere. UNIT_DIAGONAL: diag(X) = 1, so every row of the
+    factor is a unit vector (oblique manifold).
+    """
+
+    FREE = "free"
+    UNIT_TRACE = "unit-trace"
+    UNIT_DIAGONAL = "unit-diagonal"
+
+
+def constraint_dots(manifold, A, B):
+    """<B_i, A B^T> for every manifold constraint B_i: none on FREE, the
+    trace <A, B> on UNIT_TRACE (B_1 = I), the row dots on UNIT_DIAGONAL."""
+    if manifold is ManifoldKind.FREE:
+        return np.zeros(0)
+    if manifold is ManifoldKind.UNIT_TRACE:
+        return np.array([np.sum(A * B)])
+    return np.einsum("ij,ij->i", A, B)
+
+
+def constraint_norms(manifold, Z):
+    """The norms that the constraints fix at 1, as a column dividing Z: the
+    whole factor's on UNIT_TRACE, each row's on UNIT_DIAGONAL."""
+    axis = None if manifold is ManifoldKind.UNIT_TRACE else 1
+    return np.linalg.norm(Z, axis=axis, keepdims=True)
 
 
 class RetractionError(RuntimeError):
@@ -38,9 +69,8 @@ class FactorPoint:
         """Distance of Y from its manifold's defining equations."""
         if self.manifold is ManifoldKind.FREE:
             return 0.0
-        if self.manifold is ManifoldKind.UNIT_TRACE:
-            return abs(np.linalg.norm(self.Y) - 1.0)
-        return float(np.max(np.abs(np.linalg.norm(self.Y, axis=1) - 1.0)))
+        return float(np.max(np.abs(
+            constraint_norms(self.manifold, self.Y) - 1.0)))
 
 
 def project_tangent(point, U):
@@ -50,10 +80,7 @@ def project_tangent(point, U):
         raise ValueError(f"shape mismatch: {U.shape} vs {Y.shape}")
     if point.manifold is ManifoldKind.FREE:
         return U.copy()
-    if point.manifold is ManifoldKind.UNIT_TRACE:
-        return U - float(np.sum(U * Y)) * Y
-    row_dots = np.einsum("ij,ij->i", U, Y)
-    return U - row_dots[:, None] * Y
+    return U - constraint_dots(point.manifold, U, Y)[:, None] * Y
 
 
 def retract(point, U, t=1.0):
@@ -61,15 +88,10 @@ def retract(point, U, t=1.0):
     Z = point.Y + t * U
     if point.manifold is ManifoldKind.FREE:
         return FactorPoint(Z, point.manifold)
-    if point.manifold is ManifoldKind.UNIT_TRACE:
-        nrm = np.linalg.norm(Z)
-        if nrm < 1e-300:
-            raise RetractionError("zero factor after step")
-        return FactorPoint(Z / nrm, point.manifold)
-    nrms = np.linalg.norm(Z, axis=1)
+    nrms = constraint_norms(point.manifold, Z)
     if np.min(nrms) < 1e-300:
-        raise RetractionError("zero row after step")
-    return FactorPoint(Z / nrms[:, None], point.manifold)
+        raise RetractionError("zero factor or row after step")
+    return FactorPoint(Z / nrms, point.manifold)
 
 
 def multiplier_z(point, grad_phi_Y):
@@ -78,20 +100,13 @@ def multiplier_z(point, grad_phi_Y):
     UNIT_TRACE: z = <Y, W> (one entry). UNIT_DIAGONAL: z_i = Y_i . W_i,
     row-wise. FREE: empty. Never touches X itself.
     """
-    Y = point.Y
-    if point.manifold is ManifoldKind.FREE:
-        return np.zeros(0)
-    if point.manifold is ManifoldKind.UNIT_TRACE:
-        return np.array([float(np.sum(Y * grad_phi_Y))])
-    return np.einsum("ij,ij->i", Y, grad_phi_Y)
+    return constraint_dots(point.manifold, point.Y, grad_phi_Y)
 
 
 def bstar_times(point, z, V):
     """B*(z) @ V for the manifold's constraint matrices."""
     if point.manifold is ManifoldKind.FREE:
         return np.zeros_like(V)
-    if point.manifold is ManifoldKind.UNIT_TRACE:
-        return z[0] * V
     return z[:, None] * V
 
 

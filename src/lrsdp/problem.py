@@ -13,34 +13,23 @@ and A*(v) V and A*(v) through its transpose (``apply_adjoint_times``,
 ``adjoint_dense``). A sparse side would replace all four together. The
 dual slack S = C - A*(y) - B*(z) is one dense n x n matrix per point,
 built only by ``dual_slack``; ``spectral.extreme_eigs`` decomposes it with
-one ``eigh`` at every n.
+one ``eigh`` at every n. The manifold constraints B(X) = d and
+``ManifoldKind`` are defined in ``manifolds``.
 """
 
 from __future__ import annotations
 
-import enum
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from .manifolds import ManifoldKind, constraint_dots
+
 
 class ProblemError(ValueError):
     """Invalid problem data (bad indices, shape mismatch, duplicates, NaN)."""
-
-
-class ManifoldKind(enum.Enum):
-    """Structure imposed on X besides the arbitrary linear constraints.
-
-    FREE: no extra structure. UNIT_TRACE: Tr(X) = 1, so the factor lives on
-    the Frobenius sphere. UNIT_DIAGONAL: diag(X) = 1, so every row of the
-    factor is a unit vector (oblique manifold).
-    """
-
-    FREE = "free"
-    UNIT_TRACE = "unit-trace"
-    UNIT_DIAGONAL = "unit-diagonal"
 
 
 @dataclass(frozen=True)
@@ -220,20 +209,12 @@ class SdpProblem:
         return self.A.m
 
     def manifold_rhs(self):
-        """The right-hand side d of the manifold constraints."""
-        if self.manifold is ManifoldKind.FREE:
-            return np.zeros(0)
-        if self.manifold is ManifoldKind.UNIT_TRACE:
-            return np.ones(1)
-        return np.ones(self.n)
+        """The right-hand side d of the manifold constraints: all ones."""
+        return np.ones_like(self.manifold_residual(np.zeros((self.n, 1))))
 
     def manifold_residual(self, Y):
         """B(Y Y^T) - d for the manifold constraints."""
-        if self.manifold is ManifoldKind.FREE:
-            return np.zeros(0)
-        if self.manifold is ManifoldKind.UNIT_TRACE:
-            return np.array([float(np.sum(Y * Y)) - 1.0])
-        return np.einsum("ij,ij->i", Y, Y) - 1.0
+        return constraint_dots(self.manifold, Y, Y) - 1.0
 
     def _adjoint_map(self):
         """The (m, n*n) CSR map whose row k is vec(A_k): every triplet at

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import FactorPoint, RetractionError, retract
+from .manifolds import RetractionError, retract
 
 _ARMIJO_C1 = 1e-4
 _ARMIJO_FACTOR = 0.5

@@ -221,7 +221,7 @@ def test_criterion_06_escape_suite():
     C = SparseSymMatrix.from_triplets(2, [(0, 0, 1.0), (1, 1, -1.0)])
     sdp = SdpProblem(2, C, [], np.zeros(0), ManifoldKind.UNIT_TRACE)
     point = FactorPoint(np.array([[1.0], [0.0]]), ManifoldKind.UNIT_TRACE)
-    z, S = assemble_dual(sdp, point, np.zeros(0), 1.0, np.zeros(0))
+    z, S = assemble_dual(sdp, AlmSubproblem(sdp, np.zeros(0), 1.0).at(point))
     cases = [(sdp, point, S, np.diag([0.0, -2.0]))]
 
     # constructed random saddles: diagonal C with known negative slack
@@ -235,7 +235,8 @@ def test_criterion_06_escape_suite():
         e = np.zeros((n, 1))
         e[-1, 0] = 1.0  # critical point at the largest eigenvalue
         pt = FactorPoint(e, ManifoldKind.UNIT_TRACE)
-        _, S_i = assemble_dual(sdp_i, pt, np.zeros(0), 1.0, np.zeros(0))
+        _, S_i = assemble_dual(sdp_i,
+                               AlmSubproblem(sdp_i, np.zeros(0), 1.0).at(pt))
         cases.append((sdp_i, pt, S_i, np.diag(d - d[-1])))
 
     worst_orth = worst_curv = 0.0

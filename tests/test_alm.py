@@ -151,7 +151,7 @@ class TestAssembleDual:
             sdp = random_problem(6, 3, manifold, rng)
             y = rng.standard_normal(3)
             point = manifolds.random_point(6, 2, manifold, 4)
-            z, S = assemble_dual(sdp, point, y, 3.0, _residual(sdp, point))
+            z, S = assemble_dual(sdp, AlmSubproblem(sdp, y, 3.0).at(point))
             G = dense_phi_grad(sdp, y, 3.0, point.Y)
             want = G - dense_bstar(manifold, z, 6)
             assert np.allclose(S.dense, want, atol=1e-10)
@@ -160,13 +160,13 @@ class TestAssembleDual:
 
     @pytest.mark.parametrize("manifold", list(ManifoldKind))
     def test_same_bits_as_subproblem(self, manifold, rng):
-        # z comes from the subproblem's own S~ Y, and S from that one S~
-        # less B*(z): both are the bits the solver's other routes give
+        # z is the subproblem's own, and S its S~ less B*(z): both are the
+        # bits the solver's other routes give
         sdp = random_problem(9, 4, manifold, rng)
         y, sigma = rng.standard_normal(4), 3.0
         point = manifolds.random_point(9, 3, manifold, 5)
         r0 = _residual(sdp, point)
-        z, S = assemble_dual(sdp, point, y, sigma, r0)
+        z, S = assemble_dual(sdp, AlmSubproblem(sdp, y, sigma).at(point))
         want_z = AlmSubproblem(sdp, y, sigma).at(point).ctx.z
         assert z.dtype == want_z.dtype and z.tobytes() == want_z.tobytes()
         want_S = prob.dual_slack(sdp, y - sigma * r0, z)
@@ -177,7 +177,7 @@ class TestAssembleDual:
         sdp = random_problem(6, 2, ManifoldKind.UNIT_DIAGONAL, rng)
         y = rng.standard_normal(2)
         point = manifolds.random_point(6, 3, sdp.manifold, 8)
-        z, S = assemble_dual(sdp, point, y, 2.0, _residual(sdp, point))
+        z, S = assemble_dual(sdp, AlmSubproblem(sdp, y, 2.0).at(point))
         state = AlmSubproblem(sdp, y, 2.0).at(point)
         assert np.allclose(2.0 * S.times(point.Y), state.grad, atol=1e-10)
 
@@ -191,7 +191,7 @@ class TestAssembleDual:
         y = rng.standard_normal(3)
         point = manifolds.random_point(n, 2, manifold, 6)
         G = dense_phi_grad(sdp, y, 2.0, point.Y)
-        z, S = assemble_dual(sdp, point, y, 2.0, _residual(sdp, point))
+        z, S = assemble_dual(sdp, AlmSubproblem(sdp, y, 2.0).at(point))
         want = G - dense_bstar(manifold, z, n)
         assert np.allclose(S.dense, want, atol=1e-10)
         state = AlmSubproblem(sdp, y, 2.0).at(point)
@@ -208,7 +208,8 @@ class TestEscapeDirection:
         sdp = _unit_trace_toy()
         point = FactorPoint(np.array([[1.0], [0.0]]),
                             ManifoldKind.UNIT_TRACE)
-        z, S = assemble_dual(sdp, point, np.zeros(0), 1.0, np.zeros(0))
+        z, S = assemble_dual(sdp, AlmSubproblem(sdp, np.zeros(0), 1.0)
+                             .at(point))
         assert np.allclose(S.dense, np.diag([0.0, -2.0]), atol=1e-12)
         U, delta, n_ne = escape_direction(S, r=1, delta_ne=10,
                                           tol_escape=1e-10)
@@ -374,31 +375,43 @@ class TestSolve:
             assert grad_tols[k] == want
 
     def test_dual_assembly_takes_the_residual_from_solve(self, monkeypatch):
-        # solve hands assemble_dual the residual of the returned point, and
-        # assemble_dual does not evaluate A(Y Y^T) itself
-        C = SparseSymMatrix.identity(2)
-        A = [SparseSymMatrix.from_triplets(2, [(0, 0, 1.0), (0, 1, 0.5)])]
-        sdp = SdpProblem(2, C, A, np.array([4.0]), ManifoldKind.FREE)
-        calls = []
-        apply, assemble = prob.apply_constraints, alm.assemble_dual
+        # solve hands assemble_dual the subproblem's state at the returned
+        # point, and assemble_dual evaluates none of A(Y Y^T), S~ and z
+        C = SparseSymMatrix.from_triplets(3, [(0, 0, 1.0), (1, 2, -0.5),
+                                              (2, 2, 2.0)])
+        A = [SparseSymMatrix.from_triplets(3, [(0, 1, 1.0), (1, 2, 0.5)])]
+        manifold = ManifoldKind.UNIT_DIAGONAL
+        Y0 = manifolds.random_point(3, 2, manifold, 1).Y
+        b = prob.apply_constraints(SdpProblem(3, C, A, [0.0], manifold), Y0)
+        sdp = SdpProblem(3, C, A, b, manifold)
+        assemble, inside, states = alm.assemble_dual, [], []
 
-        def counted(*args):
-            calls.append(1)
-            return apply(*args)
+        def forbidden(module, name):
+            fn = getattr(module, name)
 
-        def checked(sdp, point, y, sigma, r0):
-            assert np.array_equal(r0, apply(sdp, point.Y) - sdp.b)
-            before = len(calls)
-            out = assemble(sdp, point, y, sigma, r0)
-            assert len(calls) == before
-            calls.append("assembled")
-            return out
+            def guarded(*args):
+                assert not inside, f"assemble_dual called {name}"
+                return fn(*args)
+            monkeypatch.setattr(module, name, guarded)
 
-        monkeypatch.setattr(prob, "apply_constraints", counted)
+        def checked(sdp, state):
+            inside.append(state)
+            try:
+                z, S = assemble(sdp, state)
+            finally:
+                inside.clear()
+            assert z is state.ctx.z and S.dense is state.ctx.stilde
+            states.append(state)
+            return z, S
+
+        forbidden(prob, "apply_constraints")
+        forbidden(prob, "dual_slack")
+        forbidden(manifolds, "multiplier_z")
         monkeypatch.setattr(alm, "assemble_dual", checked)
-        sol = solve(sdp)
+        sol = solve(sdp, SolverOptions(max_outer_iters=50))
         assert sol.status == "converged"
-        assert calls.count("assembled") == sol.iterations
+        assert len(states) == sol.iterations
+        assert states[-1].point is sol.Y and sol.z is states[-1].ctx.z
 
     def test_iteration_limit_status(self):
         sdp = _unit_trace_toy()

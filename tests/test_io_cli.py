@@ -414,6 +414,27 @@ class TestCli:
         assert cli_main(["check", str(out)]) == 1
         assert f"missing field {path[-1]!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family,tamper,needle", [
+        ("bqp", lambda d: d["y"].pop(),
+         "field 'y' must have length 57, got 56"),
+        ("bqp", lambda d: d["z"].pop(),
+         "field 'z' must have length 11, got 10"),
+        ("completion", lambda d: d.update(z=[1, 2]),
+         "field 'z' must have length 0, got 2"),
+    ], ids=["short-y", "short-z", "free-z"])
+    def test_check_names_multiplier_length(self, tmp_path, capsys, family,
+                                           tamper, needle):
+        # numpy's own broadcast and matmul errors used to be all it printed
+        out = tmp_path / "r.json"
+        flags = ["--q", "4"] if family == "bqp" else ["--s", "2", "--t", "2"]
+        assert cli_main(["solve", "--generate", family, *flags,
+                         "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        tamper(doc)
+        out.write_text(json.dumps(doc))
+        assert cli_main(["check", str(out)]) == 1
+        assert needle in capsys.readouterr().err
+
     def test_type_error_in_solve_is_not_swallowed(self, monkeypatch):
         def broken(sdp, opts):
             raise TypeError("bug")

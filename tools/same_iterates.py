@@ -3,8 +3,9 @@
     python tools/same_iterates.py PARENT_CHECKOUT
 
 Solves the benchmark instances, ``bqp-moment`` 0-1 and ``completion`` 0-3
-as perfbench's ``WORKLOADS`` defines them, with the sources of this checkout
-and of PARENT_CHECKOUT. Each solve runs in its own subprocess with one BLAS
+as perfbench's ``WORKLOADS`` defines them, and three seeded ``unit-trace``
+instances that no workload builds, with the sources of this checkout and of
+PARENT_CHECKOUT. Each solve runs in its own subprocess with one BLAS
 thread. Compared: every trace column except ``time``, the bytes of Y, y, z
 and S, lambda_min and lambda_max, the objective and the status. Prints one
 line per instance and exits 1 on any difference.
@@ -20,7 +21,32 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = [("bqp-moment", i) for i in range(2)] \
-    + [("completion", i) for i in range(4)]
+    + [("completion", i) for i in range(4)] \
+    + [("unit-trace", i) for i in range(3)]
+
+
+def unit_trace_instance(seed):
+    """A feasible problem on the sphere Tr(X) = 1, n = 12 and m = 4: random
+    sparse C and A_i, and b = A(Y0 Y0^T) at a random point Y0. Built from
+    the public API only, so that any checkout can solve it."""
+    import numpy as np
+    import lrsdp
+    from lrsdp import manifolds, problem
+    n, m, nnz = 12, 4, 12
+    kind = lrsdp.ManifoldKind.UNIT_TRACE
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n)
+
+    def sparse():
+        k = np.sort(rng.choice(iu.size, size=nnz, replace=False))
+        return lrsdp.SparseSymMatrix(n, iu[k], ju[k], rng.standard_normal(nnz))
+
+    C, A = sparse(), [sparse() for _ in range(m)]
+    Y0 = manifolds.random_point(n, 2, kind, seed).Y
+    b = problem.apply_constraints(
+        lrsdp.SdpProblem(n, C, A, np.zeros(m), kind), Y0)
+    return (lrsdp.SdpProblem(n, C, A, b, kind),
+            lrsdp.SolverOptions(seed=seed, max_outer_iters=40))
 
 
 def fingerprint(workload, index):
@@ -28,9 +54,12 @@ def fingerprint(workload, index):
     sys.path.insert(0, str(ROOT / "perfbench"))
     import harness
     import lrsdp
-    w = harness.WORKLOADS[workload]
-    sol = lrsdp.solve(w.build(w.inputs(w.params, index)),
-                      lrsdp.SolverOptions(seed=index))
+    if workload == "unit-trace":
+        sol = lrsdp.solve(*unit_trace_instance(index))
+    else:
+        w = harness.WORKLOADS[workload]
+        sol = lrsdp.solve(w.build(w.inputs(w.params, index)),
+                          lrsdp.SolverOptions(seed=index))
     trace = [[v for k, v in dataclasses.asdict(t).items() if k != "time"]
              for t in sol.trace]
     arrays = {"Y": sol.Y.Y, "y": sol.y, "z": sol.z, "S": sol.S.dense}
