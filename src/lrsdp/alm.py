@@ -230,14 +230,15 @@ def solve(sdp, opts=None):
 
     for k in range(opts.max_outer_iters):
         sub = AlmSubproblem(sdp, y, sigma)
-        point, report = rtr.minimize(sub, point, eps, opts.max_inner_iters,
-                                     warm_dir=pending_dir, deadline=deadline)
+        point, report, state = rtr.minimize(
+            sub, point, eps, opts.max_inner_iters, warm_dir=pending_dir,
+            deadline=deadline)
         pending_dir = None
         gradnorm = report.gradnorm
 
         r0, _ = sub.residual_cost(point)
         y_next = y - sigma * r0
-        z, S = assemble_dual(sdp, sub.at(point))
+        z, S = assemble_dual(sdp, state)
         lam_min = spectral.extreme_eigs(S, 1, side="smallest")[0][0]
         lam_max = spectral.extreme_eigs(S, 1, side="largest")[0][0]
         res = prob.kkt_residues(sdp, point.Y, y_next, z, lam_min, lam_max)

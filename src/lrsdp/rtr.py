@@ -179,7 +179,9 @@ def minimize(model, point, grad_tol, max_iters, warm_dir=None,
     there, bit for bit what a new run would return, with no Hessian
     product; the records are dropped when a step is accepted. Every retry
     still counts as a trust-region step. No trust-region step starts once
-    ``time.perf_counter()`` has passed ``deadline``.
+    ``time.perf_counter()`` has passed ``deadline``. Returns
+    ``(point, report, state)`` with ``state`` the model's ``at`` of the
+    returned point, the one evaluated there during the solve.
     """
     n, p = point.Y.shape
     radius = 0.1 * np.sqrt(n * p)
@@ -196,7 +198,7 @@ def minimize(model, point, grad_tol, max_iters, warm_dir=None,
     reason = "max-iters"
     retries = {}  # tCG's stop records at the current point, by radius
     gradnorm = np.sqrt(_inner(state.grad, state.grad))
-    best_point, best_cost, best_gradnorm = point, state.cost, gradnorm
+    best_point, best_state, best_gradnorm = point, state, gradnorm
     while iters < max_iters:
         if gradnorm <= grad_tol:
             reason = "tolerance"
@@ -236,14 +238,14 @@ def minimize(model, point, grad_tol, max_iters, warm_dir=None,
             retries = {}
             state = model.at(point)
             gradnorm = np.sqrt(_inner(state.grad, state.grad))
-            if state.cost <= best_cost:
-                best_point, best_cost = point, state.cost
+            if state.cost <= best_state.cost:
+                best_point, best_state = point, state
                 best_gradnorm = gradnorm
     if gradnorm <= grad_tol:
         reason = "tolerance"
-    elif state.cost > best_cost:
+    elif state.cost > best_state.cost:
         # noise-scale uphill accepts can end above the best visited cost;
         # the returned iterate must keep the monotone decrease guarantee
-        point, gradnorm = best_point, best_gradnorm
+        point, state, gradnorm = best_point, best_state, best_gradnorm
     return point, RtrReport(gradnorm=float(gradnorm), iterations=iters,
-                            reason=reason)
+                            reason=reason), state

@@ -354,11 +354,12 @@ class TestSolve:
         def collapsing(model, point, grad_tol, max_iters, warm_dir=None,
                        deadline=None):
             grad_tols.append(grad_tol)
-            point, report = minimize(model, point, grad_tol, max_iters,
-                                     warm_dir=warm_dir, deadline=deadline)
+            point, report, state = minimize(
+                model, point, grad_tol, max_iters, warm_dir=warm_dir,
+                deadline=deadline)
             if len(grad_tols) == collapse_at + 1:
                 report = replace(report, reason="radius-collapse")
-            return point, report
+            return point, report, state
 
         monkeypatch.setattr(rtr, "minimize", collapsing)
         opts = SolverOptions(tol=1e-300, max_outer_iters=collapse_at + 3)

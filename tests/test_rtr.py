@@ -318,7 +318,7 @@ class TestMinimize:
         g = rng.standard_normal(8)
         model = _QuadraticModel(H, g)
         start = FactorPoint(rng.standard_normal((8, 1)), ManifoldKind.FREE)
-        point, report = minimize(model, start, 1e-9, 200)
+        point, report, _ = minimize(model, start, 1e-9, 200)
         assert report.reason == "tolerance"
         assert np.allclose(point.Y[:, 0], -np.linalg.solve(H, g), atol=1e-7)
 
@@ -328,7 +328,7 @@ class TestMinimize:
         g = rng.standard_normal(6)
         model = _QuadraticModel(H, g)
         start = FactorPoint(rng.standard_normal((6, 1)), ManifoldKind.FREE)
-        point, report = minimize(model, start, 1e-9, 25)
+        point, report, _ = minimize(model, start, 1e-9, 25)
         assert model.cost(point) <= model.cost(start) + 1e-12
 
     def test_warm_direction_consumed(self, rng):
@@ -338,7 +338,7 @@ class TestMinimize:
         model = _QuadraticModel(H, np.zeros(2))
         start = FactorPoint(np.zeros((2, 1)), ManifoldKind.FREE)
         warm = np.array([[0.0], [1.0]])
-        point, _ = minimize(model, start, 1e-12, 0, warm_dir=warm)
+        point, _, _ = minimize(model, start, 1e-12, 0, warm_dir=warm)
         assert model.cost(point) < 0.0
 
     def test_deadline_stops_before_the_next_step(self, rng, monkeypatch):
@@ -347,18 +347,53 @@ class TestMinimize:
         H = np.diag([1.0, -1.0, 2.0])  # unbounded below: never converges
         model = _QuadraticModel(H, np.ones(3))
         start = FactorPoint(np.zeros((3, 1)), ManifoldKind.FREE)
-        _, free = minimize(model, start, 1e-12, 10)
+        _, free, _ = minimize(model, start, 1e-12, 10)
         assert free.iterations == 10 and free.reason == "max-iters"
         readings = iter(range(1, 100))
         monkeypatch.setattr(time, "perf_counter", lambda: next(readings))
-        _, report = minimize(model, start, 1e-12, 10, deadline=3.5)
+        _, report, _ = minimize(model, start, 1e-12, 10, deadline=3.5)
         assert report.iterations == 3 and report.reason == "time-limit"
+
+    def test_returns_the_state_of_its_point(self, rng):
+        # the state returned is the model's own "at" of the returned point
+        class Recording(_QuadraticModel):
+            def at(self, point):
+                state = super().at(point)
+                self.states.append((point, state))
+                return state
+
+        H = np.diag([1.0, 2.0, 3.0])
+        model = Recording(H, np.ones(3))
+        model.states = []
+        start = FactorPoint(rng.standard_normal((3, 1)), ManifoldKind.FREE)
+        point, report, state = minimize(model, start, 1e-9, 200)
+        assert report.reason == "tolerance"
+        assert model.states[-1][0] is point and model.states[-1][1] is state
+
+    def test_returns_the_state_kept_with_the_best_point(self, rng):
+        # states away from the start report a cost 1e3 above the true one,
+        # so every accepted step ends uphill of the start: minimize returns
+        # the start, with the state evaluated there
+        class Uphill(_QuadraticModel):
+            def at(self, point):
+                state = super().at(point)
+                if point is not start:
+                    state.cost += 1e3
+                self.states.append((point, state))
+                return state
+
+        model = Uphill(np.diag([1.0, 2.0, 3.0]), np.ones(3))
+        model.states = []
+        start = FactorPoint(rng.standard_normal((3, 1)), ManifoldKind.FREE)
+        point, report, state = minimize(model, start, 1e-12, 3)
+        assert len(model.states) > 1 and report.reason == "max-iters"
+        assert point is start and state is model.states[0][1]
 
     def test_zero_iterations_at_optimum(self, rng):
         H = np.eye(3)
         model = _QuadraticModel(H, np.zeros(3))
         start = FactorPoint(np.zeros((3, 1)), ManifoldKind.FREE)
-        point, report = minimize(model, start, 1e-8, 200)
+        point, report, _ = minimize(model, start, 1e-8, 200)
         assert report.iterations == 0
         assert report.reason == "tolerance"
 
@@ -389,7 +424,7 @@ class TestMinimize:
         monkeypatch.setattr(model, "at", counted_at)
         monkeypatch.setattr(rtr, "tcg", counted_tcg)
         start = FactorPoint(rng.standard_normal((12, 1)), ManifoldKind.FREE)
-        _, report = minimize(model, start, 1e-9, 200)
+        _, report, _ = minimize(model, start, 1e-9, 200)
         assert report.iterations > 1
         assert calls["tcg"] > 0
         assert calls["model"] == calls["tcg"]
@@ -405,7 +440,7 @@ class TestMinimize:
         start = FactorPoint(y[:, None], ManifoldKind.FREE)
         old_model, model = (_LoggedModel(H, g, 100.0) for _ in range(2))
         want_point, want = _old_minimize(old_model, start, 1e-9, 60)
-        point, report = minimize(model, start, 1e-9, 60)
+        point, report, _ = minimize(model, start, 1e-9, 60)
         assert point.Y.tobytes() == want_point.Y.tobytes()
         assert report == want
         # a retry is a cost evaluation with no "at" since the previous one
@@ -453,7 +488,7 @@ class TestMinimize:
                 return State()
 
         start = manifolds.random_point(7, 1, ManifoldKind.UNIT_TRACE, 5)
-        point, report = minimize(Rayleigh(), start, 1e-10, 500)
+        point, report, _ = minimize(Rayleigh(), start, 1e-10, 500)
         want = np.linalg.eigvalsh(H)[0]
         assert Rayleigh().cost(point) == pytest.approx(want, abs=1e-8)
 
