@@ -78,6 +78,7 @@ class IterationTrace:
     eta_d: float
     eta_g: float
     eta_max: float
+    eta_d_bound: bool            # eta_d holds the bound tol, not eigenvalues
     gradnorm: float
     inner_iters: int
     time: float
@@ -94,7 +95,8 @@ class Solution:
     objective: float             # reported convention (sign and offset)
     residues: KktResidues
     trace: List[IterationTrace]
-    status: str                  # "converged" | "iteration-limit" | "time-limit"
+    status: str                  # "converged" | "iteration-limit" |
+                                 # "time-limit" | "eigensolver-failure"
     iterations: int
     wall_time: float
 
@@ -160,6 +162,19 @@ def assemble_dual(sdp, state):
     return z, SymOperator(prob.subtract_bstar(sdp, state.ctx.stilde, z))
 
 
+def _exact_residues(S, eta_p, eta_g):
+    """(residues, lambda_min, lambda_max) with eta_d from the eigh of S.
+    An eigh that raises LinAlgError gives NaN for eta_d and both
+    eigenvalues, and keeps eta_p and eta_g."""
+    try:
+        lam_min = spectral.extreme_eigs(S, 1, side="smallest")[0][0]
+    except np.linalg.LinAlgError:
+        return KktResidues(eta_p, np.nan, eta_g), np.nan, np.nan
+    lam_max = spectral.extreme_eigs(S, 1, side="largest")[0][0]
+    return (KktResidues(eta_p, prob.dual_residue(lam_min, lam_max), eta_g),
+            lam_min, lam_max)
+
+
 def escape_direction(S, r, delta_ne, tol_escape):
     """Second-order descent direction from negative eigenvalues of S.
 
@@ -213,7 +228,16 @@ def update_penalty(sigma, eta_p_raw, gradnorm, opts):
 
 
 def solve(sdp, opts=None):
-    """Solve the SDP to KKT residues below tol via the outer ALM loop."""
+    """Solve the SDP to KKT residues below tol via the outer ALM loop.
+
+    An outer iteration whose eta_p or eta_g exceeds tol cannot converge:
+    it skips the eigendecomposition of S, and the saddle escape, when one
+    shifted Cholesky factorization proves eta_d <= tol; its trace row then
+    holds tol for eta_d and ``eta_d_bound`` True. Every answer reports the
+    eigenvalues of its S. An ``eigh`` that raises LinAlgError ends the
+    solve with status "eigensolver-failure": the iterate, its exact eta_p
+    and eta_g, and NaN for eta_d and both eigenvalues.
+    """
     opts = opts or SolverOptions()
     opts.validate()
     t_start = time.perf_counter()
@@ -239,17 +263,29 @@ def solve(sdp, opts=None):
         r0, _ = sub.residual_cost(point)
         y_next = y - sigma * r0
         z, S = assemble_dual(sdp, state)
-        lam_min = spectral.extreme_eigs(S, 1, side="smallest")[0][0]
-        lam_max = spectral.extreme_eigs(S, 1, side="largest")[0][0]
-        res = prob.kkt_residues(sdp, point.Y, y_next, z, lam_min, lam_max)
+        eta_p, eta_g = prob.primal_gap_residues(sdp, point.Y, y_next, z)
+        # an iteration that cannot converge needs no eigenvalues when one
+        # Cholesky factorization proves lambda_min >= -tol (1 + L): any
+        # diagonal entry of S is a Rayleigh quotient, so L <= |lambda_max|
+        # and eta_d <= tol
+        L = max(0.0, float(np.max(np.diagonal(S.dense))))
+        bounded = max(eta_p, eta_g) > opts.tol \
+            and spectral.proves_lambda_min_above(S, opts.tol * (1.0 + L))
+        if bounded:
+            res = KktResidues(eta_p, opts.tol, eta_g)
+        else:
+            res, lam_min, lam_max = _exact_residues(S, eta_p, eta_g)
         trace.append(IterationTrace(
             k=k, p=point.p, sigma=sigma, eps=eps,
             eta_p=res.eta_p, eta_d=res.eta_d, eta_g=res.eta_g,
-            eta_max=res.eta_max, gradnorm=gradnorm,
+            eta_max=res.eta_max, eta_d_bound=bounded, gradnorm=gradnorm,
             inner_iters=report.iterations,
             time=time.perf_counter() - t_start))
         y = y_next
 
+        if np.isnan(res.eta_d):
+            status = "eigensolver-failure"
+            break
         if res.eta_max <= opts.tol:
             status = "converged"
             break
@@ -260,13 +296,14 @@ def solve(sdp, opts=None):
 
         # rank truncation, then saddle escape padding (new columns of zeros)
         point, r = truncate_rank(point, opts.theta, rng)
-        tol_escape = max(1e-12, 1e-4 * opts.tol * (1.0 + abs(lam_max)))
-        U, delta, _ = escape_direction(S, r, opts.delta_ne, tol_escape)
-        if delta > 0:
-            Y_pad = np.concatenate(
-                [point.Y, np.zeros((sdp.n, delta))], axis=1)
-            point = FactorPoint(Y_pad, sdp.manifold)
-            pending_dir = U
+        if not bounded:
+            tol_escape = max(1e-12, 1e-4 * opts.tol * (1.0 + abs(lam_max)))
+            U, delta, _ = escape_direction(S, r, opts.delta_ne, tol_escape)
+            if delta > 0:
+                Y_pad = np.concatenate(
+                    [point.Y, np.zeros((sdp.n, delta))], axis=1)
+                point = FactorPoint(Y_pad, sdp.manifold)
+                pending_dir = U
 
         eta_p_raw = np.linalg.norm(r0) / (1.0 + np.linalg.norm(sdp.b))
         sigma = update_penalty(sigma, eta_p_raw, gradnorm, opts)
@@ -275,6 +312,14 @@ def solve(sdp, opts=None):
             # soft failure: the next inner solve gets a 10x looser gradient
             eps = min(10.0 * eps, opts.eps0)
 
+    if bounded:
+        # a limit right after a bounded iteration: the answer still
+        # reports the eigenvalues of its S, and so does its trace row
+        res, lam_min, lam_max = _exact_residues(S, res.eta_p, res.eta_g)
+        row = trace[-1]
+        row.eta_d, row.eta_max, row.eta_d_bound = res.eta_d, res.eta_max, False
+        if np.isnan(res.eta_d):
+            status = "eigensolver-failure"
     obj = sdp.reported_objective(prob.objective(sdp, point.Y))
     return Solution(
         Y=point, y=y, z=z, S=S, lambda_min=float(lam_min),

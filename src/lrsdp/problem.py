@@ -13,8 +13,10 @@ and A*(v) V and A*(v) through its transpose (``apply_adjoint_times``,
 ``adjoint_dense``). A sparse side would replace all four together. The
 dual slack S = C - A*(y) - B*(z) is one dense n x n matrix per point,
 built only by ``dual_slack``; ``spectral.extreme_eigs`` decomposes it with
-one ``eigh`` at every n. The manifold constraints B(X) = d and
-``ManifoldKind`` are defined in ``manifolds``.
+one ``eigh`` at every n. ``kkt_residues`` is ``primal_gap_residues`` and
+``dual_residue`` together, so the solver can take eta_p and eta_g before
+it decides whether S needs its eigenvalues. The manifold constraints
+B(X) = d and ``ManifoldKind`` are defined in ``manifolds``.
 """
 
 from __future__ import annotations
@@ -347,16 +349,28 @@ def kkt_residues(problem, Y, y, z, lambda_min, lambda_max):
     residue folds the manifold constraint violation in quadrature, and the
     gap residue includes the manifold multipliers (d^T z) in the dual value.
     """
+    eta_p, eta_g = primal_gap_residues(problem, Y, y, z)
+    return KktResidues(eta_p, dual_residue(lambda_min, lambda_max), eta_g)
+
+
+def primal_gap_residues(problem, Y, y, z):
+    """(eta_p, eta_g) of ``kkt_residues``: neither reads the spectrum of S."""
     Y = _check_factor(problem, Y)
     ra = apply_constraints(problem, Y) - problem.b
     rb = problem.manifold_residual(Y)
     eta_p = np.sqrt(np.dot(ra, ra) + np.dot(rb, rb)) \
         / (1.0 + np.linalg.norm(problem.b))
-    eta_d = max(-lambda_min, 0.0) / (1.0 + abs(lambda_max))
     pobj = objective(problem, Y)
     dobj = float(np.dot(problem.b, y) + np.dot(problem.manifold_rhs(), z))
     eta_g = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-    res = KktResidues(float(eta_p), float(eta_d), float(eta_g))
-    if not np.isfinite(res.eta_max):
+    if not (np.isfinite(eta_p) and np.isfinite(eta_g)):
         raise ProblemError("non-finite KKT residue")
-    return res
+    return float(eta_p), float(eta_g)
+
+
+def dual_residue(lambda_min, lambda_max):
+    """eta_d of ``kkt_residues`` from the extreme eigenvalues of S."""
+    eta_d = max(-lambda_min, 0.0) / (1.0 + abs(lambda_max))
+    if not np.isfinite(eta_d):
+        raise ProblemError("non-finite KKT residue")
+    return float(eta_d)

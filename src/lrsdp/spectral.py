@@ -1,4 +1,5 @@
-"""Extreme eigenpairs of the dense dual slack and thin SVDs."""
+"""Extreme eigenpairs of the dense dual slack, a Cholesky bound on its
+smallest eigenvalue, and thin SVDs."""
 
 from __future__ import annotations
 
@@ -13,8 +14,10 @@ class SymOperator:
 
     The dual slack is one dense S per point, built by
     ``problem.dual_slack``; one cached ``eigh`` serves every eigensolve of
-    S (lambda_min, lambda_max and the escape pairs) at every n. ``dense``
-    must be exactly symmetric: ``eigh`` reads only its lower triangle.
+    S (lambda_min, lambda_max and the escape pairs) at every n. An outer
+    iteration that cannot converge skips it when
+    ``proves_lambda_min_above`` bounds lambda_min instead. ``dense`` must
+    be exactly symmetric: ``eigh`` and ``cholesky`` read one triangle.
     """
 
     dense: np.ndarray
@@ -51,6 +54,37 @@ def extreme_eigs(op, count, side="smallest"):
     else:
         idx = np.arange(op.n - 1, op.n - 1 - count, -1)
     return [(float(vals[i]), vecs[:, i].copy()) for i in idx]
+
+
+def proves_lambda_min_above(op, bound):
+    """True when one Cholesky factorization proves lambda_min >= -bound.
+
+    Factors S + tau I with tau = bound - mu, where
+    mu = (n + 1) gamma_{n+1} (||S||_F + bound) and
+    gamma_k = k u / (1 - k u) for the unit roundoff u. A Cholesky
+    factorization that runs to completion is exact for a matrix within
+    n gamma_{n+1} ||S + tau I||_2 of its input (Higham 2002, Thm 10.5), and
+    rounding the shifted diagonal adds at most gamma_{n+1} of the same
+    norm, so success proves lambda_min(S) >= -tau - mu = -bound. False,
+    with no factorization, when tau <= 0, and when a pivot of S + tau I is
+    not positive. The diagonal is shifted in place and restored from a
+    copy of its n entries: S keeps its bits, and no n x n copy is made.
+    """
+    S, n = op.dense, op.n
+    u = np.finfo(S.dtype).eps / 2
+    gamma = (n + 1) * u / (1 - (n + 1) * u)
+    tau = bound - (n + 1) * gamma * (np.linalg.norm(S) + bound)
+    if not tau > 0:
+        return False
+    diag = np.diagonal(S).copy()
+    np.fill_diagonal(S, diag + tau)
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        np.fill_diagonal(S, diag)
+    return True
 
 
 def thin_svd(Y):

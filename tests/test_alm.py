@@ -18,6 +18,12 @@ def _residual(sdp, point):
     return prob.apply_constraints(sdp, point.Y) - sdp.b
 
 
+def _completion_30():
+    # s = t = 30, rank 2, every entry sampled: bounded iterations in mid-solve
+    _, entries = generators.random_completion(30, 30, 2, 900, 0)
+    return generators.gen_matrix_completion(30, 30, entries)
+
+
 def _unit_trace_toy():
     # min x11 - x22 s.t. Tr X = 1: optimum -1 at X = e2 e2^T
     C = SparseSymMatrix.from_triplets(2, [(0, 0, 1.0), (1, 1, -1.0)])
@@ -419,6 +425,90 @@ class TestSolve:
         sol = solve(sdp, SolverOptions(tol=1e-30, max_outer_iters=2))
         assert sol.status == "iteration-limit"
         assert sol.iterations == 2
+
+    def test_bound_rows_cannot_converge(self, monkeypatch):
+        # the Cholesky bound stands in for eta_d only where eta_p or eta_g
+        # already rules out convergence, and every bound it proves holds;
+        # the converged answer's eigenvalues are S's own
+        proves, proofs = spectral.proves_lambda_min_above, []
+
+        def checked(op, bound):
+            vals = np.linalg.eigvalsh(op.dense)
+            assert max(0.0, np.max(np.diagonal(op.dense))) <= abs(vals[-1])
+            proven = proves(op, bound)
+            assert vals[0] >= -bound or not proven
+            proofs.append(proven)
+            return proven
+
+        monkeypatch.setattr(spectral, "proves_lambda_min_above", checked)
+        sdp = _completion_30()
+        opts = SolverOptions()
+        sol = solve(sdp, opts)
+        assert sol.status == "converged"
+        bounded = [t for t in sol.trace if t.eta_d_bound]
+        assert len(bounded) == sum(proofs) > 0
+        for t in bounded:
+            assert max(t.eta_p, t.eta_g) > opts.tol and t.eta_d == opts.tol
+        assert not sol.trace[-1].eta_d_bound
+        vals, _ = np.linalg.eigh(sol.S.dense)
+        assert (sol.lambda_min, sol.lambda_max) == (vals[0], vals[-1])
+        # eigvalsh takes another LAPACK path: equal to rounding
+        assert sol.lambda_min == pytest.approx(
+            np.linalg.eigvalsh(sol.S.dense)[0], abs=1e-12 * (1 + vals[-1]))
+
+    @pytest.mark.parametrize("limit", ["iteration-limit", "time-limit"])
+    def test_limit_after_a_bounded_iteration(self, limit, monkeypatch):
+        # the solve stops right after the first bounded iteration; the
+        # answer and its last trace row still come from an eigensolve
+        proves, clock = spectral.proves_lambda_min_above, [0.0]
+
+        def proving(op, bound):
+            proven = proves(op, bound)
+            if proven:
+                clock[0] = 1e9
+            return proven
+
+        monkeypatch.setattr(spectral, "proves_lambda_min_above", proving)
+        monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+        sdp = _completion_30()
+        first = next(t.k for t in solve(sdp).trace if t.eta_d_bound)
+        clock[0] = 0.0
+        if limit == "iteration-limit":
+            opts = SolverOptions(max_outer_iters=first + 1)
+        else:
+            opts = SolverOptions(max_time=10.0)
+        sol = solve(sdp, opts)
+        assert sol.status == limit and sol.iterations == first + 1
+        vals, _ = np.linalg.eigh(sol.S.dense)
+        assert (sol.lambda_min, sol.lambda_max) == (vals[0], vals[-1])
+        assert sol.residues.eta_d == prob.dual_residue(vals[0], vals[-1])
+        row = sol.trace[-1]
+        assert not row.eta_d_bound
+        assert (row.eta_d, row.eta_max) == (sol.residues.eta_d,
+                                            sol.residues.eta_max)
+
+    def test_eigensolver_failure_keeps_the_iterate(self, monkeypatch):
+        # a LinAlgError from the third eigh ends the solve with the
+        # iterate, its exact eta_p and eta_g, and NaN where eigenvalues are
+        sdp = generators.gen_bqp_moment(*generators.random_bqp(6, 0))
+        eigh, calls = np.linalg.eigh, []
+
+        def failing(a):
+            calls.append(a)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        sol = solve(sdp)
+        assert sol.status == "eigensolver-failure" and len(calls) == 3
+        assert sol.S.dense is calls[-1]
+        assert (sol.residues.eta_p, sol.residues.eta_g) == \
+            prob.primal_gap_residues(sdp, sol.Y.Y, sol.y, sol.z)
+        assert np.isnan(sol.residues.eta_d) and np.isnan(sol.lambda_min) \
+            and np.isnan(sol.lambda_max)
+        assert np.isnan(sol.trace[-1].eta_d)
+        assert not sol.trace[-1].eta_d_bound
 
     def test_deterministic(self):
         a = solve(_unit_trace_toy(), SolverOptions(seed=3))

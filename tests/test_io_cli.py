@@ -243,6 +243,27 @@ class TestCli:
         assert rc == 0
         assert trace.read_text().startswith("k,p,sigma")
 
+    def test_eigensolver_failure_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the solve returns its iterate with its own status; the result
+        # document and the trace are still written
+        eigh, calls = np.linalg.eigh, []
+
+        def failing(a):
+            calls.append(a)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        out, trace = tmp_path / "r.json", tmp_path / "t.csv"
+        rc = cli_main(["solve", "--generate", "bqp", "--q", "6",
+                       "--output", str(out), "--trace", str(trace)])
+        assert rc == 2
+        assert "status=eigensolver-failure" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert doc["status"] == "eigensolver-failure"
+        assert len(trace.read_text().splitlines()) == doc["iterations"] + 1
+
     def test_malformed_input_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.dat-s"
         bad.write_text("1\n1\n2\n1.0\ngarbage line here\n")

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from lrsdp.spectral import SymOperator, extreme_eigs, thin_svd
+from lrsdp.spectral import (SymOperator, extreme_eigs,
+                            proves_lambda_min_above, thin_svd)
 
 
 def _random_sym(n, rng):
@@ -93,6 +94,60 @@ class TestExtremeEigs:
         b = extreme_eigs(op, 2)
         for (va, xa), (vb, xb) in zip(a, b):
             assert va == vb and np.array_equal(xa, xb)
+
+
+def _with_spectrum(vals, rng):
+    """A symmetric matrix with eigenvalues ``vals`` (up to rounding)."""
+    Q, _ = np.linalg.qr(rng.standard_normal((len(vals), len(vals))))
+    S = (Q * vals) @ Q.T
+    return 0.5 * (S + S.T)
+
+
+class TestProvesLambdaMinAbove:
+    BOUND = 1e-8
+
+    @pytest.mark.parametrize("scale,proven", [(0.5, True), (2.0, False)])
+    def test_bound_on_lambda_min(self, scale, proven, rng):
+        vals = np.concatenate([[-scale * self.BOUND],
+                               np.linspace(0.1, 3.0, 19)])
+        op = SymOperator(_with_spectrum(vals, rng))
+        assert proves_lambda_min_above(op, self.BOUND) is proven
+
+    def test_psd_with_threefold_zero_eigenvalue(self, rng):
+        vals = np.concatenate([np.zeros(3), np.linspace(0.5, 2.0, 17)])
+        op = SymOperator(_with_spectrum(vals, rng))
+        assert proves_lambda_min_above(op, self.BOUND)
+
+    def test_only_the_last_pivot_negative(self):
+        # [[I, v], [v^T, c]]: n - 1 unit pivots, then c - v^T v = -1
+        n = 12
+        S = np.eye(n)
+        S[:-1, -1] = S[-1, :-1] = 0.5
+        S[-1, -1] = 0.25 * (n - 1) - 1.0
+        np.linalg.cholesky(S[:-1, :-1])
+        assert not proves_lambda_min_above(SymOperator(S), self.BOUND)
+
+    @pytest.mark.parametrize("shift", [0.0, -1.5])
+    def test_bytes_of_s_unchanged(self, shift, rng):
+        # a diagonal at the scale of the bound does not survive adding and
+        # subtracting the shift, so the entries must come from a saved copy
+        B = rng.standard_normal((30, 30))
+        S = self.BOUND * (B @ B.T / 30 + shift * np.eye(30))
+        d = np.diagonal(S)
+        assert np.any((d + self.BOUND) - self.BOUND != d)
+        before = S.tobytes()
+        proven = proves_lambda_min_above(SymOperator(S), self.BOUND)
+        assert proven is (shift == 0.0)
+        assert S.tobytes() == before
+
+    def test_no_factorization_when_the_margin_exceeds_the_bound(
+            self, rng, monkeypatch):
+        def forbidden(A):
+            raise AssertionError("cholesky called")
+        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+        op = SymOperator(np.eye(4))
+        assert not proves_lambda_min_above(op, 1e-20)
+        assert not proves_lambda_min_above(op, 0.0)
 
 
 class TestThinSvd:
