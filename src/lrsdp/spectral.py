@@ -65,10 +65,11 @@ def proves_lambda_min_above(op, bound):
     factorization that runs to completion is exact for a matrix within
     n gamma_{n+1} ||S + tau I||_2 of its input (Higham 2002, Thm 10.5), and
     rounding the shifted diagonal adds at most gamma_{n+1} of the same
-    norm, so success proves lambda_min(S) >= -tau - mu = -bound. False,
-    with no factorization, when tau <= 0, and when a pivot of S + tau I is
-    not positive. The diagonal is shifted in place and restored from a
-    copy of its n entries: S keeps its bits, and no n x n copy is made.
+    norm; with ||S + tau I||_2 <= ||S||_F + bound, success proves
+    lambda_min(S) >= -tau - mu = -bound. False without factoring when
+    tau <= 0, and False when a pivot of S + tau I is not positive. The
+    diagonal is shifted in place and restored from a copy of its n
+    entries: S keeps its bits, and no n x n copy is made.
     """
     S, n = op.dense, op.n
     u = np.finfo(S.dtype).eps / 2
