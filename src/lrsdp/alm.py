@@ -7,12 +7,12 @@ from __future__ import annotations
 import numbers
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from . import manifolds, problem as prob, rtr, spectral
-from .manifolds import FactorPoint, HessianContext
+from .manifolds import FactorPoint, HessianContext, ManifoldKind
 from .problem import KktResidues
 from .spectral import SymOperator
 
@@ -140,7 +140,39 @@ class AlmSubproblem:
                 sdp, prob.apply_constraints_sym(sdp, Y, U), Y)
 
         ctx = HessianContext(stilde, curvature, z)
-        return _PointState(point, cost, grad, ctx)
+        return _PointState(point, cost, grad, ctx,
+                           self._precon(point, stilde, r0))
+
+    def _precon(self, point, stilde, r0):
+        """tCG's preconditioner R -> R K^-1 on the free manifold, else None.
+
+        K = alpha I + beta Y^T Y, scaled to mean eigenvalue 1, follows the
+        two parts of the Hessian: 2 S~ U, of scale alpha = ||S~||_F/sqrt(n),
+        and the penalty curvature, which acts on U through Y^T Y with the
+        scale beta = 2 sigma ||A(X)||^2/||X||_F^2. Once the rank of Y
+        exceeds the answer's, Y^T Y is ill-conditioned and so is tCG
+        without K (Zhang, Fattahi and Zhang 2021). Not on the sphere or the
+        oblique manifold: projected onto the oblique tangent space, K cost
+        a quarter more products on BQP moment relaxations (ROADMAP item 5).
+        """
+        if point.manifold is not ManifoldKind.FREE or self.sdp.m == 0:
+            return None
+        Y = point.Y
+        gram = Y.T @ Y
+        alpha = np.linalg.norm(stilde) / np.sqrt(point.n)
+        x_norm2 = float(np.sum(gram * gram))  # ||X||_F = ||Y^T Y||_F
+        ax = r0 + self.sdp.b
+        beta = 2.0 * self.sigma * float(np.dot(ax, ax)) / x_norm2 \
+            if x_norm2 > 0 else 0.0
+        if not (0 < alpha < np.inf and np.isfinite(beta)):
+            return None
+        K = alpha * np.eye(point.p) + beta * gram
+        K_inv = np.linalg.inv(K * (point.p / np.trace(K)))
+        K_inv = 0.5 * (K_inv + K_inv.T)  # exactly symmetric
+
+        def precon(R):
+            return R @ K_inv
+        return precon
 
 
 @dataclass
@@ -149,6 +181,7 @@ class _PointState:
     cost: float
     grad: np.ndarray
     ctx: HessianContext
+    precon: Optional[Callable[[np.ndarray], np.ndarray]]
 
     def hess_vec(self, U):
         return manifolds.riem_hess_vec(self.point, U, self.ctx)
@@ -234,9 +267,10 @@ def solve(sdp, opts=None):
     it skips the eigendecomposition of S, and the saddle escape, when one
     shifted Cholesky factorization proves eta_d <= tol; its trace row then
     holds tol for eta_d and ``eta_d_bound`` True. Every answer reports the
-    eigenvalues of its S. An ``eigh`` that raises LinAlgError ends the
-    solve with status "eigensolver-failure": the iterate, its exact eta_p
-    and eta_g, and NaN for eta_d and both eigenvalues.
+    eigenvalues of its S and returns the point of its last trace row. An
+    ``eigh`` that raises LinAlgError ends the solve with status
+    "eigensolver-failure": the iterate, its exact eta_p and eta_g, and NaN
+    for eta_d and both eigenvalues.
     """
     opts = opts or SolverOptions()
     opts.validate()
@@ -293,6 +327,8 @@ def solve(sdp, opts=None):
                 and time.perf_counter() - t_start > opts.max_time:
             status = "time-limit"
             break
+        if k + 1 == opts.max_outer_iters:
+            break  # no iteration follows: return the point of this row
 
         # rank truncation, then saddle escape padding (new columns of zeros)
         point, r = truncate_rank(point, opts.theta, rng)

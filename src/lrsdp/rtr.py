@@ -34,20 +34,26 @@ def _inner(A, B):
 
 
 def tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None,
-        floor=0.0, retries=None):
+        floor=0.0, retries=None, precon=None):
     """Truncated CG (Steihaug-Toint) for the trust-region model.
 
-    Minimizes m(s) = <grad, s> + 0.5 <s, H s> over ||s|| <= radius,
+    Minimizes m(s) = <grad, s> + 0.5 <s, H s> over ||s||_M <= radius,
     stopping on negative curvature, the boundary, or the residual rule
     ||r|| <= max(||r0|| * min(kappa, ||r0||^theta), floor), where
-    r = grad + H s is the model's gradient at the iterate s. The floor is
-    an inexact-Newton forcing term (Eisenstat and Walker 1996): once the
-    model gradient is below it, further CG steps buy accuracy the caller
-    does not need. An iterate s = 0 that already meets the rule (a zero
-    gradient, or ||grad|| <= floor) is returned as "converged" with model
-    0.0 and no Hessian product. Returns ``(step, reason, model)`` with
-    ``model`` = m(step), taken from H step tracked alongside the iterate,
-    so callers need no further product.
+    r = grad + H s is the model's gradient at the iterate s. ``precon``,
+    when given, applies an SPD operator P ~ H^-1 to a residual; CG then
+    runs preconditioned and the trust region is measured in the norm of
+    M = P^-1 (Absil, Baker and Gallivan 2007): <s, M s>, <s, M d> and
+    <d, M d> follow from the CG recurrences with no product by M. Without
+    it, M = I and those three are plain inner products. The residual rule
+    is Euclidean either way. The floor is an inexact-Newton forcing term
+    (Eisenstat and Walker 1996): once the model gradient is below it,
+    further CG steps buy accuracy the caller does not need. An iterate
+    s = 0 that already meets the rule (a zero gradient, or
+    ||grad|| <= floor) is returned as "converged" with model 0.0 and no
+    Hessian product. Returns ``(step, reason, model)`` with ``model`` =
+    m(step), taken from H step tracked alongside the iterate, so callers
+    need no further product.
 
     Until it stops, the CG path does not depend on the radius, and neither
     does the stop rule (the floor included), so a run at a smaller radius
@@ -59,8 +65,8 @@ def tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None,
     Hessian product, what this call with radius r would return. A record
     holds references to the arrays of the path, not copies: tCG never
     writes into an array once it is made, nor into a product ``hess_vec``
-    returned, and a caller must not write into a returned step, which can
-    be one of them.
+    or ``precon`` returned, and a caller must not write into a returned
+    step, which can be one of them.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -75,11 +81,13 @@ def tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None,
     eta = np.zeros_like(grad)
     Heta = np.zeros_like(grad)
     r = grad.copy()
-    d = -r
     rr = _inner(r, r)
     r0_norm = np.sqrt(rr)
     target = max(r0_norm * min(kappa, r0_norm ** theta), floor)
-    e_norm2 = 0.0
+    z, zr = (r, rr) if precon is None else _preconditioned(precon, r)
+    d = -z
+    # <eta, M eta>, <eta, M d> and <d, M d>
+    e_norm2, e_d, d_norm2 = 0.0, 0.0, zr
 
     def stop(record):
         # every retry radius still pending stops where this run stops
@@ -92,12 +100,13 @@ def tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None,
     for _ in range(max_iters):
         Hd = hess_vec(d)
         dHd = _inner(d, Hd)
-        e_d = _inner(eta, d)
-        d_norm2 = _inner(d, d)
+        if precon is None:  # M = I: direct, not from the recurrences
+            e_d = _inner(eta, d)
+            d_norm2 = _inner(d, d)
         if dHd <= 0:
             return stop(("negative-curvature", eta, Heta, d, Hd,
                          e_norm2, e_d, d_norm2))
-        alpha = rr / dHd
+        alpha = zr / dHd
         new_e_norm2 = e_norm2 + 2 * alpha * e_d + alpha * alpha * d_norm2
         boundary = ("boundary", eta, Heta, d, Hd, e_norm2, e_d, d_norm2)
         if new_e_norm2 >= radius * radius:
@@ -111,18 +120,30 @@ def tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None,
         Heta = Heta + alpha * Hd
         e_norm2 = new_e_norm2
         r = r + alpha * Hd
-        rr_new = _inner(r, r)
-        if np.sqrt(rr_new) <= target:
+        rr = _inner(r, r)
+        if np.sqrt(rr) <= target:
             return stop(("converged", eta, Heta, None, None, 0.0, 0.0, 0.0))
-        d = -r + (rr_new / rr) * d
-        rr = rr_new
+        z, zr_new = (r, rr) if precon is None \
+            else _preconditioned(precon, r)
+        beta = zr_new / zr
+        d = -z + beta * d
+        e_d = beta * (e_d + alpha * d_norm2)
+        d_norm2 = zr_new + beta * beta * d_norm2
+        zr = zr_new
     return stop(("max-cg-iters", eta, Heta, None, None, 0.0, 0.0, 0.0))
+
+
+def _preconditioned(precon, r):
+    """(P r, <P r, r>)."""
+    z = precon(r)
+    return z, _inner(z, r)
 
 
 def _answer(grad, record, radius):
     """tCG's ``(step, reason, model)`` at ``radius`` from a stop record
     ``(reason, eta, Heta, d, Hd, e_norm2, e_d, d_norm2)``: eta itself when
-    d is None, else the point where eta + tau d leaves the radius."""
+    d is None, else the point where eta + tau d leaves the radius in the
+    norm of M, whose squares ``e_norm2``, ``e_d`` and ``d_norm2`` hold."""
     reason, eta, Heta, d, Hd, e_norm2, e_d, d_norm2 = record
     if d is not None:
         tau = _boundary_step(e_norm2, e_d, d_norm2, radius)
@@ -131,7 +152,7 @@ def _answer(grad, record, radius):
 
 
 def _boundary_step(e_norm2, e_d, d_norm2, radius):
-    # positive root of ||eta + tau d||^2 = radius^2
+    # positive root of ||eta + tau d||_M^2 = radius^2
     disc = e_d * e_d + d_norm2 * (radius * radius - e_norm2)
     return (-e_d + np.sqrt(max(disc, 0.0))) / d_norm2
 
@@ -162,10 +183,16 @@ def minimize(model, point, grad_tol, max_iters, warm_dir=None,
     """Drive the Riemannian gradient norm of the model below grad_tol.
 
     ``model`` supplies ``cost(point)`` and ``at(point)``; the latter returns
-    a state with ``cost``, ``grad`` (tangent ndarray) and ``hess_vec(U)``.
+    a state with ``cost``, ``grad`` (tangent ndarray) and ``hess_vec(U)``,
+    and optionally ``precon``: an SPD map of tangent vectors, or None. A
+    state's ``precon`` preconditions its tCG runs, whose trust region is
+    then measured in the norm of its inverse (see ``tcg``).
     At most ``max_iters`` trust-region steps are taken, from the radius
-    0.1 sqrt(n p), capped at ten times that. A supplied warm direction is
-    consumed by an Armijo line search before the trust-region loop starts.
+    0.1 sqrt(n p), capped at ten times that. The radius doubles after a
+    very successful step (rho > 0.75) that tCG stopped on the boundary or
+    on negative curvature, and shrinks by ``_SHRINK`` after a poor one
+    (rho < 0.25). A supplied warm direction is consumed by an Armijo line
+    search before the trust-region loop starts.
     Hessian products run only inside tCG, with its default truncation and
     the residual floor ``_FLOOR * grad_tol``: tCG stops once the model's
     gradient is at or below half the tolerance, since a smaller one buys
@@ -211,13 +238,12 @@ def minimize(model, point, grad_tol, max_iters, warm_dir=None,
             break
         iters += 1
         if radius in retries:
-            step, _stop, model_value = _answer(state.grad, retries[radius],
-                                               radius)
+            step, stop, model_value = _answer(state.grad, retries[radius],
+                                              radius)
         else:
-            step, _stop, model_value = tcg(state.grad, state.hess_vec,
-                                           radius, floor=_FLOOR * grad_tol,
-                                           retries=retries)
-        step_norm = np.sqrt(_inner(step, step))
+            step, stop, model_value = tcg(
+                state.grad, state.hess_vec, radius, floor=_FLOOR * grad_tol,
+                retries=retries, precon=getattr(state, "precon", None))
         pred = -model_value
         try:
             trial = retract(point, step)
@@ -231,7 +257,7 @@ def minimize(model, point, grad_tol, max_iters, warm_dir=None,
         rho = (state.cost - trial_cost + reg) / (pred + reg)
         if rho < 0.25:
             radius *= _SHRINK
-        elif rho > 0.75 and step_norm >= 0.99 * radius:
+        elif rho > 0.75 and stop in ("boundary", "negative-curvature"):
             radius = min(2.0 * radius, max_radius)
         if rho > _RHO_PRIME:
             point = trial

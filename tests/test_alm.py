@@ -111,6 +111,39 @@ class TestSubproblem:
             assert np.allclose(state.grad, 2.0 * S @ point.Y, atol=1e-10)
 
 
+class TestPreconditioner:
+    @staticmethod
+    def _matrix(precon, shape):
+        """The matrix of ``precon`` on the flattened n x p arrays."""
+        size = shape[0] * shape[1]
+        return np.column_stack([precon(np.eye(size)[k].reshape(shape))
+                                .ravel() for k in range(size)])
+
+    @pytest.mark.parametrize("zero_column", [False, True])
+    def test_free_state_is_spd(self, zero_column, rng):
+        # R -> R K^-1 with K SPD of mean eigenvalue 1, also at a factor
+        # with a zero column, as after an escape pads Y
+        sdp = random_problem(6, 3, ManifoldKind.FREE, rng)
+        point = manifolds.random_point(6, 3, sdp.manifold, 5)
+        if zero_column:
+            point = FactorPoint(point.Y * [1.0, 1.0, 0.0], sdp.manifold)
+        state = AlmSubproblem(sdp, rng.standard_normal(3), 2.5).at(point)
+        P = self._matrix(state.precon, point.Y.shape)
+        assert np.array_equal(P, P.T)
+        vals = np.linalg.eigvalsh(P)
+        assert vals[0] > 0
+        assert np.mean(1.0 / vals) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("manifold,m", [
+        (ManifoldKind.FREE, 0), (ManifoldKind.UNIT_DIAGONAL, 3),
+        (ManifoldKind.UNIT_TRACE, 3)])
+    def test_none_off_the_constrained_free_manifold(self, manifold, m, rng):
+        sdp = random_problem(6, m, manifold, rng)
+        point = manifolds.random_point(6, 3, manifold, 5)
+        state = AlmSubproblem(sdp, rng.standard_normal(m), 2.5).at(point)
+        assert state.precon is None
+
+
 def _dense_riem_grad(sdp, y, sigma, Y):
     """Riemannian gradient of the ALM cost from dense matrices.
 
@@ -425,6 +458,18 @@ class TestSolve:
         sol = solve(sdp, SolverOptions(tol=1e-30, max_outer_iters=2))
         assert sol.status == "iteration-limit"
         assert sol.iterations == 2
+
+    @pytest.mark.parametrize("family", ["bqp", "completion"])
+    def test_iteration_limit_returns_the_point_of_its_last_row(self, family):
+        # no rank cut and no escape padding after the last iteration: the
+        # returned Y is the point the residues were computed at
+        sdp = generators.gen_bqp_moment(*generators.random_bqp(6, 0)) \
+            if family == "bqp" else _completion_30()
+        sol = solve(sdp, SolverOptions(max_outer_iters=2))
+        assert sol.status == "iteration-limit"
+        assert sol.Y.p == sol.trace[-1].p
+        assert (sol.residues.eta_p, sol.residues.eta_g) == \
+            prob.primal_gap_residues(sdp, sol.Y.Y, sol.y, sol.z)
 
     def test_bound_rows_cannot_converge(self, monkeypatch):
         # the Cholesky bound stands in for eta_d only where eta_p or eta_g

@@ -40,8 +40,9 @@ class _QuadraticModel:
 
 
 def _old_minimize(model, point, grad_tol, max_iters):
-    """The trust-region loop that runs tCG afresh after every rejected
-    step (no warm direction, no deadline): the oracle of the retry."""
+    """The trust-region loop that runs tCG afresh, with the state's
+    preconditioner, after every rejected step (no warm direction, no
+    deadline): the oracle of the retry."""
     n, p = point.Y.shape
     radius = 0.1 * np.sqrt(n * p)
     max_radius = 10.0 * radius
@@ -58,8 +59,8 @@ def _old_minimize(model, point, grad_tol, max_iters):
             reason = "radius-collapse"
             break
         iters += 1
-        step, _stop, model_value = tcg(state.grad, state.hess_vec, radius)
-        step_norm = np.sqrt(rtr._inner(step, step))
+        step, stop, model_value = tcg(state.grad, state.hess_vec, radius,
+                                      precon=getattr(state, "precon", None))
         pred = -model_value
         try:
             trial = retract(point, step)
@@ -71,7 +72,7 @@ def _old_minimize(model, point, grad_tol, max_iters):
         rho = (state.cost - trial_cost + reg) / (pred + reg)
         if rho < 0.25:
             radius *= 0.25
-        elif rho > 0.75 and step_norm >= 0.99 * radius:
+        elif rho > 0.75 and stop in ("boundary", "negative-curvature"):
             radius = min(2.0 * radius, max_radius)
         if rho > rtr._RHO_PRIME:
             point = trial
@@ -142,11 +143,13 @@ def _counted(hess_vec, calls):
 class _LoggedModel:
     """A quadratic whose Hessian products under-report its curvature
     ``scale``-fold, so tCG overshoots and steps are rejected; every call
-    is logged in order as "at", "cost" or "hess_vec"."""
+    is logged in order as "at", "cost" or "hess_vec". Its states carry
+    the preconditioner ``precon``."""
 
-    def __init__(self, H, g, scale):
+    def __init__(self, H, g, scale, precon=None):
         self.quadratic = _QuadraticModel(H, g)
         self.scale = scale
+        self.precon = precon
         self.log = []
 
     def cost(self, point):
@@ -161,12 +164,21 @@ class _LoggedModel:
         class Logged:
             cost = state.cost
             grad = state.grad
+            precon = model.precon
 
             def hess_vec(self, U):
                 model.log.append("hess_vec")
                 return state.hess_vec(U) / model.scale
 
-        return Logged()
+        logged = Logged()
+        logged.precon = model.precon
+        return logged
+
+
+def _spd(rng, n, cond=10.0):
+    """A random SPD n x n matrix with condition number ``cond``."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (Q * np.geomspace(cond ** -0.5, cond ** 0.5, n)) @ Q.T
 
 
 class TestTcg:
@@ -229,6 +241,49 @@ class TestTcg:
                       + 0.5 * step[:, 0] @ H @ step[:, 0])
         assert model == pytest.approx(fresh, rel=1e-12, abs=1e-14)
 
+    def test_identity_preconditioner_matches_plain(self, rng):
+        # P = I makes tCG's M-norm recurrences the plain inner products:
+        # the same stop, and the same step up to rounding
+        seen = set()
+        for trial in range(60):
+            n = int(rng.integers(2, 10))
+            Q = rng.standard_normal((n, n))
+            H = Q @ Q.T + 0.1 * np.eye(n) if trial % 2 else 0.5 * (Q + Q.T)
+            g = rng.standard_normal((n, 2))
+            radius = float(10.0 ** rng.uniform(-1.0, 2.0))
+            plain = tcg(g, lambda U: H @ U, radius, kappa=1e-3)
+            ident = tcg(g, lambda U: H @ U, radius, kappa=1e-3,
+                        precon=lambda R: 1.0 * R)
+            assert ident[1] == plain[1]
+            assert np.allclose(ident[0], plain[0], rtol=1e-9,
+                               atol=1e-12 * np.linalg.norm(plain[0]))
+            assert ident[2] == pytest.approx(plain[2], rel=1e-9)
+            seen.add(plain[1])
+        assert seen == {"boundary", "negative-curvature", "converged"}
+
+    def test_preconditioned_stops_on_the_m_norm_boundary(self, rng):
+        # with P SPD, boundary and negative-curvature stops land on
+        # <s, P^-1 s> = radius^2, and the model value is m(s) itself; H
+        # is well conditioned, since <s, M s> comes from recurrences
+        seen = set()
+        for trial in range(60):
+            n = int(rng.integers(3, 10))
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            H = (Q * rng.uniform(0.5 if trial % 2 else -2.0, 5.0, n)) @ Q.T
+            P = _spd(rng, n)
+            M = np.linalg.inv(P)
+            g = rng.standard_normal((n, 2))
+            radius = float(10.0 ** rng.uniform(-1.0, 1.0))
+            step, reason, model = tcg(g, lambda U: H @ U, radius,
+                                      precon=lambda R: P @ R)
+            fresh = float(np.sum(g * step) + 0.5 * np.sum(step * (H @ step)))
+            assert model == pytest.approx(fresh, rel=1e-12, abs=1e-14)
+            if reason in ("boundary", "negative-curvature"):
+                m_norm = np.sqrt(np.sum(step * (M @ step)))
+                assert m_norm == pytest.approx(radius, rel=1e-12)
+                seen.add(reason)
+        assert seen == {"boundary", "negative-curvature"}
+
     def test_bad_radius(self):
         with pytest.raises(ValueError):
             tcg(np.ones((2, 1)), lambda U: U, radius=0.0)
@@ -276,39 +331,48 @@ class TestTcg:
         # its record gives what a fresh run at that radius returns, bit for
         # bit, whatever stop the fresh run makes, with or without a floor;
         # with a zero floor, the fresh run is the residual rule's alone
-        seen, floor_seen = set(), set()
-        for trial in range(80):
-            n = int(rng.integers(2, 10))
-            Q = rng.standard_normal((n, n))
-            H = Q @ Q.T + 0.1 * np.eye(n) if trial % 2 else 0.5 * (Q + Q.T)
-            g = rng.standard_normal((n, 2))
-            radius = float(10.0 ** rng.uniform(-2.0, 2.0))
-            kw = {"max_iters": int(rng.integers(1, n))} if trial % 5 == 0 \
-                else {"kappa": 1e-3}
-            floor = float(np.linalg.norm(g) * rng.uniform(0.01, 0.5)) \
-                if trial % 3 == 0 else 0.0
-            retries = {}
-            tcg(g, lambda U: H @ U, radius, floor=floor, retries=retries,
-                **kw)
-            levels, level = [], radius / 4
-            while level >= rtr._RADIUS_COLLAPSE:
-                levels.append(level)
-                level /= 4
-            assert sorted(retries, reverse=True) == levels
-            for k in range(1, 5):
-                level = radius * 4.0 ** -k
-                step, reason, model = rtr._answer(g, retries[level], level)
-                want = tcg(g, lambda U: H @ U, level, floor=floor, **kw)
-                assert np.array_equal(step, want[0])
-                assert reason == want[1] and model == want[2]
-                if not floor:
-                    old = _old_tcg(g, lambda U: H @ U, level, **kw)
-                    assert np.array_equal(step, old[0])
-                    assert (reason, model) == old[1:]
-                (floor_seen if floor else seen).add(reason)
-        assert seen == {"boundary", "negative-curvature", "converged",
-                        "max-cg-iters"}
-        assert {"boundary", "converged"} <= floor_seen
+        _check_recorded_retries(rng, 80, preconditioned=False)
+
+    def test_recorded_retries_with_a_preconditioner(self, rng):
+        # the same with an SPD preconditioner and the M-norm radius
+        _check_recorded_retries(rng, 200, preconditioned=True)
+
+
+def _check_recorded_retries(rng, trials, preconditioned):
+    seen, floor_seen = set(), set()
+    for trial in range(trials):
+        n = int(rng.integers(2, 10))
+        Q = rng.standard_normal((n, n))
+        H = Q @ Q.T + 0.1 * np.eye(n) if trial % 2 else 0.5 * (Q + Q.T)
+        P = _spd(rng, n) if preconditioned else None
+        kw = {"precon": lambda R: P @ R} if preconditioned else {}
+        g = rng.standard_normal((n, 2))
+        radius = float(10.0 ** rng.uniform(-2.0, 2.0))
+        kw.update({"max_iters": int(rng.integers(1, n))}
+                  if trial % 5 == 0 else {"kappa": 1e-3})
+        floor = float(np.linalg.norm(g) * rng.uniform(0.01, 0.5)) \
+            if trial % 3 == 0 else 0.0
+        retries = {}
+        tcg(g, lambda U: H @ U, radius, floor=floor, retries=retries, **kw)
+        levels, level = [], radius / 4
+        while level >= rtr._RADIUS_COLLAPSE:
+            levels.append(level)
+            level /= 4
+        assert sorted(retries, reverse=True) == levels
+        for k in range(1, 5):
+            level = radius * 4.0 ** -k
+            step, reason, model = rtr._answer(g, retries[level], level)
+            want = tcg(g, lambda U: H @ U, level, floor=floor, **kw)
+            assert np.array_equal(step, want[0])
+            assert reason == want[1] and model == want[2]
+            if not floor and not preconditioned:
+                old = _old_tcg(g, lambda U: H @ U, level, **kw)
+                assert np.array_equal(step, old[0])
+                assert (reason, model) == old[1:]
+            (floor_seen if floor else seen).add(reason)
+    assert seen == {"boundary", "negative-curvature", "converged",
+                    "max-cg-iters"}
+    assert {"boundary", "converged"} <= floor_seen
 
 
 class TestMinimize:
@@ -429,16 +493,21 @@ class TestMinimize:
         assert calls["tcg"] > 0
         assert calls["model"] == calls["tcg"]
 
-    def test_retry_runs_no_hessian_product(self, rng):
+    @pytest.mark.parametrize("preconditioned", [False, True],
+                             ids=["none", "spd"])
+    def test_retry_runs_no_hessian_product(self, preconditioned, rng):
         # a rejected step is retried from the records of the tCG run at the
         # same point; the iterates and the report are the old loop's
         # near the minimizer, where a model of a hundredth of the curvature
-        # sends tCG to the boundary uphill
+        # sends tCG to the boundary uphill; with an SPD preconditioner too
         H = np.diag(np.linspace(1.0, 30.0, 10))
         g = rng.standard_normal(10)
         y = -g / np.diag(H) + 1e-2 * rng.standard_normal(10)
         start = FactorPoint(y[:, None], ManifoldKind.FREE)
-        old_model, model = (_LoggedModel(H, g, 100.0) for _ in range(2))
+        P = _spd(rng, 10)
+        precon = (lambda R: P @ R) if preconditioned else None
+        old_model, model = (_LoggedModel(H, g, 100.0, precon)
+                            for _ in range(2))
         want_point, want = _old_minimize(old_model, start, 1e-9, 60)
         point, report, _ = minimize(model, start, 1e-9, 60)
         assert point.Y.tobytes() == want_point.Y.tobytes()
