@@ -17,43 +17,39 @@ from .problem import KktResidues
 from .spectral import SymOperator
 
 
+# the outer loop's fixed schedule: the range of sigma, the inner gradient
+# tolerance eps (EPS0 halving down to EPS_FLOOR) and the inner step cap
+SIGMA_MIN, SIGMA_MAX = 1e-2, 1e7
+EPS0, EPS_DECAY, EPS_FLOOR = 1e-2, 0.5, 1e-11
+MAX_INNER_ITERS = 200
+
+
 @dataclass
 class SolverOptions:
+    """The settings of a solve, each one a flag of ``lrsdp solve``."""
     tol: float = 1e-8
     p0: int = 2
     sigma0: float = 1.0
-    sigma_min: float = 1e-2
-    sigma_max: float = 1e7
     gamma: float = 2.0
     tau: float = 1.0
     theta: float = 1e-3          # singular-value threshold for rank cuts
     delta_ne: int = 10           # max columns added per saddle escape
-    eps0: float = 1e-2           # inner gradient tolerance schedule
-    eps_decay: float = 0.5
-    eps_floor: float = 1e-11
     max_outer_iters: int = 300
     max_time: Optional[float] = None
-    max_inner_iters: int = 200
     seed: int = 0
 
     def validate(self):
         # counts and the seed: integers (numpy's too, but not bools)
-        for name, least in (("max_outer_iters", 1), ("max_inner_iters", 1),
-                            ("p0", 1), ("delta_ne", 1), ("seed", 0)):
+        for name, least in (("max_outer_iters", 1), ("p0", 1),
+                            ("delta_ne", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) \
                     or not isinstance(value, numbers.Integral) \
                     or value < least:
                 raise ValueError(f"{name} must be at least {least} and an "
                                  f"integer, got {value!r}")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if not 0 < self.eps0 < np.inf:
-            raise ValueError("eps0 must be positive and finite")
-        if not 0 < self.eps_floor <= self.eps0:
-            raise ValueError("eps_floor must lie in (0, eps0]")
-        if not 0 < self.eps_decay <= 1:
-            raise ValueError("eps_decay must lie in (0, 1]")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_time is not None and not self.max_time > 0:
             raise ValueError("max_time must be positive")
         if not self.gamma > 1:
@@ -62,10 +58,8 @@ class SolverOptions:
             raise ValueError("tau must be positive")
         if not 0 < self.theta < 1:
             raise ValueError("theta must lie in (0, 1)")
-        if not self.sigma_min > 0:
-            raise ValueError("sigma_min must be positive")
-        if not self.sigma_min <= self.sigma0 <= self.sigma_max:
-            raise ValueError("need sigma_min <= sigma0 <= sigma_max")
+        if not SIGMA_MIN <= self.sigma0 <= SIGMA_MAX:
+            raise ValueError(f"sigma0 must lie in [{SIGMA_MIN}, {SIGMA_MAX}]")
 
 
 @dataclass
@@ -256,8 +250,8 @@ def truncate_rank(point, theta, rng=None):
 def update_penalty(sigma, eta_p_raw, gradnorm, opts):
     """Adaptive penalty: grow when feasibility lags the gradient, else shrink."""
     if eta_p_raw > opts.tau * gradnorm:
-        return min(sigma * opts.gamma, opts.sigma_max)
-    return max(sigma / opts.gamma, opts.sigma_min)
+        return min(sigma * opts.gamma, SIGMA_MAX)
+    return max(sigma / opts.gamma, SIGMA_MIN)
 
 
 def solve(sdp, opts=None):
@@ -281,7 +275,7 @@ def solve(sdp, opts=None):
     point = manifolds.random_point(sdp.n, opts.p0, sdp.manifold, opts.seed)
     y = np.zeros(sdp.m)
     sigma = opts.sigma0
-    eps = opts.eps0
+    eps = EPS0
     pending_dir = None
     trace: List[IterationTrace] = []
     status = "iteration-limit"
@@ -289,7 +283,7 @@ def solve(sdp, opts=None):
     for k in range(opts.max_outer_iters):
         sub = AlmSubproblem(sdp, y, sigma)
         point, report, state = rtr.minimize(
-            sub, point, eps, opts.max_inner_iters, warm_dir=pending_dir,
+            sub, point, eps, MAX_INNER_ITERS, warm_dir=pending_dir,
             deadline=deadline)
         pending_dir = None
         gradnorm = report.gradnorm
@@ -343,10 +337,10 @@ def solve(sdp, opts=None):
 
         eta_p_raw = np.linalg.norm(r0) / (1.0 + np.linalg.norm(sdp.b))
         sigma = update_penalty(sigma, eta_p_raw, gradnorm, opts)
-        eps = max(opts.eps_floor, eps * opts.eps_decay)
+        eps = max(EPS_FLOOR, eps * EPS_DECAY)
         if report.reason == "radius-collapse":
             # soft failure: the next inner solve gets a 10x looser gradient
-            eps = min(10.0 * eps, opts.eps0)
+            eps = min(10.0 * eps, EPS0)
 
     if bounded:
         # a limit right after a bounded iteration: the answer still

@@ -285,7 +285,10 @@ def check_document(doc, tol):
 
     The dual slack is rebuilt from the stored multipliers,
     S = C - A*(y) - B*(z), independent of the penalty bookkeeping.
+    A ``tol`` that is not positive and finite raises ValueError.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     sdp = problem_from_document(doc)
     Y = _doc_numbers(doc, "Y", ndim=2)
     y, z = _doc_numbers(doc, "y"), _doc_numbers(doc, "z")
@@ -330,8 +333,10 @@ def _add_solver_flags(p):
     p.add_argument("--delta-ne", type=int, default=defaults.delta_ne)
     p.add_argument("--gamma", type=float, default=defaults.gamma)
     p.add_argument("--seed", type=int, default=defaults.seed)
-    p.add_argument("--max-iters", type=int, default=defaults.max_outer_iters)
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--max-iters", type=int, dest="max_outer_iters",
+                   default=defaults.max_outer_iters)
+    p.add_argument("--time-limit", type=float, dest="max_time",
+                   default=defaults.max_time)
 
 
 def _build_parser():
@@ -392,11 +397,8 @@ _FAMILIES = ("maxcut-edge", "maxcut-triangle", "bqp", "quartic", "completion")
 def _run_solve(args):
     if (args.input is None) == (args.generate is None):
         raise _UsageError("solve needs exactly one of --input or --generate")
-    opts = SolverOptions(
-        tol=args.tol, p0=args.p0, sigma0=args.sigma0, tau=args.tau,
-        theta=args.theta, delta_ne=args.delta_ne, gamma=args.gamma,
-        seed=args.seed, max_outer_iters=args.max_iters,
-        max_time=args.time_limit)
+    opts = SolverOptions(**{f.name: getattr(args, f.name)
+                            for f in fields(SolverOptions)})
     opts.validate()  # before --seed reaches a generator
     if args.input is not None:
         sdp = read_sdpa(args.input)

@@ -33,13 +33,13 @@ def _inner(A, B):
     return float(np.dot(A.ravel(), B.ravel()))
 
 
-def tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None,
-        floor=0.0, retries=None, precon=None):
+def tcg(grad, hess_vec, radius, kappa=0.1, max_iters=None, floor=0.0,
+        retries=None, precon=None):
     """Truncated CG (Steihaug-Toint) for the trust-region model.
 
     Minimizes m(s) = <grad, s> + 0.5 <s, H s> over ||s||_M <= radius,
     stopping on negative curvature, the boundary, or the residual rule
-    ||r|| <= max(||r0|| * min(kappa, ||r0||^theta), floor), where
+    ||r|| <= max(||r0|| * min(kappa, ||r0||), floor), where
     r = grad + H s is the model's gradient at the iterate s. ``precon``,
     when given, applies an SPD operator P ~ H^-1 to a residual; CG then
     runs preconditioned and the trust region is measured in the norm of
@@ -83,7 +83,7 @@ def tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None,
     r = grad.copy()
     rr = _inner(r, r)
     r0_norm = np.sqrt(rr)
-    target = max(r0_norm * min(kappa, r0_norm ** theta), floor)
+    target = max(r0_norm * min(kappa, r0_norm), floor)
     z, zr = (r, rr) if precon is None else _preconditioned(precon, r)
     d = -z
     # <eta, M eta>, <eta, M d> and <d, M d>

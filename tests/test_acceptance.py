@@ -386,7 +386,7 @@ def test_criterion_09_penalty_and_rank_dynamics():
         assert sol.status == "converged"
         sigmas = [t.sigma for t in sol.trace]
         sigma_bounds_ok = sigma_bounds_ok and all(
-            opts.sigma_min <= s <= opts.sigma_max for s in sigmas)
+            alm.SIGMA_MIN <= s <= alm.SIGMA_MAX for s in sigmas)
         grew = grew or any(b > a for a, b in zip(sigmas, sigmas[1:]))
         shrank = shrank or any(b < a for a, b in zip(sigmas, sigmas[1:]))
         ps = [t.p for t in sol.trace]

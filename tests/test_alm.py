@@ -45,14 +45,13 @@ class TestSolverOptions:
         SolverOptions().validate()
 
     @pytest.mark.parametrize("field,value", [
-        ("tol", 0.0), ("tol", -1e-8), ("max_outer_iters", 0),
-        ("max_inner_iters", 0), ("p0", 0), ("eps0", 0.0),
-        ("eps_decay", 0.0), ("eps_decay", 1.5), ("max_time", 0.0),
-        ("max_time", -1.0), ("sigma_min", 0.0), ("eps_floor", np.nan),
-        ("eps_floor", 0.0), ("eps_floor", np.inf), ("eps0", np.inf),
+        ("tol", 0.0), ("tol", -1e-8), ("tol", np.inf), ("tol", np.nan),
+        ("max_outer_iters", 0), ("p0", 0), ("max_time", 0.0),
+        ("max_time", -1.0), ("max_time", np.nan), ("sigma0", 5e-3),
+        ("sigma0", 2e7), ("sigma0", np.nan), ("gamma", 1.0),
+        ("gamma", np.nan), ("tau", 0.0), ("theta", 0.0), ("theta", 1.0),
         ("p0", 2.5), ("p0", True), ("p0", 2.0), ("delta_ne", 2.5),
-        ("max_outer_iters", 3.5), ("max_inner_iters", 2.5),
-        ("max_inner_iters", None), ("seed", -1), ("seed", 1.0),
+        ("max_outer_iters", 3.5), ("seed", -1), ("seed", 1.0),
         ("seed", False), ("delta_ne", np.int64(0)),
     ])
     def test_every_field_validated(self, field, value):
@@ -60,14 +59,23 @@ class TestSolverOptions:
             SolverOptions(**{field: value}).validate()
 
     def test_edge_values_accepted(self):
-        SolverOptions(eps_decay=1.0, max_outer_iters=1, max_inner_iters=1,
-                      p0=1, max_time=None, seed=0).validate()
+        SolverOptions(max_outer_iters=1, p0=1, max_time=None,
+                      seed=0).validate()
         SolverOptions(p0=np.int64(3), delta_ne=np.int32(2), seed=np.uint8(7),
                       max_outer_iters=np.int16(5)).validate()
 
     def test_zero_outer_iterations_rejected_by_solve(self):
         with pytest.raises(ValueError, match="max_outer_iters"):
             solve(_unit_trace_toy(), SolverOptions(max_outer_iters=0))
+
+    def test_infinite_tol_rejected_by_solve(self):
+        # X_00 = 2 on the unit diagonal is infeasible, yet every residue
+        # is below an infinite tol
+        A = [SparseSymMatrix.from_triplets(3, [(0, 0, 1.0)])]
+        sdp = SdpProblem(3, SparseSymMatrix.identity(3), A, np.array([2.0]),
+                         ManifoldKind.UNIT_DIAGONAL)
+        with pytest.raises(ValueError, match="positive and finite"):
+            solve(sdp, SolverOptions(tol=np.inf))
 
 
 class TestSubproblem:
@@ -336,12 +344,12 @@ class TestTruncateRank:
 
 class TestUpdatePenalty:
     def test_both_branches_and_caps(self):
-        opts = SolverOptions(gamma=2.0, tau=1.0, sigma_min=0.5,
-                             sigma_max=8.0)
+        opts = SolverOptions(gamma=2.0, tau=1.0)
         assert update_penalty(2.0, 1.0, 0.1, opts) == 4.0     # grow
         assert update_penalty(2.0, 0.05, 1.0, opts) == 1.0    # shrink
-        assert update_penalty(8.0, 1.0, 0.0, opts) == 8.0     # capped above
-        assert update_penalty(0.5, 0.0, 1.0, opts) == 0.5     # capped below
+        # capped above, then below
+        assert update_penalty(alm.SIGMA_MAX, 1.0, 0.0, opts) == alm.SIGMA_MAX
+        assert update_penalty(alm.SIGMA_MIN, 0.0, 1.0, opts) == alm.SIGMA_MIN
 
 
 class TestSolve:
@@ -384,7 +392,7 @@ class TestSolve:
 
     def test_radius_collapse_relaxes_the_next_tolerance(self, monkeypatch):
         # one inner solve that ends in radius-collapse gives the next outer
-        # iteration a 10x looser gradient tolerance (capped at eps0); the
+        # iteration a 10x looser gradient tolerance (capped at EPS0); the
         # one after that decays from the relaxed value as usual
         collapse_at = 3
         grad_tols = []
@@ -406,9 +414,9 @@ class TestSolve:
         assert sol.iterations == len(grad_tols) == collapse_at + 3
         assert grad_tols == [t.eps for t in sol.trace]
         for k in range(1, len(grad_tols)):
-            decayed = max(opts.eps_floor, grad_tols[k - 1] * opts.eps_decay)
+            decayed = max(alm.EPS_FLOOR, grad_tols[k - 1] * alm.EPS_DECAY)
             if k == collapse_at + 1:
-                want = min(10.0 * decayed, opts.eps0)
+                want = min(10.0 * decayed, alm.EPS0)
                 assert want > decayed
             else:
                 want = decayed

@@ -288,6 +288,41 @@ class TestCli:
         assert rc == 1
         assert "max_outer_iters must be at least 1" in capsys.readouterr().err
 
+    def test_every_option_is_a_solve_flag(self, monkeypatch):
+        # each field gets a value other than its default from its own flag
+        given = {"tol": ("--tol", 1e-7), "p0": ("--p0", 3),
+                 "sigma0": ("--sigma0", 2.0), "gamma": ("--gamma", 3.0),
+                 "tau": ("--tau", 0.5), "theta": ("--theta", 1e-4),
+                 "delta_ne": ("--delta-ne", 5),
+                 "max_outer_iters": ("--max-iters", 100),
+                 "max_time": ("--time-limit", 60.0), "seed": ("--seed", 1)}
+        assert set(given) == {f.name for f in fields(alm.SolverOptions)}
+        captured = []
+
+        class Captured(Exception):
+            pass
+
+        def capture(sdp, opts):
+            captured.append(opts)
+            raise Captured
+        monkeypatch.setattr(alm, "solve", capture)
+        argv = ["solve", "--generate", "bqp", "--q", "4"]
+        for flag, value in given.values():
+            argv += [flag, repr(value)]
+        with pytest.raises(Captured):
+            cli_main(argv)
+        defaults = alm.SolverOptions()
+        for name, (_, value) in given.items():
+            got = getattr(captured[0], name)
+            assert getattr(defaults, name) != value
+            assert got == value and type(got) is type(value), name
+
+    def test_infinite_tol_exit_1(self, capsys):
+        rc = cli_main(["solve", "--generate", "bqp", "--q", "4",
+                       "--tol", "inf"])
+        assert rc == 1
+        assert "tol must be positive and finite" in capsys.readouterr().err
+
     def test_negative_seed_exit_1(self, capsys):
         # the options are checked before the seed reaches a generator
         rc = cli_main(["solve", "--generate", "bqp", "--q", "3",
@@ -325,6 +360,15 @@ class TestCli:
         out.write_text(json.dumps(doc))
         assert cli_main(["check", str(out)]) == 2
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_check_tol_not_positive_and_finite_exit_1(self, tmp_path, capsys,
+                                                      tol):
+        out = tmp_path / "r.json"
+        assert cli_main(["solve", "--generate", "maxcut-edge",
+                         "--output", str(out)]) == 0
+        assert cli_main(["check", str(out), "--tol", tol]) == 1
+        assert "tol must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tamper,needle", [
         ("negative-row", "out of range"), ("duplicate", "duplicate")])

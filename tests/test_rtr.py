@@ -187,8 +187,7 @@ class TestTcg:
         Q = rng.standard_normal((6, 6))
         H = Q @ Q.T + 6 * np.eye(6)
         g = rng.standard_normal((6, 1))
-        step, reason, _ = tcg(g, lambda U: H @ U, radius=100.0, kappa=1e-10,
-                              theta=1.0)
+        step, reason, _ = tcg(g, lambda U: H @ U, radius=100.0, kappa=1e-10)
         assert reason == "converged"
         assert np.allclose(step, -np.linalg.solve(H, g), atol=1e-8)
 
@@ -222,7 +221,7 @@ class TestTcg:
         H = np.diag(np.linspace(1, 1e4, 30))
         g = np.ones((30, 1))
         step, reason, _ = tcg(g, lambda U: H @ U, radius=1e6, kappa=1e-14,
-                              theta=1.0, max_iters=2)
+                              max_iters=2)
         assert reason == "max-cg-iters"
 
     @pytest.mark.parametrize("reason,H,g,kw", [
