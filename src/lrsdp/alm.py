@@ -189,15 +189,18 @@ def assemble_dual(sdp, state):
     return z, SymOperator(prob.subtract_bstar(sdp, state.ctx.stilde, z))
 
 
-def _exact_residues(S, eta_p, eta_g):
-    """(residues, lambda_min, lambda_max) with eta_d from the eigh of S.
-    An eigh that raises LinAlgError gives NaN for eta_d and both
-    eigenvalues, and keeps eta_p and eta_g."""
+def _exact_residues(S, eta_p, eta_g, vectors=False):
+    """(residues, lambda_min, lambda_max) with eta_d from the eigenvalues
+    of S: its ``eigh`` when ``vectors``, for an escape to read, else its
+    ``eigvalsh``. An eigensolve that raises LinAlgError gives NaN for
+    eta_d and both eigenvalues, and keeps eta_p and eta_g."""
     try:
-        lam_min = spectral.extreme_eigs(S, 1, side="smallest")[0][0]
+        lam_min = spectral.extreme_eigs(S, 1, side="smallest",
+                                        vectors=vectors)[0][0]
     except np.linalg.LinAlgError:
         return KktResidues(eta_p, np.nan, eta_g), np.nan, np.nan
-    lam_max = spectral.extreme_eigs(S, 1, side="largest")[0][0]
+    lam_max = spectral.extreme_eigs(S, 1, side="largest",
+                                    vectors=vectors)[0][0]
     return (KktResidues(eta_p, prob.dual_residue(lam_min, lam_max), eta_g),
             lam_min, lam_max)
 
@@ -221,22 +224,29 @@ def escape_direction(S, r, delta_ne, tol_escape):
     return U, delta, n_ne_est
 
 
-def truncate_rank(point, theta, rng=None):
+def _kept_rank(s, theta):
+    """How many singular values s (nonincreasing) the rank cut keeps: those
+    above theta * s_1, so none when s_1 = 0."""
+    return int(np.count_nonzero(s > theta * s[0]))
+
+
+def truncate_rank(point, theta, rng=None, svd=None):
     """SVD-truncate the factor to its numerical rank and re-feasibilize.
 
     Keeps singular values above theta * s_1; the truncated factor is
     retracted back onto the manifold (row or global renormalization), which
-    perturbs it by at most the discarded singular mass.
+    perturbs it by at most the discarded singular mass. ``svd`` is the
+    ``spectral.thin_svd`` of ``point.Y`` when the caller already has it.
     """
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
-    W, s, _ = spectral.thin_svd(point.Y)
+    W, s, _ = spectral.thin_svd(point.Y) if svd is None else svd
     if s[0] <= 0.0:
         rng = rng or np.random.default_rng(0)
         col = manifolds.random_point(
             point.n, 1, point.manifold, rng.integers(2**32)).Y
         return FactorPoint(col, point.manifold), 1
-    r = int(np.max(np.nonzero(s > theta * s[0])[0])) + 1
+    r = _kept_rank(s, theta)
     Yr = W[:, :r] * s[:r]
     base = FactorPoint(np.zeros_like(Yr), point.manifold)
     try:
@@ -260,11 +270,15 @@ def solve(sdp, opts=None):
     An outer iteration whose eta_p or eta_g exceeds tol cannot converge:
     it skips the eigendecomposition of S, and the saddle escape, when one
     shifted Cholesky factorization proves eta_d <= tol; its trace row then
-    holds tol for eta_d and ``eta_d_bound`` True. Every answer reports the
-    eigenvalues of its S and returns the point of its last trace row. An
-    ``eigh`` that raises LinAlgError ends the solve with status
-    "eigensolver-failure": the iterate, its exact eta_p and eta_g, and NaN
-    for eta_d and both eigenvalues.
+    holds tol for eta_d and ``eta_d_bound`` True. Any other iteration
+    escapes only if S may curve below -tol (1 + L) off the range that the
+    rank cut keeps, which no column of the kept factor can reach: when a
+    second Cholesky factorization proves it does not, the iteration takes
+    the eigenvalues of S alone, and no escape follows. Every answer
+    reports the eigenvalues of its S and returns the point of its last
+    trace row. An eigensolve that raises LinAlgError ends the solve with
+    status "eigensolver-failure": the iterate, its exact eta_p and eta_g,
+    and NaN for eta_d and both eigenvalues.
     """
     opts = opts or SolverOptions()
     opts.validate()
@@ -297,12 +311,24 @@ def solve(sdp, opts=None):
         # diagonal entry of S is a Rayleigh quotient, so L <= |lambda_max|
         # and eta_d <= tol
         L = max(0.0, float(np.max(np.diagonal(S.dense))))
+        bound = opts.tol * (1.0 + L)
         bounded = max(eta_p, eta_g) > opts.tol \
-            and spectral.proves_lambda_min_above(S, opts.tol * (1.0 + L))
+            and spectral.proves_lambda_min_above(S, bound)
+        svd = spectral.thin_svd(point.Y)
+        escape = False
         if bounded:
             res = KktResidues(eta_p, opts.tol, eta_g)
         else:
-            res, lam_min, lam_max = _exact_residues(S, eta_p, eta_g)
+            # at a critical point S Y = 0, so an eigenvector v of S with
+            # lambda < 0 has Y^T v = 0: negative curvature inside range(Y)
+            # is the inexact inner solve's, and the next rank cut removes
+            # columns added along it. Eigenvectors are computed only
+            # where an escape may follow: where curvature below -bound
+            # may lie off the kept range
+            kept = svd[0][:, :_kept_rank(svd[1], opts.theta)]
+            escape = not spectral.proves_off_range_curvature_above(
+                S, kept, bound)
+            res, lam_min, lam_max = _exact_residues(S, eta_p, eta_g, escape)
         trace.append(IterationTrace(
             k=k, p=point.p, sigma=sigma, eps=eps,
             eta_p=res.eta_p, eta_d=res.eta_d, eta_g=res.eta_g,
@@ -325,8 +351,8 @@ def solve(sdp, opts=None):
             break  # no iteration follows: return the point of this row
 
         # rank truncation, then saddle escape padding (new columns of zeros)
-        point, r = truncate_rank(point, opts.theta, rng)
-        if not bounded:
+        point, r = truncate_rank(point, opts.theta, rng, svd)
+        if escape:
             tol_escape = max(1e-12, 1e-4 * opts.tol * (1.0 + abs(lam_max)))
             U, delta, _ = escape_direction(S, r, opts.delta_ne, tol_escape)
             if delta > 0:

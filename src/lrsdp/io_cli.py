@@ -366,7 +366,8 @@ def _build_parser():
 
     pc = sub.add_parser("check", help="recompute residues of a stored result")
     pc.add_argument("result", metavar="FILE.json")
-    pc.add_argument("--tol", type=float, default=1e-8)
+    pc.add_argument("--tol", type=float, default=None,
+                    help="default: the tol the result was solved at")
     return parser
 
 
@@ -430,13 +431,24 @@ def _run_generate(args):
     return 0
 
 
+def _solved_tol(doc):
+    """The tol in a result document's options, or the solver's default
+    when the document records none."""
+    if isinstance(doc, dict) and "options" in doc:
+        options = _doc_field(doc, "options", dict)
+        if "tol" in options:
+            return _doc_field(options, "tol", (int, float))
+    return SolverOptions().tol
+
+
 def _run_check(args):
     with open(args.result) as fh:
         doc = json.load(fh)
-    res, ok = check_document(doc, args.tol)
+    tol = _solved_tol(doc) if args.tol is None else args.tol
+    res, ok = check_document(doc, tol)
     print(f"eta_p={res.eta_p:.3e} eta_d={res.eta_d:.3e} "
           f"eta_g={res.eta_g:.3e} eta_max={res.eta_max:.3e} "
-          f"{'ok' if ok else 'FAIL'}")
+          f"tol={tol!r} {'ok' if ok else 'FAIL'}")
     return 0 if ok else 2
 
 

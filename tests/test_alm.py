@@ -503,11 +503,12 @@ class TestSolve:
         for t in bounded:
             assert max(t.eta_p, t.eta_g) > opts.tol and t.eta_d == opts.tol
         assert not sol.trace[-1].eta_d_bound
-        vals, _ = np.linalg.eigh(sol.S.dense)
+        # no escape follows the last iteration: its eigenvalues come alone
+        vals = np.linalg.eigvalsh(sol.S.dense)
         assert (sol.lambda_min, sol.lambda_max) == (vals[0], vals[-1])
-        # eigvalsh takes another LAPACK path: equal to rounding
+        # eigh takes another LAPACK path: equal to rounding
         assert sol.lambda_min == pytest.approx(
-            np.linalg.eigvalsh(sol.S.dense)[0], abs=1e-12 * (1 + vals[-1]))
+            np.linalg.eigh(sol.S.dense)[0][0], abs=1e-12 * (1 + vals[-1]))
 
     @pytest.mark.parametrize("limit", ["iteration-limit", "time-limit"])
     def test_limit_after_a_bounded_iteration(self, limit, monkeypatch):
@@ -532,7 +533,7 @@ class TestSolve:
             opts = SolverOptions(max_time=10.0)
         sol = solve(sdp, opts)
         assert sol.status == limit and sol.iterations == first + 1
-        vals, _ = np.linalg.eigh(sol.S.dense)
+        vals = np.linalg.eigvalsh(sol.S.dense)
         assert (sol.lambda_min, sol.lambda_max) == (vals[0], vals[-1])
         assert sol.residues.eta_d == prob.dual_residue(vals[0], vals[-1])
         row = sol.trace[-1]
@@ -540,21 +541,25 @@ class TestSolve:
         assert (row.eta_d, row.eta_max) == (sol.residues.eta_d,
                                             sol.residues.eta_max)
 
-    def test_eigensolver_failure_keeps_the_iterate(self, monkeypatch):
-        # a LinAlgError from the third eigh ends the solve with the
+    @pytest.mark.parametrize("routine,fails_at", [("eigh", 1),
+                                                  ("eigvalsh", 3)])
+    def test_eigensolver_failure_keeps_the_iterate(self, routine, fails_at,
+                                                   monkeypatch):
+        # a LinAlgError from either eigensolver ends the solve with the
         # iterate, its exact eta_p and eta_g, and NaN where eigenvalues are
         sdp = generators.gen_bqp_moment(*generators.random_bqp(6, 0))
-        eigh, calls = np.linalg.eigh, []
+        eig, calls = getattr(np.linalg, routine), []
 
         def failing(a):
             calls.append(a)
-            if len(calls) == 3:
+            if len(calls) == fails_at:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigh(a)
+            return eig(a)
 
-        monkeypatch.setattr(np.linalg, "eigh", failing)
+        monkeypatch.setattr(np.linalg, routine, failing)
         sol = solve(sdp)
-        assert sol.status == "eigensolver-failure" and len(calls) == 3
+        assert sol.status == "eigensolver-failure" \
+            and len(calls) == fails_at
         assert sol.S.dense is calls[-1]
         assert (sol.residues.eta_p, sol.residues.eta_g) == \
             prob.primal_gap_residues(sdp, sol.Y.Y, sol.y, sol.z)
@@ -562,6 +567,55 @@ class TestSolve:
             and np.isnan(sol.lambda_max)
         assert np.isnan(sol.trace[-1].eta_d)
         assert not sol.trace[-1].eta_d_bound
+
+    @pytest.mark.parametrize("family", ["bqp", "completion"])
+    def test_every_eigh_is_read_by_an_escape(self, family, monkeypatch):
+        # eigenvectors are computed only for an escape: every other
+        # eigensolve takes eigenvalues alone. Both solves escape at least
+        # once (from their random starting point)
+        if family == "bqp":
+            sdp = generators.gen_bqp_moment(*generators.random_bqp(6, 0))
+        else:
+            _, entries = generators.random_completion(40, 40, 3, 1000, 1)
+            sdp = generators.gen_matrix_completion(40, 40, entries)
+        eigh, decomposed, escaped = np.linalg.eigh, [], []
+
+        def spied_eigh(a):
+            decomposed.append(a)
+            return eigh(a)
+
+        def spied_escape(S, *args):
+            escaped.append(S.dense)
+            return escape_direction(S, *args)
+
+        monkeypatch.setattr(np.linalg, "eigh", spied_eigh)
+        monkeypatch.setattr(alm, "escape_direction", spied_escape)
+        assert solve(sdp).status == "converged"
+        assert 0 < len(decomposed) <= len(escaped)
+        assert all(any(a is b for b in escaped) for a in decomposed)
+
+    def test_no_escape_inside_the_kept_range(self, monkeypatch):
+        # near a critical point S Y = 0, so negative curvature of S inside
+        # range(Y) comes from the inexact inner solve: no escape column
+        # may lie inside the range that the rank cut keeps
+        kept, overlaps = [], []
+
+        def spied_cut(*args):
+            point, r = truncate_rank(*args)
+            kept.append(np.linalg.svd(point.Y, full_matrices=False)[0])
+            return point, r
+
+        def spied_escape(S, r, *args):
+            U, delta, n_ne = escape_direction(S, r, *args)
+            overlaps.extend(np.linalg.norm(kept[-1].T @ U[:, r:], axis=0))
+            return U, delta, n_ne
+
+        monkeypatch.setattr(alm, "truncate_rank", spied_cut)
+        monkeypatch.setattr(alm, "escape_direction", spied_escape)
+        sdp = _completion_30()
+        assert sdp.manifold is ManifoldKind.FREE
+        assert solve(sdp).status == "converged"
+        assert max(overlaps, default=0.0) <= 0.99
 
     def test_deterministic(self):
         a = solve(_unit_trace_toy(), SolverOptions(seed=3))

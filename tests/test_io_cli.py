@@ -243,18 +243,21 @@ class TestCli:
         assert rc == 0
         assert trace.read_text().startswith("k,p,sigma")
 
-    def test_eigensolver_failure_exit_2(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("routine,fails_at", [("eigh", 1),
+                                                  ("eigvalsh", 3)])
+    def test_eigensolver_failure_exit_2(self, routine, fails_at, tmp_path,
+                                        capsys, monkeypatch):
         # the solve returns its iterate with its own status; the result
         # document and the trace are still written
-        eigh, calls = np.linalg.eigh, []
+        eig, calls = getattr(np.linalg, routine), []
 
         def failing(a):
             calls.append(a)
-            if len(calls) == 3:
+            if len(calls) == fails_at:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigh(a)
+            return eig(a)
 
-        monkeypatch.setattr(np.linalg, "eigh", failing)
+        monkeypatch.setattr(np.linalg, routine, failing)
         out, trace = tmp_path / "r.json", tmp_path / "t.csv"
         rc = cli_main(["solve", "--generate", "bqp", "--q", "6",
                        "--output", str(out), "--trace", str(trace)])
@@ -262,6 +265,7 @@ class TestCli:
         assert "status=eigensolver-failure" in capsys.readouterr().out
         doc = json.loads(out.read_text())
         assert doc["status"] == "eigensolver-failure"
+        assert np.isnan(doc["residues"]["eta_d"])
         assert len(trace.read_text().splitlines()) == doc["iterations"] + 1
 
     def test_malformed_input_exit_1(self, tmp_path, capsys):
@@ -360,6 +364,50 @@ class TestCli:
         out.write_text(json.dumps(doc))
         assert cli_main(["check", str(out)]) == 2
         assert "FAIL" in capsys.readouterr().out
+
+    def test_check_uses_the_tol_solved_at(self, tmp_path, capsys):
+        # check reads tol from the document's options unless --tol
+        # overrides it, and falls back to 1e-8 where the document has none
+        out = tmp_path / "r.json"
+        assert cli_main(["solve", "--generate", "bqp", "--q", "6",
+                         "--tol", "1e-7", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        eta_max = check_document(doc, 1.0)[0].eta_max
+        assert 0 < eta_max <= 1e-7
+        capsys.readouterr()
+        assert cli_main(["check", str(out)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("tol=1e-07 ok")
+        doc["options"]["tol"] = eta_max / 2
+        out.write_text(json.dumps(doc))
+        assert cli_main(["check", str(out)]) == 2
+        assert capsys.readouterr().out.rstrip().endswith(
+            f"tol={eta_max / 2!r} FAIL")
+        assert cli_main(["check", str(out), "--tol", "1e-7"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("tol=1e-07 ok")
+        fallback_rc = 0 if eta_max <= 1e-8 else 2
+        del doc["options"]["tol"]
+        out.write_text(json.dumps(doc))
+        assert cli_main(["check", str(out)]) == fallback_rc
+        assert "tol=1e-08 " in capsys.readouterr().out
+        del doc["options"]
+        out.write_text(json.dumps(doc))
+        assert cli_main(["check", str(out)]) == fallback_rc
+        assert "tol=1e-08 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol,needle", [
+        ("inf", "positive and finite"), (0, "positive and finite"),
+        (-1e-8, "positive and finite"), ("1e-7", "must be a number"),
+        (None, "must be a number"), (True, "must be a number")])
+    def test_check_bad_stored_tol_exit_1(self, tmp_path, capsys, tol,
+                                         needle):
+        out = tmp_path / "r.json"
+        assert cli_main(["solve", "--generate", "maxcut-edge",
+                         "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        doc["options"]["tol"] = float(tol) if tol == "inf" else tol
+        out.write_text(json.dumps(doc))
+        assert cli_main(["check", str(out)]) == 1
+        assert needle in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
     def test_check_tol_not_positive_and_finite_exit_1(self, tmp_path, capsys,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lrsdp.spectral import (SymOperator, extreme_eigs,
-                            proves_lambda_min_above, thin_svd)
+                            proves_lambda_min_above,
+                            proves_off_range_curvature_above, thin_svd)
 
 
 def _random_sym(n, rng):
@@ -78,6 +79,28 @@ class TestExtremeEigs:
         assert hi[0][0] == pytest.approx(vals[-1], abs=1e-10)
         assert np.allclose([v for v, _ in esc], vals[:4], atol=1e-10)
 
+    def test_values_alone_from_one_eigvalsh(self, rng, monkeypatch):
+        # vectors=False reads one cached eigvalsh, bit for bit, and no eigh
+        S = _random_sym(12, rng)
+        want = np.linalg.eigvalsh(S)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(M):
+            calls.append(M)
+            return eigvalsh(M)
+
+        def forbidden(M):
+            raise AssertionError("eigh called")
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        op = SymOperator(S)
+        lo = extreme_eigs(op, 2, side="smallest", vectors=False)
+        hi = extreme_eigs(op, 1, side="largest", vectors=False)
+        assert len(calls) == 1
+        assert lo == [(want[0], None), (want[1], None)]
+        assert hi == [(want[-1], None)]
+
     def test_bad_arguments(self, rng):
         op = SymOperator(np.eye(3))
         with pytest.raises(ValueError):
@@ -148,6 +171,91 @@ class TestProvesLambdaMinAbove:
         op = SymOperator(np.eye(4))
         assert not proves_lambda_min_above(op, 1e-20)
         assert not proves_lambda_min_above(op, 0.0)
+
+
+def _split_basis(n, r, rng):
+    """An orthonormal basis of R^n as (Q, P): r columns, then the rest."""
+    B, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return B[:, :r], B[:, r:]
+
+
+class TestProvesOffRangeCurvatureAbove:
+    BOUND = 1e-8
+
+    def test_negative_eigenvector_off_the_range(self, rng):
+        # the eigenvector of -2 bound is orthogonal to range(Q)
+        Q, P = _split_basis(20, 3, rng)
+        S = (P * np.linspace(-2 * self.BOUND, 3.0, 17)) @ P.T \
+            + (Q * np.array([0.5, 1.0, 2.0])) @ Q.T
+        S = 0.5 * (S + S.T)
+        assert not proves_off_range_curvature_above(
+            SymOperator(S), Q, self.BOUND)
+
+    def test_negative_curvature_only_inside_the_range(self, rng):
+        # S = S0 - eps Q Q^T with S0 >= 0 and range(Q) invariant under S0:
+        # lambda_min(S) = -eps, far below -bound, yet S is positive
+        # semidefinite off range(Q)
+        Q, P = _split_basis(20, 3, rng)
+        S0 = (P * np.concatenate([[0.0], np.linspace(0.1, 3.0, 16)])) @ P.T \
+            + (Q * np.array([0.0, 0.5, 1.0])) @ Q.T
+        S = S0 - 2.0 * Q @ Q.T
+        S = 0.5 * (S + S.T)
+        op = SymOperator(S)
+        assert np.linalg.eigvalsh(S)[0] < -1.9
+        assert not proves_lambda_min_above(op, self.BOUND)
+        assert proves_off_range_curvature_above(op, Q, self.BOUND)
+
+    def test_empty_basis_bounds_lambda_min(self, rng):
+        vals = np.concatenate([np.zeros(3), np.linspace(0.5, 2.0, 17)])
+        op = SymOperator(_with_spectrum(vals, rng))
+        assert proves_off_range_curvature_above(op, np.zeros((20, 0)),
+                                                self.BOUND)
+        vals[0] = -2 * self.BOUND
+        op = SymOperator(_with_spectrum(vals, rng))
+        assert not proves_off_range_curvature_above(op, np.zeros((20, 0)),
+                                                    self.BOUND)
+
+    def test_random_oracle(self, rng):
+        # S = [Q P] [[A, B], [B^T, D]] [Q P]^T: negative curvature in A,
+        # a coupling B, and lambda_min(D) near -bound; every True must
+        # hold for the compressed matrix P^T S P
+        n, outcomes = 16, set()
+        for trial in range(200):
+            r = 1 + trial % 4
+            Q, P = _split_basis(n, r, rng)
+            A = _random_sym(r, rng)
+            B = 10.0 ** rng.uniform(-10, -2) * rng.standard_normal((r, n - r))
+            D = _with_spectrum(np.concatenate(
+                [[-rng.uniform(0.0, 2.0) * self.BOUND],
+                 rng.uniform(0.0, 2.0, n - r - 1)]), rng)
+            B_full = np.concatenate([Q, P], axis=1)
+            S = B_full @ np.block([[A, B], [B.T, D]]) @ B_full.T
+            S = 0.5 * (S + S.T)
+            proven = proves_off_range_curvature_above(SymOperator(S), Q,
+                                                      self.BOUND)
+            outcomes.add(proven)
+            if proven:
+                assert np.linalg.eigvalsh(P.T @ S @ P)[0] >= -self.BOUND
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("shift", [0.0, -1.5])
+    def test_bytes_of_s_and_q_unchanged(self, shift, rng):
+        B = rng.standard_normal((30, 30))
+        S = self.BOUND * (B @ B.T / 30 + shift * np.eye(30))
+        Q, _ = _split_basis(30, 2, rng)
+        before = S.tobytes(), Q.tobytes()
+        proves_off_range_curvature_above(SymOperator(S), Q, self.BOUND)
+        assert (S.tobytes(), Q.tobytes()) == before
+
+    def test_no_factorization_when_the_margin_exceeds_the_bound(
+            self, rng, monkeypatch):
+        def forbidden(A):
+            raise AssertionError("cholesky called")
+        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+        op = SymOperator(np.eye(4))
+        Q = np.eye(4)[:, :1]
+        assert not proves_off_range_curvature_above(op, Q, 1e-20)
+        assert not proves_off_range_curvature_above(op, Q, 0.0)
 
 
 class TestThinSvd:
