@@ -62,6 +62,12 @@ class SolverOptions:
             raise ValueError(f"sigma0 must lie in [{SIGMA_MIN}, {SIGMA_MAX}]")
 
 
+# where a trace row's eta_d comes from: the eigenvalues of S; a Cholesky
+# proof that eta_d <= tol, the row then holding tol; or nowhere, the row
+# holding NaN for eta_d and eta_max (no eigensolve ran, or it failed)
+EIGENVALUES, PROOF, NOT_COMPUTED = "eigenvalues", "proof", "none"
+
+
 @dataclass
 class IterationTrace:
     k: int
@@ -72,7 +78,7 @@ class IterationTrace:
     eta_d: float
     eta_g: float
     eta_max: float
-    eta_d_bound: bool            # eta_d holds the bound tol, not eigenvalues
+    eta_d_source: str            # EIGENVALUES, PROOF or NOT_COMPUTED
     gradnorm: float
     inner_iters: int
     time: float
@@ -192,13 +198,9 @@ def assemble_dual(sdp, state):
 def _exact_residues(S, eta_p, eta_g, vectors=False):
     """(residues, lambda_min, lambda_max) with eta_d from the eigenvalues
     of S: its ``eigh`` when ``vectors``, for an escape to read, else its
-    ``eigvalsh``. An eigensolve that raises LinAlgError gives NaN for
-    eta_d and both eigenvalues, and keeps eta_p and eta_g."""
-    try:
-        lam_min = spectral.extreme_eigs(S, 1, side="smallest",
-                                        vectors=vectors)[0][0]
-    except np.linalg.LinAlgError:
-        return KktResidues(eta_p, np.nan, eta_g), np.nan, np.nan
+    ``eigvalsh``. An eigensolve that fails raises LinAlgError."""
+    lam_min = spectral.extreme_eigs(S, 1, side="smallest",
+                                    vectors=vectors)[0][0]
     lam_max = spectral.extreme_eigs(S, 1, side="largest",
                                     vectors=vectors)[0][0]
     return (KktResidues(eta_p, prob.dual_residue(lam_min, lam_max), eta_g),
@@ -267,18 +269,23 @@ def update_penalty(sigma, eta_p_raw, gradnorm, opts):
 def solve(sdp, opts=None):
     """Solve the SDP to KKT residues below tol via the outer ALM loop.
 
-    An outer iteration whose eta_p or eta_g exceeds tol cannot converge:
-    it skips the eigendecomposition of S, and the saddle escape, when one
-    shifted Cholesky factorization proves eta_d <= tol; its trace row then
-    holds tol for eta_d and ``eta_d_bound`` True. Any other iteration
-    escapes only if S may curve below -tol (1 + L) off the range that the
-    rank cut keeps, which no column of the kept factor can reach: when a
-    second Cholesky factorization proves it does not, the iteration takes
-    the eigenvalues of S alone, and no escape follows. Every answer
-    reports the eigenvalues of its S and returns the point of its last
-    trace row. An eigensolve that raises LinAlgError ends the solve with
+    An outer iteration takes eta_p and eta_g first; neither reads the
+    spectrum of S. The saddle escape is decided before any eigensolve, by
+    ``spectral.proves_curvature_above`` with the bound tol (1 + L). An
+    iteration whose eta_p or eta_g exceeds tol cannot converge; it first
+    tries the plain proof, lambda_min >= -bound, which gives eta_d <= tol
+    (its trace row holds tol, source "proof"). Otherwise the proof off the
+    range that the rank cut keeps, which no column of the kept factor can
+    reach, decides: where it fails, the iteration escapes along the
+    eigenvectors of one ``eigh``. An iteration that does not escape takes
+    eta_d from ``eigvalsh`` only if it can converge; one that can neither
+    converge nor escape runs no eigensolve, and its row holds NaN for eta_d
+    and eta_max (source "none"). Every answer reports the eigenvalues of
+    its S, and returns the point of its last trace row: when the loop ends
+    on a row without eigenvalues, one ``eigvalsh`` fills in that row and
+    the answer. An eigensolve that raises LinAlgError ends the solve with
     status "eigensolver-failure": the iterate, its exact eta_p and eta_g,
-    and NaN for eta_d and both eigenvalues.
+    and NaN for eta_d and both eigenvalues (source "none").
     """
     opts = opts or SolverOptions()
     opts.validate()
@@ -306,18 +313,16 @@ def solve(sdp, opts=None):
         y_next = y - sigma * r0
         z, S = assemble_dual(sdp, state)
         eta_p, eta_g = prob.primal_gap_residues(sdp, point.Y, y_next, z)
-        # an iteration that cannot converge needs no eigenvalues when one
-        # Cholesky factorization proves lambda_min >= -tol (1 + L): any
-        # diagonal entry of S is a Rayleigh quotient, so L <= |lambda_max|
-        # and eta_d <= tol
+        # the proofs' bound: any diagonal entry of S is a Rayleigh quotient,
+        # so L <= |lambda_max|, and lambda_min >= -tol (1 + L) gives
+        # eta_d <= tol
         L = max(0.0, float(np.max(np.diagonal(S.dense))))
         bound = opts.tol * (1.0 + L)
-        bounded = max(eta_p, eta_g) > opts.tol \
-            and spectral.proves_lambda_min_above(S, bound)
+        can_converge = max(eta_p, eta_g) <= opts.tol
         svd = spectral.thin_svd(point.Y)
         escape = False
-        if bounded:
-            res = KktResidues(eta_p, opts.tol, eta_g)
+        if not can_converge and spectral.proves_curvature_above(S, bound):
+            source = PROOF
         else:
             # at a critical point S Y = 0, so an eigenvector v of S with
             # lambda < 0 has Y^T v = 0: negative curvature inside range(Y)
@@ -326,19 +331,26 @@ def solve(sdp, opts=None):
             # where an escape may follow: where curvature below -bound
             # may lie off the kept range
             kept = svd[0][:, :_kept_rank(svd[1], opts.theta)]
-            escape = not spectral.proves_off_range_curvature_above(
-                S, kept, bound)
-            res, lam_min, lam_max = _exact_residues(S, eta_p, eta_g, escape)
+            escape = not spectral.proves_curvature_above(S, bound, kept)
+            source = EIGENVALUES if escape or can_converge else NOT_COMPUTED
+        res = KktResidues(eta_p, opts.tol if source == PROOF else np.nan,
+                          eta_g)
+        lam_min = lam_max = np.nan
+        if source == EIGENVALUES:
+            try:
+                res, lam_min, lam_max = _exact_residues(S, eta_p, eta_g,
+                                                        escape)
+            except np.linalg.LinAlgError:
+                source, status = NOT_COMPUTED, "eigensolver-failure"
         trace.append(IterationTrace(
             k=k, p=point.p, sigma=sigma, eps=eps,
             eta_p=res.eta_p, eta_d=res.eta_d, eta_g=res.eta_g,
-            eta_max=res.eta_max, eta_d_bound=bounded, gradnorm=gradnorm,
+            eta_max=res.eta_max, eta_d_source=source, gradnorm=gradnorm,
             inner_iters=report.iterations,
             time=time.perf_counter() - t_start))
         y = y_next
 
-        if np.isnan(res.eta_d):
-            status = "eigensolver-failure"
+        if status == "eigensolver-failure":
             break
         if res.eta_max <= opts.tol:
             status = "converged"
@@ -368,14 +380,18 @@ def solve(sdp, opts=None):
             # soft failure: the next inner solve gets a 10x looser gradient
             eps = min(10.0 * eps, EPS0)
 
-    if bounded:
-        # a limit right after a bounded iteration: the answer still
-        # reports the eigenvalues of its S, and so does its trace row
-        res, lam_min, lam_max = _exact_residues(S, res.eta_p, res.eta_g)
+    if source != EIGENVALUES and status != "eigensolver-failure":
+        # the loop ended on a row without eigenvalues: the answer still
+        # reports the eigenvalues of its S, and so does that row
+        try:
+            res, lam_min, lam_max = _exact_residues(S, eta_p, eta_g)
+            source = EIGENVALUES
+        except np.linalg.LinAlgError:
+            res = KktResidues(eta_p, np.nan, eta_g)
+            source, status = NOT_COMPUTED, "eigensolver-failure"
         row = trace[-1]
-        row.eta_d, row.eta_max, row.eta_d_bound = res.eta_d, res.eta_max, False
-        if np.isnan(res.eta_d):
-            status = "eigensolver-failure"
+        row.eta_d, row.eta_max, row.eta_d_source = \
+            res.eta_d, res.eta_max, source
     obj = sdp.reported_objective(prob.objective(sdp, point.Y))
     return Solution(
         Y=point, y=y, z=z, S=S, lambda_min=float(lam_min),

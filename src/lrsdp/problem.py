@@ -323,9 +323,16 @@ def subtract_bstar(problem, S, z):
 
 
 def dual_slack(problem, y, z=None):
-    """S = C - A*(y) - B*(z) as a dense n x n matrix; z=None drops B*."""
-    S = problem.C.to_dense()
-    S -= adjoint_dense(problem, y)
+    """S = C - A*(y) - B*(z) as a dense n x n matrix; z=None drops B*.
+
+    One n x n array: A*(-y), C's triplets added at their positions and
+    the mirrors of those off the diagonal. Negation is exact and addition
+    commutes, so S has the bits of C - A*(y)."""
+    S = adjoint_dense(problem, -np.asarray(y, dtype=float))
+    C = problem.C
+    S[C.rows, C.cols] += C.vals
+    off = C.rows != C.cols
+    S[C.cols[off], C.rows[off]] += C.vals[off]
     if z is not None:
         subtract_bstar(problem, S, z)
     return S

@@ -1,5 +1,5 @@
-"""Extreme eigenpairs of the dense dual slack, Cholesky bounds on its
-smallest eigenvalue and on its curvature off a given range, and thin
+"""Extreme eigenpairs of the dense dual slack, one Cholesky proof of a
+lower bound on its curvature (everywhere, or off a given range), and thin
 SVDs."""
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ class SymOperator:
     S that reads eigenvectors (the escape pairs, and lambda_min and
     lambda_max beside them) at every n; one cached ``eigvalsh`` serves
     the eigensolves that read eigenvalues alone, in a smaller workspace.
-    An outer iteration that cannot converge skips both when
-    ``proves_lambda_min_above`` bounds lambda_min instead, and one whose S
-    has no curvature to escape along, as
-    ``proves_off_range_curvature_above`` shows, skips the eigenvectors.
+    ``proves_curvature_above`` decides, before any eigensolve, whether an
+    outer iteration escapes; only escapes read ``eigh``, and only rows
+    that can converge, and the answer, read ``eigvalsh``.
     ``dense`` must be exactly symmetric: ``eigh``, ``eigvalsh`` and
     ``cholesky`` read one triangle.
     """
@@ -74,69 +73,69 @@ def extreme_eigs(op, count, side="smallest", vectors=True):
     return [(float(vals[i]), vecs[:, i].copy()) for i in idx]
 
 
-def proves_lambda_min_above(op, bound):
-    """True when one Cholesky factorization proves lambda_min >= -bound.
-
-    Factors S + tau I with tau = bound - mu, where
-    mu = (n + 1) gamma_{n+1} (||S||_F + bound) and
-    gamma_k = k u / (1 - k u) for the unit roundoff u. A Cholesky
-    factorization that runs to completion is exact for a matrix within
-    n gamma_{n+1} ||S + tau I||_2 of its input (Higham 2002, Thm 10.5), and
-    rounding the shifted diagonal adds at most gamma_{n+1} of the same
-    norm; with ||S + tau I||_2 <= ||S||_F + bound, success proves
-    lambda_min(S) >= -tau - mu = -bound. False without factoring when
-    tau <= 0, and False when a pivot of S + tau I is not positive. The
-    diagonal is shifted in place and restored from a copy of its n
-    entries: S keeps its bits, and no n x n copy is made.
-    """
-    S, n = op.dense, op.n
-    u = np.finfo(S.dtype).eps / 2
-    gamma = (n + 1) * u / (1 - (n + 1) * u)
-    tau = bound - (n + 1) * gamma * (np.linalg.norm(S) + bound)
-    if not tau > 0:
-        return False
-    diag = np.diagonal(S).copy()
-    np.fill_diagonal(S, diag + tau)
-    try:
-        np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        return False
-    finally:
-        np.fill_diagonal(S, diag)
-    return True
-
-
-def proves_off_range_curvature_above(op, Q, bound):
+def proves_curvature_above(op, bound, Q=None):
     """True when one Cholesky factorization proves x^T S x >= -bound x^T x
-    for every x orthogonal to range(Q); for Q of r columns, then
+    for every x orthogonal to range(Q). Without Q (None, or no columns)
+    that is lambda_min(S) >= -bound; for Q of r columns it gives
     lambda_{r+1}(S) >= -bound.
 
-    Factors M = S + c Q Q^T + tau I, built in a fresh array so S keeps its
-    bits, with c = 2 ||S||_F: c Q Q^T vanishes off range(Q), and on
-    range(Q) it lifts the curvature of S, at least -||S||_2, to at least
-    ||S||_2. With N = ||S||_F + c ||Q||_F^2 + bound,
-    which bounds ||M||_2, the Cholesky argument of
-    ``proves_lambda_min_above`` costs n gamma_{n+1} N, forming c Q Q^T at
-    most gamma_{r+1} c ||Q||_F^2 and the two sums at most 2 u N; so
-    mu = (n + 4) gamma_{n+1} N and tau = bound - mu. False without
-    factoring when tau <= 0, and False when a pivot of M is not positive.
+    Factors M = S + c Q Q^T + tau I with tau = bound - mu. For x orthogonal
+    to range(Q), x^T M x = x^T S x + tau x^T x, so a factorization showing
+    lambda_min(M) >= -mu proves the bound. The term c Q Q^T only lets the
+    factorization succeed: with c = 2 s, s = ||S||_inf >= ||S||_2, it lifts
+    the curvature of S on range(Q), at least -s, to at least s. Write u for
+    the unit roundoff, gamma_k = k u / (1 - k u), p = c ||Q||_F^2 and
+    T = sum_i |S_ii| + p + n bound; M^ is M as stored, mirrored from the
+    triangle that ``cholesky`` reads.
+
+    - Factoring (componentwise; Higham 2002, Thm 10.3, and Rump, BIT 46,
+      2006). A factorization that completes gives R^T R = M^ + D with
+      |D| <= gamma_{n+1} |R^T| |R|, so ||D||_2 <= gamma_{n+1} ||R||_F^2.
+      As ||R||_F^2 = tr(M^ + D) <= tr(M^) + gamma_{n+1} ||R||_F^2,
+      ||D||_2 <= gamma_{n+1} / (1 - gamma_{n+1}) tr(M^), and
+      tr(M^) <= (1 + gamma_{r+3}) T. R^T R is positive semidefinite, so
+      lambda_min(M^) >= -||D||_2. This grows as n u tr(M), where a normwise
+      bound grows as n^2 u ||M||_F and stops proving anything at large n.
+    - Forming M^. fl(c Q) Q^T lies within gamma_{r+1} c |Q| |Q|^T of
+      c Q Q^T, at most gamma_{r+1} p in the 2-norm; adding S and then tau
+      on the diagonal round each entry by at most u times its magnitude,
+      at most 3 u (s + p + bound) together, since || |S| ||_2 <= s.
+
+    Both terms together are at most mu / 2, where
+    mu = 2 gamma_{n+3} (T + s + p + bound); the other half covers the
+    rounding in evaluating tau, T, s and p. Without Q no product or sum is
+    formed and s = 0: the shift's rounding, at most
+    u (max_i |S_ii| + bound), lies within that other half too. False
+    without factoring when tau <= 0, and False when a pivot of M^ is not
+    positive. Without Q the diagonal of S is shifted in place and restored
+    from a copy of its n entries, so no n x n copy is made; with Q, M^ is a
+    fresh array. Either way S and Q keep their bits.
     """
     S, n = op.dense, op.n
+    r = 0 if Q is None else Q.shape[1]
     u = np.finfo(S.dtype).eps / 2
-    gamma = (n + 1) * u / (1 - (n + 1) * u)
-    norm_s = np.linalg.norm(S)
-    c = 2.0 * norm_s
-    N = norm_s + c * float(np.sum(Q * Q)) + bound
-    tau = bound - (n + 4) * gamma * N
+    gamma = (n + 3) * u / (1 - (n + 3) * u)
+    s = float(np.linalg.norm(S, np.inf)) if r else 0.0
+    c = 2.0 * s
+    p = c * float(np.sum(Q * Q)) if r else 0.0
+    T = float(np.sum(np.abs(np.diagonal(S)))) + p + n * bound
+    tau = bound - 2.0 * gamma * (T + s + p + bound)
     if not tau > 0:
         return False
-    M = (c * Q) @ Q.T
-    M += S
-    M[np.diag_indices(n)] += tau
+    if r:
+        M = (c * Q) @ Q.T
+        M += S
+        M[np.diag_indices(n)] += tau
+    else:
+        M, diag = S, np.diagonal(S).copy()
+        np.fill_diagonal(S, diag + tau)
     try:
         np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         return False
+    finally:
+        if not r:
+            np.fill_diagonal(S, diag)
     return True
 
 

@@ -414,6 +414,7 @@ def test_criterion_10_determinism():
 
     o1, Y1, t1 = run()
     o2, Y2, t2 = run()
-    ok = o1 == o2 and np.array_equal(Y1, Y2) and t1 == t2
+    # by repr: a row without eta_d holds NaN, which equals no float
+    ok = o1 == o2 and np.array_equal(Y1, Y2) and repr(t1) == repr(t2)
     _report(10, "bitwise determinism", ok,
             f"objective {o1!r} reproduced {o1 == o2}")

@@ -480,29 +480,31 @@ class TestSolve:
             prob.primal_gap_residues(sdp, sol.Y.Y, sol.y, sol.z)
 
     def test_bound_rows_cannot_converge(self, monkeypatch):
-        # the Cholesky bound stands in for eta_d only where eta_p or eta_g
-        # already rules out convergence, and every bound it proves holds;
-        # the converged answer's eigenvalues are S's own
-        proves, proofs = spectral.proves_lambda_min_above, []
+        # the plain Cholesky proof stands in for eta_d only where eta_p or
+        # eta_g already rules out convergence, and every bound it proves
+        # holds; the converged answer's eigenvalues are S's own
+        proves, proofs = spectral.proves_curvature_above, []
 
-        def checked(op, bound):
-            vals = np.linalg.eigvalsh(op.dense)
-            assert max(0.0, np.max(np.diagonal(op.dense))) <= abs(vals[-1])
-            proven = proves(op, bound)
-            assert vals[0] >= -bound or not proven
-            proofs.append(proven)
+        def checked(op, bound, Q=None):
+            proven = proves(op, bound, Q)
+            if Q is None:
+                vals = np.linalg.eigvalsh(op.dense)
+                assert max(0.0, np.max(np.diagonal(op.dense))) \
+                    <= abs(vals[-1])
+                assert vals[0] >= -bound or not proven
+                proofs.append(proven)
             return proven
 
-        monkeypatch.setattr(spectral, "proves_lambda_min_above", checked)
+        monkeypatch.setattr(spectral, "proves_curvature_above", checked)
         sdp = _completion_30()
         opts = SolverOptions()
         sol = solve(sdp, opts)
         assert sol.status == "converged"
-        bounded = [t for t in sol.trace if t.eta_d_bound]
+        bounded = [t for t in sol.trace if t.eta_d_source == alm.PROOF]
         assert len(bounded) == sum(proofs) > 0
         for t in bounded:
             assert max(t.eta_p, t.eta_g) > opts.tol and t.eta_d == opts.tol
-        assert not sol.trace[-1].eta_d_bound
+        assert sol.trace[-1].eta_d_source == alm.EIGENVALUES
         # no escape follows the last iteration: its eigenvalues come alone
         vals = np.linalg.eigvalsh(sol.S.dense)
         assert (sol.lambda_min, sol.lambda_max) == (vals[0], vals[-1])
@@ -510,22 +512,54 @@ class TestSolve:
         assert sol.lambda_min == pytest.approx(
             np.linalg.eigh(sol.S.dense)[0][0], abs=1e-12 * (1 + vals[-1]))
 
+    def test_eigvalsh_only_where_the_row_can_converge(self, monkeypatch):
+        # a row that can neither converge nor escape runs no eigensolve and
+        # shows no number for eta_d or eta_max; every eigvalsh serves a row
+        # with eta_p, eta_g <= tol, or the answer
+        eigvalsh, decomposed, slacks = np.linalg.eigvalsh, [], []
+
+        def spied_eigvalsh(a):
+            decomposed.append(a)
+            return eigvalsh(a)
+
+        def spied_assemble(sdp, state):
+            z, S = assemble_dual(sdp, state)
+            slacks.append(S.dense)
+            return z, S
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spied_eigvalsh)
+        monkeypatch.setattr(alm, "assemble_dual", spied_assemble)
+        opts = SolverOptions()
+        sol = solve(_completion_30(), opts)
+        assert sol.status == "converged"
+        for a in decomposed:
+            k = next(k for k, S in enumerate(slacks) if S is a)
+            t = sol.trace[k]
+            assert max(t.eta_p, t.eta_g) <= opts.tol or k == len(slacks) - 1
+        skipped = [t for t in sol.trace
+                   if t.eta_d_source == alm.NOT_COMPUTED]
+        assert skipped and len(decomposed) < len(sol.trace)
+        for t in skipped:
+            assert max(t.eta_p, t.eta_g) > opts.tol
+            assert np.isnan(t.eta_d) and np.isnan(t.eta_max)
+
     @pytest.mark.parametrize("limit", ["iteration-limit", "time-limit"])
     def test_limit_after_a_bounded_iteration(self, limit, monkeypatch):
         # the solve stops right after the first bounded iteration; the
         # answer and its last trace row still come from an eigensolve
-        proves, clock = spectral.proves_lambda_min_above, [0.0]
+        proves, clock = spectral.proves_curvature_above, [0.0]
 
-        def proving(op, bound):
-            proven = proves(op, bound)
-            if proven:
+        def proving(op, bound, Q=None):
+            proven = proves(op, bound, Q)
+            if proven and Q is None:
                 clock[0] = 1e9
             return proven
 
-        monkeypatch.setattr(spectral, "proves_lambda_min_above", proving)
+        monkeypatch.setattr(spectral, "proves_curvature_above", proving)
         monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
         sdp = _completion_30()
-        first = next(t.k for t in solve(sdp).trace if t.eta_d_bound)
+        first = next(t.k for t in solve(sdp).trace
+                     if t.eta_d_source == alm.PROOF)
         clock[0] = 0.0
         if limit == "iteration-limit":
             opts = SolverOptions(max_outer_iters=first + 1)
@@ -537,16 +571,51 @@ class TestSolve:
         assert (sol.lambda_min, sol.lambda_max) == (vals[0], vals[-1])
         assert sol.residues.eta_d == prob.dual_residue(vals[0], vals[-1])
         row = sol.trace[-1]
-        assert not row.eta_d_bound
+        assert row.eta_d_source == alm.EIGENVALUES
         assert (row.eta_d, row.eta_max) == (sol.residues.eta_d,
                                             sol.residues.eta_max)
 
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_limit_after_a_row_without_eta_d(self, fails, monkeypatch):
+        # the solve stops right after a row that ran no eigensolve: one
+        # eigvalsh fills in the answer and that row, or, when it raises,
+        # the solve ends with "eigensolver-failure"
+        sdp = _completion_30()
+        first = next(t.k for t in solve(sdp).trace
+                     if t.eta_d_source == alm.NOT_COMPUTED)
+        eigvalsh = np.linalg.eigvalsh
+
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        if fails:
+            monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        sol = solve(sdp, SolverOptions(max_outer_iters=first + 1))
+        assert sol.iterations == first + 1
+        row = sol.trace[-1]
+        if fails:
+            assert sol.status == "eigensolver-failure"
+            assert row.eta_d_source == alm.NOT_COMPUTED
+            assert np.isnan(sol.residues.eta_d) and np.isnan(sol.lambda_min)
+            assert np.isnan(row.eta_d) and np.isnan(row.eta_max)
+            return
+        assert sol.status == "iteration-limit"
+        vals = eigvalsh(sol.S.dense)
+        assert (sol.lambda_min, sol.lambda_max) == (vals[0], vals[-1])
+        assert sol.residues.eta_d == prob.dual_residue(vals[0], vals[-1])
+        assert row.eta_d_source == alm.EIGENVALUES
+        assert (row.eta_d, row.eta_max) == (sol.residues.eta_d,
+                                            sol.residues.eta_max)
+        assert (sol.residues.eta_p, sol.residues.eta_g) == \
+            (row.eta_p, row.eta_g)
+
     @pytest.mark.parametrize("routine,fails_at", [("eigh", 1),
-                                                  ("eigvalsh", 3)])
+                                                  ("eigvalsh", 1)])
     def test_eigensolver_failure_keeps_the_iterate(self, routine, fails_at,
                                                    monkeypatch):
         # a LinAlgError from either eigensolver ends the solve with the
-        # iterate, its exact eta_p and eta_g, and NaN where eigenvalues are
+        # iterate, its exact eta_p and eta_g, and NaN where eigenvalues are;
+        # the solve's one eigvalsh is its answer's
         sdp = generators.gen_bqp_moment(*generators.random_bqp(6, 0))
         eig, calls = getattr(np.linalg, routine), []
 
@@ -566,7 +635,7 @@ class TestSolve:
         assert np.isnan(sol.residues.eta_d) and np.isnan(sol.lambda_min) \
             and np.isnan(sol.lambda_max)
         assert np.isnan(sol.trace[-1].eta_d)
-        assert not sol.trace[-1].eta_d_bound
+        assert sol.trace[-1].eta_d_source == alm.NOT_COMPUTED
 
     @pytest.mark.parametrize("family", ["bqp", "completion"])
     def test_every_eigh_is_read_by_an_escape(self, family, monkeypatch):

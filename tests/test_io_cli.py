@@ -244,7 +244,7 @@ class TestCli:
         assert trace.read_text().startswith("k,p,sigma")
 
     @pytest.mark.parametrize("routine,fails_at", [("eigh", 1),
-                                                  ("eigvalsh", 3)])
+                                                  ("eigvalsh", 1)])
     def test_eigensolver_failure_exit_2(self, routine, fails_at, tmp_path,
                                         capsys, monkeypatch):
         # the solve returns its iterate with its own status; the result

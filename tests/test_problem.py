@@ -317,6 +317,25 @@ class TestSdpProblem:
         assert np.array_equal(S, S.T)
         assert np.allclose(prob.dual_slack(sdp, y), want, atol=1e-12)
 
+    @pytest.mark.parametrize("family", ["bqp", "completion", "m=0"])
+    def test_dual_slack_bytes_of_c_minus_adjoint(self, family, rng):
+        # one n x n array, A*(-y) plus C's triplets, has the bits of the
+        # dense C less A*(y); with m = 0, S is the adjoint's zero array
+        # plus C
+        if family == "bqp":
+            sdp = gen.gen_bqp_moment(*gen.random_bqp(8, 0))
+        elif family == "completion":
+            _, entries = gen.random_completion(20, 20, 3, 200, 0)
+            sdp = gen.gen_matrix_completion(20, 20, entries)
+        else:
+            sdp = random_problem(6, 0, ManifoldKind.UNIT_DIAGONAL, rng)
+        y = rng.standard_normal(sdp.m)
+        z = rng.standard_normal(sdp.manifold_rhs().size)
+        want = sdp.C.to_dense() - prob.adjoint_dense(sdp, y)
+        assert prob.dual_slack(sdp, y).tobytes() == want.tobytes()
+        prob.subtract_bstar(sdp, want, z)
+        assert prob.dual_slack(sdp, y, z).tobytes() == want.tobytes()
+
     def test_objective_oracle(self, rng):
         sdp = random_problem(6, 0, ManifoldKind.FREE, rng)
         Y = rng.standard_normal((6, 2))

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from lrsdp.spectral import (SymOperator, extreme_eigs,
-                            proves_lambda_min_above,
-                            proves_off_range_curvature_above, thin_svd)
+                            proves_curvature_above, thin_svd)
 
 
 def _random_sym(n, rng):
@@ -134,12 +133,12 @@ class TestProvesLambdaMinAbove:
         vals = np.concatenate([[-scale * self.BOUND],
                                np.linspace(0.1, 3.0, 19)])
         op = SymOperator(_with_spectrum(vals, rng))
-        assert proves_lambda_min_above(op, self.BOUND) is proven
+        assert proves_curvature_above(op, self.BOUND) is proven
 
     def test_psd_with_threefold_zero_eigenvalue(self, rng):
         vals = np.concatenate([np.zeros(3), np.linspace(0.5, 2.0, 17)])
         op = SymOperator(_with_spectrum(vals, rng))
-        assert proves_lambda_min_above(op, self.BOUND)
+        assert proves_curvature_above(op, self.BOUND)
 
     def test_only_the_last_pivot_negative(self):
         # [[I, v], [v^T, c]]: n - 1 unit pivots, then c - v^T v = -1
@@ -148,7 +147,7 @@ class TestProvesLambdaMinAbove:
         S[:-1, -1] = S[-1, :-1] = 0.5
         S[-1, -1] = 0.25 * (n - 1) - 1.0
         np.linalg.cholesky(S[:-1, :-1])
-        assert not proves_lambda_min_above(SymOperator(S), self.BOUND)
+        assert not proves_curvature_above(SymOperator(S), self.BOUND)
 
     @pytest.mark.parametrize("shift", [0.0, -1.5])
     def test_bytes_of_s_unchanged(self, shift, rng):
@@ -159,7 +158,7 @@ class TestProvesLambdaMinAbove:
         d = np.diagonal(S)
         assert np.any((d + self.BOUND) - self.BOUND != d)
         before = S.tobytes()
-        proven = proves_lambda_min_above(SymOperator(S), self.BOUND)
+        proven = proves_curvature_above(SymOperator(S), self.BOUND)
         assert proven is (shift == 0.0)
         assert S.tobytes() == before
 
@@ -169,8 +168,8 @@ class TestProvesLambdaMinAbove:
             raise AssertionError("cholesky called")
         monkeypatch.setattr(np.linalg, "cholesky", forbidden)
         op = SymOperator(np.eye(4))
-        assert not proves_lambda_min_above(op, 1e-20)
-        assert not proves_lambda_min_above(op, 0.0)
+        assert not proves_curvature_above(op, 1e-20)
+        assert not proves_curvature_above(op, 0.0)
 
 
 def _split_basis(n, r, rng):
@@ -188,8 +187,7 @@ class TestProvesOffRangeCurvatureAbove:
         S = (P * np.linspace(-2 * self.BOUND, 3.0, 17)) @ P.T \
             + (Q * np.array([0.5, 1.0, 2.0])) @ Q.T
         S = 0.5 * (S + S.T)
-        assert not proves_off_range_curvature_above(
-            SymOperator(S), Q, self.BOUND)
+        assert not proves_curvature_above(SymOperator(S), self.BOUND, Q)
 
     def test_negative_curvature_only_inside_the_range(self, rng):
         # S = S0 - eps Q Q^T with S0 >= 0 and range(Q) invariant under S0:
@@ -202,18 +200,19 @@ class TestProvesOffRangeCurvatureAbove:
         S = 0.5 * (S + S.T)
         op = SymOperator(S)
         assert np.linalg.eigvalsh(S)[0] < -1.9
-        assert not proves_lambda_min_above(op, self.BOUND)
-        assert proves_off_range_curvature_above(op, Q, self.BOUND)
+        assert not proves_curvature_above(op, self.BOUND)
+        assert proves_curvature_above(op, self.BOUND, Q)
 
     def test_empty_basis_bounds_lambda_min(self, rng):
+        # a Q of no columns is the plain proof, as is no Q at all
         vals = np.concatenate([np.zeros(3), np.linspace(0.5, 2.0, 17)])
         op = SymOperator(_with_spectrum(vals, rng))
-        assert proves_off_range_curvature_above(op, np.zeros((20, 0)),
-                                                self.BOUND)
+        assert proves_curvature_above(op, self.BOUND, np.zeros((20, 0)))
+        assert proves_curvature_above(op, self.BOUND)
         vals[0] = -2 * self.BOUND
         op = SymOperator(_with_spectrum(vals, rng))
-        assert not proves_off_range_curvature_above(op, np.zeros((20, 0)),
-                                                    self.BOUND)
+        assert not proves_curvature_above(op, self.BOUND, np.zeros((20, 0)))
+        assert not proves_curvature_above(op, self.BOUND)
 
     def test_random_oracle(self, rng):
         # S = [Q P] [[A, B], [B^T, D]] [Q P]^T: negative curvature in A,
@@ -231,12 +230,63 @@ class TestProvesOffRangeCurvatureAbove:
             B_full = np.concatenate([Q, P], axis=1)
             S = B_full @ np.block([[A, B], [B.T, D]]) @ B_full.T
             S = 0.5 * (S + S.T)
-            proven = proves_off_range_curvature_above(SymOperator(S), Q,
-                                                      self.BOUND)
+            proven = proves_curvature_above(SymOperator(S), self.BOUND, Q)
             outcomes.add(proven)
             if proven:
                 assert np.linalg.eigvalsh(P.T @ S @ P)[0] >= -self.BOUND
         assert outcomes == {True, False}
+
+    def test_random_oracle_at_n_1000(self, rng):
+        # as above at n = 1000, with r = 0 (the plain proof) to 3 and
+        # lambda_min(D) = -x bound, x < 0.9 or x > 1.1 in turn, so the
+        # proof has both outcomes to find; P^T S P = D holds to rounding,
+        # and the coupling is small enough not to hide D from the proof
+        n, outcomes = 1000, []
+        basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        for trial in range(6):
+            r = trial % 4
+            Q, P = basis[:, :r], basis[:, r:]
+            x = rng.uniform(0.0, 0.9) if trial % 2 else rng.uniform(1.1, 2.0)
+            blocks = np.zeros((n, n))
+            blocks[:r, :r] = _random_sym(r, rng)
+            blocks[:r, r:] = 1e-6 * rng.standard_normal((r, n - r))
+            blocks[r:, :r] = blocks[:r, r:].T
+            blocks[r:, r:] = np.diag(np.concatenate(
+                [[-x * self.BOUND], rng.uniform(0.0, 2.0, n - r - 1)]))
+            S = basis @ blocks @ basis.T
+            S = 0.5 * (S + S.T)
+            proven = proves_curvature_above(SymOperator(S), self.BOUND,
+                                            Q if r else None)
+            outcomes.append(proven)
+            if proven:
+                assert np.linalg.eigvalsh(P.T @ S @ P)[0] >= -self.BOUND
+        assert outcomes == [trial % 2 == 1 for trial in range(6)]
+
+    @pytest.mark.parametrize("r", [0, 2])
+    def test_componentwise_margin_proves_at_n_1000(self, r, rng):
+        # a positive semidefinite W plus a flat rank-one term of weight
+        # 100 n: ||S||_F is about n max_i S_ii, so the normwise margin
+        # (n + 1) gamma_{n+1} ||S||_F of the previous proofs exceeds the
+        # bound tol (1 + L), while the componentwise one, of order
+        # n u tr(S), stays far below it. Curvature -2 on range(Q) stays
+        # off the proof's path
+        n = 1000
+        B = rng.standard_normal((n, n - 5))
+        S = B @ B.T / n + 100.0 * np.ones((n, n))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, r)))
+        S -= 2.0 * Q @ Q.T
+        S = 0.5 * (S + S.T)
+        bound = 1e-8 * (1.0 + np.max(np.diagonal(S)))
+        u = np.finfo(float).eps / 2
+        gamma = (n + 1) * u / (1 - (n + 1) * u)
+        norm_s = np.linalg.norm(S)
+        old_mu = (n + 1) * gamma * (norm_s + bound) if r == 0 else \
+            (n + 4) * gamma * (norm_s + 2.0 * norm_s * r + bound)
+        assert old_mu > 10 * bound
+        assert proves_curvature_above(SymOperator(S), bound,
+                                      Q if r else None)
+        P = np.linalg.svd(Q, full_matrices=True)[0][:, r:]
+        assert np.linalg.eigvalsh(P.T @ S @ P)[0] >= -bound
 
     @pytest.mark.parametrize("shift", [0.0, -1.5])
     def test_bytes_of_s_and_q_unchanged(self, shift, rng):
@@ -244,7 +294,7 @@ class TestProvesOffRangeCurvatureAbove:
         S = self.BOUND * (B @ B.T / 30 + shift * np.eye(30))
         Q, _ = _split_basis(30, 2, rng)
         before = S.tobytes(), Q.tobytes()
-        proves_off_range_curvature_above(SymOperator(S), Q, self.BOUND)
+        proves_curvature_above(SymOperator(S), self.BOUND, Q)
         assert (S.tobytes(), Q.tobytes()) == before
 
     def test_no_factorization_when_the_margin_exceeds_the_bound(
@@ -254,8 +304,8 @@ class TestProvesOffRangeCurvatureAbove:
         monkeypatch.setattr(np.linalg, "cholesky", forbidden)
         op = SymOperator(np.eye(4))
         Q = np.eye(4)[:, :1]
-        assert not proves_off_range_curvature_above(op, Q, 1e-20)
-        assert not proves_off_range_curvature_above(op, Q, 0.0)
+        assert not proves_curvature_above(op, 1e-20, Q)
+        assert not proves_curvature_above(op, 0.0, Q)
 
 
 class TestThinSvd:

@@ -6,9 +6,11 @@ Solves the benchmark instances, ``bqp-moment`` 0-1 and ``completion`` 0-3
 as perfbench's ``WORKLOADS`` defines them, and three seeded ``unit-trace``
 instances that no workload builds, with the sources of this checkout and of
 PARENT_CHECKOUT. Each solve runs in its own subprocess with one BLAS
-thread. Compared: every trace column except ``time``, the bytes of Y, y, z
-and S, lambda_min and lambda_max, the objective and the status. Prints one
-line per instance and exits 1 on any difference.
+thread. Compared: each trace column except ``time`` on its own (named
+``trace.<column>``; a column only one checkout has differs), the bytes of
+Y, y, z and S, lambda_min and lambda_max, the objective and the status.
+Prints one line per instance, naming the fields that differ, and exits 1
+on any difference.
 """
 
 import dataclasses
@@ -60,13 +62,15 @@ def fingerprint(workload, index):
         w = harness.WORKLOADS[workload]
         sol = lrsdp.solve(w.build(w.inputs(w.params, index)),
                           lrsdp.SolverOptions(seed=index))
-    trace = [[v for k, v in dataclasses.asdict(t).items() if k != "time"]
-             for t in sol.trace]
+    columns = [f.name for f in dataclasses.fields(sol.trace[0])
+               if f.name != "time"]
     arrays = {"Y": sol.Y.Y, "y": sol.y, "z": sol.z, "S": sol.S.dense}
     fields = {name: repr((a.dtype.str, a.shape)).encode() + a.tobytes()
               for name, a in arrays.items()}
     fields.update({
-        "trace": repr(trace).encode(),
+        "trace." + c: repr([getattr(t, c) for t in sol.trace]).encode()
+        for c in columns})
+    fields.update({
         "lambda": repr((sol.lambda_min, sol.lambda_max)).encode(),
         "objective": repr(sol.objective).encode(),
         "status": sol.status.encode()})
@@ -95,7 +99,8 @@ def main(argv):
     for workload, index in INSTANCES:
         ours = solve_in(ROOT, workload, index)
         theirs = solve_in(argv[0], workload, index)
-        diff = [k for k in ours if ours[k] != theirs.get(k)]
+        diff = [k for k in {**ours, **theirs}
+                if ours.get(k) != theirs.get(k)]
         differs = differs or bool(diff)
         print(f"{workload} {index}: "
               + ("differs in " + ", ".join(diff) if diff else "identical"))
