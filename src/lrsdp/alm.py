@@ -12,7 +12,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import manifolds, problem as prob, rtr, spectral
-from .manifolds import FactorPoint, HessianContext, ManifoldKind
+from .manifolds import FactorPoint, ManifoldKind
 from .problem import KktResidues
 from .spectral import SymOperator
 
@@ -135,12 +135,13 @@ class AlmSubproblem:
         z = manifolds.multiplier_z(point, W)
         grad = manifolds.riem_grad(point, W, z)
 
-        def curvature(U):
-            return sigma * prob.apply_adjoint_times(
-                sdp, prob.apply_constraints_sym(sdp, Y, U), Y)
+        def ehess(U):
+            # 2 (S~ U + sigma A*(A(Y U^T + U Y^T)) Y): the S~ part and the
+            # penalty curvature
+            return 2.0 * (stilde @ U + sigma * prob.apply_adjoint_times(
+                sdp, prob.apply_constraints_sym(sdp, Y, U), Y))
 
-        ctx = HessianContext(stilde, curvature, z)
-        return _PointState(point, cost, grad, ctx,
+        return _PointState(point, cost, grad, stilde, z, ehess,
                            self._precon(point, stilde, r0))
 
     def _precon(self, point, stilde, r0):
@@ -177,22 +178,27 @@ class AlmSubproblem:
 
 @dataclass
 class _PointState:
+    """The subproblem at one point. ``stilde`` is the dense n x n
+    S~ = grad Phi(X), the dual slack at the first-order multipliers; ``z``
+    the manifold multipliers; ``ehess`` the Euclidean Hessian product."""
     point: FactorPoint
     cost: float
     grad: np.ndarray
-    ctx: HessianContext
+    stilde: np.ndarray
+    z: np.ndarray
+    ehess: Callable[[np.ndarray], np.ndarray]
     precon: Optional[Callable[[np.ndarray], np.ndarray]]
 
     def hess_vec(self, U):
-        return manifolds.riem_hess_vec(self.point, U, self.ctx)
+        return manifolds.riem_hess_vec(self.point, U, self.ehess, self.z)
 
 
 def assemble_dual(sdp, state):
     """Multipliers z and the dual slack operator S = grad Phi(X) - B*(z) at
     the point of ``state``, an ``AlmSubproblem.at`` result: its own z, and
     its S~ = grad Phi(X) less B*(z) in place, so the state is spent."""
-    z = state.ctx.z
-    return z, SymOperator(prob.subtract_bstar(sdp, state.ctx.stilde, z))
+    z = state.z
+    return z, SymOperator(prob.subtract_bstar(sdp, state.stilde, z))
 
 
 def _exact_residues(S, eta_p, eta_g, vectors=False):
@@ -210,20 +216,36 @@ def _exact_residues(S, eta_p, eta_g, vectors=False):
 def escape_direction(S, r, delta_ne, tol_escape):
     """Second-order descent direction from negative eigenvalues of S.
 
-    Returns (U, delta, n_ne_est) where U is n x (r + delta) with the first r
-    columns zero and the rest the eigenvectors of the delta most negative
+    Returns (U, delta) where U is n x (r + delta) with the first r columns
+    zero and the rest the eigenvectors of the delta most negative
     eigenvalues; delta = 0 means no escape is needed.
     """
-    k = min(delta_ne + 1, S.n)
-    pairs = spectral.extreme_eigs(S, k, side="smallest")
-    n_ne_est = sum(1 for val, _ in pairs if val < -tol_escape)
-    delta = min(n_ne_est, delta_ne)
-    if delta == 0:
-        return np.zeros((S.n, r)), 0, n_ne_est
+    pairs = spectral.extreme_eigs(S, min(delta_ne, S.n), side="smallest")
+    delta = sum(1 for val, _ in pairs if val < -tol_escape)
     U = np.zeros((S.n, r + delta))
     for j in range(delta):
         U[:, r + j] = pairs[j][1]
-    return U, delta, n_ne_est
+    return U, delta
+
+
+def escape_step(sub, point, U):
+    """The first retraction of ``point`` along U, at t = 1, 1/2, ...,
+    2^-39, whose ``sub.cost`` is strictly below the point's; else the point.
+
+    The point is a factor padded with zero columns and U an
+    ``escape_direction``, zero on the other columns: the gradient vanishes
+    on the padded columns and U on the others, so the cost has no slope
+    along U and only the negative curvature of S descends.
+    """
+    cost = sub.cost(point)
+    for k in range(40):
+        try:
+            trial = manifolds.retract(point, U, 0.5 ** k)
+        except manifolds.RetractionError:
+            continue
+        if sub.cost(trial) < cost:
+            return trial
+    return point
 
 
 def _kept_rank(s, theta):
@@ -277,7 +299,9 @@ def solve(sdp, opts=None):
     (its trace row holds tol, source "proof"). Otherwise the proof off the
     range that the rank cut keeps, which no column of the kept factor can
     reach, decides: where it fails, the iteration escapes along the
-    eigenvectors of one ``eigh``. An iteration that does not escape takes
+    eigenvectors of one ``eigh``, padding the cut factor with zero columns
+    that the next iteration's ``escape_step`` moves along them under its
+    own subproblem. An iteration that does not escape takes
     eta_d from ``eigvalsh`` only if it can converge; one that can neither
     converge nor escape runs no eigensolve, and its row holds NaN for eta_d
     and eta_max (source "none"). Every answer reports the eigenvalues of
@@ -303,10 +327,10 @@ def solve(sdp, opts=None):
 
     for k in range(opts.max_outer_iters):
         sub = AlmSubproblem(sdp, y, sigma)
-        point, report, state = rtr.minimize(
-            sub, point, eps, MAX_INNER_ITERS, warm_dir=pending_dir,
-            deadline=deadline)
-        pending_dir = None
+        if pending_dir is not None:
+            point, pending_dir = escape_step(sub, point, pending_dir), None
+        point, report, state = rtr.minimize(sub, point, eps, MAX_INNER_ITERS,
+                                            deadline=deadline)
         gradnorm = report.gradnorm
 
         r0, _ = sub.residual_cost(point)
@@ -355,8 +379,7 @@ def solve(sdp, opts=None):
         if res.eta_max <= opts.tol:
             status = "converged"
             break
-        if opts.max_time is not None \
-                and time.perf_counter() - t_start > opts.max_time:
+        if deadline is not None and time.perf_counter() > deadline:
             status = "time-limit"
             break
         if k + 1 == opts.max_outer_iters:
@@ -366,7 +389,7 @@ def solve(sdp, opts=None):
         point, r = truncate_rank(point, opts.theta, rng, svd)
         if escape:
             tol_escape = max(1e-12, 1e-4 * opts.tol * (1.0 + abs(lam_max)))
-            U, delta, _ = escape_direction(S, r, opts.delta_ne, tol_escape)
+            U, delta = escape_direction(S, r, opts.delta_ne, tol_escape)
             if delta > 0:
                 Y_pad = np.concatenate(
                     [point.Y, np.zeros((sdp.n, delta))], axis=1)

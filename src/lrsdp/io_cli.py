@@ -163,7 +163,7 @@ def read_gset(path):
 # --- result documents ---------------------------------------------------
 
 _JSON_TYPES = {dict: "an object", list: "a list", int: "an integer",
-               (int, float): "a number"}
+               (int, float): "a number", str: "a string"}
 
 
 def _doc_field(doc, key, kind):
@@ -234,7 +234,9 @@ def result_document(sdp, solution, options):
                   for key in ("index", "rows", "cols", "vals")},
             "b": sdp.b.tolist(),
         },
-        "options": asdict(options),
+        # numpy scalars, which the options accept, as plain Python numbers
+        "options": {key: value.item() if isinstance(value, np.generic)
+                    else value for key, value in asdict(options).items()},
         "objective": solution.objective,
         "residues": {"eta_p": solution.residues.eta_p,
                      "eta_d": solution.residues.eta_d,
@@ -257,10 +259,15 @@ def problem_from_document(doc):
     type or shape raises ProblemError."""
     pd = _doc_field(doc, "problem", dict)
     n = _doc_field(pd, "n", int)
+    manifold = _doc_field(pd, "manifold", str)
+    kinds = [kind.value for kind in ManifoldKind]
+    if manifold not in kinds:
+        raise ProblemError(f"field 'manifold' must be one of {kinds}, "
+                           f"got {manifold!r}")
     return SdpProblem(
         n, _doc_triplets(pd, "C", n)[0],
         _doc_triplets(pd, "A", n, _doc_field(pd, "m", int)),
-        _doc_numbers(pd, "b"), ManifoldKind(pd["manifold"]),
+        _doc_numbers(pd, "b"), ManifoldKind(manifold),
         objective_sign=_doc_field(pd, "objective_sign", (int, float)),
         objective_offset=_doc_field(pd, "objective_offset", (int, float)))
 

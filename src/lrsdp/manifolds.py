@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -115,38 +114,22 @@ def riem_grad(point, grad_phi_Y, z):
     return 2.0 * (grad_phi_Y - bstar_times(point, z, point.Y))
 
 
-@dataclass
-class HessianContext:
-    """Point-local data needed for Riemannian Hessian-vector products.
+def riem_hess_vec(point, U, ehess, z):
+    """Riemannian Hessian-vector product from the Euclidean one.
 
-    stilde:       the dense n x n S~ = grad Phi(X), the dual slack at the
-                  first-order multipliers; products are ``stilde @ V``.
-    curvature:    U -> sigma * A*(A(Y U^T + U Y^T)) Y (penalty curvature).
-    z:            manifold multipliers; on the sphere z[0] = Tr(grad Phi X)
-                  and on the oblique manifold z = diag(grad Phi X). They
-                  enter the Hessian through the Weingarten term -2 B*(z) U.
-    """
-
-    stilde: np.ndarray
-    curvature: Callable[[np.ndarray], np.ndarray]
-    z: np.ndarray
-
-
-def riem_hess_vec(point, U, ctx):
-    """Riemannian Hessian of the penalized cost applied to a tangent U.
-
-    On the sphere and the oblique manifold this is
-    P_Y(2 (grad Phi U + curvature(U)) - 2 B*(z) U): the Weingarten term is
-    projected together with the Euclidean part, so every product lies in
+    ``ehess`` maps U to the Euclidean Hessian product of the cost at the
+    point, and z holds the manifold multipliers. On the sphere and the
+    oblique manifold this is P_Y(ehess(U) - 2 B*(z) U): the Weingarten term
+    is projected together with the Euclidean part, so every product lies in
     the tangent space whatever the rounding of U. An unprojected -2 B*(z) U
     would carry U's normal rounding error into each product, and over many
     tCG steps the operator drifts from symmetric on the tangent space.
     """
-    htilde = 2.0 * (ctx.stilde @ U + ctx.curvature(U))
+    htilde = ehess(U)
     if point.manifold is ManifoldKind.FREE:
         return htilde
     return project_tangent(point,
-                           htilde - bstar_times(point, 2.0 * ctx.z, U))
+                           htilde - bstar_times(point, 2.0 * z, U))
 
 
 def random_point(n, p, manifold, seed):

@@ -9,9 +9,6 @@ import numpy as np
 
 from .manifolds import RetractionError, retract
 
-_ARMIJO_C1 = 1e-4
-_ARMIJO_FACTOR = 0.5
-_ARMIJO_MAX_BACKTRACKS = 40
 _RADIUS_COLLAPSE = 1e-14
 _RHO_PRIME = 0.1  # a step is accepted when its decrease ratio exceeds this
 # tCG's residual floor as a fraction of minimize's grad_tol; below 1, since
@@ -157,29 +154,7 @@ def _boundary_step(e_norm2, e_d, d_norm2, radius):
     return (-e_d + np.sqrt(max(disc, 0.0))) / d_norm2
 
 
-def _line_search(model, point, state, direction):
-    """Backtracking Armijo search along a supplied descent direction.
-
-    Directions of zero gradient overlap (saddle escapes) are accepted on
-    strict cost decrease alone.
-    """
-    slope = min(_inner(state.grad, direction), 0.0)
-    t = 1.0
-    for _ in range(_ARMIJO_MAX_BACKTRACKS):
-        try:
-            trial = retract(point, direction, t)
-        except RetractionError:
-            t *= _ARMIJO_FACTOR
-            continue
-        c = model.cost(trial)
-        if c < state.cost + _ARMIJO_C1 * t * slope and c < state.cost:
-            return trial
-        t *= _ARMIJO_FACTOR
-    return None
-
-
-def minimize(model, point, grad_tol, max_iters, warm_dir=None,
-             deadline=None):
+def minimize(model, point, grad_tol, max_iters, deadline=None):
     """Drive the Riemannian gradient norm of the model below grad_tol.
 
     ``model`` supplies ``cost(point)`` and ``at(point)``; the latter returns
@@ -191,8 +166,7 @@ def minimize(model, point, grad_tol, max_iters, warm_dir=None,
     0.1 sqrt(n p), capped at ten times that. The radius doubles after a
     very successful step (rho > 0.75) that tCG stopped on the boundary or
     on negative curvature, and shrinks by ``_SHRINK`` after a poor one
-    (rho < 0.25). A supplied warm direction is consumed by an Armijo line
-    search before the trust-region loop starts.
+    (rho < 0.25).
     Hessian products run only inside tCG, with its default truncation and
     the residual floor ``_FLOOR * grad_tol``: tCG stops once the model's
     gradient is at or below half the tolerance, since a smaller one buys
@@ -215,12 +189,6 @@ def minimize(model, point, grad_tol, max_iters, warm_dir=None,
     max_radius = 10.0 * radius
 
     state = model.at(point)
-    if warm_dir is not None:
-        warmed = _line_search(model, point, state, warm_dir)
-        if warmed is not None:
-            point = warmed
-            state = model.at(point)
-
     iters = 0
     reason = "max-iters"
     retries = {}  # tCG's stop records at the current point, by radius

@@ -15,13 +15,8 @@ class SymOperator:
 
     The dual slack is one dense S per point, built by
     ``problem.dual_slack``. One cached ``eigh`` serves every eigensolve of
-    S that reads eigenvectors (the escape pairs, and lambda_min and
-    lambda_max beside them) at every n; one cached ``eigvalsh`` serves
-    the eigensolves that read eigenvalues alone, in a smaller workspace.
-    ``proves_curvature_above`` decides, before any eigensolve, whether an
-    outer iteration escapes; only escapes read ``eigh``, and only rows
-    that can converge, and the answer, read ``eigvalsh``.
-    ``dense`` must be exactly symmetric: ``eigh``, ``eigvalsh`` and
+    S that reads eigenvectors, and one cached ``eigvalsh``, in a smaller
+    workspace, those that read eigenvalues alone. ``dense`` must be exactly symmetric: ``eigh``, ``eigvalsh`` and
     ``cholesky`` read one triangle.
     """
 

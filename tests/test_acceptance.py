@@ -198,7 +198,7 @@ def test_criterion_05_geometry_suite():
                                  rng.standard_normal((n, 1))], axis=1)
             est = sub.at(ep)
             S = dense_phi_grad(sdp, y, sigma, Yp) \
-                - dense_bstar(manifold, est.ctx.z, n)
+                - dense_bstar(manifold, est.z, n)
             l2 = float(np.sum(eU * est.hess_vec(eU)))
             r2 = 2.0 * float(np.trace(eU.T @ S @ eU))
             worst_ident = max(worst_ident,
@@ -212,10 +212,10 @@ def test_criterion_05_geometry_suite():
 
 
 def test_criterion_06_escape_suite():
-    from lrsdp.alm import AlmSubproblem, assemble_dual, escape_direction
+    from lrsdp.alm import (AlmSubproblem, assemble_dual, escape_direction,
+                           escape_step)
     from lrsdp.manifolds import FactorPoint
     from lrsdp.problem import SdpProblem, SparseSymMatrix
-    from lrsdp import rtr
 
     # worked 2x2 unit-trace case: saddle at Y = e1 with S = diag(0, -2)
     C = SparseSymMatrix.from_triplets(2, [(0, 0, 1.0), (1, 1, -1.0)])
@@ -245,8 +245,8 @@ def test_criterion_06_escape_suite():
         assert np.allclose(S_i.dense, S_dense, atol=1e-12)
         vals = np.linalg.eigvalsh(S_dense)
         n_neg = int(np.sum(vals < -1e-10))
-        U, delta, _ = escape_direction(S_i, pt.p, delta_ne=10,
-                                       tol_escape=1e-10)
+        U, delta = escape_direction(S_i, pt.p, delta_ne=10,
+                                    tol_escape=1e-10)
         if n_neg == 0:
             all_escaped = all_escaped and delta == 0
             continue
@@ -261,7 +261,7 @@ def test_criterion_06_escape_suite():
         worst_curv = max(worst_curv, abs(curv - want))
 
         # line search along U strictly decreases the subproblem cost
-        stepped = rtr._line_search(sub, padded, state, U)
+        stepped = escape_step(sub, padded, U)
         all_escaped = all_escaped and stepped is not None \
             and sub.cost(stepped) < state.cost
     ok = all_escaped and worst_orth <= 1e-10 and worst_curv <= 1e-8

@@ -115,7 +115,7 @@ class TestSubproblem:
             point = manifolds.random_point(5, 2, manifold, 9)
             state = sub.at(point)
             G = dense_phi_grad(sdp, y, 1.7, point.Y)
-            S = G - dense_bstar(manifold, state.ctx.z, 5)
+            S = G - dense_bstar(manifold, state.z, 5)
             assert np.allclose(state.grad, 2.0 * S @ point.Y, atol=1e-10)
 
 
@@ -214,7 +214,7 @@ class TestAssembleDual:
         point = manifolds.random_point(9, 3, manifold, 5)
         r0 = _residual(sdp, point)
         z, S = assemble_dual(sdp, AlmSubproblem(sdp, y, sigma).at(point))
-        want_z = AlmSubproblem(sdp, y, sigma).at(point).ctx.z
+        want_z = AlmSubproblem(sdp, y, sigma).at(point).z
         assert z.dtype == want_z.dtype and z.tobytes() == want_z.tobytes()
         want_S = prob.dual_slack(sdp, y - sigma * r0, z)
         assert S.dense.tobytes() == want_S.tobytes()
@@ -243,8 +243,8 @@ class TestAssembleDual:
         assert np.allclose(S.dense, want, atol=1e-10)
         state = AlmSubproblem(sdp, y, 2.0).at(point)
         V = rng.standard_normal((n, 2))
-        assert np.allclose(state.ctx.stilde @ V, G @ V, atol=1e-10)
-        assert np.allclose(state.ctx.z, z, atol=1e-10)
+        assert np.allclose(state.stilde @ V, G @ V, atol=1e-10)
+        assert np.allclose(state.z, z, atol=1e-10)
         assert np.allclose(state.grad, 2.0 * want @ point.Y, atol=1e-10)
 
 
@@ -258,9 +258,8 @@ class TestEscapeDirection:
         z, S = assemble_dual(sdp, AlmSubproblem(sdp, np.zeros(0), 1.0)
                              .at(point))
         assert np.allclose(S.dense, np.diag([0.0, -2.0]), atol=1e-12)
-        U, delta, n_ne = escape_direction(S, r=1, delta_ne=10,
-                                          tol_escape=1e-10)
-        assert delta == 1 and n_ne == 1
+        U, delta = escape_direction(S, r=1, delta_ne=10, tol_escape=1e-10)
+        assert delta == 1
         assert U.shape == (2, 2)
         assert np.allclose(np.abs(U[:, 1]), [0.0, 1.0], atol=1e-12)
 
@@ -274,15 +273,13 @@ class TestEscapeDirection:
 
     def test_psd_slack_no_escape(self, rng):
         S = spectral.SymOperator(np.diag([0.5, 1.0, 2.0]))
-        U, delta, n_ne = escape_direction(S, r=2, delta_ne=5,
-                                          tol_escape=1e-10)
-        assert delta == 0 and n_ne == 0
+        U, delta = escape_direction(S, r=2, delta_ne=5, tol_escape=1e-10)
+        assert delta == 0
 
     def test_delta_capped(self, rng):
         S = spectral.SymOperator(np.diag([-3.0, -2.0, -1.0, 1.0]))
-        U, delta, n_ne = escape_direction(S, r=1, delta_ne=2,
-                                          tol_escape=1e-10)
-        assert delta == 2 and n_ne >= 2
+        U, delta = escape_direction(S, r=1, delta_ne=2, tol_escape=1e-10)
+        assert delta == 2
         assert U.shape == (4, 3)
         assert np.allclose(U[:, 0], 0.0)
 
@@ -293,9 +290,8 @@ class TestEscapeDirection:
         d = np.arange(n, dtype=float)
         d[[7, 500, 1033]] = [-3.0, -2.0, -1.0]
         S = spectral.SymOperator(np.diag(d))
-        U, delta, n_ne = escape_direction(S, r=2, delta_ne=10,
-                                          tol_escape=1e-10)
-        assert delta == 3 and n_ne == 3
+        U, delta = escape_direction(S, r=2, delta_ne=10, tol_escape=1e-10)
+        assert delta == 3
         assert U.shape == (n, 5)
         assert np.array_equal(U[:, :2], np.zeros((n, 2)))
         for col, i in zip(U[:, 2:].T, (7, 500, 1033)):
@@ -307,12 +303,45 @@ class TestEscapeDirection:
         S = spectral.SymOperator(S_dense)
         vals = np.linalg.eigvalsh(S_dense)
         n_neg = int(np.sum(vals < -1e-10))
-        U, delta, _ = escape_direction(S, r=2, delta_ne=10, tol_escape=1e-10)
+        U, delta = escape_direction(S, r=2, delta_ne=10, tol_escape=1e-10)
         assert delta == n_neg
         for j in range(delta):
             v = U[:, 2 + j]
             lam = v @ S_dense @ v
             assert np.linalg.norm(S_dense @ v - lam * v) < 1e-8
+
+
+class _CostOnly:
+    """A model of one column with only the ``cost`` an escape step reads."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def cost(self, point):
+        return float(self.f(point.Y[:, 0]))
+
+
+class TestEscapeStep:
+    def test_escape_direction_consumed(self):
+        # start at a strict saddle of an indefinite quadratic with zero
+        # gradient; only the escape direction can move the iterate
+        saddle = _CostOnly(lambda y: 0.5 * (y[0] ** 2 - y[1] ** 2))
+        start = FactorPoint(np.zeros((2, 1)), ManifoldKind.FREE)
+        point = alm.escape_step(saddle, start, np.array([[0.0], [1.0]]))
+        assert saddle.cost(point) < 0.0
+
+    def test_first_halving_with_strictly_lower_cost(self):
+        # along U = e2 the cost t^4 - t^2 is 0 at t = 1 (not strictly
+        # lower) and below 0 at t = 1/2
+        model = _CostOnly(lambda y: y[1] ** 4 - y[1] ** 2)
+        start = FactorPoint(np.zeros((2, 1)), ManifoldKind.FREE)
+        U = np.array([[0.0], [1.0]])
+        assert np.array_equal(alm.escape_step(model, start, U).Y, 0.5 * U)
+
+    def test_no_descent_keeps_the_point(self):
+        model = _CostOnly(lambda y: y[1] ** 2)
+        start = FactorPoint(np.zeros((2, 1)), ManifoldKind.FREE)
+        assert alm.escape_step(model, start, np.ones((2, 1))) is start
 
 
 class TestTruncateRank:
@@ -398,12 +427,10 @@ class TestSolve:
         grad_tols = []
         minimize = rtr.minimize
 
-        def collapsing(model, point, grad_tol, max_iters, warm_dir=None,
-                       deadline=None):
+        def collapsing(model, point, grad_tol, max_iters, deadline=None):
             grad_tols.append(grad_tol)
             point, report, state = minimize(
-                model, point, grad_tol, max_iters, warm_dir=warm_dir,
-                deadline=deadline)
+                model, point, grad_tol, max_iters, deadline=deadline)
             if len(grad_tols) == collapse_at + 1:
                 report = replace(report, reason="radius-collapse")
             return point, report, state
@@ -448,7 +475,7 @@ class TestSolve:
                 z, S = assemble(sdp, state)
             finally:
                 inside.clear()
-            assert z is state.ctx.z and S.dense is state.ctx.stilde
+            assert z is state.z and S.dense is state.stilde
             states.append(state)
             return z, S
 
@@ -459,7 +486,7 @@ class TestSolve:
         sol = solve(sdp, SolverOptions(max_outer_iters=50))
         assert sol.status == "converged"
         assert len(states) == sol.iterations
-        assert states[-1].point is sol.Y and sol.z is states[-1].ctx.z
+        assert states[-1].point is sol.Y and sol.z is states[-1].z
 
     def test_iteration_limit_status(self):
         sdp = _unit_trace_toy()
@@ -675,9 +702,9 @@ class TestSolve:
             return point, r
 
         def spied_escape(S, r, *args):
-            U, delta, n_ne = escape_direction(S, r, *args)
+            U, delta = escape_direction(S, r, *args)
             overlaps.extend(np.linalg.norm(kept[-1].T @ U[:, r:], axis=0))
-            return U, delta, n_ne
+            return U, delta
 
         monkeypatch.setattr(alm, "truncate_rank", spied_cut)
         monkeypatch.setattr(alm, "escape_direction", spied_escape)
@@ -685,6 +712,45 @@ class TestSolve:
         assert sdp.manifold is ManifoldKind.FREE
         assert solve(sdp).status == "converged"
         assert max(overlaps, default=0.0) <= 0.99
+
+    def test_escape_evaluates_the_escaped_point_only(self, monkeypatch):
+        # the subproblem state (S~, S~ Y, K) after an escape is evaluated
+        # where the escape step lands, never at the factor padded with
+        # zero columns that it starts from
+        at, cut, escapes, evaluated = AlmSubproblem.at, [], [], []
+
+        def spied_cut(*args):
+            point, r = truncate_rank(*args)
+            cut.append(point)
+            return point, r
+
+        def spied_escape(*args):
+            result = escape_direction(*args)
+            if result[1] > 0:
+                escapes.append((len(evaluated), cut[-1], result[0]))
+            return result
+
+        def spied_at(sub, point):
+            evaluated.append(point)
+            return at(sub, point)
+
+        monkeypatch.setattr(alm, "truncate_rank", spied_cut)
+        monkeypatch.setattr(alm, "escape_direction", spied_escape)
+        monkeypatch.setattr(AlmSubproblem, "at", spied_at)
+        _, entries = generators.random_completion(40, 40, 3, 1000, 1)
+        sdp = generators.gen_matrix_completion(40, 40, entries)
+        assert solve(sdp).status == "converged"
+        assert escapes
+        for next_at, kept, U in escapes:
+            padded = FactorPoint(np.concatenate(
+                [kept.Y, np.zeros((kept.n, U.shape[1] - kept.p))], axis=1),
+                kept.manifold)
+            steps = [manifolds.retract(padded, U, 0.5 ** k).Y
+                     for k in range(40)]
+            assert any(np.array_equal(evaluated[next_at].Y, Y)
+                       for Y in steps)
+        assert not any(np.any(np.all(point.Y == 0.0, axis=0))
+                       for point in evaluated)
 
     def test_deterministic(self):
         a = solve(_unit_trace_toy(), SolverOptions(seed=3))

@@ -206,6 +206,38 @@ class TestResultDocument:
         assert not ok
         assert res.eta_max > 1e-3
 
+    def test_numpy_options_written_as_plain_numbers(self):
+        # the options accept numpy integers; json.dumps raised TypeError on
+        # an int32 copied through into the document
+        sdp = gen.gen_maxcut(gen.unit_triangle_graph())
+        opts = alm.SolverOptions(seed=np.int64(3), p0=np.int32(2))
+        doc = json.loads(json.dumps(
+            result_document(sdp, alm.solve(sdp, opts), opts)))
+        assert doc["options"]["seed"] == 3 and doc["options"]["p0"] == 2
+        res, ok = check_document(doc, tol=1e-8)
+        assert ok
+
+    @pytest.mark.parametrize("manifold,needle", [
+        (None, "missing field 'manifold'"),
+        (5, "field 'manifold' must be a string"),
+        ("oops", "field 'manifold' must be one of ['free', 'unit-trace', "
+                 "'unit-diagonal'], got 'oops'"),
+    ], ids=["missing", "number", "unknown"])
+    def test_malformed_manifold(self, manifold, needle, tmp_path, capsys):
+        # these raised KeyError and a bare ValueError
+        _, _, doc = self._solved()
+        if manifold is None:
+            del doc["problem"]["manifold"]
+        else:
+            doc["problem"]["manifold"] = manifold
+        with pytest.raises(prob.ProblemError) as err:
+            problem_from_document(doc)
+        assert needle in str(err.value)
+        out = tmp_path / "r.json"
+        out.write_text(json.dumps(doc))
+        assert cli_main(["check", str(out)]) == 1
+        assert needle in capsys.readouterr().err
+
     def test_trace_csv(self, tmp_path):
         _, sol, _ = self._solved()
         path = tmp_path / "t.csv"

@@ -41,8 +41,8 @@ class _QuadraticModel:
 
 def _old_minimize(model, point, grad_tol, max_iters):
     """The trust-region loop that runs tCG afresh, with the state's
-    preconditioner, after every rejected step (no warm direction, no
-    deadline): the oracle of the retry."""
+    preconditioner, after every rejected step (no deadline): the oracle
+    of the retry."""
     n, p = point.Y.shape
     radius = 0.1 * np.sqrt(n * p)
     max_radius = 10.0 * radius
@@ -393,16 +393,6 @@ class TestMinimize:
         start = FactorPoint(rng.standard_normal((6, 1)), ManifoldKind.FREE)
         point, report, _ = minimize(model, start, 1e-9, 25)
         assert model.cost(point) <= model.cost(start) + 1e-12
-
-    def test_warm_direction_consumed(self, rng):
-        # start at a strict saddle of an indefinite quadratic with zero
-        # gradient; only the warm direction can move the iterate
-        H = np.diag([1.0, -1.0])
-        model = _QuadraticModel(H, np.zeros(2))
-        start = FactorPoint(np.zeros((2, 1)), ManifoldKind.FREE)
-        warm = np.array([[0.0], [1.0]])
-        point, _, _ = minimize(model, start, 1e-12, 0, warm_dir=warm)
-        assert model.cost(point) < 0.0
 
     def test_deadline_stops_before_the_next_step(self, rng, monkeypatch):
         # a clock that advances one second per reading: readings 1, 2 and 3
