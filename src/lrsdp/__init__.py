@@ -20,7 +20,8 @@ from .problem import (ConstraintSet, KktResidues, ManifoldKind, ProblemError,
 from .spectral import SymOperator, extreme_eigs
 
 __all__ = [
-    "ConstraintSet", "FactorPoint", "FormatError", "IterationTrace", "KktResidues",
+    "ConstraintSet", "FactorPoint", "FormatError", "IterationTrace",
+    "KktResidues",
     "ManifoldKind", "ProblemError", "RetractionError", "SdpProblem",
     "Solution", "SolverOptions", "SparseSymMatrix", "SymOperator",
     "WeightedGraph", "cli_main", "extreme_eigs", "gen_bqp_moment",

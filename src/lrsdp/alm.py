@@ -62,9 +62,10 @@ class SolverOptions:
             raise ValueError(f"sigma0 must lie in [{SIGMA_MIN}, {SIGMA_MAX}]")
 
 
-# where a trace row's eta_d comes from: the eigenvalues of S; a Cholesky
-# proof that eta_d <= tol, the row then holding tol; or nowhere, the row
-# holding NaN for eta_d and eta_max (no eigensolve ran, or it failed)
+# where a trace row's eta_d comes from: the eigenvalues of S (an escape's
+# eigh, or the answer's eigvalsh on the last row); a Cholesky proof that
+# eta_d <= tol, the row then holding tol; or nowhere, the row holding NaN
+# for eta_d and eta_max (no proof held and no eigensolve ran, or it failed)
 EIGENVALUES, PROOF, NOT_COMPUTED = "eigenvalues", "proof", "none"
 
 
@@ -282,7 +283,8 @@ def truncate_rank(point, theta, rng=None, svd=None):
 
 
 def update_penalty(sigma, eta_p_raw, gradnorm, opts):
-    """Adaptive penalty: grow when feasibility lags the gradient, else shrink."""
+    """Adaptive penalty: grow when feasibility lags the gradient, else
+    shrink."""
     if eta_p_raw > opts.tau * gradnorm:
         return min(sigma * opts.gamma, SIGMA_MAX)
     return max(sigma / opts.gamma, SIGMA_MIN)
@@ -291,25 +293,18 @@ def update_penalty(sigma, eta_p_raw, gradnorm, opts):
 def solve(sdp, opts=None):
     """Solve the SDP to KKT residues below tol via the outer ALM loop.
 
-    An outer iteration takes eta_p and eta_g first; neither reads the
-    spectrum of S. The saddle escape is decided before any eigensolve, by
-    ``spectral.proves_curvature_above`` with the bound tol (1 + L). An
-    iteration whose eta_p or eta_g exceeds tol cannot converge; it first
-    tries the plain proof, lambda_min >= -bound, which gives eta_d <= tol
-    (its trace row holds tol, source "proof"). Otherwise the proof off the
-    range that the rank cut keeps, which no column of the kept factor can
-    reach, decides: where it fails, the iteration escapes along the
-    eigenvectors of one ``eigh``, padding the cut factor with zero columns
-    that the next iteration's ``escape_step`` moves along them under its
-    own subproblem. An iteration that does not escape takes
-    eta_d from ``eigvalsh`` only if it can converge; one that can neither
-    converge nor escape runs no eigensolve, and its row holds NaN for eta_d
-    and eta_max (source "none"). Every answer reports the eigenvalues of
-    its S, and returns the point of its last trace row: when the loop ends
-    on a row without eigenvalues, one ``eigvalsh`` fills in that row and
-    the answer. An eigensolve that raises LinAlgError ends the solve with
-    status "eigensolver-failure": the iterate, its exact eta_p and eta_g,
-    and NaN for eta_d and both eigenvalues (source "none").
+    One rule stops each outer iteration. After eta_p and eta_g, the
+    Cholesky proof ``spectral.proves_curvature_above`` of lambda_min(S) >=
+    -tol (1 + L) gives eta_d <= tol (the row holds tol, source "proof"),
+    and the solve has converged when eta_p, eta_g <= tol too. Where that
+    proof fails, the same proof off the range that the rank cut keeps
+    decides the saddle escape; an escape's ``eigh`` gives its row the exact
+    eta_d, and other rows hold NaN (source "none"). The row that ends the
+    solve (converged, or a time or iteration limit) takes the answer's one
+    ``eigvalsh`` if it has no eigenvalues; a limit whose exact eta_max <=
+    tol is "converged". An eigensolve that raises LinAlgError ends the
+    solve with status "eigensolver-failure", NaN for eta_d and both
+    eigenvalues, and source "none".
     """
     opts = opts or SolverOptions()
     opts.validate()
@@ -323,7 +318,6 @@ def solve(sdp, opts=None):
     eps = EPS0
     pending_dir = None
     trace: List[IterationTrace] = []
-    status = "iteration-limit"
 
     for k in range(opts.max_outer_iters):
         sub = AlmSubproblem(sdp, y, sigma)
@@ -342,30 +336,41 @@ def solve(sdp, opts=None):
         # eta_d <= tol
         L = max(0.0, float(np.max(np.diagonal(S.dense))))
         bound = opts.tol * (1.0 + L)
-        can_converge = max(eta_p, eta_g) <= opts.tol
         svd = spectral.thin_svd(point.Y)
         escape = False
-        if not can_converge and spectral.proves_curvature_above(S, bound):
+        if spectral.proves_curvature_above(S, bound):
             source = PROOF
         else:
             # at a critical point S Y = 0, so an eigenvector v of S with
             # lambda < 0 has Y^T v = 0: negative curvature inside range(Y)
             # is the inexact inner solve's, and the next rank cut removes
             # columns added along it. Eigenvectors are computed only
-            # where an escape may follow: where curvature below -bound
-            # may lie off the kept range
+            # where curvature below -bound may lie off the kept range
             kept = svd[0][:, :_kept_rank(svd[1], opts.theta)]
             escape = not spectral.proves_curvature_above(S, bound, kept)
-            source = EIGENVALUES if escape or can_converge else NOT_COMPUTED
+            source = NOT_COMPUTED
         res = KktResidues(eta_p, opts.tol if source == PROOF else np.nan,
                           eta_g)
+        if res.eta_max <= opts.tol:
+            status = "converged"
+        elif deadline is not None and time.perf_counter() > deadline:
+            status = "time-limit"
+        elif k + 1 == opts.max_outer_iters:
+            status = "iteration-limit"
+        else:
+            status = None
         lam_min = lam_max = np.nan
-        if source == EIGENVALUES:
+        if escape or status:
+            # eigenvectors for an escape; the answer's eigenvalues alone
             try:
-                res, lam_min, lam_max = _exact_residues(S, eta_p, eta_g,
-                                                        escape)
+                res, lam_min, lam_max = _exact_residues(
+                    S, eta_p, eta_g, vectors=escape and not status)
+                source = EIGENVALUES
             except np.linalg.LinAlgError:
+                res = KktResidues(eta_p, np.nan, eta_g)
                 source, status = NOT_COMPUTED, "eigensolver-failure"
+            if res.eta_max <= opts.tol:
+                status = "converged"
         trace.append(IterationTrace(
             k=k, p=point.p, sigma=sigma, eps=eps,
             eta_p=res.eta_p, eta_d=res.eta_d, eta_g=res.eta_g,
@@ -373,16 +378,7 @@ def solve(sdp, opts=None):
             inner_iters=report.iterations,
             time=time.perf_counter() - t_start))
         y = y_next
-
-        if status == "eigensolver-failure":
-            break
-        if res.eta_max <= opts.tol:
-            status = "converged"
-            break
-        if deadline is not None and time.perf_counter() > deadline:
-            status = "time-limit"
-            break
-        if k + 1 == opts.max_outer_iters:
+        if status:
             break  # no iteration follows: return the point of this row
 
         # rank truncation, then saddle escape padding (new columns of zeros)
@@ -403,18 +399,6 @@ def solve(sdp, opts=None):
             # soft failure: the next inner solve gets a 10x looser gradient
             eps = min(10.0 * eps, EPS0)
 
-    if source != EIGENVALUES and status != "eigensolver-failure":
-        # the loop ended on a row without eigenvalues: the answer still
-        # reports the eigenvalues of its S, and so does that row
-        try:
-            res, lam_min, lam_max = _exact_residues(S, eta_p, eta_g)
-            source = EIGENVALUES
-        except np.linalg.LinAlgError:
-            res = KktResidues(eta_p, np.nan, eta_g)
-            source, status = NOT_COMPUTED, "eigensolver-failure"
-        row = trace[-1]
-        row.eta_d, row.eta_max, row.eta_d_source = \
-            res.eta_d, res.eta_max, source
     obj = sdp.reported_objective(prob.objective(sdp, point.Y))
     return Solution(
         Y=point, y=y, z=z, S=S, lambda_min=float(lam_min),

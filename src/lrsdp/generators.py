@@ -23,8 +23,12 @@ class WeightedGraph:
     edges: Tuple[Tuple[int, int, float], ...]
 
     def __post_init__(self):
+        if not self.N >= 1:
+            raise ProblemError(f"need N >= 1 nodes, got {self.N}")
         seen = set()
-        for i, j, _ in self.edges:
+        for i, j, w in self.edges:
+            if not np.isfinite(w):
+                raise ProblemError(f"non-finite weight {w} on edge ({i}, {j})")
             if not 1 <= i < j <= self.N:
                 raise ProblemError(f"bad edge ({i}, {j}) for N = {self.N}")
             if (i, j) in seen:

@@ -55,6 +55,9 @@ def read_sdpa(path):
             raise FormatError(f"{path}:{no}: bad {what} line: {text!r}")
 
     m = header_int(0, "constraint count")
+    if m < 0:
+        raise FormatError(
+            f"{path}:{lines[0][0]}: constraint count must not be negative")
     nblocks = header_int(1, "block count")
     if nblocks != 1:
         raise FormatError(
@@ -90,7 +93,8 @@ def read_sdpa(path):
         if blkno != 1:
             raise FormatError(f"{path}:{no}: block {blkno} does not exist")
         if not 0 <= matno <= m:
-            raise FormatError(f"{path}:{no}: matrix index {matno} out of range")
+            raise FormatError(
+                f"{path}:{no}: matrix index {matno} out of range")
         if not (1 <= i <= n and i <= j <= n):
             raise FormatError(
                 f"{path}:{no}: entry ({i}, {j}) outside upper triangle of "

@@ -16,8 +16,9 @@ class SymOperator:
     The dual slack is one dense S per point, built by
     ``problem.dual_slack``. One cached ``eigh`` serves every eigensolve of
     S that reads eigenvectors, and one cached ``eigvalsh``, in a smaller
-    workspace, those that read eigenvalues alone. ``dense`` must be exactly symmetric: ``eigh``, ``eigvalsh`` and
-    ``cholesky`` read one triangle.
+    workspace, those that read eigenvalues alone. ``dense`` must be
+    exactly symmetric: ``eigh``, ``eigvalsh`` and ``cholesky`` read one
+    triangle.
     """
 
     dense: np.ndarray

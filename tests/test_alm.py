@@ -24,6 +24,16 @@ def _completion_30():
     return generators.gen_matrix_completion(30, 30, entries)
 
 
+def _random_graph(n, seed):
+    # n nodes and 3n distinct unit edges
+    rng = np.random.default_rng(seed)
+    edges = set()
+    while len(edges) < 3 * n:
+        i, j = sorted(rng.choice(n, size=2, replace=False) + 1)
+        edges.add((int(i), int(j), 1.0))
+    return generators.WeightedGraph(n, tuple(sorted(edges)))
+
+
 def _unit_trace_toy():
     # min x11 - x22 s.t. Tr X = 1: optimum -1 at X = e2 e2^T
     C = SparseSymMatrix.from_triplets(2, [(0, 0, 1.0), (1, 1, -1.0)])
@@ -506,10 +516,10 @@ class TestSolve:
         assert (sol.residues.eta_p, sol.residues.eta_g) == \
             prob.primal_gap_residues(sdp, sol.Y.Y, sol.y, sol.z)
 
-    def test_bound_rows_cannot_converge(self, monkeypatch):
-        # the plain Cholesky proof stands in for eta_d only where eta_p or
-        # eta_g already rules out convergence, and every bound it proves
-        # holds; the converged answer's eigenvalues are S's own
+    def test_the_proof_decides_convergence(self, monkeypatch):
+        # every bound the plain Cholesky proof gives holds; a proof row
+        # ends the solve exactly when eta_p, eta_g <= tol too, and the
+        # answer then carries the eigenvalues of its own S
         proves, proofs = spectral.proves_curvature_above, []
 
         def checked(op, bound, Q=None):
@@ -527,11 +537,15 @@ class TestSolve:
         opts = SolverOptions()
         sol = solve(sdp, opts)
         assert sol.status == "converged"
+        assert len(proofs) == sol.iterations and proofs[-1]
         bounded = [t for t in sol.trace if t.eta_d_source == alm.PROOF]
-        assert len(bounded) == sum(proofs) > 0
+        assert len(bounded) == sum(proofs) - 1 > 0
         for t in bounded:
             assert max(t.eta_p, t.eta_g) > opts.tol and t.eta_d == opts.tol
-        assert sol.trace[-1].eta_d_source == alm.EIGENVALUES
+        last = sol.trace[-1]
+        assert max(last.eta_p, last.eta_g) <= opts.tol
+        assert last.eta_d_source == alm.EIGENVALUES
+        assert last.eta_max == sol.residues.eta_max <= opts.tol
         # no escape follows the last iteration: its eigenvalues come alone
         vals = np.linalg.eigvalsh(sol.S.dense)
         assert (sol.lambda_min, sol.lambda_max) == (vals[0], vals[-1])
@@ -539,36 +553,91 @@ class TestSolve:
         assert sol.lambda_min == pytest.approx(
             np.linalg.eigh(sol.S.dense)[0][0], abs=1e-12 * (1 + vals[-1]))
 
-    def test_eigvalsh_only_where_the_row_can_converge(self, monkeypatch):
-        # a row that can neither converge nor escape runs no eigensolve and
-        # shows no number for eta_d or eta_max; every eigvalsh serves a row
-        # with eta_p, eta_g <= tol, or the answer
-        eigvalsh, decomposed, slacks = np.linalg.eigvalsh, [], []
+    def test_one_eigvalsh_on_the_answers_slack(self, monkeypatch):
+        # a row that neither converges nor escapes runs no eigensolve and
+        # shows no number for eta_d or eta_max; a solve runs at most one
+        # eigvalsh, on the S of its answer
+        eigvalsh, decomposed = np.linalg.eigvalsh, []
 
         def spied_eigvalsh(a):
             decomposed.append(a)
             return eigvalsh(a)
 
-        def spied_assemble(sdp, state):
-            z, S = assemble_dual(sdp, state)
-            slacks.append(S.dense)
-            return z, S
-
         monkeypatch.setattr(np.linalg, "eigvalsh", spied_eigvalsh)
-        monkeypatch.setattr(alm, "assemble_dual", spied_assemble)
-        opts = SolverOptions()
-        sol = solve(_completion_30(), opts)
+        sol = solve(_completion_30())
         assert sol.status == "converged"
-        for a in decomposed:
-            k = next(k for k, S in enumerate(slacks) if S is a)
-            t = sol.trace[k]
-            assert max(t.eta_p, t.eta_g) <= opts.tol or k == len(slacks) - 1
+        assert len(decomposed) == 1 and decomposed[0] is sol.S.dense
         skipped = [t for t in sol.trace
                    if t.eta_d_source == alm.NOT_COMPUTED]
-        assert skipped and len(decomposed) < len(sol.trace)
+        assert skipped
         for t in skipped:
-            assert max(t.eta_p, t.eta_g) > opts.tol
             assert np.isnan(t.eta_d) and np.isnan(t.eta_max)
+
+    def test_maxcut_rows_below_tol_run_no_eigensolve(self, monkeypatch):
+        # every Max-Cut row has eta_p, eta_g <= tol, yet the middle rows
+        # neither prove eta_d <= tol nor escape: they run no eigensolve,
+        # and the solve's one eigvalsh is its answer's
+        eigvalsh, decomposed = np.linalg.eigvalsh, []
+
+        def spied_eigvalsh(a):
+            decomposed.append(a)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spied_eigvalsh)
+        opts = SolverOptions()
+        sol = solve(generators.gen_maxcut(_random_graph(200, 0)), opts)
+        assert sol.status == "converged" and sol.iterations > 3
+        assert all(max(t.eta_p, t.eta_g) <= opts.tol for t in sol.trace)
+        for t in sol.trace[1:-1]:
+            assert t.eta_d_source == alm.NOT_COMPUTED
+            assert np.isnan(t.eta_d) and np.isnan(t.eta_max)
+        assert sol.trace[-1].eta_d_source == alm.EIGENVALUES
+        assert sol.trace[-1].eta_max <= opts.tol
+        assert len(decomposed) == 1 and decomposed[0] is sol.S.dense
+
+    @pytest.mark.parametrize("family", ["bqp", "completion"])
+    def test_deadline_inside_the_inner_solve(self, family, monkeypatch):
+        # the clock passes the deadline during the j-th evaluation of the
+        # subproblem, inside an inner solve; at most one eigensolve
+        # (escape or answer) runs after it, whichever j it is
+        if family == "bqp":
+            sdp = generators.gen_bqp_moment(*generators.random_bqp(6, 0))
+        else:
+            _, entries = generators.random_completion(40, 40, 3, 1000, 1)
+            sdp = generators.gen_matrix_completion(40, 40, entries)
+        at, evaluations, jump, clock, after = AlmSubproblem.at, [], [0], \
+            [0.0], []
+
+        def late_at(sub, point):
+            evaluations.append(point)
+            if len(evaluations) == jump[0]:
+                clock[0] = 1e9
+            return at(sub, point)
+
+        def spied(routine):
+            eig = getattr(np.linalg, routine)
+
+            def counted(a):
+                if clock[0] > 0:
+                    after.append(routine)
+                return eig(a)
+            monkeypatch.setattr(np.linalg, routine, counted)
+
+        spied("eigh")
+        spied("eigvalsh")
+        monkeypatch.setattr(AlmSubproblem, "at", late_at)
+        monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+        assert solve(sdp).status == "converged"
+        total = len(evaluations)
+        for j in range(1, total, max(1, total // 25)):
+            jump[0] = j
+            evaluations.clear()
+            after.clear()
+            clock[0] = 0.0
+            sol = solve(sdp, SolverOptions(max_time=1.0))
+            assert sol.status in ("time-limit", "converged")
+            assert len(after) <= 1
+            assert sol.trace[-1].eta_d_source == alm.EIGENVALUES
 
     @pytest.mark.parametrize("limit", ["iteration-limit", "time-limit"])
     def test_limit_after_a_bounded_iteration(self, limit, monkeypatch):

@@ -28,6 +28,13 @@ class TestWeightedGraph:
         with pytest.raises(ProblemError):
             WeightedGraph(3, ((1, 2, 1.0), (1, 2, 2.0)))
 
+    @pytest.mark.parametrize("N,edges", [
+        (0, ()), (-1, ()), (2, ((1, 2, np.nan),)), (3, ((2, 3, np.inf),)),
+    ])
+    def test_bad_node_count_or_weight(self, N, edges):
+        with pytest.raises(ProblemError):
+            WeightedGraph(N, edges)
+
 
 class TestMaxcut:
     def test_single_edge_cost(self):

@@ -48,6 +48,7 @@ class TestSdpa:
         ("1\n1\n2\n1.0\n2 1 1 1 1.0\n", "out of range"),
         ("1\n1\n2\n1.0\n1 2 1 1 1.0\n", "block"),
         ("1\n1\n2\n1.0\nx y z\n", ":5:"),
+        ("-1\n1\n2\n1.0\n", ":1: constraint count must not be negative"),
     ])
     def test_malformed_rejected_with_location(self, tmp_path, body, needle):
         path = tmp_path / "bad.dat-s"
@@ -110,6 +111,12 @@ class TestGset:
             read_gset(path)
         path.write_text("nope\n")
         with pytest.raises(FormatError, match="header"):
+            read_gset(path)
+        path.write_text("-1 0\n")
+        with pytest.raises(FormatError, match="N >= 1"):
+            read_gset(path)
+        path.write_text("2 1\n1 2 nan\n")
+        with pytest.raises(FormatError, match="non-finite"):
             read_gset(path)
 
 

@@ -3,12 +3,14 @@
     python tools/same_iterates.py PARENT_CHECKOUT
 
 Solves the benchmark instances, ``bqp-moment`` 0-1 and ``completion`` 0-3
-as perfbench's ``WORKLOADS`` defines them, and three seeded ``unit-trace``
-instances that no workload builds, with the sources of this checkout and of
-PARENT_CHECKOUT. Each solve runs in its own subprocess with one BLAS
-thread. Compared: each trace column except ``time`` on its own (named
-``trace.<column>``; a column only one checkout has differs), the bytes of
-Y, y, z and S, lambda_min and lambda_max, the objective and the status.
+as perfbench's ``WORKLOADS`` defines them, three seeded ``unit-trace``
+instances and one seeded ``max-cut`` instance, which no workload builds,
+with the sources of this checkout and of PARENT_CHECKOUT. Max-Cut is the
+one family here whose rows reach eta_p, eta_g <= tol without converging.
+Each solve runs in its own subprocess with one BLAS thread. Compared:
+each trace column except ``time`` on its own (named ``trace.<column>``; a
+column only one checkout has differs), the bytes of Y, y, z and S,
+lambda_min and lambda_max, the objective and the status.
 Prints one line per instance, naming the fields that differ, and exits 1
 on any difference.
 """
@@ -24,7 +26,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = [("bqp-moment", i) for i in range(2)] \
     + [("completion", i) for i in range(4)] \
-    + [("unit-trace", i) for i in range(3)]
+    + [("unit-trace", i) for i in range(3)] \
+    + [("max-cut", 0)]
 
 
 def unit_trace_instance(seed):
@@ -51,6 +54,21 @@ def unit_trace_instance(seed):
             lrsdp.SolverOptions(seed=seed, max_outer_iters=40))
 
 
+def max_cut_instance(seed, n=300):
+    """Max-Cut of a random graph on n nodes with 3n distinct unit edges,
+    drawn with ``np.random.default_rng(seed)``; public API only."""
+    import numpy as np
+    import lrsdp
+    rng = np.random.default_rng(seed)
+    edges = set()
+    while len(edges) < 3 * n:
+        i, j = rng.choice(n, size=2, replace=False) + 1
+        edges.add((min(i, j), max(i, j)))
+    graph = lrsdp.WeightedGraph(n, tuple((int(i), int(j), 1.0)
+                                         for i, j in sorted(edges)))
+    return lrsdp.gen_maxcut(graph), lrsdp.SolverOptions(seed=seed)
+
+
 def fingerprint(workload, index):
     """Digest of every compared field of one solve, by field name."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -58,6 +76,8 @@ def fingerprint(workload, index):
     import lrsdp
     if workload == "unit-trace":
         sol = lrsdp.solve(*unit_trace_instance(index))
+    elif workload == "max-cut":
+        sol = lrsdp.solve(*max_cut_instance(index))
     else:
         w = harness.WORKLOADS[workload]
         sol = lrsdp.solve(w.build(w.inputs(w.params, index)),
