@@ -17,9 +17,11 @@ from .problem import KktResidues
 from .spectral import SymOperator
 
 
-# the outer loop's fixed schedule: the range of sigma, the inner gradient
-# tolerance eps (EPS0 halving down to EPS_FLOOR) and the inner step cap
-SIGMA_MIN, SIGMA_MAX = 1e-2, 1e7
+# the outer loop's fixed schedule: start rank P0, the rank cut at THETA s_1;
+# sigma from SIGMA0, times GAMMA while the raw eta_p > TAU ||grad||, else
+# over GAMMA; eps from EPS0 halving to EPS_FLOOR; inner step cap
+P0, THETA = 2, 1e-3
+SIGMA0, SIGMA_MIN, SIGMA_MAX, GAMMA, TAU = 1.0, 1e-2, 1e7, 2.0, 1.0
 EPS0, EPS_DECAY, EPS_FLOOR = 1e-2, 0.5, 1e-11
 MAX_INNER_ITERS = 200
 
@@ -28,38 +30,28 @@ MAX_INNER_ITERS = 200
 class SolverOptions:
     """The settings of a solve, each one a flag of ``lrsdp solve``."""
     tol: float = 1e-8
-    p0: int = 2
-    sigma0: float = 1.0
-    gamma: float = 2.0
-    tau: float = 1.0
-    theta: float = 1e-3          # singular-value threshold for rank cuts
     delta_ne: int = 10           # max columns added per saddle escape
     max_outer_iters: int = 300
     max_time: Optional[float] = None
     seed: int = 0
 
     def validate(self):
-        # counts and the seed: integers (numpy's too, but not bools)
-        for name, least in (("max_outer_iters", 1), ("p0", 1),
-                            ("delta_ne", 1), ("seed", 0)):
+        # numbers, numpy's too, but not bools: True is no tol of 1
+        def number(value, kind):
+            return isinstance(value, kind) and not isinstance(value, bool)
+        for name, least in (("max_outer_iters", 1), ("delta_ne", 1),
+                            ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) \
-                    or not isinstance(value, numbers.Integral) \
-                    or value < least:
+            if not (number(value, numbers.Integral) and value >= least):
                 raise ValueError(f"{name} must be at least {least} and an "
                                  f"integer, got {value!r}")
-        if not 0 < self.tol < np.inf:
-            raise ValueError("tol must be positive and finite")
-        if self.max_time is not None and not self.max_time > 0:
-            raise ValueError("max_time must be positive")
-        if not self.gamma > 1:
-            raise ValueError("gamma must exceed 1")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-        if not 0 < self.theta < 1:
-            raise ValueError("theta must lie in (0, 1)")
-        if not SIGMA_MIN <= self.sigma0 <= SIGMA_MAX:
-            raise ValueError(f"sigma0 must lie in [{SIGMA_MIN}, {SIGMA_MAX}]")
+        if not (number(self.tol, numbers.Real) and 0 < self.tol < np.inf):
+            raise ValueError(f"tol must be positive and finite and a real "
+                             f"number, got {self.tol!r}")
+        if self.max_time is not None and not (
+                number(self.max_time, numbers.Real) and self.max_time > 0):
+            raise ValueError(f"max_time must be positive and a real "
+                             f"number, got {self.max_time!r}")
 
 
 # where a trace row's eta_d comes from: the eigenvalues of S (an escape's
@@ -249,29 +241,27 @@ def escape_step(sub, point, U):
     return point
 
 
-def _kept_rank(s, theta):
+def _kept_rank(s):
     """How many singular values s (nonincreasing) the rank cut keeps: those
-    above theta * s_1, so none when s_1 = 0."""
-    return int(np.count_nonzero(s > theta * s[0]))
+    above THETA * s_1, so none when s_1 = 0."""
+    return int(np.count_nonzero(s > THETA * s[0]))
 
 
-def truncate_rank(point, theta, rng=None, svd=None):
+def truncate_rank(point, rng=None, svd=None):
     """SVD-truncate the factor to its numerical rank and re-feasibilize.
 
-    Keeps singular values above theta * s_1; the truncated factor is
+    Keeps singular values above THETA * s_1; the truncated factor is
     retracted back onto the manifold (row or global renormalization), which
     perturbs it by at most the discarded singular mass. ``svd`` is the
     ``spectral.thin_svd`` of ``point.Y`` when the caller already has it.
     """
-    if not 0 < theta < 1:
-        raise ValueError("theta must lie in (0, 1)")
     W, s, _ = spectral.thin_svd(point.Y) if svd is None else svd
     if s[0] <= 0.0:
         rng = rng or np.random.default_rng(0)
         col = manifolds.random_point(
             point.n, 1, point.manifold, rng.integers(2**32)).Y
         return FactorPoint(col, point.manifold), 1
-    r = _kept_rank(s, theta)
+    r = _kept_rank(s)
     Yr = W[:, :r] * s[:r]
     base = FactorPoint(np.zeros_like(Yr), point.manifold)
     try:
@@ -282,12 +272,12 @@ def truncate_rank(point, theta, rng=None, svd=None):
     return truncated, r
 
 
-def update_penalty(sigma, eta_p_raw, gradnorm, opts):
+def update_penalty(sigma, eta_p_raw, gradnorm):
     """Adaptive penalty: grow when feasibility lags the gradient, else
     shrink."""
-    if eta_p_raw > opts.tau * gradnorm:
-        return min(sigma * opts.gamma, SIGMA_MAX)
-    return max(sigma / opts.gamma, SIGMA_MIN)
+    if eta_p_raw > TAU * gradnorm:
+        return min(sigma * GAMMA, SIGMA_MAX)
+    return max(sigma / GAMMA, SIGMA_MIN)
 
 
 def solve(sdp, opts=None):
@@ -312,9 +302,9 @@ def solve(sdp, opts=None):
     deadline = None if opts.max_time is None else t_start + opts.max_time
     rng = np.random.default_rng(opts.seed)
 
-    point = manifolds.random_point(sdp.n, opts.p0, sdp.manifold, opts.seed)
+    point = manifolds.random_point(sdp.n, P0, sdp.manifold, opts.seed)
     y = np.zeros(sdp.m)
-    sigma = opts.sigma0
+    sigma = SIGMA0
     eps = EPS0
     pending_dir = None
     trace: List[IterationTrace] = []
@@ -346,7 +336,7 @@ def solve(sdp, opts=None):
             # is the inexact inner solve's, and the next rank cut removes
             # columns added along it. Eigenvectors are computed only
             # where curvature below -bound may lie off the kept range
-            kept = svd[0][:, :_kept_rank(svd[1], opts.theta)]
+            kept = svd[0][:, :_kept_rank(svd[1])]
             escape = not spectral.proves_curvature_above(S, bound, kept)
             source = NOT_COMPUTED
         res = KktResidues(eta_p, opts.tol if source == PROOF else np.nan,
@@ -382,7 +372,7 @@ def solve(sdp, opts=None):
             break  # no iteration follows: return the point of this row
 
         # rank truncation, then saddle escape padding (new columns of zeros)
-        point, r = truncate_rank(point, opts.theta, rng, svd)
+        point, r = truncate_rank(point, rng, svd)
         if escape:
             tol_escape = max(1e-12, 1e-4 * opts.tol * (1.0 + abs(lam_max)))
             U, delta = escape_direction(S, r, opts.delta_ne, tol_escape)
@@ -393,7 +383,7 @@ def solve(sdp, opts=None):
                 pending_dir = U
 
         eta_p_raw = np.linalg.norm(r0) / (1.0 + np.linalg.norm(sdp.b))
-        sigma = update_penalty(sigma, eta_p_raw, gradnorm, opts)
+        sigma = update_penalty(sigma, eta_p_raw, gradnorm)
         eps = max(EPS_FLOOR, eps * EPS_DECAY)
         if report.reason == "radius-collapse":
             # soft failure: the next inner solve gets a 10x looser gradient

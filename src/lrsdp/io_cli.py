@@ -337,12 +337,7 @@ def _add_family_flags(p):
 def _add_solver_flags(p):
     defaults = SolverOptions()
     p.add_argument("--tol", type=float, default=defaults.tol)
-    p.add_argument("--p0", type=int, default=defaults.p0)
-    p.add_argument("--sigma0", type=float, default=defaults.sigma0)
-    p.add_argument("--tau", type=float, default=defaults.tau)
-    p.add_argument("--theta", type=float, default=defaults.theta)
     p.add_argument("--delta-ne", type=int, default=defaults.delta_ne)
-    p.add_argument("--gamma", type=float, default=defaults.gamma)
     p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--max-iters", type=int, dest="max_outer_iters",
                    default=defaults.max_outer_iters)

@@ -43,36 +43,30 @@ def _unit_trace_toy():
 class TestSolverOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SolverOptions(gamma=1.0).validate()
-        with pytest.raises(ValueError):
-            SolverOptions(tau=0.0).validate()
-        with pytest.raises(ValueError):
-            SolverOptions(theta=1.0).validate()
-        with pytest.raises(ValueError):
-            SolverOptions(sigma0=1e-9).validate()
-        with pytest.raises(ValueError):
             SolverOptions(delta_ne=0).validate()
         SolverOptions().validate()
 
     @pytest.mark.parametrize("field,value", [
         ("tol", 0.0), ("tol", -1e-8), ("tol", np.inf), ("tol", np.nan),
-        ("max_outer_iters", 0), ("p0", 0), ("max_time", 0.0),
-        ("max_time", -1.0), ("max_time", np.nan), ("sigma0", 5e-3),
-        ("sigma0", 2e7), ("sigma0", np.nan), ("gamma", 1.0),
-        ("gamma", np.nan), ("tau", 0.0), ("theta", 0.0), ("theta", 1.0),
-        ("p0", 2.5), ("p0", True), ("p0", 2.0), ("delta_ne", 2.5),
-        ("max_outer_iters", 3.5), ("seed", -1), ("seed", 1.0),
-        ("seed", False), ("delta_ne", np.int64(0)),
+        ("max_outer_iters", 0), ("delta_ne", 0), ("max_time", 0.0),
+        ("max_time", -1.0), ("max_time", np.nan), ("tol", True),
+        ("tol", "1e-8"), ("tol", None), ("max_time", True),
+        ("max_time", "5"), ("delta_ne", True), ("delta_ne", 2.0),
+        ("delta_ne", 2.5), ("max_outer_iters", 3.5), ("seed", -1),
+        ("seed", 1.0), ("seed", False), ("seed", "0"),
+        ("max_outer_iters", None), ("tol", np.True_), ("max_time", [5.0]),
+        ("delta_ne", np.int64(0)),
     ])
     def test_every_field_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
             SolverOptions(**{field: value}).validate()
 
     def test_edge_values_accepted(self):
-        SolverOptions(max_outer_iters=1, p0=1, max_time=None,
+        SolverOptions(max_outer_iters=1, delta_ne=1, max_time=None,
                       seed=0).validate()
-        SolverOptions(p0=np.int64(3), delta_ne=np.int32(2), seed=np.uint8(7),
-                      max_outer_iters=np.int16(5)).validate()
+        SolverOptions(delta_ne=np.int32(2), seed=np.uint8(7),
+                      max_outer_iters=np.int16(5), tol=np.float32(1e-6),
+                      max_time=np.int64(5)).validate()
 
     def test_zero_outer_iterations_rejected_by_solve(self):
         with pytest.raises(ValueError, match="max_outer_iters"):
@@ -360,35 +354,30 @@ class TestTruncateRank:
         base = manifolds.random_point(6, 2, manifold, 1)
         pad = 1e-9 * rng.standard_normal((6, 2))
         Y = np.concatenate([base.Y, pad], axis=1)
-        point, r = truncate_rank(FactorPoint(Y, manifold), theta=1e-3)
+        point, r = truncate_rank(FactorPoint(Y, manifold))
         assert r == 2
         assert point.p == 2
         assert point.feasibility_error() < 1e-12
 
     def test_keeps_full_rank(self, rng):
         Y = rng.standard_normal((5, 3))
-        point, r = truncate_rank(FactorPoint(Y, ManifoldKind.FREE),
-                                 theta=1e-3)
+        point, r = truncate_rank(FactorPoint(Y, ManifoldKind.FREE))
         assert r == 3
         # free manifold: the truncated factor spans the same X
         X0 = Y @ Y.T
         X1 = point.Y @ point.Y.T
         assert np.allclose(X0, X1, atol=1e-10)
 
-    def test_bad_theta(self, rng):
-        point = FactorPoint(np.ones((2, 1)), ManifoldKind.FREE)
-        with pytest.raises(ValueError):
-            truncate_rank(point, theta=0.0)
 
 
 class TestUpdatePenalty:
     def test_both_branches_and_caps(self):
-        opts = SolverOptions(gamma=2.0, tau=1.0)
-        assert update_penalty(2.0, 1.0, 0.1, opts) == 4.0     # grow
-        assert update_penalty(2.0, 0.05, 1.0, opts) == 1.0    # shrink
+        assert (alm.GAMMA, alm.TAU) == (2.0, 1.0)
+        assert update_penalty(2.0, 1.0, 0.1) == 4.0     # grow
+        assert update_penalty(2.0, 0.05, 1.0) == 1.0    # shrink
         # capped above, then below
-        assert update_penalty(alm.SIGMA_MAX, 1.0, 0.0, opts) == alm.SIGMA_MAX
-        assert update_penalty(alm.SIGMA_MIN, 0.0, 1.0, opts) == alm.SIGMA_MIN
+        assert update_penalty(alm.SIGMA_MAX, 1.0, 0.0) == alm.SIGMA_MAX
+        assert update_penalty(alm.SIGMA_MIN, 0.0, 1.0) == alm.SIGMA_MIN
 
 
 class TestSolve:
@@ -759,11 +748,12 @@ class TestSolve:
         assert 0 < len(decomposed) <= len(escaped)
         assert all(any(a is b for b in escaped) for a in decomposed)
 
-    def test_no_escape_inside_the_kept_range(self, monkeypatch):
+    def test_every_escape_leaves_the_kept_range(self, monkeypatch):
         # near a critical point S Y = 0, so negative curvature of S inside
-        # range(Y) comes from the inexact inner solve: no escape column
-        # may lie inside the range that the rank cut keeps
-        kept, overlaps = [], []
+        # range(Y) comes from the inexact inner solve. The escape is run
+        # only where the proof off the kept range fails, so each escape
+        # has a column (nearly) orthogonal to the range the rank cut kept
+        kept, escapes = [], []
 
         def spied_cut(*args):
             point, r = truncate_rank(*args)
@@ -772,15 +762,19 @@ class TestSolve:
 
         def spied_escape(S, r, *args):
             U, delta = escape_direction(S, r, *args)
-            overlaps.extend(np.linalg.norm(kept[-1].T @ U[:, r:], axis=0))
+            if delta > 0:
+                escapes.append(
+                    np.linalg.norm(kept[-1].T @ U[:, r:], axis=0))
             return U, delta
 
         monkeypatch.setattr(alm, "truncate_rank", spied_cut)
         monkeypatch.setattr(alm, "escape_direction", spied_escape)
-        sdp = _completion_30()
+        _, entries = generators.random_completion(60, 60, 2, 1200, 0)
+        sdp = generators.gen_matrix_completion(60, 60, entries)
         assert sdp.manifold is ManifoldKind.FREE
         assert solve(sdp).status == "converged"
-        assert max(overlaps, default=0.0) <= 0.99
+        assert escapes
+        assert all(overlaps.min() <= 0.01 for overlaps in escapes)
 
     def test_escape_evaluates_the_escaped_point_only(self, monkeypatch):
         # the subproblem state (S~, S~ Y, K) after an escape is evaluated

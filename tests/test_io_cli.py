@@ -217,10 +217,10 @@ class TestResultDocument:
         # the options accept numpy integers; json.dumps raised TypeError on
         # an int32 copied through into the document
         sdp = gen.gen_maxcut(gen.unit_triangle_graph())
-        opts = alm.SolverOptions(seed=np.int64(3), p0=np.int32(2))
+        opts = alm.SolverOptions(seed=np.int64(3), delta_ne=np.int32(2))
         doc = json.loads(json.dumps(
             result_document(sdp, alm.solve(sdp, opts), opts)))
-        assert doc["options"]["seed"] == 3 and doc["options"]["p0"] == 2
+        assert doc["options"]["seed"] == 3 and doc["options"]["delta_ne"] == 2
         res, ok = check_document(doc, tol=1e-8)
         assert ok
 
@@ -333,10 +333,7 @@ class TestCli:
 
     def test_every_option_is_a_solve_flag(self, monkeypatch):
         # each field gets a value other than its default from its own flag
-        given = {"tol": ("--tol", 1e-7), "p0": ("--p0", 3),
-                 "sigma0": ("--sigma0", 2.0), "gamma": ("--gamma", 3.0),
-                 "tau": ("--tau", 0.5), "theta": ("--theta", 1e-4),
-                 "delta_ne": ("--delta-ne", 5),
+        given = {"tol": ("--tol", 1e-7), "delta_ne": ("--delta-ne", 5),
                  "max_outer_iters": ("--max-iters", 100),
                  "max_time": ("--time-limit", 60.0), "seed": ("--seed", 1)}
         assert set(given) == {f.name for f in fields(alm.SolverOptions)}
@@ -359,6 +356,18 @@ class TestCli:
             got = getattr(captured[0], name)
             assert getattr(defaults, name) != value
             assert got == value and type(got) is type(value), name
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--p0", "3"), ("--sigma0", "2"), ("--gamma", "3"), ("--tau", "0.5"),
+        ("--theta", "1e-4")])
+    def test_removed_solver_flag_exit_1(self, capsys, flag, value):
+        # the starting rank, the penalty's schedule and the rank cut's
+        # threshold are constants of lrsdp.alm, not flags
+        rc = cli_main(["solve", "--generate", "bqp", "--q", "3", flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert "usage" in err
 
     def test_infinite_tol_exit_1(self, capsys):
         rc = cli_main(["solve", "--generate", "bqp", "--q", "4",
@@ -414,6 +423,13 @@ class TestCli:
         eta_max = check_document(doc, 1.0)[0].eta_max
         assert 0 < eta_max <= 1e-7
         capsys.readouterr()
+        assert cli_main(["check", str(out)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("tol=1e-07 ok")
+        # a document written while p0, sigma0, gamma, tau and theta were
+        # options, not constants, holds ten: its tol is read all the same
+        doc["options"].update(p0=2, sigma0=1.0, gamma=2.0, tau=1.0,
+                              theta=1e-3)
+        out.write_text(json.dumps(doc))
         assert cli_main(["check", str(out)]) == 0
         assert capsys.readouterr().out.rstrip().endswith("tol=1e-07 ok")
         doc["options"]["tol"] = eta_max / 2

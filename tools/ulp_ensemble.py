@@ -1,11 +1,13 @@
 """Solve BQP moment relaxations under the last-bit roundings of their data.
 
-    python tools/ulp_ensemble.py [--q Q] [--seeds FIRST LAST]
+    python tools/ulp_ensemble.py [--q Q] [--seeds FIRST LAST] [--delta-ne D]
 
 For each seed s in FIRST..LAST (default 0 1, the ``bqp-moment`` benchmark
 instances at the default q = 16), builds ``gen_bqp_moment(*random_bqp(q, s))``
-and solves it with ``SolverOptions(seed=s)`` eight times, with C scaled by
-(1 + k 2^-52) for k = 0..7; each factor is exact in binary. Prints one line
+and solves it with ``SolverOptions(seed=s, delta_ne=D)`` eight times, with C
+scaled by (1 + k 2^-52) for k = 0..7; each factor is exact in binary. D, the
+most columns one saddle escape adds, defaults to ``SolverOptions().delta_ne``;
+other values sweep the rank path (ROADMAP item 2). Prints one line
 per rounding with the Hessian products, outer iterations, peak rank p,
 status and objective, then one line per instance with the median and max of
 the products and the largest relative spread of the objectives. A solve
@@ -35,7 +37,7 @@ def rounded(sdp, k):
                       sdp.objective_sign, sdp.objective_offset)
 
 
-def counted_solve(sdp, seed):
+def counted_solve(sdp, opts):
     """``(solution, Hessian products)`` of one solve."""
     products = 0
     hess_vec = manifolds.riem_hess_vec
@@ -47,7 +49,7 @@ def counted_solve(sdp, seed):
 
     manifolds.riem_hess_vec = counted
     try:
-        sol = solve(sdp, SolverOptions(seed=seed))
+        sol = solve(sdp, opts)
     finally:
         manifolds.riem_hess_vec = hess_vec
     return sol, products
@@ -59,18 +61,22 @@ def main(argv):
     parser.add_argument("--q", type=int, default=16)
     parser.add_argument("--seeds", type=int, nargs=2, default=(0, 1),
                         metavar=("FIRST", "LAST"))
+    parser.add_argument("--delta-ne", type=int,
+                        default=SolverOptions().delta_ne)
     args = parser.parse_args(argv)
     all_converged = True
     for seed in range(args.seeds[0], args.seeds[1] + 1):
         sdp = generators.gen_bqp_moment(*generators.random_bqp(args.q, seed))
         products, objectives = [], []
         for k in ROUNDINGS:
-            sol, count = counted_solve(rounded(sdp, k), seed)
+            sol, count = counted_solve(
+                rounded(sdp, k),
+                SolverOptions(seed=seed, delta_ne=args.delta_ne))
             products.append(count)
             objectives.append(sol.objective)
             all_converged = all_converged and sol.status == "converged"
-            print(f"q={args.q} seed={seed} k={k}: products {count} "
-                  f"outer {len(sol.trace)} "
+            print(f"q={args.q} seed={seed} delta_ne={args.delta_ne} k={k}: "
+                  f"products {count} outer {len(sol.trace)} "
                   f"peak_p {max(t.p for t in sol.trace)} {sol.status} "
                   f"objective {sol.objective:.12g}", flush=True)
         median = float(np.median(products))
