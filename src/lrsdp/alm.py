@@ -194,30 +194,15 @@ def assemble_dual(sdp, state):
     return z, SymOperator(prob.subtract_bstar(sdp, state.stilde, z))
 
 
-def _exact_residues(S, eta_p, eta_g, vectors=False):
-    """(residues, lambda_min, lambda_max) with eta_d from the eigenvalues
-    of S: its ``eigh`` when ``vectors``, for an escape to read, else its
-    ``eigvalsh``. An eigensolve that fails raises LinAlgError."""
-    lam_min = spectral.extreme_eigs(S, 1, side="smallest",
-                                    vectors=vectors)[0][0]
-    lam_max = spectral.extreme_eigs(S, 1, side="largest",
-                                    vectors=vectors)[0][0]
-    return (KktResidues(eta_p, prob.dual_residue(lam_min, lam_max), eta_g),
-            lam_min, lam_max)
-
-
-def escape_direction(S, r, delta_ne, tol_escape):
-    """Second-order descent direction from negative eigenvalues of S.
-
-    Returns (U, delta) where U is n x (r + delta) with the first r columns
-    zero and the rest the eigenvectors of the delta most negative
-    eigenvalues; delta = 0 means no escape is needed.
-    """
-    pairs = spectral.extreme_eigs(S, min(delta_ne, S.n), side="smallest")
-    delta = sum(1 for val, _ in pairs if val < -tol_escape)
-    U = np.zeros((S.n, r + delta))
-    for j in range(delta):
-        U[:, r + j] = pairs[j][1]
+def escape_direction(eig, r, delta_ne, tol_escape):
+    """Second-order descent direction (U, delta) from ``eig``, the ascending
+    eigenvalues and the eigenvectors of S: U is n x (r + delta), zero on the
+    first r columns, then the eigenvectors of the delta eigenvalues below
+    -tol_escape among the delta_ne smallest; delta = 0 means no escape."""
+    vals, vecs = eig
+    delta = int(np.count_nonzero(vals[:delta_ne] < -tol_escape))
+    U = np.zeros((vecs.shape[0], r + delta))
+    U[:, r:] = vecs[:, :delta]
     return U, delta
 
 
@@ -283,18 +268,18 @@ def update_penalty(sigma, eta_p_raw, gradnorm):
 def solve(sdp, opts=None):
     """Solve the SDP to KKT residues below tol via the outer ALM loop.
 
-    One rule stops each outer iteration. After eta_p and eta_g, the
-    Cholesky proof ``spectral.proves_curvature_above`` of lambda_min(S) >=
-    -tol (1 + L) gives eta_d <= tol (the row holds tol, source "proof"),
-    and the solve has converged when eta_p, eta_g <= tol too. Where that
-    proof fails, the same proof off the range that the rank cut keeps
-    decides the saddle escape; an escape's ``eigh`` gives its row the exact
-    eta_d, and other rows hold NaN (source "none"). The row that ends the
-    solve (converged, or a time or iteration limit) takes the answer's one
-    ``eigvalsh`` if it has no eigenvalues; a limit whose exact eta_max <=
-    tol is "converged". An eigensolve that raises LinAlgError ends the
-    solve with status "eigensolver-failure", NaN for eta_d and both
-    eigenvalues, and source "none".
+    One rule stops each outer iteration. After eta_p and eta_g, the Cholesky
+    proof ``spectral.proves_curvature_above`` of lambda_min(S) >= -tol (1 + L)
+    gives eta_d <= tol (the row holds tol, source "proof"), and the solve has
+    converged when eta_p, eta_g <= tol too. Where that proof fails, the same
+    proof off the range that the rank cut keeps decides the saddle escape; an
+    escape row's one ``eigh`` gives it the exact eta_d and the escape its
+    eigenvectors, and other rows hold NaN (source "none"). The row that ends
+    the solve (converged, or a time or iteration limit) takes the answer's one
+    ``eigvalsh`` if it has no eigenvalues; a limit whose exact eta_max <= tol
+    is "converged". A LinAlgError from an eigensolve ends the solve as
+    "eigensolver-failure", with NaN for eta_d and both eigenvalues, and source
+    "none".
     """
     opts = opts or SolverOptions()
     opts.validate()
@@ -353,8 +338,10 @@ def solve(sdp, opts=None):
         if escape or status:
             # eigenvectors for an escape; the answer's eigenvalues alone
             try:
-                res, lam_min, lam_max = _exact_residues(
-                    S, eta_p, eta_g, vectors=escape and not status)
+                eig = spectral.extreme_eigs(S, escape and not status)
+                lam_min, lam_max = float(eig[0][0]), float(eig[0][-1])
+                res = KktResidues(eta_p, prob.dual_residue(lam_min, lam_max),
+                                  eta_g)
                 source = EIGENVALUES
             except np.linalg.LinAlgError:
                 res = KktResidues(eta_p, np.nan, eta_g)
@@ -375,7 +362,8 @@ def solve(sdp, opts=None):
         point, r = truncate_rank(point, rng, svd)
         if escape:
             tol_escape = max(1e-12, 1e-4 * opts.tol * (1.0 + abs(lam_max)))
-            U, delta = escape_direction(S, r, opts.delta_ne, tol_escape)
+            U, delta = escape_direction(eig, r, opts.delta_ne, tol_escape)
+            eig = None  # free the n x n eigenvectors before the inner solve
             if delta > 0:
                 Y_pad = np.concatenate(
                     [point.Y, np.zeros((sdp.n, delta))], axis=1)

@@ -232,6 +232,8 @@ def gen_quartic_sphere(q, coeffs):
     multiplier identities w (sum_i x_i^2 - 1) = 0 for every basis monomial
     w, and the normalization of the leading entry.
     """
+    if not (isinstance(q, (int, np.integer)) and q >= 1):
+        raise ProblemError(f"need an integer q >= 1, got {q!r}")
     basis = [()]
     basis += [(i,) for i in range(q)]
     basis += list(combinations_with_replacement(range(q), 2))

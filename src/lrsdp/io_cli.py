@@ -276,9 +276,19 @@ def problem_from_document(doc):
         objective_offset=_doc_field(pd, "objective_offset", (int, float)))
 
 
+def _finite_or_null(value):
+    """``value`` with None, JSON's null, for each NaN or infinite float."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    finite = not isinstance(value, float) or np.isfinite(value)
+    return value if finite else None
+
+
 def write_result(doc, path):
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump(_finite_or_null(doc), fh, indent=1, allow_nan=False)
         fh.write("\n")
 
 

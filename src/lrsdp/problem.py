@@ -13,7 +13,7 @@ and A*(v) V and A*(v) through its transpose (``apply_adjoint_times``,
 ``adjoint_dense``). A sparse side would replace all four together. The
 dual slack S = C - A*(y) - B*(z) is one dense n x n matrix per point,
 built only by ``dual_slack``; ``spectral`` bounds its spectrum by Cholesky
-proofs and computes it with a cached ``eigh`` or ``eigvalsh``.
+proofs and computes it with one ``eigh`` or ``eigvalsh`` per call.
 ``kkt_residues`` is ``primal_gap_residues`` and ``dual_residue`` together,
 so the solver can take eta_p and eta_g before it decides whether S needs
 its eigenvalues. The manifold constraints B(X) = d and ``ManifoldKind``

@@ -1,5 +1,5 @@
-"""Extreme eigenpairs of the dense dual slack, one Cholesky proof of a
-lower bound on its curvature (everywhere, or off a given range), and thin
+"""One eigensolve of the dense dual slack, one Cholesky proof of a lower
+bound on its curvature (everywhere, or off a given range), and thin
 SVDs."""
 
 from __future__ import annotations
@@ -11,15 +11,9 @@ import numpy as np
 
 @dataclass
 class SymOperator:
-    """Dense symmetric matrix with its eigendecomposition, computed once.
-
-    The dual slack is one dense S per point, built by
-    ``problem.dual_slack``. One cached ``eigh`` serves every eigensolve of
-    S that reads eigenvectors, and one cached ``eigvalsh``, in a smaller
-    workspace, those that read eigenvalues alone. ``dense`` must be
-    exactly symmetric: ``eigh``, ``eigvalsh`` and ``cholesky`` read one
-    triangle.
-    """
+    """The dense dual slack S of one point, from ``problem.dual_slack``,
+    with no decomposition kept. ``dense`` must be exactly symmetric:
+    ``eigh``, ``eigvalsh`` and ``cholesky`` read one triangle."""
 
     dense: np.ndarray
 
@@ -30,43 +24,14 @@ class SymOperator:
     def times(self, V):
         return self.dense @ V
 
-    def eigh(self):
-        """All eigenvalues (ascending) and eigenvectors, computed once."""
-        cached = getattr(self, "_eigh", None)
-        if cached is None:
-            cached = self._eigh = np.linalg.eigh(self.dense)
-        return cached
 
-    def eigvalsh(self):
-        """All eigenvalues (ascending), computed once without vectors."""
-        cached = getattr(self, "_eigvalsh", None)
-        if cached is None:
-            cached = self._eigvalsh = np.linalg.eigvalsh(self.dense)
-        return cached
-
-
-def extreme_eigs(op, count, side="smallest", vectors=True):
-    """``count`` extreme eigenpairs of a symmetric operator.
-
-    Returns a list of (eigenvalue, eigenvector) pairs, sorted ascending for
-    side="smallest" and descending for side="largest", taken from the
-    operator's cached ``eigh``. With ``vectors=False`` the eigenvalues
-    come from its cached ``eigvalsh`` instead, and each eigenvector is
-    None.
-    """
-    if side not in ("smallest", "largest"):
-        raise ValueError(f"unknown side {side!r}")
-    if not 1 <= count <= op.n:
-        raise ValueError(f"count must be in [1, {op.n}]")
-    if side == "smallest":
-        idx = np.arange(count)
-    else:
-        idx = np.arange(op.n - 1, op.n - 1 - count, -1)
-    if not vectors:
-        vals = op.eigvalsh()
-        return [(float(vals[i]), None) for i in idx]
-    vals, vecs = op.eigh()
-    return [(float(vals[i]), vecs[:, i].copy()) for i in idx]
+def extreme_eigs(op, vectors):
+    """One eigensolve of ``op``: all its eigenvalues, ascending, and the
+    eigenvectors from ``eigh``, or without ``vectors`` the eigenvalues of
+    ``eigvalsh`` and None. A failed eigensolve raises LinAlgError."""
+    if vectors:
+        return np.linalg.eigh(op.dense)
+    return np.linalg.eigvalsh(op.dense), None
 
 
 def proves_curvature_above(op, bound, Q=None):

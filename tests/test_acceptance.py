@@ -216,6 +216,7 @@ def test_criterion_06_escape_suite():
                            escape_step)
     from lrsdp.manifolds import FactorPoint
     from lrsdp.problem import SdpProblem, SparseSymMatrix
+    from lrsdp.spectral import extreme_eigs
 
     # worked 2x2 unit-trace case: saddle at Y = e1 with S = diag(0, -2)
     C = SparseSymMatrix.from_triplets(2, [(0, 0, 1.0), (1, 1, -1.0)])
@@ -245,8 +246,8 @@ def test_criterion_06_escape_suite():
         assert np.allclose(S_i.dense, S_dense, atol=1e-12)
         vals = np.linalg.eigvalsh(S_dense)
         n_neg = int(np.sum(vals < -1e-10))
-        U, delta = escape_direction(S_i, pt.p, delta_ne=10,
-                                    tol_escape=1e-10)
+        U, delta = escape_direction(extreme_eigs(S_i, True), pt.p,
+                                    delta_ne=10, tol_escape=1e-10)
         if n_neg == 0:
             all_escaped = all_escaped and delta == 0
             continue

@@ -262,7 +262,8 @@ class TestEscapeDirection:
         z, S = assemble_dual(sdp, AlmSubproblem(sdp, np.zeros(0), 1.0)
                              .at(point))
         assert np.allclose(S.dense, np.diag([0.0, -2.0]), atol=1e-12)
-        U, delta = escape_direction(S, r=1, delta_ne=10, tol_escape=1e-10)
+        U, delta = escape_direction(spectral.extreme_eigs(S, True), r=1,
+                                    delta_ne=10, tol_escape=1e-10)
         assert delta == 1
         assert U.shape == (2, 2)
         assert np.allclose(np.abs(U[:, 1]), [0.0, 1.0], atol=1e-12)
@@ -276,25 +277,25 @@ class TestEscapeDirection:
                                                               abs=1e-10)
 
     def test_psd_slack_no_escape(self, rng):
-        S = spectral.SymOperator(np.diag([0.5, 1.0, 2.0]))
-        U, delta = escape_direction(S, r=2, delta_ne=5, tol_escape=1e-10)
+        eig = np.linalg.eigh(np.diag([0.5, 1.0, 2.0]))
+        U, delta = escape_direction(eig, r=2, delta_ne=5, tol_escape=1e-10)
         assert delta == 0
 
     def test_delta_capped(self, rng):
-        S = spectral.SymOperator(np.diag([-3.0, -2.0, -1.0, 1.0]))
-        U, delta = escape_direction(S, r=1, delta_ne=2, tol_escape=1e-10)
+        eig = np.linalg.eigh(np.diag([-3.0, -2.0, -1.0, 1.0]))
+        U, delta = escape_direction(eig, r=1, delta_ne=2, tol_escape=1e-10)
         assert delta == 2
         assert U.shape == (4, 3)
         assert np.allclose(U[:, 0], 0.0)
 
     def test_above_old_dense_threshold(self):
-        # n = 1034 once took an ARPACK path; the escape pairs come from the
-        # same cached eigh as at every other n
+        # n = 1034 once took an ARPACK path; the escape reads the row's
+        # one eigh, as at every other n
         n = 1034
         d = np.arange(n, dtype=float)
         d[[7, 500, 1033]] = [-3.0, -2.0, -1.0]
-        S = spectral.SymOperator(np.diag(d))
-        U, delta = escape_direction(S, r=2, delta_ne=10, tol_escape=1e-10)
+        eig = spectral.extreme_eigs(spectral.SymOperator(np.diag(d)), True)
+        U, delta = escape_direction(eig, r=2, delta_ne=10, tol_escape=1e-10)
         assert delta == 3
         assert U.shape == (n, 5)
         assert np.array_equal(U[:, :2], np.zeros((n, 2)))
@@ -304,10 +305,10 @@ class TestEscapeDirection:
     def test_eigenvector_columns(self, rng):
         A = rng.standard_normal((6, 6))
         S_dense = 0.5 * (A + A.T) - 2 * np.eye(6)
-        S = spectral.SymOperator(S_dense)
         vals = np.linalg.eigvalsh(S_dense)
         n_neg = int(np.sum(vals < -1e-10))
-        U, delta = escape_direction(S, r=2, delta_ne=10, tol_escape=1e-10)
+        U, delta = escape_direction(np.linalg.eigh(S_dense), r=2,
+                                    delta_ne=10, tol_escape=1e-10)
         assert delta == n_neg
         for j in range(delta):
             v = U[:, 2 + j]
@@ -725,28 +726,50 @@ class TestSolve:
     @pytest.mark.parametrize("family", ["bqp", "completion"])
     def test_every_eigh_is_read_by_an_escape(self, family, monkeypatch):
         # eigenvectors are computed only for an escape: every other
-        # eigensolve takes eigenvalues alone. Both solves escape at least
-        # once (from their random starting point)
+        # eigensolve takes eigenvalues alone. Each extreme_eigs call is one
+        # eigh or one eigvalsh, and an escape row's one eigh feeds both its
+        # residues and its escape. Both solves escape at least once (from
+        # their random starting point)
         if family == "bqp":
             sdp = generators.gen_bqp_moment(*generators.random_bqp(6, 0))
         else:
             _, entries = generators.random_completion(40, 40, 3, 1000, 1)
             sdp = generators.gen_matrix_completion(40, 40, entries)
-        eigh, decomposed, escaped = np.linalg.eigh, [], []
+        events = []
 
-        def spied_eigh(a):
-            decomposed.append(a)
-            return eigh(a)
+        def spy(owner, name):
+            routine = getattr(owner, name)
 
-        def spied_escape(S, *args):
-            escaped.append(S.dense)
-            return escape_direction(S, *args)
+            def spied(*args):
+                result = routine(*args)
+                events.append((name, args, result))
+                return result
+            monkeypatch.setattr(owner, name, spied)
 
-        monkeypatch.setattr(np.linalg, "eigh", spied_eigh)
-        monkeypatch.setattr(alm, "escape_direction", spied_escape)
-        assert solve(sdp).status == "converged"
-        assert 0 < len(decomposed) <= len(escaped)
-        assert all(any(a is b for b in escaped) for a in decomposed)
+        for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                            (spectral, "extreme_eigs"),
+                            (prob, "dual_residue"),
+                            (alm, "escape_direction")):
+            spy(owner, name)
+        sol = solve(sdp)
+        assert sol.status == "converged"
+        names = [name for name, _, _ in events]
+        assert names.count("extreme_eigs") == \
+            names.count("eigh") + names.count("eigvalsh")
+        eighs = [i for i, name in enumerate(names) if name == "eigh"]
+        assert 0 < len(eighs) == names.count("escape_direction")
+        rows = [t for t in sol.trace[:-1]
+                if t.eta_d_source == alm.EIGENVALUES]
+        assert len(rows) == len(eighs)
+        for i, row in zip(eighs, rows):
+            assert names[i + 1:i + 4] == ["extreme_eigs", "dual_residue",
+                                          "escape_direction"]
+            eig = events[i][2]
+            (_, _, returned), (_, ends, eta_d), (_, escape_args, _) = \
+                events[i + 1:i + 4]
+            assert returned is eig and escape_args[0] is eig
+            assert ends == (eig[0][0], eig[0][-1])
+            assert row.eta_d == eta_d
 
     def test_every_escape_leaves_the_kept_range(self, monkeypatch):
         # near a critical point S Y = 0, so negative curvature of S inside

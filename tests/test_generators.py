@@ -221,6 +221,22 @@ class TestQuarticSphere:
         with pytest.raises(ProblemError):
             gen_quartic_sphere(2, {(0, 2): 1.0})
 
+    @pytest.mark.parametrize("q", [0, -2, 2.5, 2.0, np.float64(3.0), None])
+    def test_rejects_q_not_a_positive_integer(self, q):
+        # q = 0 once built an infeasible 1 x 1 relaxation (X_00 = 1 and
+        # -X_00 = 0)
+        with pytest.raises(ProblemError, match="q >= 1"):
+            gen_quartic_sphere(q, {})
+
+    def test_one_variable(self):
+        # q = 1: x = +-1 on the sphere, so x^4 - x^2 is 0
+        sdp = gen_quartic_sphere(1, {(0, 0, 0, 0): 1.0, (0, 0): -1.0})
+        assert sdp.n == 3
+        from lrsdp.alm import solve
+        sol = solve(sdp)
+        assert sol.status == "converged"
+        assert sol.objective == pytest.approx(0.0, abs=1e-6)
+
     def test_constant_on_sphere(self):
         # (x1^2 + x2^2)^2 = 1 on the sphere
         from lrsdp.alm import solve

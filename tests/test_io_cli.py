@@ -17,6 +17,14 @@ from lrsdp.io_cli import (FormatError, check_document, cli_main,
 from lrsdp.problem import ManifoldKind, SdpProblem, SparseSymMatrix
 
 
+def _strict_json(text):
+    """``text`` parsed as RFC 8259 JSON: NaN, Infinity and -Infinity,
+    which Python's json reads by default, raise ValueError."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestSdpa:
     def test_minimal_file(self, tmp_path):
         path = tmp_path / "min.dat-s"
@@ -302,10 +310,37 @@ class TestCli:
                        "--output", str(out), "--trace", str(trace)])
         assert rc == 2
         assert "status=eigensolver-failure" in capsys.readouterr().out
-        doc = json.loads(out.read_text())
+        doc = _strict_json(out.read_text())
         assert doc["status"] == "eigensolver-failure"
-        assert np.isnan(doc["residues"]["eta_d"])
+        assert doc["residues"]["eta_d"] is None
         assert len(trace.read_text().splitlines()) == doc["iterations"] + 1
+
+    def test_result_is_strict_json(self, tmp_path, capsys):
+        # NaN and Infinity are not JSON (RFC 8259): the eta_d and eta_max
+        # of the trace rows from no eigensolve, and an unbounded time
+        # limit, are written as null, and check still reads the document
+        out = tmp_path / "c.json"
+        assert cli_main(["solve", "--generate", "completion", "--s", "30",
+                         "--t", "30", "--rank", "2", "--time-limit", "inf",
+                         "--output", str(out)]) == 0
+        doc = _strict_json(out.read_text())
+        assert doc["options"]["max_time"] is None
+        rows = [row for row in doc["trace"]
+                if row["eta_d_source"] == alm.NOT_COMPUTED]
+        assert rows
+        assert all(row["eta_d"] is None and row["eta_max"] is None
+                   for row in rows)
+        assert cli_main(["check", str(out)]) == 0
+
+    @pytest.mark.parametrize("command", ["solve --generate", "generate"])
+    @pytest.mark.parametrize("q", ["0", "-2"])
+    def test_quartic_without_variables_exit_1(self, command, q, tmp_path,
+                                              capsys):
+        argv = command.split() + ["quartic", "--q", q]
+        if command == "generate":
+            argv += ["--output", str(tmp_path / "p.dat-s")]
+        assert cli_main(argv) == 1
+        assert "q >= 1" in capsys.readouterr().err
 
     def test_malformed_input_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.dat-s"

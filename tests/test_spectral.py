@@ -12,6 +12,20 @@ def _random_sym(n, rng):
     return 0.5 * (A + A.T)
 
 
+def _counted(monkeypatch, *routines):
+    """Replace each numpy.linalg routine by one that records its argument;
+    returns {routine: list of arguments}."""
+    calls = {}
+    for name in routines:
+        routine, calls[name] = getattr(np.linalg, name), []
+
+        def counted(M, routine=routine, seen=calls[name]):
+            seen.append(M)
+            return routine(M)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 class TestSymOperator:
     def test_times_matrix_and_vector(self, rng):
         S = _random_sym(5, rng)
@@ -22,100 +36,78 @@ class TestSymOperator:
         assert np.allclose(op.times(v), S @ v)
         assert np.allclose(op.times(V), S @ V)
 
+    def test_holds_no_decomposition(self, rng, monkeypatch):
+        # the operator keeps its matrix alone: every call decomposes anew
+        S = _random_sym(6, rng)
+        op = SymOperator(S)
+        calls = _counted(monkeypatch, "eigh", "eigvalsh")
+        for vectors in (True, True, False, False):
+            extreme_eigs(op, vectors)
+        assert [len(calls["eigh"]), len(calls["eigvalsh"])] == [2, 2]
+        assert list(vars(op)) == ["dense"] and op.dense is S
+
 
 class TestExtremeEigs:
     def test_dense_path_matches_eigh(self, rng):
         S = _random_sym(20, rng)
         vals = np.linalg.eigvalsh(S)
-        lo = extreme_eigs(SymOperator(S), 3, side="smallest")
-        hi = extreme_eigs(SymOperator(S), 2, side="largest")
-        assert np.allclose([v for v, _ in lo], vals[:3], atol=1e-10)
-        assert np.allclose([v for v, _ in hi], vals[::-1][:2], atol=1e-10)
+        got, vecs = extreme_eigs(SymOperator(S), True)
+        assert vecs.shape == (20, 20)
+        assert np.all(np.diff(got) >= 0)
+        assert np.allclose(got, vals, atol=1e-10)
 
     def test_eigenpair_residual(self, rng):
         S = _random_sym(15, rng)
-        op = SymOperator(S)
-        for val, vec in extreme_eigs(op, 2, side="smallest"):
+        vals, vecs = extreme_eigs(SymOperator(S), True)
+        for val, vec in zip(vals, vecs.T):
             assert np.linalg.norm(S @ vec - val * vec) < 1e-9
 
     def test_above_old_dense_threshold(self, monkeypatch):
-        # n = 1034 once took an ARPACK path; one cached eigh serves all sizes
+        # n = 1034 once took an ARPACK path; one eigh serves every n
         n = 1034
-        calls = []
-        eigh = np.linalg.eigh
+        calls = _counted(monkeypatch, "eigh")
+        vals, vecs = extreme_eigs(
+            SymOperator(np.diag(np.arange(n, dtype=float))), True)
+        assert len(calls["eigh"]) == 1
+        assert np.array_equal(vals, np.arange(n, dtype=float))
+        assert np.array_equal(np.abs(vecs), np.eye(n))
 
-        def counted(M):
-            calls.append(M)
-            return eigh(M)
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        op = SymOperator(np.diag(np.arange(n, dtype=float)))
-        lo = extreme_eigs(op, 1, side="smallest")
-        hi = extreme_eigs(op, 1, side="largest")
-        esc = extreme_eigs(op, 4, side="smallest")
-        assert len(calls) == 1
-        assert lo[0][0] == 0.0 and hi[0][0] == n - 1
-        assert [v for v, _ in esc] == [0.0, 1.0, 2.0, 3.0]
-        for j, (_, vec) in enumerate(esc):
-            assert np.array_equal(np.abs(vec), np.eye(n)[j])
-        assert np.array_equal(np.abs(hi[0][1]), np.eye(n)[n - 1])
-
-    def test_one_eigh_per_operator(self, rng, monkeypatch):
+    def test_one_eigh_per_call(self, rng, monkeypatch):
+        # each call runs exactly one eigh, returns numpy's bits, and runs
+        # no eigvalsh; a second call decomposes again, to the same bits
         S = _random_sym(12, rng)
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counted(M):
-            calls.append(M)
-            return eigh(M)
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        want_vals, want_vecs = np.linalg.eigh(S)
+        calls = _counted(monkeypatch, "eigh", "eigvalsh")
         op = SymOperator(S)
-        lo = extreme_eigs(op, 1, side="smallest")
-        hi = extreme_eigs(op, 1, side="largest")
-        esc = extreme_eigs(op, 4, side="smallest")
-        assert len(calls) == 1
-        vals = np.linalg.eigvalsh(S)
-        assert lo[0][0] == pytest.approx(vals[0], abs=1e-10)
-        assert hi[0][0] == pytest.approx(vals[-1], abs=1e-10)
-        assert np.allclose([v for v, _ in esc], vals[:4], atol=1e-10)
+        for count in (1, 2):
+            vals, vecs = extreme_eigs(op, True)
+            assert len(calls["eigh"]) == count and not calls["eigvalsh"]
+            assert calls["eigh"][-1] is S
+            assert np.array_equal(vals, want_vals)
+            assert np.array_equal(vecs, want_vecs)
 
     def test_values_alone_from_one_eigvalsh(self, rng, monkeypatch):
-        # vectors=False reads one cached eigvalsh, bit for bit, and no eigh
+        # without vectors: one eigvalsh, bit for bit, and no eigh
         S = _random_sym(12, rng)
         want = np.linalg.eigvalsh(S)
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counted(M):
-            calls.append(M)
-            return eigvalsh(M)
+        calls = _counted(monkeypatch, "eigvalsh")
 
         def forbidden(M):
             raise AssertionError("eigh called")
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
-        op = SymOperator(S)
-        lo = extreme_eigs(op, 2, side="smallest", vectors=False)
-        hi = extreme_eigs(op, 1, side="largest", vectors=False)
-        assert len(calls) == 1
-        assert lo == [(want[0], None), (want[1], None)]
-        assert hi == [(want[-1], None)]
+        vals, vecs = extreme_eigs(SymOperator(S), False)
+        assert len(calls["eigvalsh"]) == 1 and calls["eigvalsh"][0] is S
+        assert vecs is None and np.array_equal(vals, want)
 
-    def test_bad_arguments(self, rng):
-        op = SymOperator(np.eye(3))
-        with pytest.raises(ValueError):
-            extreme_eigs(op, 0)
-        with pytest.raises(ValueError):
-            extreme_eigs(op, 4)
-        with pytest.raises(ValueError):
-            extreme_eigs(op, 1, side="middle")
-
-    def test_deterministic(self, rng):
-        S = _random_sym(12, rng)
-        op = SymOperator(S)
-        a = extreme_eigs(op, 2)
-        b = extreme_eigs(op, 2)
-        for (va, xa), (vb, xb) in zip(a, b):
-            assert va == vb and np.array_equal(xa, xb)
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_failure_raises(self, vectors, monkeypatch):
+        # a failed eigensolve reaches the caller as LinAlgError
+        def failing(M):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh" if vectors else "eigvalsh",
+                            failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            extreme_eigs(SymOperator(np.eye(3)), vectors)
 
 
 def _with_spectrum(vals, rng):
