@@ -27,6 +27,9 @@ class FormatError(ProblemError):
 
 # --- SDPA sparse format (single PSD block) -----------------------------
 
+_OBJECTIVE = "*lrsdp-objective"
+
+
 def _sdpa_numbers(line):
     return line.replace(",", " ").replace("{", " ").replace("}", " ").split()
 
@@ -39,9 +42,20 @@ def read_sdpa(path):
     matno 0 for the cost and k in 1..m for constraint k, 1-based
     upper-triangular indices. Duplicate entries are summed. The manifold is
     always Free; manifold kinds are a solver flag, not part of the format.
+    Lines that start with '"' or '*' are comments. A line
+    "*lrsdp-objective sign offset" sets the reported objective
+    sign <C, X> + offset, which SDPA cannot express; 1 and 0 without one.
     """
     with open(path) as fh:
         raw = fh.readlines()
+    sign, offset = 1.0, 0.0
+    for no, ln in enumerate(raw, start=1):
+        if ln.startswith(_OBJECTIVE):
+            try:
+                sign, offset = map(float, ln[len(_OBJECTIVE):].split())
+            except ValueError:
+                raise FormatError(
+                    f"{path}:{no}: bad objective line: {ln.strip()!r}")
     lines = [(no, ln.strip()) for no, ln in enumerate(raw, start=1)
              if ln.strip() and not ln.lstrip().startswith(('"', "*"))]
     if len(lines) < 3:
@@ -112,13 +126,18 @@ def read_sdpa(path):
     nc = np.searchsorted(k, 1)  # matrix 0 is the cost
     C = SparseSymMatrix(n, r[:nc], c[:nc], v[:nc])
     A = ConstraintSet(n, m, k[nc:] - 1, r[nc:], c[nc:], v[nc:])
-    return SdpProblem(n, C, A, b, ManifoldKind.FREE)
+    return SdpProblem(n, C, A, b, ManifoldKind.FREE, objective_sign=sign,
+                      objective_offset=offset)
 
 
 def write_sdpa(problem, path):
     """Emit the exact dialect read_sdpa accepts, entries sorted by
-    (matno, i, j), values at shortest round-trip precision."""
+    (matno, i, j), values at shortest round-trip precision, with an
+    ``_OBJECTIVE`` line first unless the sign is 1 and the offset 0."""
+    sign, offset = problem.objective_sign, problem.objective_offset
     with open(path, "w") as fh:
+        if (sign, offset) != (1.0, 0.0):
+            fh.write(f"{_OBJECTIVE} {sign!r} {offset!r}\n")
         fh.write(f"{problem.m}\n1\n{problem.n}\n")
         fh.write(" ".join(repr(float(v)) for v in problem.b) + "\n"
                  if problem.m else "\n")
@@ -387,28 +406,25 @@ def _build_parser():
     return parser
 
 
-def _family_problem(name, args, seed):
-    if name == "maxcut-edge":
-        return generators.gen_maxcut(generators.unit_edge_graph())
-    if name == "maxcut-triangle":
-        return generators.gen_maxcut(generators.unit_triangle_graph())
-    if name == "bqp":
-        Q, c = generators.random_bqp(args.q, seed)
-        return generators.gen_bqp_moment(Q, c)
-    if name == "quartic":
-        return generators.gen_quartic_sphere(
-            args.q, generators.random_quartic(args.q, seed))
-    if name == "completion":
-        samples = args.samples
-        if samples is None:
-            samples = args.s * args.t
-        _, entries = generators.random_completion(
-            args.s, args.t, args.rank, samples, seed)
-        return generators.gen_matrix_completion(args.s, args.t, entries)
-    raise _UsageError(f"unknown family {name!r}")
+def _completion(args):
+    samples = args.s * args.t if args.samples is None else args.samples
+    _, entries = generators.random_completion(
+        args.s, args.t, args.rank, samples, args.seed)
+    return generators.gen_matrix_completion(args.s, args.t, entries)
 
 
-_FAMILIES = ("maxcut-edge", "maxcut-triangle", "bqp", "quartic", "completion")
+# each built-in family's problem from the parsed family flags and --seed
+_FAMILIES = {
+    "maxcut-edge": lambda args: generators.gen_maxcut(
+        generators.unit_edge_graph()),
+    "maxcut-triangle": lambda args: generators.gen_maxcut(
+        generators.unit_triangle_graph()),
+    "bqp": lambda args: generators.gen_bqp_moment(
+        *generators.random_bqp(args.q, args.seed)),
+    "quartic": lambda args: generators.gen_quartic_sphere(
+        args.q, generators.random_quartic(args.q, args.seed)),
+    "completion": _completion,
+}
 
 
 def _run_solve(args):
@@ -417,16 +433,13 @@ def _run_solve(args):
     opts = SolverOptions(**{f.name: getattr(args, f.name)
                             for f in fields(SolverOptions)})
     opts.validate()  # before --seed reaches a generator
-    if args.input is not None:
-        sdp = read_sdpa(args.input)
-    else:
-        sdp = _family_problem(args.generate, args, args.seed)
+    sdp = _FAMILIES[args.generate](args) if args.input is None \
+        else read_sdpa(args.input)
     if args.manifold is not None \
             and ManifoldKind(args.manifold) is not sdp.manifold:
         sdp = SdpProblem(sdp.n, sdp.C, sdp.A, sdp.b,
-                         ManifoldKind(args.manifold),
-                         objective_sign=sdp.objective_sign,
-                         objective_offset=sdp.objective_offset)
+                         ManifoldKind(args.manifold), sdp.objective_sign,
+                         sdp.objective_offset)
     solution = alm.solve(sdp, opts)
     doc = result_document(sdp, solution, opts)
     if args.output:
@@ -441,7 +454,7 @@ def _run_solve(args):
 
 
 def _run_generate(args):
-    sdp = _family_problem(args.family, args, args.seed)
+    sdp = _FAMILIES[args.family](args)
     write_sdpa(sdp, args.output)
     print(f"wrote {args.output}: n={sdp.n} m={sdp.m}")
     return 0

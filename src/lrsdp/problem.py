@@ -194,7 +194,8 @@ class SdpProblem:
             raise ProblemError("constraint dimension mismatch")
         if A.m != b.size:
             raise ProblemError(f"|A| = {A.m} but |b| = {b.size}")
-        if not np.all(np.isfinite(b)):
+        if not (np.all(np.isfinite(b))
+                and np.isfinite([objective_sign, objective_offset]).all()):
             raise ProblemError("problem data contains NaN or inf")
         ConstraintSet.from_matrices(n, [C])  # C passes the checks of an A_i
         self.n = n

@@ -14,9 +14,7 @@ _RHO_PRIME = 0.1  # a step is accepted when its decrease ratio exceeds this
 # tCG's residual floor as a fraction of minimize's grad_tol; below 1, since
 # minimize runs tCG only when ||grad|| > grad_tol, so no run starts at it
 _FLOOR = 0.5
-# radius factor after a rejected step; a power of two, so the retry radius
-# after k rejections is exactly radius * _SHRINK**k
-_SHRINK = 0.25
+_SHRINK = 0.25  # radius factor after a rejected step
 
 
 @dataclass
@@ -31,7 +29,7 @@ def _inner(A, B):
 
 
 def tcg(grad, hess_vec, radius, kappa=0.1, max_iters=None, floor=0.0,
-        retries=None, precon=None):
+        products=None, precon=None):
     """Truncated CG (Steihaug-Toint) for the trust-region model.
 
     Minimizes m(s) = <grad, s> + 0.5 <s, H s> over ||s||_M <= radius,
@@ -52,31 +50,20 @@ def tcg(grad, hess_vec, radius, kappa=0.1, max_iters=None, floor=0.0,
     m(step), taken from H step tracked alongside the iterate, so callers
     need no further product.
 
-    Until it stops, the CG path does not depend on the radius, and neither
-    does the stop rule (the floor included), so a run at a smaller radius
-    stops on the same path: at the first step that meets negative
-    curvature or crosses that radius, else where this run stops.
-    Given a dict ``retries``, tCG fills it with one stop record for every
-    radius ``radius * _SHRINK**k >= _RADIUS_COLLAPSE`` (k >= 1), and
-    ``_answer(grad, retries[r], r)`` returns, bit for bit and with no
-    Hessian product, what this call with radius r would return. A record
-    holds references to the arrays of the path, not copies: tCG never
-    writes into an array once it is made, nor into a product ``hess_vec``
-    or ``precon`` returned, and a caller must not write into a returned
-    step, which can be one of them.
+    The k-th Hessian product is ``products[k]`` when the list
+    ``products`` has one; otherwise tCG computes it and appends it. Until
+    tCG stops, neither its path nor its stop rule (the floor included)
+    depends on the radius. So a run at a smaller radius, with the same
+    other arguments, stops no later on the same path: given the list of
+    the first run, it reads every product from it and returns, bit for
+    bit, what a fresh run would.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if max_iters is None:
         max_iters = grad.size
-    pending = []  # retry radii the path has not crossed yet
-    if retries is not None:
-        level = radius * _SHRINK
-        while level >= _RADIUS_COLLAPSE:
-            pending.append(level)
-            level *= _SHRINK
-    eta = np.zeros_like(grad)
-    Heta = np.zeros_like(grad)
+    products = [] if products is None else products
+    eta, Heta = np.zeros_like(grad), np.zeros_like(grad)
     r = grad.copy()
     rr = _inner(r, r)
     r0_norm = np.sqrt(rr)
@@ -85,41 +72,33 @@ def tcg(grad, hess_vec, radius, kappa=0.1, max_iters=None, floor=0.0,
     d = -z
     # <eta, M eta>, <eta, M d> and <d, M d>
     e_norm2, e_d, d_norm2 = 0.0, 0.0, zr
-
-    def stop(record):
-        # every retry radius still pending stops where this run stops
-        if retries is not None:
-            retries.update(dict.fromkeys(pending, record))
-        return _answer(grad, record, radius)
-
+    reason = "max-cg-iters"
     if r0_norm <= target:
-        return stop(("converged", eta, Heta, None, None, 0.0, 0.0, 0.0))
-    for _ in range(max_iters):
-        Hd = hess_vec(d)
+        reason, max_iters = "converged", 0
+    for k in range(max_iters):
+        if k == len(products):
+            products.append(hess_vec(d))
+        Hd = products[k]
         dHd = _inner(d, Hd)
         if precon is None:  # M = I: direct, not from the recurrences
             e_d = _inner(eta, d)
             d_norm2 = _inner(d, d)
         if dHd <= 0:
-            return stop(("negative-curvature", eta, Heta, d, Hd,
-                         e_norm2, e_d, d_norm2))
+            reason = "negative-curvature"
+            break
         alpha = zr / dHd
         new_e_norm2 = e_norm2 + 2 * alpha * e_d + alpha * alpha * d_norm2
-        boundary = ("boundary", eta, Heta, d, Hd, e_norm2, e_d, d_norm2)
         if new_e_norm2 >= radius * radius:
-            return stop(boundary)
-        crossed = [level for level in pending
-                   if new_e_norm2 >= level * level]
-        if crossed:
-            retries.update(dict.fromkeys(crossed, boundary))
-            pending = [level for level in pending if level not in crossed]
+            reason = "boundary"
+            break
         eta = eta + alpha * d
         Heta = Heta + alpha * Hd
         e_norm2 = new_e_norm2
         r = r + alpha * Hd
         rr = _inner(r, r)
         if np.sqrt(rr) <= target:
-            return stop(("converged", eta, Heta, None, None, 0.0, 0.0, 0.0))
+            reason = "converged"
+            break
         z, zr_new = (r, rr) if precon is None \
             else _preconditioned(precon, r)
         beta = zr_new / zr
@@ -127,25 +106,17 @@ def tcg(grad, hess_vec, radius, kappa=0.1, max_iters=None, floor=0.0,
         e_d = beta * (e_d + alpha * d_norm2)
         d_norm2 = zr_new + beta * beta * d_norm2
         zr = zr_new
-    return stop(("max-cg-iters", eta, Heta, None, None, 0.0, 0.0, 0.0))
+    if reason in ("boundary", "negative-curvature"):
+        # where eta + tau d leaves the radius in the norm of M
+        tau = _boundary_step(e_norm2, e_d, d_norm2, radius)
+        eta, Heta = eta + tau * d, Heta + tau * Hd
+    return eta, reason, _inner(grad, eta) + 0.5 * _inner(eta, Heta)
 
 
 def _preconditioned(precon, r):
     """(P r, <P r, r>)."""
     z = precon(r)
     return z, _inner(z, r)
-
-
-def _answer(grad, record, radius):
-    """tCG's ``(step, reason, model)`` at ``radius`` from a stop record
-    ``(reason, eta, Heta, d, Hd, e_norm2, e_d, d_norm2)``: eta itself when
-    d is None, else the point where eta + tau d leaves the radius in the
-    norm of M, whose squares ``e_norm2``, ``e_d`` and ``d_norm2`` hold."""
-    reason, eta, Heta, d, Hd, e_norm2, e_d, d_norm2 = record
-    if d is not None:
-        tau = _boundary_step(e_norm2, e_d, d_norm2, radius)
-        eta, Heta = eta + tau * d, Heta + tau * Hd
-    return eta, reason, _inner(grad, eta) + 0.5 * _inner(eta, Heta)
 
 
 def _boundary_step(e_norm2, e_d, d_norm2, radius):
@@ -171,15 +142,15 @@ def minimize(model, point, grad_tol, max_iters, deadline=None):
     the residual floor ``_FLOOR * grad_tol``: tCG stops once the model's
     gradient is at or below half the tolerance, since a smaller one buys
     accuracy this solve does not need. The floor is below grad_tol, so a
-    tCG run never starts at it, and it does not depend on the radius, so
-    the retry records below stay exact. The loop itself still stops only
-    on the true ||grad|| <= grad_tol. The predicted decrease of a step is
-    tCG's model value. A rejected step shrinks the radius by ``_SHRINK``
-    and retries from the same point, with the same gradient: the retry's
-    step is taken from the stop records of the tCG run already made
-    there, bit for bit what a new run would return, with no Hessian
-    product; the records are dropped when a step is accepted. Every retry
-    still counts as a trust-region step. No trust-region step starts once
+    tCG run never starts at it. The loop itself still stops only on the
+    true ||grad|| <= grad_tol. The predicted decrease of a step is tCG's
+    model value. A rejected step shrinks the radius by ``_SHRINK`` and
+    retries from the same point: tCG runs again over the Hessian products
+    already computed there. Until tCG stops, neither its path nor its stop
+    rule depends on the radius, so the retry stops no later than the run
+    that computed them, needs no new product and returns the bits of a
+    fresh run. The products are dropped when a step is accepted. Every
+    retry counts as a trust-region step. No trust-region step starts once
     ``time.perf_counter()`` has passed ``deadline``. Returns
     ``(point, report, state)`` with ``state`` the model's ``at`` of the
     returned point, the one evaluated there during the solve.
@@ -191,7 +162,7 @@ def minimize(model, point, grad_tol, max_iters, deadline=None):
     state = model.at(point)
     iters = 0
     reason = "max-iters"
-    retries = {}  # tCG's stop records at the current point, by radius
+    products = []  # tCG's Hessian products at the current point
     gradnorm = np.sqrt(_inner(state.grad, state.grad))
     best_point, best_state, best_gradnorm = point, state, gradnorm
     while iters < max_iters:
@@ -205,13 +176,9 @@ def minimize(model, point, grad_tol, max_iters, deadline=None):
             reason = "time-limit"
             break
         iters += 1
-        if radius in retries:
-            step, stop, model_value = _answer(state.grad, retries[radius],
-                                              radius)
-        else:
-            step, stop, model_value = tcg(
-                state.grad, state.hess_vec, radius, floor=_FLOOR * grad_tol,
-                retries=retries, precon=getattr(state, "precon", None))
+        step, stop, model_value = tcg(
+            state.grad, state.hess_vec, radius, floor=_FLOOR * grad_tol,
+            products=products, precon=getattr(state, "precon", None))
         pred = -model_value
         try:
             trial = retract(point, step)
@@ -229,7 +196,7 @@ def minimize(model, point, grad_tol, max_iters, deadline=None):
             radius = min(2.0 * radius, max_radius)
         if rho > _RHO_PRIME:
             point = trial
-            retries = {}
+            products = []
             state = model.at(point)
             gradnorm = np.sqrt(_inner(state.grad, state.grad))
             if state.cost <= best_state.cost:

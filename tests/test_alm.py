@@ -155,6 +155,19 @@ class TestPreconditioner:
         state = AlmSubproblem(sdp, rng.standard_normal(m), 2.5).at(point)
         assert state.precon is None
 
+    @pytest.mark.parametrize("y,precon", [(0.0, False), (1.0, True)])
+    def test_none_where_the_slack_vanishes(self, y, precon):
+        # C = 0, y = 0 and a feasible point make S~ = 0, so K's alpha is 0;
+        # y = 1 makes S~ = -A_1, and K exists
+        sdp = SdpProblem(2, SparseSymMatrix.from_triplets(2, []),
+                         [SparseSymMatrix.from_triplets(2, [(0, 0, 1.0)])],
+                         np.ones(1), ManifoldKind.FREE)
+        point = FactorPoint(np.array([[1.0, 0.0], [0.0, 0.0]]),
+                            ManifoldKind.FREE)
+        state = AlmSubproblem(sdp, np.array([y]), 2.5).at(point)
+        assert state.stilde.any() == bool(y)
+        assert (state.precon is not None) == precon
+
 
 def _dense_riem_grad(sdp, y, sigma, Y):
     """Riemannian gradient of the ALM cost from dense matrices.
@@ -359,6 +372,20 @@ class TestTruncateRank:
         assert r == 2
         assert point.p == 2
         assert point.feasibility_error() < 1e-12
+
+    def test_zero_free_factor_restarts_at_rank_one(self):
+        # an all-zero factor has no rank to keep: one standard-normal
+        # column, drawn from the rng, the same for the same rng
+        zero = FactorPoint(np.zeros((5, 3)), ManifoldKind.FREE)
+        point, r = truncate_rank(zero, np.random.default_rng(4))
+        assert r == 1 and point.Y.shape == (5, 1) and point.Y.any()
+        seed = np.random.default_rng(4).integers(2**32)
+        want = manifolds.random_point(5, 1, ManifoldKind.FREE, seed)
+        assert point.Y.tobytes() == want.Y.tobytes()
+        again, _ = truncate_rank(zero, np.random.default_rng(4))
+        assert again.Y.tobytes() == point.Y.tobytes()
+        other, _ = truncate_rank(zero, np.random.default_rng(5))
+        assert other.Y.tobytes() != point.Y.tobytes()
 
     def test_keeps_full_rank(self, rng):
         Y = rng.standard_normal((5, 3))

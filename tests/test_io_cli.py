@@ -57,6 +57,14 @@ class TestSdpa:
         ("1\n1\n2\n1.0\n1 2 1 1 1.0\n", "block"),
         ("1\n1\n2\n1.0\nx y z\n", ":5:"),
         ("-1\n1\n2\n1.0\n", ":1: constraint count must not be negative"),
+        ("1\n1\n", "fewer than three header lines"),
+        ("x\n1\n2\n1.0\n", ":1: bad constraint count line"),
+        ("1\n1\n0\n1.0\n", ":3: block size must be positive"),
+        ("1\n1\n2\nabc\n", ":4: bad rhs line"),
+        ("1\n1\n2\n1.0\n1 1 1 1 1.0 2.0\n", ":5: bad entry line"),
+        ("*lrsdp-objective -1.0\n1\n1\n2\n1.0\n", ":1: bad objective line"),
+        ("1\n1\n2\n1.0\n*lrsdp-objective 1 0 2\n", ":5: bad objective"),
+        ("1\n1\n2\n*lrsdp-objective x 0\n1.0\n", ":4: bad objective"),
     ])
     def test_malformed_rejected_with_location(self, tmp_path, body, needle):
         path = tmp_path / "bad.dat-s"
@@ -71,6 +79,9 @@ class TestSdpa:
         path = tmp_path / "rt.dat-s"
         write_sdpa(sdp, path)
         back = read_sdpa(path)
+        # sign 1 and offset 0 are SDPA's own: no objective line
+        assert path.read_text().startswith("3\n")
+        assert _objective_bytes(back) == _objective_bytes(sdp)
         assert (back.n, back.m) == (sdp.n, sdp.m)
         assert np.array_equal(back.b, sdp.b)
         assert np.array_equal(back.C.to_dense(), sdp.C.to_dense())
@@ -85,10 +96,36 @@ class TestSdpa:
         write_sdpa(sdp, path)
         back = read_sdpa(path)
         assert back.m == sdp.m
+        assert _objective_bytes(back) == _objective_bytes(sdp)
         Y = np.random.default_rng(0).standard_normal((sdp.n, 2))
         ra = prob.apply_constraints(sdp, Y) - sdp.b
         rb = prob.apply_constraints(back, Y) - back.b
         assert np.array_equal(ra, rb)
+
+    @pytest.mark.parametrize("sdp", [
+        gen.gen_maxcut(gen.unit_triangle_graph()),
+        gen.gen_bqp_moment(*gen.random_bqp(5, 0))], ids=["maxcut", "bqp"])
+    def test_round_trip_keeps_the_reported_objective(self, sdp, tmp_path):
+        # Max-Cut flips the sign and BQP adds tr Q: one comment line
+        # carries both, bit for bit
+        path = tmp_path / "p.dat-s"
+        write_sdpa(sdp, path)
+        assert path.read_text().startswith("*lrsdp-objective ")
+        back = read_sdpa(path)
+        assert _objective_bytes(back) == _objective_bytes(sdp)
+        assert _objective_bytes(sdp) != _objective_bytes(
+            SdpProblem(sdp.n, sdp.C, sdp.A, sdp.b, sdp.manifold))
+
+    @pytest.mark.parametrize("bad", ["nan 0", "1 inf"])
+    def test_non_finite_objective_rejected(self, tmp_path, bad):
+        path = tmp_path / "nan.dat-s"
+        path.write_text(f"*lrsdp-objective {bad}\n1\n1\n2\n1.0\n")
+        with pytest.raises(prob.ProblemError, match="NaN or inf"):
+            read_sdpa(path)
+
+
+def _objective_bytes(sdp):
+    return np.array([sdp.objective_sign, sdp.objective_offset]).tobytes()
 
 
 class TestGset:
@@ -125,6 +162,12 @@ class TestGset:
             read_gset(path)
         path.write_text("2 1\n1 2 nan\n")
         with pytest.raises(FormatError, match="non-finite"):
+            read_gset(path)
+        path.write_text("\n\n")
+        with pytest.raises(FormatError, match="empty file"):
+            read_gset(path)
+        path.write_text("2 1\n1 x 1\n")
+        with pytest.raises(FormatError, match=":2: bad edge line"):
             read_gset(path)
 
 
@@ -437,6 +480,24 @@ class TestCli:
         assert cli_main(["solve", "--input", str(path),
                          "--manifold", "unit-diagonal"]) == 0
 
+    @pytest.mark.parametrize("family", [
+        ["maxcut-triangle"], ["bqp", "--q", "5"]], ids=["maxcut", "bqp"])
+    def test_generated_file_reports_the_family_objective(self, tmp_path,
+                                                         capsys, family):
+        # a file without the sign and the offset tr Q reported -2.25
+        # against 2.25 on the triangle and -5.9504 against -5.5306 on BQP
+        path = tmp_path / "p.dat-s"
+        objectives = []
+        for argv in (["solve", "--generate", *family],
+                     ["generate", *family, "--output", str(path)],
+                     ["solve", "--input", str(path),
+                      "--manifold", "unit-diagonal"]):
+            assert cli_main(argv) == 0
+            out = capsys.readouterr().out
+            objectives += [float(t.split("=")[1]) for t in out.split()
+                           if t.startswith("objective=")]
+        assert objectives[1] == pytest.approx(objectives[0], abs=1e-6)
+
     def test_check_round_trip(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert cli_main(["solve", "--generate", "maxcut-edge",
@@ -585,20 +646,22 @@ class TestCli:
         (lambda d: d["Y"][0].__setitem__(0, True), "'Y' holds"),
         (lambda d: d["y"].__setitem__(0, True), "'y' holds"),
         (lambda d: d["z"].__setitem__(0, True), "'z' holds"),
+        (lambda d: [d], "expected an object"),
     ], ids=["ragged-rows", "string-n", "scalar-rows", "object-in-y",
             "object-in-Y", "bool-C-col", "bool-C-val", "bool-A-index",
-            "bool-A-row", "bool-b", "bool-Y", "bool-y", "bool-z"])
+            "bool-A-row", "bool-b", "bool-Y", "bool-y", "bool-z",
+            "list-document"])
     def test_check_rejects_malformed_field(self, tmp_path, capsys, tamper,
                                            needle):
         # a plain zip dropped the extra row index and certified the document;
         # the mistyped fields escaped as TypeError tracebacks; numpy read a
-        # boolean as 1, so true in place of a 1 certified the document
+        # boolean as 1, so true in place of a 1 certified the document; a
+        # tamper that returns a value replaces the whole document
         out = tmp_path / "r.json"
         assert cli_main(["solve", "--generate", "bqp", "--q", "2",
                          "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
-        tamper(doc)
-        out.write_text(json.dumps(doc))
+        out.write_text(json.dumps(tamper(doc) or doc))
         assert cli_main(["check", str(out)]) == 1
         assert needle in capsys.readouterr().err
 

@@ -251,17 +251,20 @@ class TestSdpProblem:
             assert np.allclose(prob.apply_constraints_sym(sdp, Y, U), want,
                                atol=1e-12)
 
-    @pytest.mark.parametrize("where", ["C", "b", "A"])
+    @pytest.mark.parametrize("where", ["C", "b", "A", "sign", "offset"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_data_rejected(self, where, bad):
-        # a non-finite C or A_i is rejected as it is built
+        # a non-finite C, b, A_i, objective sign or offset is rejected as
+        # the problem is built
         with pytest.raises(ProblemError, match="NaN or inf"):
             C = SparseSymMatrix.from_triplets(
                 2, [(0, 0, bad if where == "C" else 1.0)])
             A = [SparseSymMatrix.from_triplets(
                 2, [(0, 1, bad if where == "A" else 1.0)])]
             b = np.array([bad if where == "b" else 1.0])
-            SdpProblem(2, C, A, b, ManifoldKind.FREE)
+            SdpProblem(2, C, A, b, ManifoldKind.FREE,
+                       objective_sign=bad if where == "sign" else 1.0,
+                       objective_offset=bad if where == "offset" else 0.0)
 
     @pytest.mark.parametrize("where", ["C", "A"])
     @pytest.mark.parametrize("rows,cols,match", [
@@ -401,6 +404,23 @@ class TestKktResidues:
         dobj = float(sdp.b @ y + np.sum(z))
         assert res.eta_g == pytest.approx(
             abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)), rel=1e-12)
+
+    @pytest.mark.parametrize("where", ["Y", "y", "z"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_primal_or_gap_residue_raises(self, where, bad, rng):
+        sdp = random_problem(4, 2, ManifoldKind.UNIT_DIAGONAL, rng)
+        data = {"Y": rng.standard_normal((4, 2)),
+                "y": rng.standard_normal(2), "z": rng.standard_normal(4)}
+        data[where].flat[0] = bad
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ProblemError, match="non-finite KKT residue"):
+            prob.primal_gap_residues(sdp, data["Y"], data["y"], data["z"])
+
+    @pytest.mark.parametrize("lam_min,lam_max", [
+        (np.nan, 1.0), (-np.inf, 1.0), (-1.0, np.nan)])
+    def test_non_finite_dual_residue_raises(self, lam_min, lam_max):
+        with pytest.raises(ProblemError, match="non-finite KKT residue"):
+            prob.dual_residue(lam_min, lam_max)
 
     def test_psd_slack_certifies(self, rng):
         sdp = random_problem(4, 1, ManifoldKind.FREE, rng)

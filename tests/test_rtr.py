@@ -92,7 +92,7 @@ def _old_minimize(model, point, grad_tol, max_iters):
 def _old_tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None,
               norms=None):
     """Steihaug-Toint tCG with the residual rule alone, no floor and no
-    retry records: the oracle of a zero floor. Appends the residual norm of
+    list of products: the oracle of a zero floor. Appends the residual norm of
     every CG iterate it reaches to ``norms`` when given."""
     if max_iters is None:
         max_iters = grad.size
@@ -326,10 +326,11 @@ class TestTcg:
             assert np.array_equal(step, capped[0])
 
     def test_recorded_retries_equal_fresh_runs(self, rng):
-        # every radius R 4^-k that minimize can retry at is recorded, and
-        # its record gives what a fresh run at that radius returns, bit for
-        # bit, whatever stop the fresh run makes, with or without a floor;
-        # with a zero floor, the fresh run is the residual rule's alone
+        # a run at any radius R 4^-k that minimize can retry at, given the
+        # Hessian products of a run at R, returns what a fresh run at that
+        # radius returns, bit for bit and with no product, whatever stop
+        # the fresh run makes, with or without a floor; with a zero floor,
+        # the fresh run is the residual rule's alone
         _check_recorded_retries(rng, 80, preconditioned=False)
 
     def test_recorded_retries_with_a_preconditioner(self, rng):
@@ -351,16 +352,20 @@ def _check_recorded_retries(rng, trials, preconditioned):
                   if trial % 5 == 0 else {"kappa": 1e-3})
         floor = float(np.linalg.norm(g) * rng.uniform(0.01, 0.5)) \
             if trial % 3 == 0 else 0.0
-        retries = {}
-        tcg(g, lambda U: H @ U, radius, floor=floor, retries=retries, **kw)
-        levels, level = [], radius / 4
+        products, first = [], []
+        tcg(g, _counted(lambda U: H @ U, first), radius, floor=floor,
+            products=products, **kw)
+        assert len(products) == len(first)
+        kept = list(products)
+        level = radius / 4
         while level >= rtr._RADIUS_COLLAPSE:
-            levels.append(level)
-            level /= 4
-        assert sorted(retries, reverse=True) == levels
-        for k in range(1, 5):
-            level = radius * 4.0 ** -k
-            step, reason, model = rtr._answer(g, retries[level], level)
+            calls = []
+            step, reason, model = tcg(g, _counted(lambda U: H @ U, calls),
+                                      level, floor=floor, products=products,
+                                      **kw)
+            assert not calls
+            assert len(products) == len(kept)
+            assert all(a is b for a, b in zip(products, kept))
             want = tcg(g, lambda U: H @ U, level, floor=floor, **kw)
             assert np.array_equal(step, want[0])
             assert reason == want[1] and model == want[2]
@@ -369,6 +374,7 @@ def _check_recorded_retries(rng, trials, preconditioned):
                 assert np.array_equal(step, old[0])
                 assert (reason, model) == old[1:]
             (floor_seen if floor else seen).add(reason)
+            level /= 4
     assert seen == {"boundary", "negative-curvature", "converged",
                     "max-cg-iters"}
     assert {"boundary", "converged"} <= floor_seen
@@ -485,8 +491,9 @@ class TestMinimize:
     @pytest.mark.parametrize("preconditioned", [False, True],
                              ids=["none", "spd"])
     def test_retry_runs_no_hessian_product(self, preconditioned, rng):
-        # a rejected step is retried from the records of the tCG run at the
-        # same point; the iterates and the report are the old loop's
+        # a rejected step is retried over the Hessian products of the tCG
+        # run at the same point; the iterates and the report are the old
+        # loop's
         # near the minimizer, where a model of a hundredth of the curvature
         # sends tCG to the boundary uphill; with an SPD preconditioner too
         H = np.diag(np.linspace(1.0, 30.0, 10))
@@ -517,6 +524,58 @@ class TestMinimize:
                 products += 1
         assert retries >= 3
         assert model.log.count("hess_vec") < old_model.log.count("hess_vec")
+
+    def test_radius_collapse_when_every_trial_costs_more(self, rng):
+        # a cost one above the model's at every trial point rejects every
+        # step: the radius shrinks by _SHRINK per step until it is below
+        # _RADIUS_COLLAPSE, and only the first tCG run computes products
+        class Uphill(_LoggedModel):
+            def cost(self, point):
+                return super().cost(point) + 1.0
+
+        model = Uphill(np.diag([1.0, 2.0, 4.0, 5.0]), np.ones(4), 1.0)
+        start = FactorPoint(rng.standard_normal((4, 1)), ManifoldKind.FREE)
+        point, report, state = minimize(model, start, 1e-12, 200)
+        radius, steps = 0.1 * np.sqrt(4), 0
+        while radius >= rtr._RADIUS_COLLAPSE:
+            radius, steps = radius * rtr._SHRINK, steps + 1
+        assert report.reason == "radius-collapse"
+        assert report.iterations == steps == model.log.count("cost")
+        assert point is start and model.log.count("at") == 1
+        first = model.log.index("cost")
+        assert "hess_vec" in model.log[:first]
+        assert "hess_vec" not in model.log[first:]
+
+    def test_failed_retraction_shrinks_the_radius(self, rng, monkeypatch):
+        # a step whose retraction raises counts as a step, and the next
+        # one runs at _SHRINK times the radius, over the same products
+        radii, products = [], []
+        model = _LoggedModel(np.diag([1.0, 2.0, 4.0, 5.0]),
+                             rng.standard_normal(4), 1.0)
+
+        def spied_tcg(grad, hess_vec, radius, **kwargs):
+            radii.append(radius)
+            out = tcg(grad, hess_vec, radius, **kwargs)
+            products.append(model.log.count("hess_vec"))
+            return out
+
+        failures = iter([True, True])
+
+        def failing_retract(point, step):
+            if next(failures, False):
+                raise RetractionError("zero factor or row after step")
+            return retract(point, step)
+
+        monkeypatch.setattr(rtr, "tcg", spied_tcg)
+        monkeypatch.setattr(rtr, "retract", failing_retract)
+        start = FactorPoint(rng.standard_normal((4, 1)), ManifoldKind.FREE)
+        _, report, _ = minimize(model, start, 1e-9, 200)
+        radius = 0.1 * np.sqrt(4)
+        assert radii[:3] == [radius, radius * rtr._SHRINK,
+                             radius * rtr._SHRINK ** 2]
+        assert report.reason == "tolerance"
+        assert report.iterations == len(radii) > 3
+        assert products[0] == products[2] > 0
 
     def test_sphere_rayleigh_quotient(self, rng):
         # min <Y, H Y> on the unit sphere = smallest eigenvalue of H
