@@ -210,10 +210,10 @@ def escape_step(sub, point, U):
     """The first retraction of ``point`` along U, at t = 1, 1/2, ...,
     2^-39, whose ``sub.cost`` is strictly below the point's; else the point.
 
-    The point is a factor padded with zero columns and U an
-    ``escape_direction``, zero on the other columns: the gradient vanishes
-    on the padded columns and U on the others, so the cost has no slope
-    along U and only the negative curvature of S descends.
+    ``sub`` is the next row's subproblem, the point a factor padded with
+    zero columns and U an ``escape_direction``, zero on the other columns:
+    the gradient vanishes on the padded columns and U on the others, so the
+    cost has no slope along U and only the negative curvature of S descends.
     """
     cost = sub.cost(point)
     for k in range(40):
@@ -279,7 +279,8 @@ def solve(sdp, opts=None):
     ``eigvalsh`` if it has no eigenvalues; a limit whose exact eta_max <= tol
     is "converged". A LinAlgError from an eigensolve ends the solve as
     "eigensolver-failure", with NaN for eta_d and both eigenvalues, and source
-    "none".
+    "none". Other rows end by building the next row's subproblem, cutting the
+    rank and, on an escape row, taking the escape step on that subproblem.
     """
     opts = opts or SolverOptions()
     opts.validate()
@@ -291,21 +292,18 @@ def solve(sdp, opts=None):
     y = np.zeros(sdp.m)
     sigma = SIGMA0
     eps = EPS0
-    pending_dir = None
+    sub = AlmSubproblem(sdp, y, sigma)
     trace: List[IterationTrace] = []
 
     for k in range(opts.max_outer_iters):
-        sub = AlmSubproblem(sdp, y, sigma)
-        if pending_dir is not None:
-            point, pending_dir = escape_step(sub, point, pending_dir), None
         point, report, state = rtr.minimize(sub, point, eps, MAX_INNER_ITERS,
                                             deadline=deadline)
         gradnorm = report.gradnorm
 
         r0, _ = sub.residual_cost(point)
-        y_next = y - sigma * r0
+        y = y - sigma * r0  # sub keeps its own reference to the old y
         z, S = assemble_dual(sdp, state)
-        eta_p, eta_g = prob.primal_gap_residues(sdp, point.Y, y_next, z)
+        eta_p, eta_g = prob.primal_gap_residues(sdp, point.Y, y, z)
         # the proofs' bound: any diagonal entry of S is a Rayleigh quotient,
         # so L <= |lambda_max|, and lambda_min >= -tol (1 + L) gives
         # eta_d <= tol
@@ -354,11 +352,18 @@ def solve(sdp, opts=None):
             eta_max=res.eta_max, eta_d_source=source, gradnorm=gradnorm,
             inner_iters=report.iterations,
             time=time.perf_counter() - t_start))
-        y = y_next
         if status:
             break  # no iteration follows: return the point of this row
 
-        # rank truncation, then saddle escape padding (new columns of zeros)
+        eta_p_raw = np.linalg.norm(r0) / (1.0 + np.linalg.norm(sdp.b))
+        sigma = update_penalty(sigma, eta_p_raw, gradnorm)
+        eps = max(EPS_FLOOR, eps * EPS_DECAY)
+        if report.reason == "radius-collapse":
+            # soft failure: the next inner solve gets a 10x looser gradient
+            eps = min(10.0 * eps, EPS0)
+        sub = AlmSubproblem(sdp, y, sigma)
+
+        # cut the rank, then escape from the factor padded with zero columns
         point, r = truncate_rank(point, rng, svd)
         if escape:
             tol_escape = max(1e-12, 1e-4 * opts.tol * (1.0 + abs(lam_max)))
@@ -367,15 +372,7 @@ def solve(sdp, opts=None):
             if delta > 0:
                 Y_pad = np.concatenate(
                     [point.Y, np.zeros((sdp.n, delta))], axis=1)
-                point = FactorPoint(Y_pad, sdp.manifold)
-                pending_dir = U
-
-        eta_p_raw = np.linalg.norm(r0) / (1.0 + np.linalg.norm(sdp.b))
-        sigma = update_penalty(sigma, eta_p_raw, gradnorm)
-        eps = max(EPS_FLOOR, eps * EPS_DECAY)
-        if report.reason == "radius-collapse":
-            # soft failure: the next inner solve gets a 10x looser gradient
-            eps = min(10.0 * eps, EPS0)
+                point = escape_step(sub, FactorPoint(Y_pad, sdp.manifold), U)
 
     obj = sdp.reported_objective(prob.objective(sdp, point.Y))
     return Solution(

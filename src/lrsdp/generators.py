@@ -215,8 +215,7 @@ def gen_bqp_moment(Q, c):
     cost = [_entry_triplet(0, 1 + i, c[i]) for i in range(q) if c[i]]
     cost += [_entry_triplet(0, q + 1 + k, 2.0 * Q[i, j])
              for k, (i, j) in enumerate(combinations(range(q), 2)) if Q[i, j]]
-    C = SparseSymMatrix.from_triplets(n, cost) if cost \
-        else SparseSymMatrix.from_triplets(n, [(0, 0, 0.0)])
+    C = SparseSymMatrix.from_triplets(n, cost)
     b = np.zeros(A.m)
     b[:n] = 1.0
     return SdpProblem(n, C, A, b, ManifoldKind.UNIT_DIAGONAL,
@@ -276,8 +275,7 @@ def gen_quartic_sphere(q, coeffs):
         e = rep[mono]
         acc[e] = acc.get(e, 0.0) + float(coeff)
     cost = [_entry_triplet(a, b_, g) for (a, b_), g in acc.items() if g]
-    C = SparseSymMatrix.from_triplets(n, cost) if cost \
-        else SparseSymMatrix.from_triplets(n, [(0, 0, 0.0)])
+    C = SparseSymMatrix.from_triplets(n, cost)
     return SdpProblem(n, C, _constraint_set(n, len(rhs), trips),
                       np.array(rhs), ManifoldKind.FREE)
 

@@ -494,7 +494,7 @@ def cli_main(argv=None):
         print(str(exc), file=sys.stderr)
         return 1
     except (OSError, ProblemError, json.JSONDecodeError, KeyError,
-            ValueError) as exc:
+            ValueError, MemoryError) as exc:
         print(f"lrsdp: {exc}", file=sys.stderr)
         return 1
 

@@ -68,9 +68,8 @@ def proves_curvature_above(op, bound, Q=None):
     formed and s = 0: the shift's rounding, at most
     u (max_i |S_ii| + bound), lies within that other half too. False
     without factoring when tau <= 0, and False when a pivot of M^ is not
-    positive. Without Q the diagonal of S is shifted in place and restored
-    from a copy of its n entries, so no n x n copy is made; with Q, M^ is a
-    fresh array. Either way S and Q keep their bits.
+    positive. M^ is a fresh array, a copy of S without Q: the proof writes
+    nothing into S or Q.
     """
     S, n = op.dense, op.n
     r = 0 if Q is None else Q.shape[1]
@@ -86,17 +85,13 @@ def proves_curvature_above(op, bound, Q=None):
     if r:
         M = (c * Q) @ Q.T
         M += S
-        M[np.diag_indices(n)] += tau
     else:
-        M, diag = S, np.diagonal(S).copy()
-        np.fill_diagonal(S, diag + tau)
+        M = S.copy()
+    M[np.diag_indices(n)] += tau
     try:
         np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         return False
-    finally:
-        if not r:
-            np.fill_diagonal(S, diag)
     return True
 
 

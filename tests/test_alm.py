@@ -865,6 +865,64 @@ class TestSolve:
         assert not any(np.any(np.all(point.Y == 0.0, axis=0))
                        for point in evaluated)
 
+    @pytest.mark.parametrize("family", ["bqp", "completion"])
+    def test_read_only_slack_gives_the_same_solve(self, family,
+                                                  monkeypatch):
+        # nothing writes into S once assemble_dual returns it: neither
+        # proof, nor the escape's eigh, nor the answer. Both solves have
+        # an escape row and rows whose plain proof fails
+        if family == "bqp":
+            sdp = generators.gen_bqp_moment(*generators.random_bqp(6, 0))
+        else:
+            _, entries = generators.random_completion(40, 40, 3, 1000, 1)
+            sdp = generators.gen_matrix_completion(40, 40, entries)
+
+        def fields(sol):
+            return ([a.tobytes() for a in (sol.Y.Y, sol.y, sol.z,
+                                           sol.S.dense)],
+                    repr([replace(t, time=0.0) for t in sol.trace]))
+        plain = solve(sdp)
+        sources = [t.eta_d_source for t in plain.trace]
+        assert alm.EIGENVALUES in sources[:-1] and alm.NOT_COMPUTED in sources
+
+        def read_only(*args):
+            z, S = assemble_dual(*args)
+            S.dense.setflags(write=False)
+            return z, S
+        monkeypatch.setattr(alm, "assemble_dual", read_only)
+        sol = solve(sdp)
+        assert not sol.S.dense.flags.writeable
+        assert fields(sol) == fields(plain)
+
+    def test_escape_runs_on_the_next_rows_subproblem(self, monkeypatch):
+        # the escape row ends with the escape step on the subproblem that
+        # the next row's inner solve receives, from the point it lands on
+        events = []
+        minimize, step = rtr.minimize, alm.escape_step
+
+        def spied_minimize(sub, point, *args, **kwargs):
+            events.append(("minimize", sub, point))
+            return minimize(sub, point, *args, **kwargs)
+
+        def spied_step(sub, point, U):
+            landed = step(sub, point, U)
+            events.append(("escape", sub, landed))
+            return landed
+
+        monkeypatch.setattr(rtr, "minimize", spied_minimize)
+        monkeypatch.setattr(alm, "escape_step", spied_step)
+        sol = solve(generators.gen_bqp_moment(*generators.random_bqp(6, 0)))
+        assert sol.status == "converged"
+        escapes = [i for i, event in enumerate(events)
+                   if event[0] == "escape"]
+        assert escapes
+        for i in escapes:
+            _, sub, landed = events[i]
+            kind, next_sub, start = events[i + 1]
+            assert kind == "minimize" and next_sub is sub and start is landed
+            row = sum(event[0] == "minimize" for event in events[:i])
+            assert sol.trace[row].sigma == sub.sigma
+
     def test_deterministic(self):
         a = solve(_unit_trace_toy(), SolverOptions(seed=3))
         b = solve(_unit_trace_toy(), SolverOptions(seed=3))

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from lrsdp import generators as gen
 from lrsdp import problem as prob
+from lrsdp.alm import solve
 from lrsdp.generators import (WeightedGraph, gen_bqp_moment,
                               gen_matrix_completion, gen_maxcut,
                               gen_quartic_sphere)
+from lrsdp.io_cli import read_sdpa, write_sdpa
 from lrsdp.problem import ManifoldKind, ProblemError
 
 
@@ -250,6 +252,23 @@ class TestQuarticSphere:
         sol = solve(gen_quartic_sphere(2, {(0, 0, 0, 0): 1.0}))
         assert sol.status == "converged"
         assert abs(sol.objective) <= 1e-7
+
+
+@pytest.mark.parametrize("family", ["bqp", "quartic"])
+def test_zero_cost_needs_no_stand_in_entry(family, tmp_path):
+    # a relaxation whose cost has no term has an empty C: its solve
+    # converges to 0 and the SDPA file carries no matrix-0 line
+    sdp = gen_bqp_moment(np.zeros((3, 3)), np.zeros(3)) if family == "bqp" \
+        else gen_quartic_sphere(2, {})
+    assert sdp.C.nnz == 0
+    sol = solve(sdp)
+    assert sol.status == "converged"
+    assert abs(sol.objective) <= 1e-6
+    path = tmp_path / "p.dat-s"
+    write_sdpa(sdp, path)
+    assert not any(line.startswith("0 ")
+                   for line in path.read_text().splitlines())
+    assert read_sdpa(path).C.nnz == 0
 
 
 class TestRandomInstances:

@@ -468,6 +468,33 @@ class TestCli:
         assert rc == 1
         assert "NaN or inf" in capsys.readouterr().err
 
+    # one n x n float64 array at n = 5 000 000 needs 182 TiB, more than a
+    # 64-bit address space holds, so numpy fails at once under any
+    # overcommit policy; the solve first allocates its n x 2 start factor
+    HUGE_N = 5_000_000
+
+    def test_impossible_allocation_in_solve_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "huge.dat-s"
+        path.write_text(f"1\n1\n{self.HUGE_N}\n1.0\n0 1 1 1 1.0\n"
+                        f"1 1 1 1 1.0\n")
+        assert cli_main(["solve", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "lrsdp: Unable to allocate")
+
+    def test_impossible_allocation_in_check_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert cli_main(["solve", "--generate", "completion", "--s", "2",
+                         "--t", "2", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        doc["problem"].update(n=self.HUGE_N, m=0, b=[], A={
+            "index": [], "rows": [], "cols": [], "vals": []})
+        doc["y"] = []
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli_main(["check", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "lrsdp: Unable to allocate")
+
     def test_limit_exit_2(self, capsys):
         rc = cli_main(["solve", "--generate", "bqp", "--q", "4",
                        "--tol", "1e-30", "--max-iters", "2"])

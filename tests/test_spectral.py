@@ -144,7 +144,7 @@ class TestProvesLambdaMinAbove:
     @pytest.mark.parametrize("shift", [0.0, -1.5])
     def test_bytes_of_s_unchanged(self, shift, rng):
         # a diagonal at the scale of the bound does not survive adding and
-        # subtracting the shift, so the entries must come from a saved copy
+        # subtracting the shift, so S itself must never be shifted
         B = rng.standard_normal((30, 30))
         S = self.BOUND * (B @ B.T / 30 + shift * np.eye(30))
         d = np.diagonal(S)
@@ -288,6 +288,20 @@ class TestProvesOffRangeCurvatureAbove:
         before = S.tobytes(), Q.tobytes()
         proves_curvature_above(SymOperator(S), self.BOUND, Q)
         assert (S.tobytes(), Q.tobytes()) == before
+
+    @pytest.mark.parametrize("shift", [0.0, -1.5])
+    @pytest.mark.parametrize("r", [0, 2])
+    def test_read_only_slack(self, shift, r, rng):
+        # the proof only reads S, with Q or without: a read-only S gets
+        # the answer of a writable copy
+        B = rng.standard_normal((30, 30))
+        S = self.BOUND * (B @ B.T / 30 + shift * np.eye(30))
+        Q = _split_basis(30, r, rng)[0] if r else None
+        proven = proves_curvature_above(SymOperator(S.copy()), self.BOUND, Q)
+        assert proven is (shift == 0.0)
+        S.setflags(write=False)
+        assert proves_curvature_above(SymOperator(S), self.BOUND, Q) \
+            is proven
 
     def test_no_factorization_when_the_margin_exceeds_the_bound(
             self, rng, monkeypatch):
