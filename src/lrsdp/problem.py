@@ -6,13 +6,17 @@ object per A_i. ``SdpProblem`` takes one, or a sequence of
 one vectorized pass each.
 
 The solver holds the factor Y of X = Y Y^T, not X. The four constraint
-products are passes of one cached (m, n*n) adjoint map over dense n x n
-arrays: A(Y Y^T) over the Gram matrix Y Y^T (``apply_constraints``, once
-per ALM point), A(Y U^T + U Y^T) over Y U^T (``apply_constraints_sym``),
-and A*(v) V and A*(v) through its transpose (``apply_adjoint_times``,
-``adjoint_dense``). A sparse side would replace all four together. The
-dual slack S = C - A*(y) - B*(z) is one dense n x n matrix per point,
-built only by ``dual_slack``; ``spectral`` bounds its spectrum by Cholesky
+products work on the support block R x C of the A_i, R their rows and C
+their columns, through one cached (m, |R| |C|) map that holds each
+triplet once: A(Y Y^T) from the block Y_R Y_C^T (``apply_constraints``,
+once per ALM point), A(Y U^T + U Y^T) from Y_R U_C^T + U_R Y_C^T
+(``apply_constraints_sym``), and A*(v) V and A*(v) from the block
+B = M^T v and its transpose (``apply_adjoint_times``, ``adjoint_dense``).
+Where the A_i touch all of X (BQP) the block is n x n; where they touch
+one off-diagonal block (completion) no product forms an n x n array but
+``adjoint_dense``, whose result is one. The dual slack
+S = C - A*(y) - B*(z) is one dense n x n matrix per point, built only by
+``dual_slack``; ``spectral`` bounds its spectrum by Cholesky
 proofs and computes it with one ``eigh`` or ``eigvalsh`` per call.
 ``kkt_residues`` is ``primal_gap_residues`` and ``dual_residue`` together,
 so the solver can take eta_p and eta_g before it decides whether S needs
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -160,6 +165,35 @@ class ConstraintSet:
                                self.vals[s])
 
 
+class SupportMap(NamedTuple):
+    """The support block R x C of the A_i and the map M onto it (see
+    ``SdpProblem._support_map``); ``shape`` is (|R|, |C|) and ``MT`` the
+    CSC transpose of M, sharing its arrays."""
+
+    rows: Union[slice, np.ndarray]
+    cols: Union[slice, np.ndarray]
+    shape: Tuple[int, int]
+    M: sp.csr_matrix
+    MT: sp.csc_matrix
+
+
+def _support(mask):
+    """The sorted indices where ``mask`` holds, as a slice (a view, not a
+    copy, when it indexes) if they are a contiguous range."""
+    idx = np.flatnonzero(mask)
+    if idx.size == 0 or idx[-1] - idx[0] == idx.size - 1:
+        lo = int(idx[0]) if idx.size else 0
+        return slice(lo, lo + idx.size)
+    return idx
+
+
+def _block(rows, cols):
+    """The index of the block rows x cols of an n x n array."""
+    if isinstance(rows, slice) or isinstance(cols, slice):
+        return rows, cols
+    return np.ix_(rows, cols)
+
+
 @dataclass(frozen=True)
 class KktResidues:
     """Scaled primal/dual/gap residues; eta_max certifies the solution."""
@@ -205,8 +239,7 @@ class SdpProblem:
         self.manifold = ManifoldKind(manifold)
         self.objective_sign = float(objective_sign)
         self.objective_offset = float(objective_offset)
-        self._adj = None   # lazy (m, n*n) map for the adjoint
-        self._adjT = None  # its csc transpose, a view sharing the arrays
+        self._map = None  # lazy ``SupportMap``
 
     @property
     def m(self):
@@ -220,48 +253,40 @@ class SdpProblem:
         """B(Y Y^T) - d for the manifold constraints."""
         return constraint_dots(self.manifold, Y, Y) - 1.0
 
-    def _adjoint_map(self):
-        """The (m, n*n) CSR map whose row k is vec(A_k): every triplet at
-        its flat position r n + c, an off-diagonal one also at c n + r,
-        with scipy's index dtype and column indices sorted in each row.
+    def _support_map(self):
+        """The ``SupportMap`` of the A_i: their support block and their map
+        onto it.
 
-        Built in place, with no COO copy: row k takes its triplets in
-        order, then their mirrors, and scipy sorts each row, which gives
-        the arrays of scipy's own COO conversion bit for bit."""
-        if self._adj is None:
+        R and C are the sorted distinct rows and columns of the A_i's
+        triplets, each a slice when it is a contiguous range. M is the
+        (m, |R| |C|) CSR map whose row k holds A_k's triplets at
+        r' |C| + c', where r and c are the r'-th of R and the c'-th of C,
+        with each diagonal value halved and scipy's index dtype. So for a
+        symmetric Z, <A_k, Z> = 2 (M vec(Z[R, C]))_k, and sum_k v_k A_k is
+        B + B^T for the n x n embedding of B = M^T v at R x C.
+
+        The triplets are sorted by (matrix, row, col) and the maps from
+        n to R and to C are increasing, so each row of M is sorted as
+        built: no COO copy and no sort."""
+        if self._map is None:
             A, n, m = self.A, self.n, self.m
-            off = A.rows != A.cols
-            t = A.rows.size
-            size = t + np.count_nonzero(off)
-            idx = np.int32 if max(m, n * n, size) \
+            masks = np.zeros((2, n), bool)
+            masks[0, A.rows] = masks[1, A.cols] = True
+            nr, nc = map(int, np.count_nonzero(masks, axis=1))
+            idx = np.int32 if max(m, nr * nc, A.rows.size) \
                 <= np.iinfo(np.int32).max else np.int64
-            indptr = np.zeros(m + 1, idx)  # first the mirrors before row k
-            np.cumsum(np.bincount(A.index[off], minlength=m), out=indptr[1:])
-            indices, data = np.empty(size, idx), np.empty(size)
-            # triplet i goes to i + the mirrors of the rows before its own
-            dest = indptr[A.index]
-            dest += np.arange(t, dtype=idx)
-            pos = np.multiply(A.rows, n, dtype=idx)
-            pos += A.cols
-            indices[dest], data[dest] = pos, A.vals
-            del dest, pos
-            # mirror j goes to j + the triplets of the rows up to its own
-            dest = A.start[1:][A.index[off]].astype(idx)
-            dest += np.arange(size - t, dtype=idx)
-            pos = np.multiply(A.cols[off], n, dtype=idx)
-            pos += A.rows[off]
-            indices[dest], data[dest] = pos, A.vals[off]
-            del dest, pos
-            indptr += A.start
-            self._adj = sp.csr_matrix((data, indices, indptr),
-                                      shape=(m, n * n))
-            self._adj.sort_indices()
-        return self._adj
-
-    def _adjoint_map_T(self):
-        if self._adjT is None:
-            self._adjT = self._adjoint_map().T
-        return self._adjT
+            where = np.cumsum(masks, axis=1, dtype=idx)
+            where -= 1  # where[0][r] = r', where[1][c] = c'
+            indices = where[0][A.rows]
+            indices *= nc
+            indices += where[1][A.cols]
+            data = A.vals.copy()
+            data[A.rows == A.cols] *= 0.5
+            M = sp.csr_matrix((data, indices, A.start.astype(idx)),
+                              shape=(m, nr * nc))
+            self._map = SupportMap(_support(masks[0]), _support(masks[1]),
+                                   (nr, nc), M, M.T)
+        return self._map
 
     def reported_objective(self, value):
         return self.objective_sign * value + self.objective_offset
@@ -275,46 +300,70 @@ def _check_factor(problem, Y):
     return Y
 
 
-def apply_constraints(problem, Y):
-    """A(Y Y^T) as a length-m vector: one pass of the adjoint map over the
-    n x n Gram matrix Y Y^T, or an empty vector, with no n x n array, when
-    m = 0."""
-    Y = _check_factor(problem, Y)
-    if problem.m == 0:
-        return np.zeros(0)
-    return problem._adjoint_map() @ (Y @ Y.T).ravel()
-
-
-def apply_constraints_sym(problem, Y, U):
-    """A(Y U^T + U Y^T) as a length-m vector (needed by Hessian products).
-
-    Every A_i is symmetric, so <A_i, Y U^T + U Y^T> = 2 <A_i, Y U^T>.
-    """
-    Y = _check_factor(problem, Y)
-    U = _check_factor(problem, U)
-    if problem.m == 0:
-        return np.zeros(0)
-    return 2.0 * (problem._adjoint_map() @ (Y @ U.T).ravel())
-
-
-def apply_adjoint_times(problem, v, V):
-    """(sum_i v_i A_i) @ V for a dense n x p array V."""
+def _check_multipliers(problem, v):
     v = np.asarray(v, dtype=float)
     if v.shape != (problem.m,):
         raise ProblemError(f"multiplier length {v.shape} != m = {problem.m}")
-    V = _check_factor(problem, V)
+    return v
+
+
+def apply_constraints(problem, Y):
+    """A(Y Y^T) as a length-m vector: 2 M vec(Y_R Y_C^T) over the support
+    block R x C of ``SdpProblem._support_map``, or an empty vector, with
+    no map built, when m = 0."""
+    Y = _check_factor(problem, Y)
     if problem.m == 0:
-        return np.zeros_like(V)
-    Avec = problem._adjoint_map_T() @ v
-    return Avec.reshape(problem.n, problem.n) @ V
+        return np.zeros(0)
+    R, C, _, M, _ = problem._support_map()
+    return 2.0 * (M @ (Y[R] @ Y[C].T).ravel())
+
+
+def apply_constraints_sym(problem, Y, U):
+    """A(Y U^T + U Y^T) as a length-m vector (needed by Hessian products):
+    2 M vec(Y_R U_C^T + U_R Y_C^T), the block as one product
+    [Y_R U_R] [U_C Y_C]^T."""
+    Y = _check_factor(problem, Y)
+    U = _check_factor(problem, U)
+    if U.shape != Y.shape:
+        raise ProblemError(f"U has shape {U.shape}, Y {Y.shape}")
+    if problem.m == 0:
+        return np.zeros(0)
+    R, C, _, M, _ = problem._support_map()
+    Z = np.concatenate((Y[R], U[R]), axis=1) \
+        @ np.concatenate((U[C], Y[C]), axis=1).T
+    return 2.0 * (M @ Z.ravel())
+
+
+def _adjoint_block(problem, v):
+    """(R, C, B): sum_i v_i A_i is B + B^T for B = M^T v embedded at R x C."""
+    R, C, shape, _, MT = problem._support_map()
+    return R, C, (MT @ v).reshape(shape)
+
+
+def apply_adjoint_times(problem, v, V):
+    """(sum_i v_i A_i) @ V for a dense n x p array V: B V_C in the rows R
+    and B^T V_R in the rows C."""
+    v = _check_multipliers(problem, v)
+    V = _check_factor(problem, V)
+    out = np.zeros_like(V)
+    if problem.m:
+        R, C, B = _adjoint_block(problem, v)
+        out[R] = B @ V[C]
+        out[C] += B.T @ V[R]
+    return out
 
 
 def adjoint_dense(problem, v):
-    """sum_i v_i A_i as a dense n x n matrix."""
-    v = np.asarray(v, dtype=float)
-    if problem.m == 0:
-        return np.zeros((problem.n, problem.n))
-    return (problem._adjoint_map_T() @ v).reshape(problem.n, problem.n)
+    """sum_i v_i A_i as a dense n x n matrix: B^T written at C x R, then B
+    added at R x C. The add reads B in its own order; an add of the
+    strided B^T costs more."""
+    v = _check_multipliers(problem, v)
+    out = np.zeros((problem.n, problem.n))
+    if problem.m:
+        R, C, B = _adjoint_block(problem, v)
+        out[_block(C, R)] = B.T
+        out[_block(R, C)] += B
+    return out
 
 
 def subtract_bstar(problem, S, z):

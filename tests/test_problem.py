@@ -162,9 +162,9 @@ class TestSdpProblem:
         Y, U = rng.standard_normal((2, 4, 2))
 
         def no_map():
-            raise AssertionError("adjoint map built with m = 0")
+            raise AssertionError("support map built with m = 0")
 
-        monkeypatch.setattr(sdp, "_adjoint_map", no_map)
+        monkeypatch.setattr(sdp, "_support_map", no_map)
         assert np.array_equal(prob.apply_constraints(sdp, Y), np.zeros(0))
         assert prob.apply_constraints_sym(sdp, Y, U).shape == (0,)
 
@@ -374,6 +374,35 @@ class TestSdpProblem:
         with pytest.raises(ProblemError):
             prob.apply_adjoint_times(sdp, np.zeros(2), np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (4,)])
+    def test_direction_shape_must_be_the_factors(self, shape, rng):
+        # a U of another shape than Y used to raise numpy's gufunc error
+        sdp = random_problem(4, 2, ManifoldKind.FREE, rng)
+        with pytest.raises(ProblemError):
+            prob.apply_constraints_sym(sdp, np.ones((4, 2)), np.ones(shape))
+
+    @pytest.mark.parametrize("length", [2, 4, 0])
+    def test_multiplier_length_checked(self, length, rng):
+        # with m > 0 a wrong length used to raise numpy's matmul error
+        sdp = random_problem(5, 3, ManifoldKind.FREE, rng)
+        v, V = np.zeros(length), np.ones((5, 2))
+        for call in (lambda: prob.adjoint_dense(sdp, v),
+                     lambda: prob.dual_slack(sdp, v),
+                     lambda: prob.apply_adjoint_times(sdp, v, V)):
+            with pytest.raises(ProblemError,
+                               match=re.escape(f"({length},) != m = 3")):
+                call()
+
+    def test_multiplier_length_checked_without_constraints(self):
+        # with m = 0 any length used to pass: 3 x 3 zeros for 5 multipliers
+        sdp = gen.gen_maxcut(gen.unit_triangle_graph())
+        assert sdp.m == 0
+        for call in (prob.adjoint_dense, prob.dual_slack):
+            with pytest.raises(ProblemError, match=r"\(5,\) != m = 0"):
+                call(sdp, np.zeros(5))
+        assert np.array_equal(prob.adjoint_dense(sdp, np.zeros(0)),
+                              np.zeros((3, 3)))
+
 
 class TestKktResidues:
     def test_eta_max(self):
@@ -429,17 +458,16 @@ class TestKktResidues:
         assert res.eta_d == 0.0
 
 
-def _old_adjoint_map(sdp):
-    """The COO build of the adjoint map: full copies of the triplets with
-    every off-diagonal one mirrored, converted by scipy."""
+def _coo_support_map(sdp):
+    """The support map built by scipy from COO triplets: R and C from
+    ``np.unique``, each triplet at (k, r' |C| + c'), diagonal values
+    halved. Returns (R, C, M) with R and C as index arrays."""
     A = sdp.A
-    off = A.rows != A.cols
-    r = np.concatenate([A.rows, A.cols[off]])
-    c = np.concatenate([A.cols, A.rows[off]])
-    v = np.concatenate([A.vals, A.vals[off]])
-    k = np.concatenate([A.index, A.index[off]])
-    return sp.csr_matrix((v, (k, r * sdp.n + c)),
-                         shape=(sdp.m, sdp.n * sdp.n))
+    R, C = np.unique(A.rows), np.unique(A.cols)
+    pos = np.searchsorted(R, A.rows) * C.size + np.searchsorted(C, A.cols)
+    v = np.where(A.rows == A.cols, 0.5, 1.0) * A.vals
+    return R, C, sp.csr_matrix((v, (A.index, pos)),
+                               shape=(sdp.m, R.size * C.size))
 
 
 def _shared_diagonal_problem():
@@ -461,11 +489,18 @@ def _shared_diagonal_problem():
 ], ids=["bqp3", "bqp8", "bqp16", "completion", "maxcut", "random"])
 def test_adjoint_map_bytes_match_coo_build(make):
     sdp = make()
-    got, want = sdp._adjoint_map(), _old_adjoint_map(sdp)
-    assert got.shape == want.shape
+    got = sdp._support_map()
+    R, C, want = _coo_support_map(sdp)
+    every = np.arange(sdp.n)
+    assert np.array_equal(every[got.rows], R)
+    assert np.array_equal(every[got.cols], C)
+    assert got.shape == (R.size, C.size)
+    assert got.M.shape == want.shape
+    assert got.MT.shape == want.shape[::-1]
     for f in ("indptr", "indices", "data"):
-        g, w = getattr(got, f), getattr(want, f)
+        g, w = getattr(got.M, f), getattr(want, f)
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert g.size == 0 or np.shares_memory(getattr(got.MT, f), g)
 
 
 def test_adjoint_map_build_peak():
@@ -474,8 +509,74 @@ def test_adjoint_map_build_peak():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        sdp._adjoint_map()
+        sdp._support_map()
         retained, peak = (x - before for x in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * retained
+
+
+@pytest.mark.parametrize("family", ["completion", "bqp"])
+def test_support_block_of_the_generators(family):
+    # completion: every A_i lies in the off-diagonal block, rows 0..s-1 by
+    # columns s..n-1, one triplet each; BQP: the A_i touch all of X
+    if family == "completion":
+        s = t = 20
+        sdp = gen.gen_matrix_completion(
+            s, t, gen.random_completion(s, t, 3, 200, 0)[1])
+        assert np.unique(sdp.A.rows).size == s  # every row was sampled
+        assert np.unique(sdp.A.cols).size == t
+        want = (slice(0, s), slice(s, s + t))
+    else:
+        sdp = gen.gen_bqp_moment(*gen.random_bqp(8, 0))
+        want = (slice(0, sdp.n), slice(0, sdp.n))
+    got = sdp._support_map()
+    assert (got.rows, got.cols) == want
+    assert got.M.nnz == sdp.A.rows.size
+    if family == "completion":
+        assert got.M.nnz == sdp.m
+
+
+@pytest.mark.parametrize("layout", ["arrays", "rows-slice", "cols-slice"])
+def test_products_on_a_scattered_support(layout, rng):
+    # R and C not contiguous (or one of them), positions shared by several
+    # A_i and diagonal triplets: every product against the dense
+    # sum_i v_i A_i, within the oracles' rounding bound
+    n, m = 14, 30
+    R = {"arrays": [1, 3, 4, 8, 10], "rows-slice": [2, 3, 4, 5],
+         "cols-slice": [0, 2, 7, 9]}[layout]
+    C = {"arrays": [3, 5, 8, 10, 13], "rows-slice": [4, 6, 9, 12, 13],
+         "cols-slice": [7, 8, 9, 10, 11, 12]}[layout]
+    pos = [(r, c) for r in R for c in C if r <= c]
+    A = []
+    for _ in range(m):
+        pick = sorted(rng.choice(len(pos), 6, replace=False))
+        A.append(SparseSymMatrix(n, np.array([pos[k][0] for k in pick]),
+                                 np.array([pos[k][1] for k in pick]),
+                                 rng.standard_normal(6)))
+    sdp = SdpProblem(n, SparseSymMatrix.identity(n), A,
+                     rng.standard_normal(m), ManifoldKind.FREE)
+    rows, cols = sdp.A.rows, sdp.A.cols
+    assert np.any(rows == cols)  # diagonal triplets
+    assert np.unique(rows * n + cols).size < rows.size  # shared positions
+    got = sdp._support_map()
+    every = np.arange(n)
+    assert np.array_equal(every[got.rows], np.unique(rows))
+    assert np.array_equal(every[got.cols], np.unique(cols))
+    assert isinstance(got.rows, slice) == (layout == "rows-slice")
+    assert isinstance(got.cols, slice) == (layout == "cols-slice")
+    Ad = [Ak.to_dense() for Ak in sdp.A]
+    for p in (1, 3):
+        Y, U, V = rng.standard_normal((3, n, p))
+        v = rng.standard_normal(m)
+        D = sum(vk * Ak for vk, Ak in zip(v, Ad))
+        assert np.allclose(prob.apply_constraints(sdp, Y),
+                           dense_constraint_values(sdp, Y @ Y.T), atol=1e-12)
+        assert np.allclose(prob.apply_constraints_sym(sdp, Y, U),
+                           dense_constraint_values(sdp, Y @ U.T + U @ Y.T),
+                           atol=1e-12)
+        assert np.allclose(prob.apply_adjoint_times(sdp, v, V), D @ V,
+                           atol=1e-12)
+        dense = prob.adjoint_dense(sdp, v)
+        assert np.array_equal(dense, dense.T)
+        assert np.allclose(dense, D, atol=1e-12)

@@ -12,7 +12,10 @@ each trace column except ``time`` on its own (named ``trace.<column>``; a
 column only one checkout has differs), the bytes of Y, y, z and S,
 lambda_min and lambda_max, the objective and the status.
 Prints one line per instance, naming the fields that differ, and exits 1
-on any difference.
+on any difference. Under a line that names differences it prints the
+relative difference of the two objectives, abs(ours - theirs) /
+abs(theirs) (absolute where theirs is 0), and both statuses and
+outer-iteration counts, this checkout's first.
 """
 
 import dataclasses
@@ -70,7 +73,8 @@ def max_cut_instance(seed, n=300):
 
 
 def fingerprint(workload, index):
-    """Digest of every compared field of one solve, by field name."""
+    """Digest of every compared field of one solve, by field name, and the
+    objective, status and outer-iteration count as values."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import harness
     import lrsdp
@@ -94,11 +98,14 @@ def fingerprint(workload, index):
         "lambda": repr((sol.lambda_min, sol.lambda_max)).encode(),
         "objective": repr(sol.objective).encode(),
         "status": sol.status.encode()})
-    return {k: hashlib.sha256(v).hexdigest() for k, v in fields.items()}
+    return {"digests": {k: hashlib.sha256(v).hexdigest()
+                        for k, v in fields.items()},
+            "objective": sol.objective, "status": sol.status,
+            "outer_iters": sol.iterations}
 
 
 def solve_in(tree, workload, index):
-    """The fingerprint of one solve with the sources of ``tree``."""
+    """The ``fingerprint`` of one solve with the sources of ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
@@ -119,11 +126,17 @@ def main(argv):
     for workload, index in INSTANCES:
         ours = solve_in(ROOT, workload, index)
         theirs = solve_in(argv[0], workload, index)
-        diff = [k for k in {**ours, **theirs}
-                if ours.get(k) != theirs.get(k)]
+        a, b = ours["digests"], theirs["digests"]
+        diff = [k for k in {**a, **b} if a.get(k) != b.get(k)]
         differs = differs or bool(diff)
         print(f"{workload} {index}: "
               + ("differs in " + ", ".join(diff) if diff else "identical"))
+        if diff:
+            rel = abs(ours["objective"] - theirs["objective"]) \
+                / (abs(theirs["objective"]) or 1.0)
+            print(f"    objective rel. difference {rel:.1e}; status "
+                  f"{ours['status']} / {theirs['status']}; outer iterations "
+                  f"{ours['outer_iters']} / {theirs['outer_iters']}")
     return 1 if differs else 0
 
 
