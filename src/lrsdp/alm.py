@@ -54,13 +54,6 @@ class SolverOptions:
                              f"number, got {self.max_time!r}")
 
 
-# where a trace row's eta_d comes from: the eigenvalues of S (an escape's
-# eigh, or the answer's eigvalsh on the last row); a Cholesky proof that
-# eta_d <= tol, the row then holding tol; or nowhere, the row holding NaN
-# for eta_d and eta_max (no proof held and no eigensolve ran, or it failed)
-EIGENVALUES, PROOF, NOT_COMPUTED = "eigenvalues", "proof", "none"
-
-
 @dataclass
 class IterationTrace:
     k: int
@@ -68,10 +61,10 @@ class IterationTrace:
     sigma: float
     eps: float
     eta_p: float
+    # eta_d, and so eta_max, is NaN where no eigensolve ran or it failed
     eta_d: float
     eta_g: float
     eta_max: float
-    eta_d_source: str            # EIGENVALUES, PROOF or NOT_COMPUTED
     gradnorm: float
     inner_iters: int
     time: float
@@ -268,19 +261,20 @@ def update_penalty(sigma, eta_p_raw, gradnorm):
 def solve(sdp, opts=None):
     """Solve the SDP to KKT residues below tol via the outer ALM loop.
 
-    One rule stops each outer iteration. After eta_p and eta_g, the Cholesky
-    proof ``spectral.proves_curvature_above`` of lambda_min(S) >= -tol (1 + L)
-    gives eta_d <= tol (the row holds tol, source "proof"), and the solve has
-    converged when eta_p, eta_g <= tol too. Where that proof fails, the same
-    proof off the range that the rank cut keeps decides the saddle escape; an
-    escape row's one ``eigh`` gives it the exact eta_d and the escape its
-    eigenvectors, and other rows hold NaN (source "none"). The row that ends
-    the solve (converged, or a time or iteration limit) takes the answer's one
-    ``eigvalsh`` if it has no eigenvalues; a limit whose exact eta_max <= tol
-    is "converged". A LinAlgError from an eigensolve ends the solve as
-    "eigensolver-failure", with NaN for eta_d and both eigenvalues, and source
-    "none". Other rows end by building the next row's subproblem, cutting the
-    rank and, on an escape row, taking the escape step on that subproblem.
+    Each outer iteration proves only what it uses. After eta_p and eta_g,
+    the solve has converged where both are <= tol and the Cholesky proof
+    ``spectral.proves_curvature_above`` of lambda_min(S) >= -tol (1 + L)
+    holds, which gives eta_d <= tol; elsewhere a time or an iteration limit
+    may end it. A row that goes on runs the same proof off the range that
+    the rank cut keeps, and escapes where that proof fails; an escape row's
+    one ``eigh`` gives it the exact eta_d and the escape its eigenvectors,
+    and rows without an eigensolve hold NaN for eta_d and eta_max. The row
+    that ends the solve takes the answer's one ``eigvalsh``; a limit whose
+    exact eta_max <= tol is "converged". A LinAlgError from an eigensolve
+    ends the solve as "eigensolver-failure", with NaN for eta_d and both
+    eigenvalues. Other rows end by building the next row's subproblem,
+    cutting the rank and, on an escape row, taking the escape step on that
+    subproblem.
     """
     opts = opts or SolverOptions()
     opts.validate()
@@ -310,21 +304,9 @@ def solve(sdp, opts=None):
         L = max(0.0, float(np.max(np.diagonal(S.dense))))
         bound = opts.tol * (1.0 + L)
         svd = spectral.thin_svd(point.Y)
-        escape = False
-        if spectral.proves_curvature_above(S, bound):
-            source = PROOF
-        else:
-            # at a critical point S Y = 0, so an eigenvector v of S with
-            # lambda < 0 has Y^T v = 0: negative curvature inside range(Y)
-            # is the inexact inner solve's, and the next rank cut removes
-            # columns added along it. Eigenvectors are computed only
-            # where curvature below -bound may lie off the kept range
-            kept = svd[0][:, :_kept_rank(svd[1])]
-            escape = not spectral.proves_curvature_above(S, bound, kept)
-            source = NOT_COMPUTED
-        res = KktResidues(eta_p, opts.tol if source == PROOF else np.nan,
-                          eta_g)
-        if res.eta_max <= opts.tol:
+        res = KktResidues(eta_p, np.nan, eta_g)
+        if eta_p <= opts.tol and eta_g <= opts.tol \
+                and spectral.proves_curvature_above(S, bound):
             status = "converged"
         elif deadline is not None and time.perf_counter() > deadline:
             status = "time-limit"
@@ -332,24 +314,30 @@ def solve(sdp, opts=None):
             status = "iteration-limit"
         else:
             status = None
+        # at a critical point S Y = 0, so an eigenvector v of S with
+        # lambda < 0 has Y^T v = 0: negative curvature inside range(Y) is
+        # the inexact inner solve's, and the next rank cut removes columns
+        # added along it. Eigenvectors are computed only where the solve
+        # goes on and curvature below -bound may lie off the kept range
+        kept = svd[0][:, :_kept_rank(svd[1])]
+        escape = status is None \
+            and not spectral.proves_curvature_above(S, bound, kept)
         lam_min = lam_max = np.nan
         if escape or status:
             # eigenvectors for an escape; the answer's eigenvalues alone
             try:
-                eig = spectral.extreme_eigs(S, escape and not status)
+                eig = spectral.extreme_eigs(S, escape)
                 lam_min, lam_max = float(eig[0][0]), float(eig[0][-1])
                 res = KktResidues(eta_p, prob.dual_residue(lam_min, lam_max),
                                   eta_g)
-                source = EIGENVALUES
             except np.linalg.LinAlgError:
-                res = KktResidues(eta_p, np.nan, eta_g)
-                source, status = NOT_COMPUTED, "eigensolver-failure"
+                status = "eigensolver-failure"
             if res.eta_max <= opts.tol:
                 status = "converged"
         trace.append(IterationTrace(
             k=k, p=point.p, sigma=sigma, eps=eps,
             eta_p=res.eta_p, eta_d=res.eta_d, eta_g=res.eta_g,
-            eta_max=res.eta_max, eta_d_source=source, gradnorm=gradnorm,
+            eta_max=res.eta_max, gradnorm=gradnorm,
             inner_iters=report.iterations,
             time=time.perf_counter() - t_start))
         if status:

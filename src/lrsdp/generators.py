@@ -303,6 +303,11 @@ def random_quartic(q, seed):
 
 def random_completion(s, t, rank, num_samples, seed):
     """Random rank-``rank`` matrix plus a uniform sample of its entries."""
+    if not 0 <= num_samples <= s * t:
+        raise ProblemError(f"num_samples must be in 0..{s * t} (s * t), "
+                           f"got {num_samples}")
+    if rank < 0:
+        raise ProblemError(f"rank must be at least 0, got {rank}")
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((s, rank)) @ rng.standard_normal((rank, t))
     all_idx = [(i, j) for i in range(s) for j in range(t)]

@@ -441,9 +441,8 @@ def _run_solve(args):
                          ManifoldKind(args.manifold), sdp.objective_sign,
                          sdp.objective_offset)
     solution = alm.solve(sdp, opts)
-    doc = result_document(sdp, solution, opts)
     if args.output:
-        write_result(doc, args.output)
+        write_result(result_document(sdp, solution, opts), args.output)
     if args.trace:
         write_trace_csv(solution.trace, args.trace)
     r = solution.residues

@@ -19,7 +19,7 @@ def _residual(sdp, point):
 
 
 def _completion_30():
-    # s = t = 30, rank 2, every entry sampled: bounded iterations in mid-solve
+    # s = t = 30, rank 2, every entry sampled: rows without eta_d mid-solve
     _, entries = generators.random_completion(30, 30, 2, 900, 0)
     return generators.gen_matrix_completion(30, 30, entries)
 
@@ -534,9 +534,9 @@ class TestSolve:
             prob.primal_gap_residues(sdp, sol.Y.Y, sol.y, sol.z)
 
     def test_the_proof_decides_convergence(self, monkeypatch):
-        # every bound the plain Cholesky proof gives holds; a proof row
-        # ends the solve exactly when eta_p, eta_g <= tol too, and the
-        # answer then carries the eigenvalues of its own S
+        # every bound the plain Cholesky proof gives holds; it runs only on
+        # rows with eta_p, eta_g <= tol, a held proof ends the solve, and
+        # the answer then carries the eigenvalues of its own S
         proves, proofs = spectral.proves_curvature_above, []
 
         def checked(op, bound, Q=None):
@@ -554,14 +554,12 @@ class TestSolve:
         opts = SolverOptions()
         sol = solve(sdp, opts)
         assert sol.status == "converged"
-        assert len(proofs) == sol.iterations and proofs[-1]
-        bounded = [t for t in sol.trace if t.eta_d_source == alm.PROOF]
-        assert len(bounded) == sum(proofs) - 1 > 0
-        for t in bounded:
-            assert max(t.eta_p, t.eta_g) > opts.tol and t.eta_d == opts.tol
+        assert len(proofs) == sum(max(t.eta_p, t.eta_g) <= opts.tol
+                                  for t in sol.trace)
+        assert proofs[-1] and not any(proofs[:-1])
         last = sol.trace[-1]
         assert max(last.eta_p, last.eta_g) <= opts.tol
-        assert last.eta_d_source == alm.EIGENVALUES
+        assert np.isfinite(last.eta_d)
         assert last.eta_max == sol.residues.eta_max <= opts.tol
         # no escape follows the last iteration: its eigenvalues come alone
         vals = np.linalg.eigvalsh(sol.S.dense)
@@ -569,6 +567,41 @@ class TestSolve:
         # eigh takes another LAPACK path: equal to rounding
         assert sol.lambda_min == pytest.approx(
             np.linalg.eigh(sol.S.dense)[0][0], abs=1e-12 * (1 + vals[-1]))
+
+    @pytest.mark.parametrize("family", ["bqp", "completion"])
+    def test_one_proof_per_row(self, family, monkeypatch):
+        # each row runs the proof it uses: the plain proof only where
+        # eta_p, eta_g <= tol lets it converge the solve, and the proof off
+        # the kept range only where the solve goes on. On these instances
+        # every row but the last has eta_p or eta_g above tol
+        if family == "bqp":
+            sdp = generators.gen_bqp_moment(*generators.random_bqp(6, 0))
+        else:
+            sdp = _completion_30()
+        gap, proves = prob.primal_gap_residues, spectral.proves_curvature_above
+        rows, calls = [], []
+
+        def spied_gap(*args):
+            rows.append(gap(*args))
+            return rows[-1]
+
+        def spied_proves(op, bound, Q=None):
+            calls.append((len(rows) - 1, Q is None))
+            return proves(op, bound, Q)
+
+        monkeypatch.setattr(prob, "primal_gap_residues", spied_gap)
+        monkeypatch.setattr(spectral, "proves_curvature_above", spied_proves)
+        opts = SolverOptions()
+        sol = solve(sdp, opts)
+        assert sol.status == "converged" and len(rows) == sol.iterations
+        assert [k for k, _ in calls] == list(range(sol.iterations))
+        for k, plain in calls:
+            assert plain == (max(rows[k]) <= opts.tol)
+        rows.clear()
+        calls.clear()
+        sol = solve(sdp, SolverOptions(max_outer_iters=1))
+        assert sol.status == "iteration-limit" and rows[0][0] > opts.tol
+        assert calls == []
 
     def test_one_eigvalsh_on_the_answers_slack(self, monkeypatch):
         # a row that neither converges nor escapes runs no eigensolve and
@@ -584,11 +617,9 @@ class TestSolve:
         sol = solve(_completion_30())
         assert sol.status == "converged"
         assert len(decomposed) == 1 and decomposed[0] is sol.S.dense
-        skipped = [t for t in sol.trace
-                   if t.eta_d_source == alm.NOT_COMPUTED]
+        skipped = [t for t in sol.trace if np.isnan(t.eta_d)]
         assert skipped
-        for t in skipped:
-            assert np.isnan(t.eta_d) and np.isnan(t.eta_max)
+        assert all(np.isnan(t.eta_max) for t in skipped)
 
     def test_maxcut_rows_below_tol_run_no_eigensolve(self, monkeypatch):
         # every Max-Cut row has eta_p, eta_g <= tol, yet the middle rows
@@ -606,9 +637,8 @@ class TestSolve:
         assert sol.status == "converged" and sol.iterations > 3
         assert all(max(t.eta_p, t.eta_g) <= opts.tol for t in sol.trace)
         for t in sol.trace[1:-1]:
-            assert t.eta_d_source == alm.NOT_COMPUTED
             assert np.isnan(t.eta_d) and np.isnan(t.eta_max)
-        assert sol.trace[-1].eta_d_source == alm.EIGENVALUES
+        assert np.isfinite(sol.trace[-1].eta_d)
         assert sol.trace[-1].eta_max <= opts.tol
         assert len(decomposed) == 1 and decomposed[0] is sol.S.dense
 
@@ -654,12 +684,13 @@ class TestSolve:
             sol = solve(sdp, SolverOptions(max_time=1.0))
             assert sol.status in ("time-limit", "converged")
             assert len(after) <= 1
-            assert sol.trace[-1].eta_d_source == alm.EIGENVALUES
+            assert np.isfinite(sol.trace[-1].eta_d)
 
     @pytest.mark.parametrize("limit", ["iteration-limit", "time-limit"])
-    def test_limit_after_a_bounded_iteration(self, limit, monkeypatch):
-        # the solve stops right after the first bounded iteration; the
-        # answer and its last trace row still come from an eigensolve
+    def test_a_held_proof_outranks_a_limit(self, limit, monkeypatch):
+        # the limit falls on the row whose plain proof holds: that row
+        # converges, and the answer and its trace row still come from the
+        # eigenvalues of its own S
         proves, clock = spectral.proves_curvature_above, [0.0]
 
         def proving(op, bound, Q=None):
@@ -671,20 +702,19 @@ class TestSolve:
         monkeypatch.setattr(spectral, "proves_curvature_above", proving)
         monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
         sdp = _completion_30()
-        first = next(t.k for t in solve(sdp).trace
-                     if t.eta_d_source == alm.PROOF)
+        rows = solve(sdp).iterations
         clock[0] = 0.0
         if limit == "iteration-limit":
-            opts = SolverOptions(max_outer_iters=first + 1)
+            opts = SolverOptions(max_outer_iters=rows)
         else:
             opts = SolverOptions(max_time=10.0)
         sol = solve(sdp, opts)
-        assert sol.status == limit and sol.iterations == first + 1
+        assert sol.status == "converged" and sol.iterations == rows
+        assert clock[0] == 1e9
         vals = np.linalg.eigvalsh(sol.S.dense)
         assert (sol.lambda_min, sol.lambda_max) == (vals[0], vals[-1])
         assert sol.residues.eta_d == prob.dual_residue(vals[0], vals[-1])
         row = sol.trace[-1]
-        assert row.eta_d_source == alm.EIGENVALUES
         assert (row.eta_d, row.eta_max) == (sol.residues.eta_d,
                                             sol.residues.eta_max)
 
@@ -694,8 +724,7 @@ class TestSolve:
         # eigvalsh fills in the answer and that row, or, when it raises,
         # the solve ends with "eigensolver-failure"
         sdp = _completion_30()
-        first = next(t.k for t in solve(sdp).trace
-                     if t.eta_d_source == alm.NOT_COMPUTED)
+        first = next(t.k for t in solve(sdp).trace if np.isnan(t.eta_d))
         eigvalsh = np.linalg.eigvalsh
 
         def failing(a):
@@ -708,7 +737,6 @@ class TestSolve:
         row = sol.trace[-1]
         if fails:
             assert sol.status == "eigensolver-failure"
-            assert row.eta_d_source == alm.NOT_COMPUTED
             assert np.isnan(sol.residues.eta_d) and np.isnan(sol.lambda_min)
             assert np.isnan(row.eta_d) and np.isnan(row.eta_max)
             return
@@ -716,7 +744,7 @@ class TestSolve:
         vals = eigvalsh(sol.S.dense)
         assert (sol.lambda_min, sol.lambda_max) == (vals[0], vals[-1])
         assert sol.residues.eta_d == prob.dual_residue(vals[0], vals[-1])
-        assert row.eta_d_source == alm.EIGENVALUES
+        assert np.isfinite(row.eta_d)
         assert (row.eta_d, row.eta_max) == (sol.residues.eta_d,
                                             sol.residues.eta_max)
         assert (sol.residues.eta_p, sol.residues.eta_g) == \
@@ -748,7 +776,7 @@ class TestSolve:
         assert np.isnan(sol.residues.eta_d) and np.isnan(sol.lambda_min) \
             and np.isnan(sol.lambda_max)
         assert np.isnan(sol.trace[-1].eta_d)
-        assert sol.trace[-1].eta_d_source == alm.NOT_COMPUTED
+        assert np.isnan(sol.trace[-1].eta_max)
 
     @pytest.mark.parametrize("family", ["bqp", "completion"])
     def test_every_eigh_is_read_by_an_escape(self, family, monkeypatch):
@@ -785,8 +813,7 @@ class TestSolve:
             names.count("eigh") + names.count("eigvalsh")
         eighs = [i for i, name in enumerate(names) if name == "eigh"]
         assert 0 < len(eighs) == names.count("escape_direction")
-        rows = [t for t in sol.trace[:-1]
-                if t.eta_d_source == alm.EIGENVALUES]
+        rows = [t for t in sol.trace[:-1] if np.isfinite(t.eta_d)]
         assert len(rows) == len(eighs)
         for i, row in zip(eighs, rows):
             assert names[i + 1:i + 4] == ["extreme_eigs", "dual_residue",
@@ -882,8 +909,8 @@ class TestSolve:
                                            sol.S.dense)],
                     repr([replace(t, time=0.0) for t in sol.trace]))
         plain = solve(sdp)
-        sources = [t.eta_d_source for t in plain.trace]
-        assert alm.EIGENVALUES in sources[:-1] and alm.NOT_COMPUTED in sources
+        computed = [np.isfinite(t.eta_d) for t in plain.trace]
+        assert any(computed[:-1]) and not all(computed)
 
         def read_only(*args):
             z, S = assemble_dual(*args)

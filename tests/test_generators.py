@@ -279,6 +279,15 @@ class TestRandomInstances:
         M2, e2 = gen.random_completion(4, 5, 2, 10, 3)
         assert np.array_equal(M1, M2) and e1 == e2
 
+    @pytest.mark.parametrize("rank,num_samples,named", [
+        (1, 10, "num_samples must be in 0..9"),
+        (1, -1, "num_samples must be in 0..9"),
+        (-1, 4, "rank must be at least 0")])
+    def test_completion_arguments_out_of_range(self, rank, num_samples,
+                                               named):
+        with pytest.raises(ProblemError, match=named):
+            gen.random_completion(3, 3, rank, num_samples, 0)
+
     def test_completion_samples_valid(self):
         M, entries = gen.random_completion(4, 5, 1, 12, 0)
         assert len(entries) == 12

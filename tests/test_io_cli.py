@@ -326,6 +326,14 @@ class TestCli:
         assert doc["objective"] == pytest.approx(1.0, abs=1e-8)
         assert doc["status"] == "converged"
 
+    def test_no_result_document_without_output(self, monkeypatch):
+        # the document is built only to be written
+        def unbuilt(*args):
+            raise AssertionError("result document built without --output")
+
+        monkeypatch.setattr("lrsdp.io_cli.result_document", unbuilt)
+        assert cli_main(["solve", "--generate", "maxcut-triangle"]) == 0
+
     def test_solve_writes_trace(self, tmp_path):
         trace = tmp_path / "t.csv"
         rc = cli_main(["solve", "--generate", "maxcut-triangle",
@@ -368,11 +376,9 @@ class TestCli:
                          "--output", str(out)]) == 0
         doc = _strict_json(out.read_text())
         assert doc["options"]["max_time"] is None
-        rows = [row for row in doc["trace"]
-                if row["eta_d_source"] == alm.NOT_COMPUTED]
-        assert rows
-        assert all(row["eta_d"] is None and row["eta_max"] is None
-                   for row in rows)
+        rows = [row for row in doc["trace"] if row["eta_d"] is None]
+        assert rows and doc["trace"][-1]["eta_d"] is not None
+        assert all(row["eta_max"] is None for row in rows)
         assert cli_main(["check", str(out)]) == 0
 
     @pytest.mark.parametrize("command", ["solve --generate", "generate"])
@@ -384,6 +390,16 @@ class TestCli:
             argv += ["--output", str(tmp_path / "p.dat-s")]
         assert cli_main(argv) == 1
         assert "q >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--samples", "20"], "num_samples must be in 0..9"),
+        (["--samples", "-1"], "num_samples must be in 0..9"),
+        (["--rank", "-1"], "rank must be at least 0")])
+    def test_completion_arguments_out_of_range_exit_1(self, flags, named,
+                                                      capsys):
+        argv = ["solve", "--generate", "completion", "--s", "3", "--t", "3"]
+        assert cli_main(argv + flags) == 1
+        assert named in capsys.readouterr().err
 
     def test_malformed_input_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.dat-s"
