@@ -310,11 +310,10 @@ def random_completion(s, t, rank, num_samples, seed):
         raise ProblemError(f"rank must be at least 0, got {rank}")
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((s, rank)) @ rng.standard_normal((rank, t))
-    all_idx = [(i, j) for i in range(s) for j in range(t)]
-    chosen = rng.choice(len(all_idx), size=num_samples, replace=False)
-    entries = [(all_idx[k][0], all_idx[k][1], M[all_idx[k]])
-               for k in sorted(chosen)]
-    return M, entries
+    # the flat indices i t + j of the sample, in row-major order
+    i, j = np.divmod(np.sort(rng.choice(s * t, size=num_samples,
+                                        replace=False)), t)
+    return M, list(zip(i.tolist(), j.tolist(), M[i, j].tolist()))
 
 
 def unit_edge_graph():

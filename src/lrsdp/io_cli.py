@@ -46,18 +46,19 @@ def read_sdpa(path):
     "*lrsdp-objective sign offset" sets the reported objective
     sign <C, X> + offset, which SDPA cannot express; 1 and 0 without one.
     """
-    with open(path) as fh:
-        raw = fh.readlines()
     sign, offset = 1.0, 0.0
-    for no, ln in enumerate(raw, start=1):
-        if ln.startswith(_OBJECTIVE):
-            try:
-                sign, offset = map(float, ln[len(_OBJECTIVE):].split())
-            except ValueError:
-                raise FormatError(
-                    f"{path}:{no}: bad objective line: {ln.strip()!r}")
-    lines = [(no, ln.strip()) for no, ln in enumerate(raw, start=1)
-             if ln.strip() and not ln.lstrip().startswith(('"', "*"))]
+    lines = []  # (line number, text) of the content lines
+    with open(path) as fh:
+        for no, ln in enumerate(fh, start=1):
+            if ln.startswith(_OBJECTIVE):
+                try:
+                    sign, offset = map(float, ln[len(_OBJECTIVE):].split())
+                except ValueError:
+                    raise FormatError(
+                        f"{path}:{no}: bad objective line: {ln.strip()!r}")
+            text = ln.strip()
+            if text and not text.startswith(('"', "*")):
+                lines.append((no, text))
     if len(lines) < 3:
         raise FormatError(f"{path}: fewer than three header lines")
 

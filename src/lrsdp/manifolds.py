@@ -73,13 +73,13 @@ class FactorPoint:
 
 
 def project_tangent(point, U):
-    """Orthogonal projection of U onto the tangent space at the point."""
+    """Orthogonal projection of U onto the tangent space at the point,
+    U - B*(z) Y with z the constraint dots of U and Y: a copy of U on
+    FREE, where B* is zero."""
     Y = point.Y
     if U.shape != Y.shape:
         raise ValueError(f"shape mismatch: {U.shape} vs {Y.shape}")
-    if point.manifold is ManifoldKind.FREE:
-        return U.copy()
-    return U - constraint_dots(point.manifold, U, Y)[:, None] * Y
+    return U - bstar_times(point, constraint_dots(point.manifold, U, Y), Y)
 
 
 def retract(point, U, t=1.0):

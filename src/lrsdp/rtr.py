@@ -28,6 +28,10 @@ def _inner(A, B):
     return float(np.dot(A.ravel(), B.ravel()))
 
 
+def _identity(R):
+    return R
+
+
 def tcg(grad, hess_vec, radius, kappa=0.1, max_iters=None, floor=0.0,
         products=None, precon=None):
     """Truncated CG (Steihaug-Toint) for the trust-region model.
@@ -35,20 +39,20 @@ def tcg(grad, hess_vec, radius, kappa=0.1, max_iters=None, floor=0.0,
     Minimizes m(s) = <grad, s> + 0.5 <s, H s> over ||s||_M <= radius,
     stopping on negative curvature, the boundary, or the residual rule
     ||r|| <= max(||r0|| * min(kappa, ||r0||), floor), where
-    r = grad + H s is the model's gradient at the iterate s. ``precon``,
-    when given, applies an SPD operator P ~ H^-1 to a residual; CG then
-    runs preconditioned and the trust region is measured in the norm of
-    M = P^-1 (Absil, Baker and Gallivan 2007): <s, M s>, <s, M d> and
-    <d, M d> follow from the CG recurrences with no product by M. Without
-    it, M = I and those three are plain inner products. The residual rule
-    is Euclidean either way. The floor is an inexact-Newton forcing term
-    (Eisenstat and Walker 1996): once the model gradient is below it,
-    further CG steps buy accuracy the caller does not need. An iterate
-    s = 0 that already meets the rule (a zero gradient, or
-    ||grad|| <= floor) is returned as "converged" with model 0.0 and no
-    Hessian product. Returns ``(step, reason, model)`` with ``model`` =
-    m(step), taken from H step tracked alongside the iterate, so callers
-    need no further product.
+    r = grad + H s is the model's gradient at the iterate s. ``precon``
+    applies an SPD operator P ~ H^-1 to a residual, and the trust region
+    is measured in the norm of M = P^-1 (Absil, Baker and Gallivan 2007):
+    <s, M s>, <s, M d> and <d, M d> follow from the CG recurrences with no
+    product by M (Conn, Gould and Toint 2000, Alg. 7.5.1). Without it,
+    P = M = I and the same recurrences run: plain CG in the Euclidean
+    norm. The residual rule is Euclidean either way. The floor is an
+    inexact-Newton forcing term (Eisenstat and Walker 1996): once the
+    model gradient is below it, further CG steps buy accuracy the caller
+    does not need. An iterate s = 0 that already meets the rule (a zero
+    gradient, or ||grad|| <= floor) is returned as "converged" with model
+    0.0 and no Hessian product. Returns ``(step, reason, model)`` with
+    ``model`` = m(step), taken from H step tracked alongside the iterate,
+    so callers need no further product.
 
     The k-th Hessian product is ``products[k]`` when the list
     ``products`` has one; otherwise tCG computes it and appends it. Until
@@ -62,13 +66,15 @@ def tcg(grad, hess_vec, radius, kappa=0.1, max_iters=None, floor=0.0,
         raise ValueError("radius must be positive")
     if max_iters is None:
         max_iters = grad.size
+    precon = _identity if precon is None else precon
     products = [] if products is None else products
     eta, Heta = np.zeros_like(grad), np.zeros_like(grad)
     r = grad.copy()
     rr = _inner(r, r)
     r0_norm = np.sqrt(rr)
     target = max(r0_norm * min(kappa, r0_norm), floor)
-    z, zr = (r, rr) if precon is None else _preconditioned(precon, r)
+    z = precon(r)
+    zr = _inner(z, r)
     d = -z
     # <eta, M eta>, <eta, M d> and <d, M d>
     e_norm2, e_d, d_norm2 = 0.0, 0.0, zr
@@ -80,9 +86,6 @@ def tcg(grad, hess_vec, radius, kappa=0.1, max_iters=None, floor=0.0,
             products.append(hess_vec(d))
         Hd = products[k]
         dHd = _inner(d, Hd)
-        if precon is None:  # M = I: direct, not from the recurrences
-            e_d = _inner(eta, d)
-            d_norm2 = _inner(d, d)
         if dHd <= 0:
             reason = "negative-curvature"
             break
@@ -99,8 +102,8 @@ def tcg(grad, hess_vec, radius, kappa=0.1, max_iters=None, floor=0.0,
         if np.sqrt(rr) <= target:
             reason = "converged"
             break
-        z, zr_new = (r, rr) if precon is None \
-            else _preconditioned(precon, r)
+        z = precon(r)
+        zr_new = _inner(z, r)
         beta = zr_new / zr
         d = -z + beta * d
         e_d = beta * (e_d + alpha * d_norm2)
@@ -111,12 +114,6 @@ def tcg(grad, hess_vec, radius, kappa=0.1, max_iters=None, floor=0.0,
         tau = _boundary_step(e_norm2, e_d, d_norm2, radius)
         eta, Heta = eta + tau * d, Heta + tau * Hd
     return eta, reason, _inner(grad, eta) + 0.5 * _inner(eta, Heta)
-
-
-def _preconditioned(precon, r):
-    """(P r, <P r, r>)."""
-    z = precon(r)
-    return z, _inner(z, r)
 
 
 def _boundary_step(e_norm2, e_d, d_norm2, radius):

@@ -64,29 +64,27 @@ def proves_curvature_above(op, bound, Q=None):
 
     Both terms together are at most mu / 2, where
     mu = 2 gamma_{n+3} (T + s + p + bound); the other half covers the
-    rounding in evaluating tau, T, s and p. Without Q no product or sum is
-    formed and s = 0: the shift's rounding, at most
+    rounding in evaluating tau, T, s and p. Without Q, Q is the n x 0
+    matrix: r = 0, and the same code forms c Q Q^T as exact zeros, so
+    M^ holds S plus the shift. There s = 0, as no range needs lifting,
+    and the margin does not grow: the shift's rounding, at most
     u (max_i |S_ii| + bound), lies within that other half too. False
     without factoring when tau <= 0, and False when a pivot of M^ is not
-    positive. M^ is a fresh array, a copy of S without Q: the proof writes
-    nothing into S or Q.
+    positive. M^ is a fresh array: the proof writes nothing into S or Q.
     """
     S, n = op.dense, op.n
-    r = 0 if Q is None else Q.shape[1]
+    Q = np.zeros((n, 0)) if Q is None else Q
     u = np.finfo(S.dtype).eps / 2
     gamma = (n + 3) * u / (1 - (n + 3) * u)
-    s = float(np.linalg.norm(S, np.inf)) if r else 0.0
+    s = float(np.linalg.norm(S, np.inf)) if Q.shape[1] else 0.0
     c = 2.0 * s
-    p = c * float(np.sum(Q * Q)) if r else 0.0
+    p = c * float(np.sum(Q * Q))
     T = float(np.sum(np.abs(np.diagonal(S)))) + p + n * bound
     tau = bound - 2.0 * gamma * (T + s + p + bound)
     if not tau > 0:
         return False
-    if r:
-        M = (c * Q) @ Q.T
-        M += S
-    else:
-        M = S.copy()
+    M = (c * Q) @ Q.T
+    M += S
     M[np.diag_indices(n)] += tau
     try:
         np.linalg.cholesky(M)

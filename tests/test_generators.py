@@ -1,5 +1,6 @@
 """Benchmark generators: sizes, feasibility invariants, small oracles."""
 
+import tracemalloc
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -287,6 +288,38 @@ class TestRandomInstances:
                                                named):
         with pytest.raises(ProblemError, match=named):
             gen.random_completion(3, 3, rank, num_samples, 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_completion_draws_the_list_based_sample(self, seed):
+        # the benchmark's instances: the same population size s t, so the
+        # same draw as a choice over the list of every index pair
+        s, t, rank, num_samples = 200, 200, 3, 10_000
+        M, entries = gen.random_completion(s, t, rank, num_samples, seed)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(M, rng.standard_normal((s, rank))
+                              @ rng.standard_normal((rank, t)))
+        all_idx = [(i, j) for i in range(s) for j in range(t)]
+        chosen = rng.choice(len(all_idx), size=num_samples, replace=False)
+        assert entries == [(*all_idx[k], M[all_idx[k]])
+                           for k in sorted(chosen)]
+        assert all(type(x) in (int, float) for x in entries[0])
+
+    def test_completion_needs_no_list_of_every_index_pair(self):
+        # 10^6 index pairs as Python tuples take ~90 MB; the sample alone
+        # and the 8 MB matrix stay far below that
+        tracemalloc.start()
+        try:
+            gen.random_completion(1000, 1000, 3, 10_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
+
+    def test_empty_completion(self):
+        M, entries = gen.random_completion(3, 4, 1, 0, 0)
+        assert M.shape == (3, 4) and entries == []
+        sdp = gen_matrix_completion(3, 4, entries)
+        assert (sdp.n, sdp.m) == (7, 0)
 
     def test_completion_samples_valid(self):
         M, entries = gen.random_completion(4, 5, 1, 12, 0)

@@ -381,6 +381,14 @@ class TestCli:
         assert all(row["eta_max"] is None for row in rows)
         assert cli_main(["check", str(out)]) == 0
 
+    def test_empty_completion_converges(self, tmp_path):
+        # no samples: m = 0, and the answer X = 0 is certified
+        out = tmp_path / "e.json"
+        assert cli_main(["solve", "--generate", "completion", "--s", "3",
+                         "--t", "4", "--samples", "0",
+                         "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["status"] == "converged"
+
     @pytest.mark.parametrize("command", ["solve --generate", "generate"])
     @pytest.mark.parametrize("q", ["0", "-2"])
     def test_quartic_without_variables_exit_1(self, command, q, tmp_path,

@@ -92,8 +92,10 @@ def _old_minimize(model, point, grad_tol, max_iters):
 def _old_tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None,
               norms=None):
     """Steihaug-Toint tCG with the residual rule alone, no floor and no
-    list of products: the oracle of a zero floor. Appends the residual norm of
-    every CG iterate it reaches to ``norms`` when given."""
+    list of products: the oracle of a zero floor. <eta, d> and <d, d> come
+    from the textbook CG recurrences (Conn, Gould and Toint 2000, Alg.
+    7.5.1, with M = I). Appends the residual norm of every CG iterate it
+    reaches to ``norms`` when given."""
     if max_iters is None:
         max_iters = grad.size
     eta, Heta = np.zeros_like(grad), np.zeros_like(grad)
@@ -102,7 +104,7 @@ def _old_tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None,
     rr = rtr._inner(r, r)
     r0_norm = np.sqrt(rr)
     target = r0_norm * min(kappa, r0_norm ** theta)
-    e_norm2 = 0.0
+    e_norm2, e_d, d_norm2 = 0.0, 0.0, rr
 
     def result(s, Hs, reason):
         return s, reason, rtr._inner(grad, s) + 0.5 * rtr._inner(s, Hs)
@@ -110,8 +112,6 @@ def _old_tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None,
     for _ in range(max_iters):
         Hd = hess_vec(d)
         dHd = rtr._inner(d, Hd)
-        e_d = rtr._inner(eta, d)
-        d_norm2 = rtr._inner(d, d)
         alpha = rr / dHd if dHd > 0 else 0.0
         new_e_norm2 = e_norm2 + 2 * alpha * e_d + alpha * alpha * d_norm2
         if dHd <= 0 or new_e_norm2 >= radius * radius:
@@ -127,7 +127,10 @@ def _old_tcg(grad, hess_vec, radius, kappa=0.1, theta=1.0, max_iters=None,
             norms.append(np.sqrt(rr_new))
         if np.sqrt(rr_new) <= target:
             return result(eta, Heta, "converged")
-        d = -r + (rr_new / rr) * d
+        beta = rr_new / rr
+        d = -r + beta * d
+        e_d = beta * (e_d + alpha * d_norm2)
+        d_norm2 = rr_new + beta * beta * d_norm2
         rr = rr_new
     return result(eta, Heta, "max-cg-iters")
 
@@ -241,8 +244,8 @@ class TestTcg:
         assert model == pytest.approx(fresh, rel=1e-12, abs=1e-14)
 
     def test_identity_preconditioner_matches_plain(self, rng):
-        # P = I makes tCG's M-norm recurrences the plain inner products:
-        # the same stop, and the same step up to rounding
+        # precon=None is P = I: the same recurrences and, for a P = I
+        # whose products are exact, the same bits
         seen = set()
         for trial in range(60):
             n = int(rng.integers(2, 10))
@@ -254,9 +257,8 @@ class TestTcg:
             ident = tcg(g, lambda U: H @ U, radius, kappa=1e-3,
                         precon=lambda R: 1.0 * R)
             assert ident[1] == plain[1]
-            assert np.allclose(ident[0], plain[0], rtol=1e-9,
-                               atol=1e-12 * np.linalg.norm(plain[0]))
-            assert ident[2] == pytest.approx(plain[2], rel=1e-9)
+            assert np.array_equal(ident[0], plain[0])
+            assert ident[2] == plain[2]
             seen.add(plain[1])
         assert seen == {"boundary", "negative-curvature", "converged"}
 
@@ -264,24 +266,12 @@ class TestTcg:
         # with P SPD, boundary and negative-curvature stops land on
         # <s, P^-1 s> = radius^2, and the model value is m(s) itself; H
         # is well conditioned, since <s, M s> comes from recurrences
-        seen = set()
-        for trial in range(60):
-            n = int(rng.integers(3, 10))
-            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            H = (Q * rng.uniform(0.5 if trial % 2 else -2.0, 5.0, n)) @ Q.T
-            P = _spd(rng, n)
-            M = np.linalg.inv(P)
-            g = rng.standard_normal((n, 2))
-            radius = float(10.0 ** rng.uniform(-1.0, 1.0))
-            step, reason, model = tcg(g, lambda U: H @ U, radius,
-                                      precon=lambda R: P @ R)
-            fresh = float(np.sum(g * step) + 0.5 * np.sum(step * (H @ step)))
-            assert model == pytest.approx(fresh, rel=1e-12, abs=1e-14)
-            if reason in ("boundary", "negative-curvature"):
-                m_norm = np.sqrt(np.sum(step * (M @ step)))
-                assert m_norm == pytest.approx(radius, rel=1e-12)
-                seen.add(reason)
-        assert seen == {"boundary", "negative-curvature"}
+        _check_boundary_stops(rng, preconditioned=True)
+
+    def test_plain_stops_on_the_euclidean_boundary(self, rng):
+        # the same without a preconditioner: M = I, so the recurrences
+        # must land on ||s|| = radius
+        _check_boundary_stops(rng, preconditioned=False)
 
     def test_bad_radius(self):
         with pytest.raises(ValueError):
@@ -336,6 +326,27 @@ class TestTcg:
     def test_recorded_retries_with_a_preconditioner(self, rng):
         # the same with an SPD preconditioner and the M-norm radius
         _check_recorded_retries(rng, 200, preconditioned=True)
+
+
+def _check_boundary_stops(rng, preconditioned):
+    seen = set()
+    for trial in range(60):
+        n = int(rng.integers(3, 10))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        H = (Q * rng.uniform(0.5 if trial % 2 else -2.0, 5.0, n)) @ Q.T
+        P = _spd(rng, n) if preconditioned else np.eye(n)
+        kw = {"precon": lambda R: P @ R} if preconditioned else {}
+        M = np.linalg.inv(P)
+        g = rng.standard_normal((n, 2))
+        radius = float(10.0 ** rng.uniform(-1.0, 1.0))
+        step, reason, model = tcg(g, lambda U: H @ U, radius, **kw)
+        fresh = float(np.sum(g * step) + 0.5 * np.sum(step * (H @ step)))
+        assert model == pytest.approx(fresh, rel=1e-12, abs=1e-14)
+        if reason in ("boundary", "negative-curvature"):
+            m_norm = np.sqrt(np.sum(step * (M @ step)))
+            assert m_norm == pytest.approx(radius, rel=1e-12)
+            seen.add(reason)
+    assert seen == {"boundary", "negative-curvature"}
 
 
 def _check_recorded_retries(rng, trials, preconditioned):
