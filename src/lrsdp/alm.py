@@ -187,36 +187,37 @@ def assemble_dual(sdp, state):
     return z, SymOperator(prob.subtract_bstar(sdp, state.stilde, z))
 
 
-def escape_direction(eig, r, delta_ne, tol_escape):
-    """Second-order descent direction (U, delta) from ``eig``, the ascending
-    eigenvalues and the eigenvectors of S: U is n x (r + delta), zero on the
-    first r columns, then the eigenvectors of the delta eigenvalues below
-    -tol_escape among the delta_ne smallest; delta = 0 means no escape."""
+def escape_direction(eig, delta_ne, tol_escape):
+    """Second-order descent directions (V, delta) from ``eig``, the ascending
+    eigenvalues and the eigenvectors of S: V, n x delta, is a copy of the
+    eigenvectors of the delta eigenvalues below -tol_escape among the
+    delta_ne smallest, so ``eig`` can be freed; delta = 0 means no escape."""
     vals, vecs = eig
     delta = int(np.count_nonzero(vals[:delta_ne] < -tol_escape))
-    U = np.zeros((vecs.shape[0], r + delta))
-    U[:, r:] = vecs[:, :delta]
-    return U, delta
+    return vecs[:, :delta].copy(), delta
 
 
-def escape_step(sub, point, U):
-    """The first retraction of ``point`` along U, at t = 1, 1/2, ...,
-    2^-39, whose ``sub.cost`` is strictly below the point's; else the point.
+def escape_step(sub, point, V):
+    """The first retraction of the padded factor [Y 0] along [0 V], at
+    t = 1, 1/2, ..., 2^-39, whose ``sub.cost`` is strictly below that of
+    [Y 0]; else [Y 0].
 
-    ``sub`` is the next row's subproblem, the point a factor padded with
-    zero columns and U an ``escape_direction``, zero on the other columns:
-    the gradient vanishes on the padded columns and U on the others, so the
-    cost has no slope along U and only the negative curvature of S descends.
+    ``sub`` is the next row's subproblem and V an ``escape_direction``: the
+    gradient vanishes on the padded columns and [0 V] on the others, so the
+    cost has no slope along it and only the negative curvature of S
+    descends. No retraction fails: each row of [Y tV] on the oblique
+    manifold, and the whole factor on the sphere, is at least as long as
+    that of Y, which is 1; on the free manifold none normalizes.
     """
-    cost = sub.cost(point)
+    padded = FactorPoint(np.concatenate([point.Y, np.zeros(V.shape)], axis=1),
+                         point.manifold)
+    U = np.concatenate([np.zeros(point.Y.shape), V], axis=1)
+    cost = sub.cost(padded)
     for k in range(40):
-        try:
-            trial = manifolds.retract(point, U, 0.5 ** k)
-        except manifolds.RetractionError:
-            continue
+        trial = manifolds.retract(padded, U, 0.5 ** k)
         if sub.cost(trial) < cost:
             return trial
-    return point
+    return padded
 
 
 def _kept_rank(s):
@@ -225,29 +226,27 @@ def _kept_rank(s):
     return int(np.count_nonzero(s > THETA * s[0]))
 
 
-def truncate_rank(point, rng=None, svd=None):
+def truncate_rank(point, rng, svd):
     """SVD-truncate the factor to its numerical rank and re-feasibilize.
 
     Keeps singular values above THETA * s_1; the truncated factor is
     retracted back onto the manifold (row or global renormalization), which
     perturbs it by at most the discarded singular mass. ``svd`` is the
-    ``spectral.thin_svd`` of ``point.Y`` when the caller already has it.
+    ``spectral.thin_svd`` of ``point.Y``; an all-zero factor restarts at
+    one column drawn from ``rng``.
     """
-    W, s, _ = spectral.thin_svd(point.Y) if svd is None else svd
+    W, s, _ = svd
     if s[0] <= 0.0:
-        rng = rng or np.random.default_rng(0)
-        col = manifolds.random_point(
-            point.n, 1, point.manifold, rng.integers(2**32)).Y
-        return FactorPoint(col, point.manifold), 1
+        return manifolds.random_point(point.n, 1, point.manifold,
+                                      rng.integers(2**32))
     r = _kept_rank(s)
     Yr = W[:, :r] * s[:r]
     base = FactorPoint(np.zeros_like(Yr), point.manifold)
     try:
-        truncated = manifolds.retract(base, Yr)
+        return manifolds.retract(base, Yr)
     except manifolds.RetractionError:
         # a zero row in the truncated factor: keep the untruncated point
-        return point, point.p
-    return truncated, r
+        return point
 
 
 def update_penalty(sigma, eta_p_raw, gradnorm):
@@ -351,16 +350,15 @@ def solve(sdp, opts=None):
             eps = min(10.0 * eps, EPS0)
         sub = AlmSubproblem(sdp, y, sigma)
 
-        # cut the rank, then escape from the factor padded with zero columns
-        point, r = truncate_rank(point, rng, svd)
+        # cut the rank, then escape along eigenvectors of S's negative
+        # eigenvalues from the cut factor padded with zero columns
+        point = truncate_rank(point, rng, svd)
         if escape:
             tol_escape = max(1e-12, 1e-4 * opts.tol * (1.0 + abs(lam_max)))
-            U, delta = escape_direction(eig, r, opts.delta_ne, tol_escape)
+            V, delta = escape_direction(eig, opts.delta_ne, tol_escape)
             eig = None  # free the n x n eigenvectors before the inner solve
             if delta > 0:
-                Y_pad = np.concatenate(
-                    [point.Y, np.zeros((sdp.n, delta))], axis=1)
-                point = escape_step(sub, FactorPoint(Y_pad, sdp.manifold), U)
+                point = escape_step(sub, point, V)
 
     obj = sdp.reported_objective(prob.objective(sdp, point.Y))
     return Solution(

@@ -47,23 +47,28 @@ def read_sdpa(path):
     sign <C, X> + offset, which SDPA cannot express; 1 and 0 without one.
     """
     sign, offset = 1.0, 0.0
-    lines = []  # (line number, text) of the content lines
-    with open(path) as fh:
-        for no, ln in enumerate(fh, start=1):
-            if ln.startswith(_OBJECTIVE):
-                try:
-                    sign, offset = map(float, ln[len(_OBJECTIVE):].split())
-                except ValueError:
-                    raise FormatError(
-                        f"{path}:{no}: bad objective line: {ln.strip()!r}")
-            text = ln.strip()
-            if text and not text.startswith(('"', "*")):
-                lines.append((no, text))
-    if len(lines) < 3:
+
+    def content():  # (line number, text) of each content line, read once
+        nonlocal sign, offset
+        with open(path) as fh:
+            for no, ln in enumerate(fh, start=1):
+                if ln.startswith(_OBJECTIVE):
+                    try:
+                        sign, offset = map(float, ln[len(_OBJECTIVE):].split())
+                    except ValueError:
+                        raise FormatError(f"{path}:{no}: bad objective "
+                                          f"line: {ln.strip()!r}")
+                text = ln.strip()
+                if text and not text.startswith(('"', "*")):
+                    yield no, text
+
+    lines = content()
+    head = [next(lines, None) for _ in range(3)]
+    if None in head:
         raise FormatError(f"{path}: fewer than three header lines")
 
     def header_int(pos, what):
-        no, text = lines[pos]
+        no, text = head[pos]
         try:
             return int(_sdpa_numbers(text)[0])
         except (ValueError, IndexError):
@@ -72,31 +77,27 @@ def read_sdpa(path):
     m = header_int(0, "constraint count")
     if m < 0:
         raise FormatError(
-            f"{path}:{lines[0][0]}: constraint count must not be negative")
+            f"{path}:{head[0][0]}: constraint count must not be negative")
     nblocks = header_int(1, "block count")
     if nblocks != 1:
         raise FormatError(
-            f"{path}:{lines[1][0]}: expected one block, got {nblocks}")
+            f"{path}:{head[1][0]}: expected one block, got {nblocks}")
     n = header_int(2, "block size")
     if n <= 0:
-        raise FormatError(f"{path}:{lines[2][0]}: block size must be positive")
-    if m == 0:
-        # a blank rhs line is dropped with the other blank lines
-        b = np.zeros(0)
-        body = lines[3:]
-    else:
-        no, text = lines[3]
-        try:
-            b = np.array([float(t) for t in _sdpa_numbers(text)])
-        except ValueError:
-            raise FormatError(f"{path}:{no}: bad rhs line: {text!r}")
-        if b.size != m:
-            raise FormatError(
-                f"{path}:{no}: expected {m} rhs values, got {b.size}")
-        body = lines[4:]
+        raise FormatError(f"{path}:{head[2][0]}: block size must be positive")
+    # m = 0 has no rhs line (a blank one is dropped with the other blank
+    # lines), and a file that ends after its header has no values
+    no, text = next(lines, (head[2][0], "")) if m else (head[2][0], "")
+    try:
+        b = np.array([float(t) for t in _sdpa_numbers(text)])
+    except ValueError:
+        raise FormatError(f"{path}:{no}: bad rhs line: {text!r}")
+    if b.size != m:
+        raise FormatError(
+            f"{path}:{no}: expected {m} rhs values, got {b.size}")
 
     entries, vals = [], []
-    for no, text in body:
+    for no, text in lines:
         toks = _sdpa_numbers(text)
         try:
             matno, blkno, i, j = (int(t) for t in toks[:4])
@@ -152,29 +153,28 @@ def write_sdpa(problem, path):
 
 def read_gset(path):
     """Parse the Gset text format: header "N E", then E lines "i j w"."""
-    with open(path) as fh:
-        raw = fh.readlines()
-    lines = [(no, ln.strip()) for no, ln in enumerate(raw, start=1)
-             if ln.strip()]
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    no, text = lines[0]
-    toks = text.split()
-    try:
-        N, E = int(toks[0]), int(toks[1])
-    except (ValueError, IndexError):
-        raise FormatError(f"{path}:{no}: bad header line: {text!r}")
     edges = []
-    for no, text in lines[1:]:
+    with open(path) as fh:
+        lines = ((no, ln.strip()) for no, ln in enumerate(fh, start=1)
+                 if ln.strip())
+        no, text = next(lines, (None, None))
+        if text is None:
+            raise FormatError(f"{path}: empty file")
         toks = text.split()
         try:
-            i, j = int(toks[0]), int(toks[1])
-            w = float(toks[2]) if len(toks) > 2 else 1.0
+            N, E = int(toks[0]), int(toks[1])
         except (ValueError, IndexError):
-            raise FormatError(f"{path}:{no}: bad edge line: {text!r}")
-        if i == j:
-            raise FormatError(f"{path}:{no}: self-loop on node {i}")
-        edges.append((min(i, j), max(i, j), w))
+            raise FormatError(f"{path}:{no}: bad header line: {text!r}")
+        for no, text in lines:
+            toks = text.split()
+            try:
+                i, j = int(toks[0]), int(toks[1])
+                w = float(toks[2]) if len(toks) > 2 else 1.0
+            except (ValueError, IndexError):
+                raise FormatError(f"{path}:{no}: bad edge line: {text!r}")
+            if i == j:
+                raise FormatError(f"{path}:{no}: self-loop on node {i}")
+            edges.append((min(i, j), max(i, j), w))
     if len(edges) != E:
         raise FormatError(
             f"{path}: header promises {E} edges, found {len(edges)}")

@@ -64,13 +64,6 @@ class FactorPoint:
     def p(self):
         return self.Y.shape[1]
 
-    def feasibility_error(self):
-        """Distance of Y from its manifold's defining equations."""
-        if self.manifold is ManifoldKind.FREE:
-            return 0.0
-        return float(np.max(np.abs(
-            constraint_norms(self.manifold, self.Y) - 1.0)))
-
 
 def project_tangent(point, U):
     """Orthogonal projection of U onto the tangent space at the point,

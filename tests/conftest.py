@@ -37,6 +37,12 @@ def random_feasible_point(sdp, p, rng):
                                   int(rng.integers(2**31)))
 
 
+def manifold_error(point):
+    """max |B_i(Y Y^T) - 1| over the manifold constraints, 0 on FREE."""
+    dots = manifolds.constraint_dots(point.manifold, point.Y, point.Y)
+    return float(np.max(np.abs(dots - 1.0), initial=0.0))
+
+
 def dense_constraint_values(sdp, X):
     return np.array([float(np.sum(Ak.to_dense() * X)) for Ak in sdp.A])
 

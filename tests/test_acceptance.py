@@ -135,7 +135,7 @@ def test_criterion_04_certification():
 
 def test_criterion_05_geometry_suite():
     from conftest import ALL_MANIFOLDS, dense_bstar, dense_phi_grad, \
-        random_problem
+        manifold_error, random_problem
     from lrsdp.alm import AlmSubproblem
     from lrsdp.manifolds import FactorPoint
 
@@ -164,8 +164,7 @@ def test_criterion_05_geometry_suite():
                 - float(np.sum(U * manifolds.project_tangent(point, V)))))
 
             # retraction feasibility
-            assert manifolds.retract(point, U, 0.3).feasibility_error() \
-                < 1e-12
+            assert manifold_error(manifolds.retract(point, U, 0.3)) < 1e-12
 
             state = sub.at(point)
             # Hessian self-adjointness on tangent vectors
@@ -246,7 +245,7 @@ def test_criterion_06_escape_suite():
         assert np.allclose(S_i.dense, S_dense, atol=1e-12)
         vals = np.linalg.eigvalsh(S_dense)
         n_neg = int(np.sum(vals < -1e-10))
-        U, delta = escape_direction(extreme_eigs(S_i, True), pt.p,
+        V, delta = escape_direction(extreme_eigs(S_i, True),
                                     delta_ne=10, tol_escape=1e-10)
         if n_neg == 0:
             all_escaped = all_escaped and delta == 0
@@ -254,6 +253,7 @@ def test_criterion_06_escape_suite():
         all_escaped = all_escaped and delta == min(n_neg, 10)
         Yp = np.concatenate([pt.Y, np.zeros((pt.n, delta))], axis=1)
         padded = FactorPoint(Yp, pt.manifold)
+        U = np.concatenate([np.zeros(pt.Y.shape), V], axis=1)
         sub = AlmSubproblem(sdp_i, np.zeros(0), 1.0)
         state = sub.at(padded)
         worst_orth = max(worst_orth, abs(float(np.sum(U * state.grad))))
@@ -262,9 +262,8 @@ def test_criterion_06_escape_suite():
         worst_curv = max(worst_curv, abs(curv - want))
 
         # line search along U strictly decreases the subproblem cost
-        stepped = escape_step(sub, padded, U)
-        all_escaped = all_escaped and stepped is not None \
-            and sub.cost(stepped) < state.cost
+        stepped = escape_step(sub, pt, V)
+        all_escaped = all_escaped and sub.cost(stepped) < state.cost
     ok = all_escaped and worst_orth <= 1e-10 and worst_curv <= 1e-8
     _report(6, "saddle escape suite", ok,
             f"<U,grad> {worst_orth:.1e}, curvature err {worst_curv:.1e}")

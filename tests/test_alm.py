@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import dense_bstar, dense_phi_grad, random_problem
+from conftest import dense_bstar, dense_phi_grad, manifold_error, \
+    random_problem
 from lrsdp import alm, generators, manifolds, problem as prob, rtr, spectral
 from lrsdp.alm import (AlmSubproblem, SolverOptions, assemble_dual,
                        escape_direction, solve, truncate_rank, update_penalty)
@@ -275,13 +276,15 @@ class TestEscapeDirection:
         z, S = assemble_dual(sdp, AlmSubproblem(sdp, np.zeros(0), 1.0)
                              .at(point))
         assert np.allclose(S.dense, np.diag([0.0, -2.0]), atol=1e-12)
-        U, delta = escape_direction(spectral.extreme_eigs(S, True), r=1,
+        V, delta = escape_direction(spectral.extreme_eigs(S, True),
                                     delta_ne=10, tol_escape=1e-10)
         assert delta == 1
-        assert U.shape == (2, 2)
-        assert np.allclose(np.abs(U[:, 1]), [0.0, 1.0], atol=1e-12)
+        assert V.shape == (2, 1)
+        assert np.allclose(np.abs(V[:, 0]), [0.0, 1.0], atol=1e-12)
 
-        # padded point: gradient orthogonal to U, curvature = 2 sum(lambda)
+        # padded point: gradient orthogonal to U = [0 V], curvature
+        # = 2 sum(lambda)
+        U = np.concatenate([np.zeros((2, 1)), V], axis=1)
         Y_pad = np.array([[1.0, 0.0], [0.0, 0.0]])
         padded = FactorPoint(Y_pad, ManifoldKind.UNIT_TRACE)
         state = AlmSubproblem(sdp, np.zeros(0), 1.0).at(padded)
@@ -291,15 +294,16 @@ class TestEscapeDirection:
 
     def test_psd_slack_no_escape(self, rng):
         eig = np.linalg.eigh(np.diag([0.5, 1.0, 2.0]))
-        U, delta = escape_direction(eig, r=2, delta_ne=5, tol_escape=1e-10)
+        V, delta = escape_direction(eig, delta_ne=5, tol_escape=1e-10)
         assert delta == 0
+        assert V.shape == (3, 0)
 
     def test_delta_capped(self, rng):
         eig = np.linalg.eigh(np.diag([-3.0, -2.0, -1.0, 1.0]))
-        U, delta = escape_direction(eig, r=1, delta_ne=2, tol_escape=1e-10)
+        V, delta = escape_direction(eig, delta_ne=2, tol_escape=1e-10)
         assert delta == 2
-        assert U.shape == (4, 3)
-        assert np.allclose(U[:, 0], 0.0)
+        assert V.shape == (4, 2)
+        assert np.array_equal(np.abs(V), np.eye(4)[:, :2])
 
     def test_above_old_dense_threshold(self):
         # n = 1034 once took an ARPACK path; the escape reads the row's
@@ -308,58 +312,71 @@ class TestEscapeDirection:
         d = np.arange(n, dtype=float)
         d[[7, 500, 1033]] = [-3.0, -2.0, -1.0]
         eig = spectral.extreme_eigs(spectral.SymOperator(np.diag(d)), True)
-        U, delta = escape_direction(eig, r=2, delta_ne=10, tol_escape=1e-10)
+        V, delta = escape_direction(eig, delta_ne=10, tol_escape=1e-10)
         assert delta == 3
-        assert U.shape == (n, 5)
-        assert np.array_equal(U[:, :2], np.zeros((n, 2)))
-        for col, i in zip(U[:, 2:].T, (7, 500, 1033)):
+        assert V.shape == (n, 3)
+        for col, i in zip(V.T, (7, 500, 1033)):
             assert np.array_equal(np.abs(col), np.eye(n)[i])
+        # a copy: freeing the eigenvectors frees all n x n of them
+        assert not np.shares_memory(V, eig[1])
 
     def test_eigenvector_columns(self, rng):
         A = rng.standard_normal((6, 6))
         S_dense = 0.5 * (A + A.T) - 2 * np.eye(6)
         vals = np.linalg.eigvalsh(S_dense)
         n_neg = int(np.sum(vals < -1e-10))
-        U, delta = escape_direction(np.linalg.eigh(S_dense), r=2,
+        V, delta = escape_direction(np.linalg.eigh(S_dense),
                                     delta_ne=10, tol_escape=1e-10)
         assert delta == n_neg
-        for j in range(delta):
-            v = U[:, 2 + j]
+        for v in V.T:
             lam = v @ S_dense @ v
             assert np.linalg.norm(S_dense @ v - lam * v) < 1e-8
 
 
 class _CostOnly:
-    """A model of one column with only the ``cost`` an escape step reads."""
+    """A model of the last column with only the ``cost`` an escape step
+    reads."""
 
     def __init__(self, f):
         self.f = f
 
     def cost(self, point):
-        return float(self.f(point.Y[:, 0]))
+        return float(self.f(point.Y[:, -1]))
 
 
 class TestEscapeStep:
+    # the step pads the factor Y = e1 with the column it moves along V
+    start = FactorPoint(np.array([[1.0], [0.0]]), ManifoldKind.FREE)
+    padded = np.array([[1.0, 0.0], [0.0, 0.0]])
+
     def test_escape_direction_consumed(self):
         # start at a strict saddle of an indefinite quadratic with zero
         # gradient; only the escape direction can move the iterate
         saddle = _CostOnly(lambda y: 0.5 * (y[0] ** 2 - y[1] ** 2))
-        start = FactorPoint(np.zeros((2, 1)), ManifoldKind.FREE)
-        point = alm.escape_step(saddle, start, np.array([[0.0], [1.0]]))
+        point = alm.escape_step(saddle, self.start, np.array([[0.0], [1.0]]))
+        assert point.Y.shape == (2, 2)
+        assert np.array_equal(point.Y[:, 0], self.start.Y[:, 0])
         assert saddle.cost(point) < 0.0
 
     def test_first_halving_with_strictly_lower_cost(self):
-        # along U = e2 the cost t^4 - t^2 is 0 at t = 1 (not strictly
+        # along V = e2 the cost t^4 - t^2 is 0 at t = 1 (not strictly
         # lower) and below 0 at t = 1/2
         model = _CostOnly(lambda y: y[1] ** 4 - y[1] ** 2)
-        start = FactorPoint(np.zeros((2, 1)), ManifoldKind.FREE)
-        U = np.array([[0.0], [1.0]])
-        assert np.array_equal(alm.escape_step(model, start, U).Y, 0.5 * U)
+        V = np.array([[0.0], [1.0]])
+        assert np.array_equal(alm.escape_step(model, self.start, V).Y,
+                              self.padded + [[0.0, 0.0], [0.0, 0.5]])
 
     def test_no_descent_keeps_the_point(self):
         model = _CostOnly(lambda y: y[1] ** 2)
-        start = FactorPoint(np.zeros((2, 1)), ManifoldKind.FREE)
-        assert alm.escape_step(model, start, np.ones((2, 1))) is start
+        point = alm.escape_step(model, self.start, np.ones((2, 1)))
+        assert point.manifold is self.start.manifold
+        assert np.array_equal(point.Y, self.padded)
+
+
+def _cut(point, rng=None):
+    """``truncate_rank`` with the thin SVD that ``solve`` passes it."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    return truncate_rank(point, rng, spectral.thin_svd(point.Y))
 
 
 class TestTruncateRank:
@@ -368,29 +385,37 @@ class TestTruncateRank:
         base = manifolds.random_point(6, 2, manifold, 1)
         pad = 1e-9 * rng.standard_normal((6, 2))
         Y = np.concatenate([base.Y, pad], axis=1)
-        point, r = truncate_rank(FactorPoint(Y, manifold))
-        assert r == 2
+        point = _cut(FactorPoint(Y, manifold))
         assert point.p == 2
-        assert point.feasibility_error() < 1e-12
+        assert manifold_error(point) < 1e-12
 
     def test_zero_free_factor_restarts_at_rank_one(self):
         # an all-zero factor has no rank to keep: one standard-normal
         # column, drawn from the rng, the same for the same rng
         zero = FactorPoint(np.zeros((5, 3)), ManifoldKind.FREE)
-        point, r = truncate_rank(zero, np.random.default_rng(4))
-        assert r == 1 and point.Y.shape == (5, 1) and point.Y.any()
+        point = _cut(zero, np.random.default_rng(4))
+        assert point.Y.shape == (5, 1) and point.Y.any()
         seed = np.random.default_rng(4).integers(2**32)
         want = manifolds.random_point(5, 1, ManifoldKind.FREE, seed)
         assert point.Y.tobytes() == want.Y.tobytes()
-        again, _ = truncate_rank(zero, np.random.default_rng(4))
+        again = _cut(zero, np.random.default_rng(4))
         assert again.Y.tobytes() == point.Y.tobytes()
-        other, _ = truncate_rank(zero, np.random.default_rng(5))
+        other = _cut(zero, np.random.default_rng(5))
         assert other.Y.tobytes() != point.Y.tobytes()
+
+    def test_failed_retraction_keeps_the_point(self, monkeypatch):
+        # a zero row in the cut factor cannot be normalized: the cut is
+        # not taken, and the untruncated point goes on
+        def fails(*args):
+            raise manifolds.RetractionError("zero factor or row after step")
+        point = manifolds.random_point(6, 3, ManifoldKind.UNIT_DIAGONAL, 2)
+        monkeypatch.setattr(manifolds, "retract", fails)
+        assert _cut(point) is point
 
     def test_keeps_full_rank(self, rng):
         Y = rng.standard_normal((5, 3))
-        point, r = truncate_rank(FactorPoint(Y, ManifoldKind.FREE))
-        assert r == 3
+        point = _cut(FactorPoint(Y, ManifoldKind.FREE))
+        assert point.p == 3
         # free manifold: the truncated factor spans the same X
         X0 = Y @ Y.T
         X1 = point.Y @ point.Y.T
@@ -426,7 +451,7 @@ class TestSolve:
 
     def test_solution_invariants(self):
         sol = solve(_unit_trace_toy())
-        assert sol.Y.feasibility_error() < 1e-10
+        assert manifold_error(sol.Y) < 1e-10
         assert sol.iterations == len(sol.trace)
         assert sol.trace[-1].eta_max == sol.residues.eta_max
         ts = [t.time for t in sol.trace]
@@ -833,16 +858,15 @@ class TestSolve:
         kept, escapes = [], []
 
         def spied_cut(*args):
-            point, r = truncate_rank(*args)
+            point = truncate_rank(*args)
             kept.append(np.linalg.svd(point.Y, full_matrices=False)[0])
-            return point, r
+            return point
 
-        def spied_escape(S, r, *args):
-            U, delta = escape_direction(S, r, *args)
+        def spied_escape(*args):
+            V, delta = escape_direction(*args)
             if delta > 0:
-                escapes.append(
-                    np.linalg.norm(kept[-1].T @ U[:, r:], axis=0))
-            return U, delta
+                escapes.append(np.linalg.norm(kept[-1].T @ V, axis=0))
+            return V, delta
 
         monkeypatch.setattr(alm, "truncate_rank", spied_cut)
         monkeypatch.setattr(alm, "escape_direction", spied_escape)
@@ -860,9 +884,9 @@ class TestSolve:
         at, cut, escapes, evaluated = AlmSubproblem.at, [], [], []
 
         def spied_cut(*args):
-            point, r = truncate_rank(*args)
+            point = truncate_rank(*args)
             cut.append(point)
-            return point, r
+            return point
 
         def spied_escape(*args):
             result = escape_direction(*args)
@@ -881,10 +905,10 @@ class TestSolve:
         sdp = generators.gen_matrix_completion(40, 40, entries)
         assert solve(sdp).status == "converged"
         assert escapes
-        for next_at, kept, U in escapes:
+        for next_at, kept, V in escapes:
             padded = FactorPoint(np.concatenate(
-                [kept.Y, np.zeros((kept.n, U.shape[1] - kept.p))], axis=1),
-                kept.manifold)
+                [kept.Y, np.zeros(V.shape)], axis=1), kept.manifold)
+            U = np.concatenate([np.zeros(kept.Y.shape), V], axis=1)
             steps = [manifolds.retract(padded, U, 0.5 ** k).Y
                      for k in range(40)]
             assert any(np.array_equal(evaluated[next_at].Y, Y)

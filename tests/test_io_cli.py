@@ -1,7 +1,12 @@
 """File formats and command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +63,7 @@ class TestSdpa:
         ("1\n1\n2\n1.0\nx y z\n", ":5:"),
         ("-1\n1\n2\n1.0\n", ":1: constraint count must not be negative"),
         ("1\n1\n", "fewer than three header lines"),
+        ("1\n1\n2\n", ":3: expected 1 rhs values, got 0"),
         ("x\n1\n2\n1.0\n", ":1: bad constraint count line"),
         ("1\n1\n0\n1.0\n", ":3: block size must be positive"),
         ("1\n1\n2\nabc\n", ":4: bad rhs line"),
@@ -115,6 +121,21 @@ class TestSdpa:
         assert _objective_bytes(back) == _objective_bytes(sdp)
         assert _objective_bytes(sdp) != _objective_bytes(
             SdpProblem(sdp.n, sdp.C, sdp.A, sdp.b, sdp.manifold))
+
+    def test_read_in_one_pass(self, tmp_path):
+        # the q = 20 BQP relaxation (n = 211, m = 16 361) in under 9 MB:
+        # each line is parsed as it is read, and no list of the file's
+        # lines is held, which alone took 12 MB
+        path = tmp_path / "b20.dat-s"
+        write_sdpa(gen.gen_bqp_moment(*gen.random_bqp(20, 0)), path)
+        tracemalloc.start()
+        try:
+            sdp = read_sdpa(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (sdp.n, sdp.m) == (211, 16361)
+        assert peak < 9e6
 
     @pytest.mark.parametrize("bad", ["nan 0", "1 inf"])
     def test_non_finite_objective_rejected(self, tmp_path, bad):
@@ -419,6 +440,26 @@ class TestCli:
 
     def test_missing_input_exit_1(self, capsys):
         assert cli_main(["solve", "--input", "/nonexistent.dat-s"]) == 1
+
+    def test_module_entry_point_exit_1(self, tmp_path):
+        # python -m lrsdp.io_cli runs the CLI: a missing result file is one
+        # "lrsdp:" line on stderr and exit status 1. runpy may warn first
+        # that the package's __init__ has imported io_cli already
+        src = str(Path(alm.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "lrsdp.io_cli", "check",
+             str(tmp_path / "missing.json")],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1
+        lines = run.stderr.splitlines()
+        errors = [line for line in lines if line.startswith("lrsdp: ")]
+        assert len(errors) == 1 and "missing.json" in errors[0]
+        assert all("RuntimeWarning" in line
+                   for line in lines if line not in errors)
+        assert run.stdout == ""
 
     def test_unknown_flag_exit_1(self, capsys):
         assert cli_main(["solve", "--badflag"]) == 1

@@ -9,9 +9,12 @@ U with Y U^T = 0.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import ALL_MANIFOLDS, dense_alm_cost, dense_bstar, \
-    dense_phi_grad, random_problem
+    dense_phi_grad, manifold_error, random_problem
 from lrsdp import manifolds
 from lrsdp.alm import AlmSubproblem
 from lrsdp.manifolds import FactorPoint, RetractionError
@@ -80,7 +83,7 @@ class TestRetraction:
         for point in _random_points(manifold, rng, count=50):
             U = rng.standard_normal(point.Y.shape)
             out = manifolds.retract(point, U, t=float(rng.uniform(0, 2)))
-            assert out.feasibility_error() < 1e-12
+            assert manifold_error(out) < 1e-12
 
     def test_zero_step_fixed_point(self, manifold, rng):
         point = manifolds.random_point(5, 2, manifold, 1)
@@ -95,13 +98,33 @@ class TestRetraction:
             manifolds.retract(point, -point.Y, t=1.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(manifold=st.sampled_from(ALL_MANIFOLDS),
+       shape=st.tuples(st.integers(1, 6), st.integers(1, 4),
+                       st.integers(1, 3)),
+       seed=st.integers(0, 2**31), k=st.integers(0, 39), data=st.data())
+def test_escape_retraction_never_fails(manifold, shape, seed, k, data):
+    # an escape retracts [Y 0] along [0 V] at t = 2^-k: each row of
+    # [Y tV], or on the sphere the whole factor, is at least as long as
+    # that of Y, so the retraction never divides by zero
+    n, p, delta = shape
+    Y = manifolds.random_point(n, p, manifold, seed).Y
+    V = data.draw(arrays(np.float64, (n, delta),
+                         elements=st.floats(-1e3, 1e3)))
+    padded = FactorPoint(np.concatenate([Y, np.zeros((n, delta))], axis=1),
+                         manifold)
+    U = np.concatenate([np.zeros((n, p)), V], axis=1)
+    out = manifolds.retract(padded, U, 0.5 ** k)
+    assert manifold_error(out) < 1e-12
+
+
 class TestRandomPoint:
     @pytest.mark.parametrize("manifold", ALL_MANIFOLDS)
     def test_feasible_and_deterministic(self, manifold):
         a = manifolds.random_point(8, 3, manifold, 42)
         b = manifolds.random_point(8, 3, manifold, 42)
         c = manifolds.random_point(8, 3, manifold, 43)
-        assert a.feasibility_error() < 1e-12
+        assert manifold_error(a) < 1e-12
         assert np.array_equal(a.Y, b.Y)
         assert not np.array_equal(a.Y, c.Y)
 
