@@ -114,20 +114,21 @@ class AlmSubproblem:
         sdp, sigma = self.sdp, self.sigma
         Y = point.Y
         r0, cost = self.residual_cost(point)
-        # grad Phi(X) is the slack at the multipliers y - sigma r0; Hessian
-        # products then cost two dense matmuls plus one A / A* pass
-        stilde = prob.dual_slack(sdp, self.y - sigma * r0)
-        W = stilde @ Y
+        # grad Phi(X) is the slack S~ at the multipliers w = y - sigma r0;
+        # a Hessian product is one S~ product plus one A / A* pass
+        w = self.y - sigma * r0
+        stilde = prob.Slack(sdp, w)
+        W = stilde.times(Y)
         z = manifolds.multiplier_z(point, W)
         grad = manifolds.riem_grad(point, W, z)
 
         def ehess(U):
             # 2 (S~ U + sigma A*(A(Y U^T + U Y^T)) Y): the S~ part and the
             # penalty curvature
-            return 2.0 * (stilde @ U + sigma * prob.apply_adjoint_times(
+            return 2.0 * (stilde.times(U) + sigma * prob.apply_adjoint_times(
                 sdp, prob.apply_constraints_sym(sdp, Y, U), Y))
 
-        return _PointState(point, cost, grad, stilde, z, ehess,
+        return _PointState(point, cost, grad, w, z, ehess,
                            self._precon(point, stilde, r0))
 
     def _precon(self, point, stilde, r0):
@@ -136,9 +137,11 @@ class AlmSubproblem:
         K = alpha I + beta Y^T Y, scaled to mean eigenvalue 1, follows the
         two parts of the Hessian: 2 S~ U, of scale alpha = ||S~||_F/sqrt(n),
         and the penalty curvature, which acts on U through Y^T Y with the
-        scale beta = 2 sigma ||A(X)||^2/||X||_F^2. Once the rank of Y
-        exceeds the answer's, Y^T Y is ill-conditioned and so is tCG
-        without K (Zhang, Fattahi and Zhang 2021). Not on the sphere or the
+        scale beta = 2 sigma ||A(X)||^2/||X||_F^2. ``stilde``, the point's
+        ``problem.Slack``, gives alpha with no dense S~ where the A_i miss
+        part of X. Once the rank of Y exceeds the answer's, Y^T Y is
+        ill-conditioned and so is tCG without K (Zhang, Fattahi and Zhang
+        2021). Not on the sphere or the
         oblique manifold: projected onto the oblique tangent space, K cost
         a quarter more products on BQP moment relaxations (ROADMAP item 5).
         """
@@ -146,7 +149,7 @@ class AlmSubproblem:
             return None
         Y = point.Y
         gram = Y.T @ Y
-        alpha = np.linalg.norm(stilde) / np.sqrt(point.n)
+        alpha = stilde.norm() / np.sqrt(point.n)
         x_norm2 = float(np.sum(gram * gram))  # ||X||_F = ||Y^T Y||_F
         ax = r0 + self.sdp.b
         beta = 2.0 * self.sigma * float(np.dot(ax, ax)) / x_norm2 \
@@ -164,13 +167,15 @@ class AlmSubproblem:
 
 @dataclass
 class _PointState:
-    """The subproblem at one point. ``stilde`` is the dense n x n
-    S~ = grad Phi(X), the dual slack at the first-order multipliers; ``z``
-    the manifold multipliers; ``ehess`` the Euclidean Hessian product."""
+    """The subproblem at one point. ``w`` holds the first-order multipliers
+    y - sigma r0, at which the dual slack S~ = C - A*(w) is grad Phi(X);
+    S~ is no dense array here where the A_i miss part of X, and ``ehess``,
+    the Euclidean Hessian product, reads it through ``problem.Slack``.
+    ``z`` holds the manifold multipliers."""
     point: FactorPoint
     cost: float
     grad: np.ndarray
-    stilde: np.ndarray
+    w: np.ndarray
     z: np.ndarray
     ehess: Callable[[np.ndarray], np.ndarray]
     precon: Optional[Callable[[np.ndarray], np.ndarray]]
@@ -182,9 +187,10 @@ class _PointState:
 def assemble_dual(sdp, state):
     """Multipliers z and the dual slack operator S = grad Phi(X) - B*(z) at
     the point of ``state``, an ``AlmSubproblem.at`` result: its own z, and
-    its S~ = grad Phi(X) less B*(z) in place, so the state is spent."""
+    S = C - A*(w) - B*(z) at its own w, the one dense n x n S of an outer
+    row."""
     z = state.z
-    return z, SymOperator(prob.subtract_bstar(sdp, state.stilde, z))
+    return z, SymOperator(prob.dual_slack(sdp, state.w, z))
 
 
 def escape_direction(eig, delta_ne, tol_escape):

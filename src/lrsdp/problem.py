@@ -14,10 +14,16 @@ once per ALM point), A(Y U^T + U Y^T) from Y_R U_C^T + U_R Y_C^T
 B = M^T v and its transpose (``apply_adjoint_times``, ``adjoint_dense``).
 Where the A_i touch all of X (BQP) the block is n x n; where they touch
 one off-diagonal block (completion) no product forms an n x n array but
-``adjoint_dense``, whose result is one. The dual slack
-S = C - A*(y) - B*(z) is one dense n x n matrix per point, built only by
-``dual_slack``; ``spectral`` bounds its spectrum by Cholesky
-proofs and computes it with one ``eigh`` or ``eigvalsh`` per call.
+``adjoint_dense``, whose result is one.
+
+The inner solve reads the slack S~ = C - A*(w) only through ``Slack``:
+its products with a factor-sized V and its Frobenius norm. Where the
+support is all of X, S~ is the dense ``dual_slack(problem, w)`` and a
+product one GEMM; elsewhere S~ is never formed as a dense array, and a
+product is C V through a CSR of C less the block products of A*(w). The
+dual slack S = C - A*(y) - B*(z) is dense once per outer row, built only
+by ``dual_slack``; ``spectral`` bounds its spectrum by Cholesky proofs and
+computes it with one ``eigh`` or ``eigvalsh`` per call.
 ``kkt_residues`` is ``primal_gap_residues`` and ``dual_residue`` together,
 so the solver can take eta_p and eta_g before it decides whether S needs
 its eigenvalues. The manifold constraints B(X) = d and ``ManifoldKind``
@@ -165,6 +171,19 @@ class ConstraintSet:
                                self.vals[s])
 
 
+class CostMap(NamedTuple):
+    """What ``Slack`` reads of C off the full support (see
+    ``SdpProblem._cost_map``): C as a CSR of its triplets and their
+    mirrors, ||C||_F^2, the m-vector A(C), and the index of the block B_K
+    of the support block B over the overlap K of its rows R and columns
+    C."""
+
+    C: sp.csr_matrix
+    norm2: float
+    a_of_c: np.ndarray
+    overlap: tuple
+
+
 class SupportMap(NamedTuple):
     """The support block R x C of the A_i and the map M onto it (see
     ``SdpProblem._support_map``); ``shape`` is (|R|, |C|) and ``MT`` the
@@ -240,6 +259,7 @@ class SdpProblem:
         self.objective_sign = float(objective_sign)
         self.objective_offset = float(objective_offset)
         self._map = None  # lazy ``SupportMap``
+        self._cost = None  # lazy ``CostMap``
 
     @property
     def m(self):
@@ -287,6 +307,40 @@ class SdpProblem:
             self._map = SupportMap(_support(masks[0]), _support(masks[1]),
                                    (nr, nc), M, M.T)
         return self._map
+
+    def _cost_map(self):
+        """The ``CostMap`` of C and the A_i, built on first use.
+
+        C's triplets and their mirrors, sorted by their keys r n + c, are
+        the CSR as built. A(C)_k sums A_k's triplet values times C's value
+        at the same key, twice off the diagonal; a sentinel key n^2 past
+        every position reads as the value 0. K's positions in R and in C
+        are those of the indices that both hold."""
+        if self._cost is None:
+            n, C, A = self.n, self.C, self.A
+            off = C.rows != C.cols
+            rows, cols, vals = (np.concatenate((a, b[off])) for a, b in (
+                (C.rows, C.cols), (C.cols, C.rows), (C.vals, C.vals)))
+            keys = rows.astype(np.int64) * n + cols
+            order = np.argsort(keys)
+            keys, cols, vals = keys[order], cols[order], vals[order]
+            csr = sp.csr_matrix(
+                (vals, cols, np.searchsorted(keys, np.arange(n + 1) * n)),
+                shape=(n, n))
+            want = A.rows.astype(np.int64) * n + A.cols
+            at = np.searchsorted(keys, want)
+            keys, vals = np.append(keys, n * n), np.append(vals, 0.0)
+            weights = A.vals * np.where(keys[at] == want, vals[at], 0.0)
+            weights[A.rows != A.cols] *= 2.0
+            R, Cs = self._support_map()[:2]
+            both = np.zeros((2, n), bool)
+            both[0, R] = both[1, Cs] = True
+            both = both[0] & both[1]
+            self._cost = CostMap(
+                csr, float(np.dot(csr.data, csr.data)),
+                np.bincount(A.index, weights, minlength=self.m),
+                np.ix_(np.flatnonzero(both[R]), np.flatnonzero(both[Cs])))
+        return self._cost
 
     def reported_objective(self, value):
         return self.objective_sign * value + self.objective_offset
@@ -366,27 +420,65 @@ def adjoint_dense(problem, v):
     return out
 
 
-def subtract_bstar(problem, S, z):
-    """S -= B*(z) in place, for a dense n x n S: a diagonal update."""
-    if problem.manifold is not ManifoldKind.FREE:
-        S.flat[::problem.n + 1] -= z
-    return S
-
-
 def dual_slack(problem, y, z=None):
     """S = C - A*(y) - B*(z) as a dense n x n matrix; z=None drops B*.
 
     One n x n array: A*(-y), C's triplets added at their positions and
     the mirrors of those off the diagonal. Negation is exact and addition
-    commutes, so S has the bits of C - A*(y)."""
+    commutes, so S has the bits of C - A*(y). B*(z) is a diagonal update
+    in place."""
     S = adjoint_dense(problem, -np.asarray(y, dtype=float))
     C = problem.C
     S[C.rows, C.cols] += C.vals
     off = C.rows != C.cols
     S[C.cols[off], C.rows[off]] += C.vals[off]
-    if z is not None:
-        subtract_bstar(problem, S, z)
+    if z is not None and problem.manifold is not ManifoldKind.FREE:
+        S.flat[::problem.n + 1] -= z
     return S
+
+
+class Slack:
+    """S~ = C - A*(w) for one multiplier vector w, as its product with a
+    dense n x p V (``times``) and its Frobenius norm (``norm``).
+
+    Where the support block R x C of the A_i is all of X, S~ is the dense
+    ``dual_slack(problem, w)`` and a product is one GEMM. Elsewhere
+    (disjoint, overlapping or empty support) S~ is never formed: the
+    block B = M^T w is formed once, and a product is C V through the CSR
+    of ``SdpProblem._cost_map``, less B V_C in the rows R and B^T V_R in
+    the rows C. There ||S~||_F^2 = ||C||_F^2 - 2 w^T A(C) + ||A*(w)||_F^2,
+    and A*(w) = B + B^T embedded in X gives
+    ||A*(w)||_F^2 = 2 ||B||_F^2 + 2 <B_K, B_K^T> over K = R n C.
+    """
+
+    def __init__(self, problem, w):
+        self.problem, self.w = problem, w
+        n = problem.n
+        R, C = problem._support_map()[:2]
+        if all(isinstance(s, slice) and s == slice(0, n) for s in (R, C)):
+            self.dense, self.block = dual_slack(problem, w), None
+        else:
+            self.dense, self.block = None, _adjoint_block(problem, w)
+
+    def times(self, V):
+        if self.dense is not None:
+            return self.dense @ V
+        R, C, B = self.block
+        out = self.problem._cost_map().C @ V
+        out[R] -= B @ V[C]
+        out[C] -= B.T @ V[R]
+        return out
+
+    def norm(self):
+        if self.dense is not None:
+            return np.linalg.norm(self.dense)
+        B = self.block[2]
+        _, c2, a_c, K = self.problem._cost_map()
+        BK = B[K]
+        a2 = 2.0 * (float(np.vdot(B, B)) + float(np.sum(BK * BK.T)))
+        # rounding can leave the sum a little below 0 where S~ vanishes
+        return np.sqrt(max(c2 - 2.0 * float(np.dot(self.w, a_c)) + a2,
+                           0.0))
 
 
 def objective(problem, Y):

@@ -11,7 +11,7 @@ import numpy as np
 
 @dataclass
 class SymOperator:
-    """The dense dual slack S of one point, from ``problem.dual_slack``,
+    """The dense dual slack S of one outer row, from ``problem.dual_slack``,
     with no decomposition kept. ``dense`` must be exactly symmetric:
     ``eigh``, ``eigvalsh`` and ``cholesky`` read one triangle."""
 

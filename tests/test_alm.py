@@ -1,6 +1,7 @@
 """Outer loop: dual assembly, escape, rank truncation, penalty, solve."""
 
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -166,7 +167,7 @@ class TestPreconditioner:
         point = FactorPoint(np.array([[1.0, 0.0], [0.0, 0.0]]),
                             ManifoldKind.FREE)
         state = AlmSubproblem(sdp, np.array([y]), 2.5).at(point)
-        assert state.stilde.any() == bool(y)
+        assert prob.dual_slack(sdp, state.w).any() == bool(y)
         assert (state.precon is not None) == precon
 
 
@@ -261,9 +262,47 @@ class TestAssembleDual:
         assert np.allclose(S.dense, want, atol=1e-10)
         state = AlmSubproblem(sdp, y, 2.0).at(point)
         V = rng.standard_normal((n, 2))
-        assert np.allclose(state.stilde @ V, G @ V, atol=1e-10)
+        assert np.allclose(prob.dual_slack(sdp, state.w) @ V, G @ V,
+                           atol=1e-10)
         assert np.allclose(state.z, z, atol=1e-10)
         assert np.allclose(state.grad, 2.0 * want @ point.Y, atol=1e-10)
+
+
+class TestSlackStructure:
+    def test_completion_builds_one_dense_slack_per_outer_row(
+            self, monkeypatch):
+        # off the full support the inner solve forms no dense S~: the only
+        # dense slack is each row's S, built by assemble_dual
+        calls, dual_slack = [], prob.dual_slack
+
+        def counted(*args):
+            calls.append(args)
+            return dual_slack(*args)
+        monkeypatch.setattr(prob, "dual_slack", counted)
+        sol = solve(_completion_30())
+        assert sol.status == "converged"
+        assert len(calls) == sol.iterations
+
+    def test_subproblem_point_below_one_dense_array(self):
+        # n = 1000, every A_i in the off-diagonal block: the point's slack,
+        # support map and C's CSR, and then a Hessian product, together
+        # peak below one n x n array
+        s = t = 500
+        _, entries = generators.random_completion(s, t, 3, 5000, 0)
+        sdp = generators.gen_matrix_completion(s, t, entries)
+        point = manifolds.random_point(sdp.n, 3, sdp.manifold, 0)
+        rng = np.random.default_rng(0)
+        sub = AlmSubproblem(sdp, rng.standard_normal(sdp.m), 2.0)
+        U = rng.standard_normal(point.Y.shape)
+        tracemalloc.start()
+        try:
+            state = sub.at(point)
+            state.hess_vec(U)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.precon is not None
+        assert peak < 8 * sdp.n ** 2
 
 
 class TestEscapeDirection:
@@ -503,7 +542,8 @@ class TestSolve:
 
     def test_dual_assembly_takes_the_residual_from_solve(self, monkeypatch):
         # solve hands assemble_dual the subproblem's state at the returned
-        # point, and assemble_dual evaluates none of A(Y Y^T), S~ and z
+        # point, and assemble_dual evaluates neither A(Y Y^T) nor z: it
+        # builds S once, at the state's own w
         C = SparseSymMatrix.from_triplets(3, [(0, 0, 1.0), (1, 2, -0.5),
                                               (2, 2, 2.0)])
         A = [SparseSymMatrix.from_triplets(3, [(0, 1, 1.0), (1, 2, 0.5)])]
@@ -512,6 +552,7 @@ class TestSolve:
         b = prob.apply_constraints(SdpProblem(3, C, A, [0.0], manifold), Y0)
         sdp = SdpProblem(3, C, A, b, manifold)
         assemble, inside, states = alm.assemble_dual, [], []
+        dual_slack, slacks = prob.dual_slack, []
 
         def forbidden(module, name):
             fn = getattr(module, name)
@@ -521,19 +562,28 @@ class TestSolve:
                 return fn(*args)
             monkeypatch.setattr(module, name, guarded)
 
+        def counted(sdp, w, z=None):
+            S = dual_slack(sdp, w, z)
+            if inside:
+                slacks.append((w, S))
+            return S
+
         def checked(sdp, state):
             inside.append(state)
+            slacks.clear()
             try:
                 z, S = assemble(sdp, state)
             finally:
                 inside.clear()
-            assert z is state.z and S.dense is state.stilde
+            assert z is state.z
+            assert len(slacks) == 1
+            assert slacks[0][0] is state.w and S.dense is slacks[0][1]
             states.append(state)
             return z, S
 
         forbidden(prob, "apply_constraints")
-        forbidden(prob, "dual_slack")
         forbidden(manifolds, "multiplier_z")
+        monkeypatch.setattr(prob, "dual_slack", counted)
         monkeypatch.setattr(alm, "assemble_dual", checked)
         sol = solve(sdp, SolverOptions(max_outer_iters=50))
         assert sol.status == "converged"

@@ -461,6 +461,23 @@ class TestCli:
                    for line in lines if line not in errors)
         assert run.stdout == ""
 
+    def test_package_entry_point_exit_1(self, tmp_path):
+        # python -m lrsdp runs the CLI through the package's __main__, with
+        # no runpy warning: a missing result file is exactly one stderr line
+        src = str(Path(alm.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "lrsdp", "check",
+             str(tmp_path / "missing.json")],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lrsdp: ")
+        assert "missing.json" in lines[0]
+        assert run.stdout == ""
+
     def test_unknown_flag_exit_1(self, capsys):
         assert cli_main(["solve", "--badflag"]) == 1
         assert "usage" in capsys.readouterr().err

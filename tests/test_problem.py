@@ -336,7 +336,7 @@ class TestSdpProblem:
         z = rng.standard_normal(sdp.manifold_rhs().size)
         want = sdp.C.to_dense() - prob.adjoint_dense(sdp, y)
         assert prob.dual_slack(sdp, y).tobytes() == want.tobytes()
-        prob.subtract_bstar(sdp, want, z)
+        want -= dense_bstar(sdp.manifold, z, sdp.n)
         assert prob.dual_slack(sdp, y, z).tobytes() == want.tobytes()
 
     def test_objective_oracle(self, rng):
@@ -580,3 +580,63 @@ def test_products_on_a_scattered_support(layout, rng):
         dense = prob.adjoint_dense(sdp, v)
         assert np.array_equal(dense, dense.T)
         assert np.allclose(dense, D, atol=1e-12)
+
+
+def _slack_problem(family, manifold, seed):
+    """A problem whose A_i have the named support, on ``manifold``: all of
+    X (a BQP and a quartic moment relaxation), one off-diagonal block
+    (completion), overlapping contiguous R and C (random A_i, as on the
+    sphere), scattered R, C and overlap K (index arrays) or none (m = 0)."""
+    rng = np.random.default_rng(seed)
+    if family == "full":
+        base = gen.gen_bqp_moment(*gen.random_bqp(3, seed))
+    elif family == "quartic":
+        base = gen.gen_quartic_sphere(2, gen.random_quartic(2, seed))
+    elif family == "disjoint":
+        base = gen.gen_matrix_completion(
+            4, 5, gen.random_completion(4, 5, 2, 12, seed)[1])
+    elif family == "overlapping":
+        base = random_problem(9, 4, manifold, rng, nnz=5)
+    elif family == "scattered":
+        n, R, C = 14, [1, 3, 4, 8, 10], [3, 5, 8, 10, 13]
+        pos = [(r, c) for r in R for c in C if r <= c]
+        A = [SparseSymMatrix(n, *np.array([pos[k] for k in pick]).T,
+                             rng.standard_normal(6))
+             for pick in (np.sort(rng.choice(len(pos), 6, replace=False))
+                          for _ in range(5))]
+        base = SdpProblem(n, SparseSymMatrix.from_triplets(
+            n, random_sym_triplets(n, 9, rng)), A, np.zeros(5), manifold)
+    else:
+        base = random_problem(7, 0, manifold, rng)
+    return SdpProblem(base.n, base.C, base.A, base.b, manifold)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["full", "quartic", "disjoint", "overlapping",
+                               "scattered", "empty"]),
+       manifold=st.sampled_from(ALL_MANIFOLDS),
+       seed=st.integers(0, 2**16), p=st.integers(1, 4),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_slack_matches_the_dense_slack(family, manifold, seed, p, scale):
+    # the product and the Frobenius norm of S~ = C - A*(w) against the
+    # dense dual_slack, to 1e-12 relative, on every support layout; dense
+    # S~ only where the A_i touch all of X, and then its very bits
+    sdp = _slack_problem(family, manifold, seed)
+    rng = np.random.default_rng(seed + 1)
+    w = scale * rng.standard_normal(sdp.m)
+    V = rng.standard_normal((sdp.n, p))
+    want = prob.dual_slack(sdp, w)
+    slack = prob.Slack(sdp, w)
+    R, C = sdp._support_map()[:2]
+    K = np.intersect1d(np.arange(sdp.n)[R], np.arange(sdp.n)[C])
+    assert (slack.dense is not None) == (family in ("full", "quartic"))
+    assert (K.size > 0) == (family not in ("disjoint", "empty"))
+    assert (sdp.m == 0) == (family == "empty")
+    if slack.dense is not None:
+        assert slack.dense.tobytes() == want.tobytes()
+    got = slack.times(V)
+    assert got.shape == V.shape
+    assert np.linalg.norm(got - want @ V) \
+        <= 1e-12 * np.linalg.norm(want) * np.linalg.norm(V)
+    assert abs(slack.norm() - np.linalg.norm(want)) \
+        <= 1e-12 * np.linalg.norm(want)
