@@ -5,15 +5,17 @@ object per A_i. ``SdpProblem`` takes one, or a sequence of
 ``SparseSymMatrix`` that it converts once, and checks C and the A_i with
 one vectorized pass each.
 
-The solver holds the factor Y of X = Y Y^T, not X. The four constraint
-products work on the support block R x C of the A_i, R their rows and C
-their columns, through one cached (m, |R| |C|) map that holds each
-triplet once: A(Y Y^T) from the block Y_R Y_C^T (``apply_constraints``,
-once per ALM point), A(Y U^T + U Y^T) from Y_R U_C^T + U_R Y_C^T
-(``apply_constraints_sym``), and A*(v) V and A*(v) from the block
-B = M^T v and its transpose (``apply_adjoint_times``, ``adjoint_dense``).
-Where the A_i touch all of X (BQP) the block is n x n; where they touch
-one off-diagonal block (completion) no product forms an n x n array but
+The solver holds the factor Y of X = Y Y^T, not X. The support map is
+the one place that knows where the A_i sit: their support block R x C,
+R their rows and C their columns, and one cached (m, |R| |C|) map that
+holds each triplet once. The four constraint products read it for every
+m, m = 0 included: A(Y Y^T) from the block Y_R Y_C^T
+(``apply_constraints``, once per ALM point), A(Y U^T + U Y^T) from
+Y_R U_C^T + U_R Y_C^T (``apply_constraints_sym``), and A*(v) V and A*(v)
+from the block B = M^T v and its transpose (``apply_adjoint_times``,
+``adjoint_dense``). So do A(C) and the overlap K = R n C. Where the A_i
+touch all of X (BQP) the block is n x n; where they touch one
+off-diagonal block (completion) no product forms an n x n array but
 ``adjoint_dense``, whose result is one.
 
 The inner solve reads the slack S~ = C - A*(w) only through ``Slack``:
@@ -174,26 +176,25 @@ class ConstraintSet:
 class CostMap(NamedTuple):
     """What ``Slack`` reads of C off the full support (see
     ``SdpProblem._cost_map``): C as a CSR of its triplets and their
-    mirrors, ||C||_F^2, the m-vector A(C), and the index of the block B_K
-    of the support block B over the overlap K of its rows R and columns
-    C."""
+    mirrors, ||C||_F^2 and the m-vector A(C)."""
 
     C: sp.csr_matrix
     norm2: float
     a_of_c: np.ndarray
-    overlap: tuple
 
 
 class SupportMap(NamedTuple):
     """The support block R x C of the A_i and the map M onto it (see
-    ``SdpProblem._support_map``); ``shape`` is (|R|, |C|) and ``MT`` the
-    CSC transpose of M, sharing its arrays."""
+    ``SdpProblem._support_map``); ``shape`` is (|R|, |C|), ``MT`` the CSC
+    transpose of M, sharing its arrays, and ``overlap`` the index of the
+    block over K = R n C of an |R| x |C| array."""
 
     rows: Union[slice, np.ndarray]
     cols: Union[slice, np.ndarray]
     shape: Tuple[int, int]
     M: sp.csr_matrix
     MT: sp.csc_matrix
+    overlap: tuple
 
 
 def _support(mask):
@@ -283,7 +284,9 @@ class SdpProblem:
         r' |C| + c', where r and c are the r'-th of R and the c'-th of C,
         with each diagonal value halved and scipy's index dtype. So for a
         symmetric Z, <A_k, Z> = 2 (M vec(Z[R, C]))_k, and sum_k v_k A_k is
-        B + B^T for the n x n embedding of B = M^T v at R x C.
+        B + B^T for the n x n embedding of B = M^T v at R x C. With m = 0,
+        R and C are empty slices and M is 0 x 0. K's positions in R and
+        in C are those of the indices that both hold.
 
         The triplets are sorted by (matrix, row, col) and the maps from
         n to R and to C are increasing, so each row of M is sorted as
@@ -304,42 +307,28 @@ class SdpProblem:
             data[A.rows == A.cols] *= 0.5
             M = sp.csr_matrix((data, indices, A.start.astype(idx)),
                               shape=(m, nr * nc))
+            both = masks[0] & masks[1]
             self._map = SupportMap(_support(masks[0]), _support(masks[1]),
-                                   (nr, nc), M, M.T)
+                                   (nr, nc), M, M.T,
+                                   np.ix_(where[0][both], where[1][both]))
         return self._map
 
     def _cost_map(self):
         """The ``CostMap`` of C and the A_i, built on first use.
 
-        C's triplets and their mirrors, sorted by their keys r n + c, are
-        the CSR as built. A(C)_k sums A_k's triplet values times C's value
-        at the same key, twice off the diagonal; a sentinel key n^2 past
-        every position reads as the value 0. K's positions in R and in C
-        are those of the indices that both hold."""
+        C's CSR is scipy's build of its triplets and their mirrors. A(C)
+        is 2 M vec(C[R, C]) through the support map, from C's block at
+        R x C, formed once."""
         if self._cost is None:
-            n, C, A = self.n, self.C, self.A
+            C = self.C
             off = C.rows != C.cols
             rows, cols, vals = (np.concatenate((a, b[off])) for a, b in (
                 (C.rows, C.cols), (C.cols, C.rows), (C.vals, C.vals)))
-            keys = rows.astype(np.int64) * n + cols
-            order = np.argsort(keys)
-            keys, cols, vals = keys[order], cols[order], vals[order]
-            csr = sp.csr_matrix(
-                (vals, cols, np.searchsorted(keys, np.arange(n + 1) * n)),
-                shape=(n, n))
-            want = A.rows.astype(np.int64) * n + A.cols
-            at = np.searchsorted(keys, want)
-            keys, vals = np.append(keys, n * n), np.append(vals, 0.0)
-            weights = A.vals * np.where(keys[at] == want, vals[at], 0.0)
-            weights[A.rows != A.cols] *= 2.0
-            R, Cs = self._support_map()[:2]
-            both = np.zeros((2, n), bool)
-            both[0, R] = both[1, Cs] = True
-            both = both[0] & both[1]
+            csr = sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+            R, Cs, _, M = self._support_map()[:4]
             self._cost = CostMap(
                 csr, float(np.dot(csr.data, csr.data)),
-                np.bincount(A.index, weights, minlength=self.m),
-                np.ix_(np.flatnonzero(both[R]), np.flatnonzero(both[Cs])))
+                2.0 * (M @ csr[_block(R, Cs)].toarray().ravel()))
         return self._cost
 
     def reported_objective(self, value):
@@ -363,12 +352,9 @@ def _check_multipliers(problem, v):
 
 def apply_constraints(problem, Y):
     """A(Y Y^T) as a length-m vector: 2 M vec(Y_R Y_C^T) over the support
-    block R x C of ``SdpProblem._support_map``, or an empty vector, with
-    no map built, when m = 0."""
+    block R x C of ``SdpProblem._support_map``, for every m."""
     Y = _check_factor(problem, Y)
-    if problem.m == 0:
-        return np.zeros(0)
-    R, C, _, M, _ = problem._support_map()
+    R, C, _, M = problem._support_map()[:4]
     return 2.0 * (M @ (Y[R] @ Y[C].T).ravel())
 
 
@@ -380,9 +366,7 @@ def apply_constraints_sym(problem, Y, U):
     U = _check_factor(problem, U)
     if U.shape != Y.shape:
         raise ProblemError(f"U has shape {U.shape}, Y {Y.shape}")
-    if problem.m == 0:
-        return np.zeros(0)
-    R, C, _, M, _ = problem._support_map()
+    R, C, _, M = problem._support_map()[:4]
     Z = np.concatenate((Y[R], U[R]), axis=1) \
         @ np.concatenate((U[C], Y[C]), axis=1).T
     return 2.0 * (M @ Z.ravel())
@@ -390,7 +374,7 @@ def apply_constraints_sym(problem, Y, U):
 
 def _adjoint_block(problem, v):
     """(R, C, B): sum_i v_i A_i is B + B^T for B = M^T v embedded at R x C."""
-    R, C, shape, _, MT = problem._support_map()
+    R, C, shape, _, MT = problem._support_map()[:5]
     return R, C, (MT @ v).reshape(shape)
 
 
@@ -400,10 +384,9 @@ def apply_adjoint_times(problem, v, V):
     v = _check_multipliers(problem, v)
     V = _check_factor(problem, V)
     out = np.zeros_like(V)
-    if problem.m:
-        R, C, B = _adjoint_block(problem, v)
-        out[R] = B @ V[C]
-        out[C] += B.T @ V[R]
+    R, C, B = _adjoint_block(problem, v)
+    out[R] = B @ V[C]
+    out[C] += B.T @ V[R]
     return out
 
 
@@ -413,10 +396,9 @@ def adjoint_dense(problem, v):
     strided B^T costs more."""
     v = _check_multipliers(problem, v)
     out = np.zeros((problem.n, problem.n))
-    if problem.m:
-        R, C, B = _adjoint_block(problem, v)
-        out[_block(C, R)] = B.T
-        out[_block(R, C)] += B
+    R, C, B = _adjoint_block(problem, v)
+    out[_block(C, R)] = B.T
+    out[_block(R, C)] += B
     return out
 
 
@@ -448,14 +430,13 @@ class Slack:
     of ``SdpProblem._cost_map``, less B V_C in the rows R and B^T V_R in
     the rows C. There ||S~||_F^2 = ||C||_F^2 - 2 w^T A(C) + ||A*(w)||_F^2,
     and A*(w) = B + B^T embedded in X gives
-    ||A*(w)||_F^2 = 2 ||B||_F^2 + 2 <B_K, B_K^T> over K = R n C.
+    ||A*(w)||_F^2 = 2 ||B||_F^2 + 2 <B_K, B_K^T> over K = R n C, the
+    support map's ``overlap``.
     """
 
     def __init__(self, problem, w):
         self.problem, self.w = problem, w
-        n = problem.n
-        R, C = problem._support_map()[:2]
-        if all(isinstance(s, slice) and s == slice(0, n) for s in (R, C)):
+        if problem._support_map().shape == (problem.n, problem.n):
             self.dense, self.block = dual_slack(problem, w), None
         else:
             self.dense, self.block = None, _adjoint_block(problem, w)
@@ -473,8 +454,8 @@ class Slack:
         if self.dense is not None:
             return np.linalg.norm(self.dense)
         B = self.block[2]
-        _, c2, a_c, K = self.problem._cost_map()
-        BK = B[K]
+        _, c2, a_c = self.problem._cost_map()
+        BK = B[self.problem._support_map().overlap]
         a2 = 2.0 * (float(np.vdot(B, B)) + float(np.sum(BK * BK.T)))
         # rounding can leave the sum a little below 0 where S~ vanishes
         return np.sqrt(max(c2 - 2.0 * float(np.dot(self.w, a_c)) + a2,

@@ -156,17 +156,29 @@ class TestSdpProblem:
         assert empty.A.index.dtype == np.intp
         assert empty.A.index.shape == (0,)
 
-    def test_apply_constraints_no_constraints(self, rng, monkeypatch):
-        # m = 0 returns before the map, or any n x n array, is built
-        sdp = random_problem(4, 0, ManifoldKind.FREE, rng)
-        Y, U = rng.standard_normal((2, 4, 2))
-
-        def no_map():
-            raise AssertionError("support map built with m = 0")
-
-        monkeypatch.setattr(sdp, "_support_map", no_map)
-        assert np.array_equal(prob.apply_constraints(sdp, Y), np.zeros(0))
-        assert prob.apply_constraints_sym(sdp, Y, U).shape == (0,)
+    def test_apply_constraints_no_constraints(self, rng):
+        # m = 0 takes the one code path through the empty map: each of the
+        # four products returns its zeros, and none forms an n x n array
+        # but adjoint_dense's result (the map's build counted in the first)
+        n = 2000
+        sdp = random_problem(n, 0, ManifoldKind.FREE, rng)
+        Y, U = rng.standard_normal((2, n, 2))
+        v = np.zeros(0)
+        for call, shape in (
+                (lambda: prob.apply_constraints(sdp, Y), (0,)),
+                (lambda: prob.apply_constraints_sym(sdp, Y, U), (0,)),
+                (lambda: prob.apply_adjoint_times(sdp, v, U), (n, 2)),
+                (lambda: prob.adjoint_dense(sdp, v), (n, n))):
+            tracemalloc.start()
+            try:
+                got = call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got.shape == shape and got.dtype == np.float64
+            assert not np.any(got)
+            assert peak < got.nbytes + 4 * n * n  # half an n x n array
+        assert sdp._support_map().shape == (0, 0)
 
     @staticmethod
     def _shared_position_problem(rng, draw):
@@ -620,7 +632,8 @@ def _slack_problem(family, manifold, seed):
 def test_slack_matches_the_dense_slack(family, manifold, seed, p, scale):
     # the product and the Frobenius norm of S~ = C - A*(w) against the
     # dense dual_slack, to 1e-12 relative, on every support layout; dense
-    # S~ only where the A_i touch all of X, and then its very bits
+    # S~ only where the A_i touch all of X, and then its very bits. The
+    # maps' A(C) and K against dense and set oracles
     sdp = _slack_problem(family, manifold, seed)
     rng = np.random.default_rng(seed + 1)
     w = scale * rng.standard_normal(sdp.m)
@@ -628,7 +641,18 @@ def test_slack_matches_the_dense_slack(family, manifold, seed, p, scale):
     want = prob.dual_slack(sdp, w)
     slack = prob.Slack(sdp, w)
     R, C = sdp._support_map()[:2]
-    K = np.intersect1d(np.arange(sdp.n)[R], np.arange(sdp.n)[C])
+    K, KR, KC = np.intersect1d(np.arange(sdp.n)[R], np.arange(sdp.n)[C],
+                               return_indices=True)
+    overlap = sdp._support_map().overlap
+    assert np.array_equal(overlap[0].ravel(), KR)
+    assert np.array_equal(overlap[1].ravel(), KC)
+    terms = [Ak.to_dense() * sdp.C.to_dense() for Ak in sdp.A]
+    a_c = sdp._cost_map().a_of_c
+    assert a_c.shape == (sdp.m,)
+    assert all(abs(a - np.sum(t)) <= 1e-12 * np.sum(np.abs(t))
+               for a, t in zip(a_c, terms))
+    if family == "disjoint":
+        assert not np.any(a_c)
     assert (slack.dense is not None) == (family in ("full", "quartic"))
     assert (K.size > 0) == (family not in ("disjoint", "empty"))
     assert (sdp.m == 0) == (family == "empty")

@@ -4,9 +4,11 @@
 
 Solves the benchmark instances, ``bqp-moment`` 0-1 and ``completion`` 0-3
 as perfbench's ``WORKLOADS`` defines them, three seeded ``unit-trace``
-instances and one seeded ``max-cut`` instance, which no workload builds,
-with the sources of this checkout and of PARENT_CHECKOUT. Max-Cut is the
-one family here whose rows reach eta_p, eta_g <= tol without converging.
+instances, two seeded ``free-overlap`` instances and one seeded ``max-cut``
+instance, which no workload builds, with the sources of this checkout and
+of PARENT_CHECKOUT. Max-Cut is the one family here whose rows reach
+eta_p, eta_g <= tol without converging; ``free-overlap`` the one whose
+slack reads A(C) != 0 and an overlap K = R n C that is not empty.
 Each solve runs in its own subprocess with one BLAS thread. Compared:
 each trace column except ``time`` on its own (named ``trace.<column>``; a
 column only one checkout has differs), the bytes of Y, y, z and S,
@@ -30,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = [("bqp-moment", i) for i in range(2)] \
     + [("completion", i) for i in range(4)] \
     + [("unit-trace", i) for i in range(3)] \
+    + [("free-overlap", i) for i in range(2)] \
     + [("max-cut", 0)]
 
 
@@ -50,6 +53,32 @@ def unit_trace_instance(seed):
         return lrsdp.SparseSymMatrix(n, iu[k], ju[k], rng.standard_normal(nnz))
 
     C, A = sparse(), [sparse() for _ in range(m)]
+    Y0 = manifolds.random_point(n, 2, kind, seed).Y
+    b = problem.apply_constraints(
+        lrsdp.SdpProblem(n, C, A, np.zeros(m), kind), Y0)
+    return (lrsdp.SdpProblem(n, C, A, b, kind),
+            lrsdp.SolverOptions(seed=seed, max_outer_iters=40))
+
+
+def free_overlap_instance(seed):
+    """A feasible problem on the free manifold, n = 14 and m = 5: 10
+    random triplets per A_i, so their rows and columns overlap, C = G G^T
+    / n stored whole, and b = A(Y0 Y0^T) at a random point Y0. Built from
+    the public API only, so that any checkout can solve it."""
+    import numpy as np
+    import lrsdp
+    from lrsdp import manifolds, problem
+    n, m, nnz = 14, 5, 10
+    kind = lrsdp.ManifoldKind.FREE
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n)
+    G = rng.standard_normal((n, n))
+    C = lrsdp.SparseSymMatrix(n, iu, ju, (G @ G.T / n)[iu, ju])
+    A = []
+    for _ in range(m):
+        k = np.sort(rng.choice(iu.size, size=nnz, replace=False))
+        A.append(lrsdp.SparseSymMatrix(n, iu[k], ju[k],
+                                       rng.standard_normal(nnz)))
     Y0 = manifolds.random_point(n, 2, kind, seed).Y
     b = problem.apply_constraints(
         lrsdp.SdpProblem(n, C, A, np.zeros(m), kind), Y0)
@@ -80,6 +109,8 @@ def fingerprint(workload, index):
     import lrsdp
     if workload == "unit-trace":
         sol = lrsdp.solve(*unit_trace_instance(index))
+    elif workload == "free-overlap":
+        sol = lrsdp.solve(*free_overlap_instance(index))
     elif workload == "max-cut":
         sol = lrsdp.solve(*max_cut_instance(index))
     else:
