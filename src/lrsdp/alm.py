@@ -128,7 +128,7 @@ class AlmSubproblem:
             return 2.0 * (stilde.times(U) + sigma * prob.apply_adjoint_times(
                 sdp, prob.apply_constraints_sym(sdp, Y, U), Y))
 
-        return _PointState(point, cost, grad, w, z, ehess,
+        return _PointState(point, cost, grad, stilde, z, ehess,
                            self._precon(point, stilde, r0))
 
     def _precon(self, point, stilde, r0):
@@ -167,15 +167,15 @@ class AlmSubproblem:
 
 @dataclass
 class _PointState:
-    """The subproblem at one point. ``w`` holds the first-order multipliers
-    y - sigma r0, at which the dual slack S~ = C - A*(w) is grad Phi(X);
-    S~ is no dense array here where the A_i miss part of X, and ``ehess``,
-    the Euclidean Hessian product, reads it through ``problem.Slack``.
-    ``z`` holds the manifold multipliers."""
+    """The subproblem at one point. ``slack``, a ``problem.Slack``, holds
+    the first-order multipliers w = y - sigma r0, at which the dual slack
+    S~ = C - A*(w) is grad Phi(X); S~ is no dense array here where the A_i
+    miss part of X, and ``ehess``, the Euclidean Hessian product, reads it
+    through ``slack``. ``z`` holds the manifold multipliers."""
     point: FactorPoint
     cost: float
     grad: np.ndarray
-    w: np.ndarray
+    slack: prob.Slack
     z: np.ndarray
     ehess: Callable[[np.ndarray], np.ndarray]
     precon: Optional[Callable[[np.ndarray], np.ndarray]]
@@ -188,9 +188,9 @@ def assemble_dual(sdp, state):
     """Multipliers z and the dual slack operator S = grad Phi(X) - B*(z) at
     the point of ``state``, an ``AlmSubproblem.at`` result: its own z, and
     S = C - A*(w) - B*(z) at its own w, the one dense n x n S of an outer
-    row."""
+    row, from the state's own ``problem.Slack``."""
     z = state.z
-    return z, SymOperator(prob.dual_slack(sdp, state.w, z))
+    return z, SymOperator(state.slack.dual(z))
 
 
 def escape_direction(eig, delta_ne, tol_escape):

@@ -1,10 +1,12 @@
 """File formats (SDPA sparse, Gset graphs, JSON results, CSV traces) and
-the command-line interface.
+the command-line interface. The arrays of a JSON result are base64 strings
+of their little-endian bytes ("<i8" indices, "<f8" values), bit for bit.
 """
 
 from __future__ import annotations
 
 import argparse
+import base64
 import csv
 import json
 import sys
@@ -186,8 +188,9 @@ def read_gset(path):
 
 # --- result documents ---------------------------------------------------
 
-_JSON_TYPES = {dict: "an object", list: "a list", int: "an integer",
+_JSON_TYPES = {dict: "an object", int: "an integer",
                (int, float): "a number", str: "a string"}
+_DTYPES = dict.fromkeys(("index", "rows", "cols"), "<i8")  # else "<f8"
 
 
 def _doc_field(doc, key, kind):
@@ -205,58 +208,50 @@ def _doc_field(doc, key, kind):
     return value
 
 
-def _has_bool(values):
-    return any(isinstance(v, bool) or isinstance(v, list) and _has_bool(v)
-               for v in values)
+def _encode(owner, key):
+    """The array ``owner.<key>`` as the document field ``key``."""
+    return base64.b64encode(np.ascontiguousarray(
+        getattr(owner, key), _DTYPES.get(key, "<f8"))).decode("ascii")
 
 
-def _doc_list(doc, key):
-    """``doc[key]``, a list with no JSON boolean at any depth: numpy would
-    read true as 1."""
-    values = _doc_field(doc, key, list)
-    if _has_bool(values):
-        raise ProblemError(f"field {key!r} holds a boolean, not a number")
-    return values
-
-
-def _doc_numbers(doc, key, ndim=1):
-    """``doc[key]`` as a float array with ``ndim`` axes; ProblemError if it
-    is not a list of numbers nested that deep."""
-    values = _doc_list(doc, key)
+def _doc_array(doc, key):
+    """The array ``doc[key]`` of a result document, read-only, 1-D;
+    ProblemError names the field where it is no such array."""
+    text = _doc_field(doc, key, str)
     try:
-        arr = np.array(values, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != ndim:
-        raise ProblemError(f"field {key!r} must be a {ndim}-D list of numbers")
-    return arr
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a character beyond ASCII
+        raise ProblemError(f"field {key!r} is not valid base64")
+    if len(raw) % 8:
+        raise ProblemError(f"field {key!r} holds {len(raw)} bytes, not a "
+                           f"multiple of 8")
+    return np.frombuffer(raw, _DTYPES.get(key, "<f8"))
 
 
 def _doc_triplets(doc, key, n, m=None):
-    """The ConstraintSet of the triplet object ``doc[key]``, its lists taken
-    as written: the A_i with their "index" list, or, with no ``m``, C as the
-    one matrix of a set."""
+    """The ConstraintSet of the triplet object ``doc[key]``, its arrays
+    taken as written: the A_i with their "index" array, or, with no
+    ``m``, C as the one matrix of a set."""
     doc = _doc_field(doc, key, dict)
-    rows, cols = _doc_list(doc, "rows"), _doc_list(doc, "cols")
-    index = [0] * len(rows) if m is None else _doc_list(doc, "index")
-    return ConstraintSet(n, 1 if m is None else m, index, rows, cols,
-                         _doc_numbers(doc, "vals"))
+    rows = _doc_array(doc, "rows")
+    index = np.zeros_like(rows) if m is None else _doc_array(doc, "index")
+    return ConstraintSet(n, 1 if m is None else m, index, rows,
+                         _doc_array(doc, "cols"), _doc_array(doc, "vals"))
 
 
 def result_document(sdp, solution, options):
     """JSON-serializable record of a solve: problem, options echo, solution
     data (including the factor and multipliers, so residues can be
-    recomputed), residues and trace rows."""
+    recomputed), residues and trace rows; arrays as base64 strings."""
     return {
         "problem": {
             "n": sdp.n, "m": sdp.m, "manifold": sdp.manifold.value,
             "objective_sign": sdp.objective_sign,
             "objective_offset": sdp.objective_offset,
-            "C": {key: getattr(sdp.C, key).tolist()
-                  for key in ("rows", "cols", "vals")},
-            "A": {key: getattr(sdp.A, key).tolist()
-                  for key in ("index", "rows", "cols", "vals")},
-            "b": sdp.b.tolist(),
+            "C": {k: _encode(sdp.C, k) for k in ("rows", "cols", "vals")},
+            "A": {k: _encode(sdp.A, k)
+                  for k in ("index", "rows", "cols", "vals")},
+            "b": _encode(sdp, "b"),
         },
         # numpy scalars, which the options accept, as plain Python numbers
         "options": {key: value.item() if isinstance(value, np.generic)
@@ -271,9 +266,9 @@ def result_document(sdp, solution, options):
         "status": solution.status,
         "iterations": solution.iterations,
         "wall_time": solution.wall_time,
-        "Y": solution.Y.Y.tolist(),
-        "y": solution.y.tolist(),
-        "z": solution.z.tolist(),
+        "Y": _encode(solution.Y, "Y"),
+        "y": _encode(solution, "y"),
+        "z": _encode(solution, "z"),
         "trace": [asdict(row) for row in solution.trace],
     }
 
@@ -291,7 +286,7 @@ def problem_from_document(doc):
     return SdpProblem(
         n, _doc_triplets(pd, "C", n)[0],
         _doc_triplets(pd, "A", n, _doc_field(pd, "m", int)),
-        _doc_numbers(pd, "b"), ManifoldKind(manifold),
+        _doc_array(pd, "b"), ManifoldKind(manifold),
         objective_sign=_doc_field(pd, "objective_sign", (int, float)),
         objective_offset=_doc_field(pd, "objective_offset", (int, float)))
 
@@ -326,19 +321,24 @@ def check_document(doc, tol):
 
     The dual slack is rebuilt from the stored multipliers,
     S = C - A*(y) - B*(z), independent of the penalty bookkeeping.
-    A ``tol`` that is not positive and finite raises ValueError.
+    A malformed array, or y, z or Y of the wrong size, raises ProblemError;
+    a ``tol`` that is not positive and finite raises ValueError.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
     sdp = problem_from_document(doc)
-    Y = _doc_numbers(doc, "Y", ndim=2)
-    y, z = _doc_numbers(doc, "y"), _doc_numbers(doc, "z")
+    y, z = _doc_array(doc, "y"), _doc_array(doc, "z")
     for key, v, size in ("y", y, sdp.m), ("z", z, sdp.manifold_rhs().size):
         if v.size != size:
             raise ProblemError(f"field {key!r} must have length {size}, "
                                f"got {v.size}")
     vals = np.linalg.eigvalsh(prob.dual_slack(sdp, y, z))
-    res = prob.kkt_residues(sdp, Y, y, z, float(vals[0]), float(vals[-1]))
+    # S reads y and z only; Y serves eta_p and eta_g
+    Y = _doc_array(doc, "Y")
+    if Y.size == 0 or Y.size % sdp.n:
+        raise ProblemError(f"field 'Y' holds {Y.size} values, not {sdp.n} x p")
+    res = prob.kkt_residues(sdp, Y.reshape(sdp.n, -1), y, z,
+                            float(vals[0]), float(vals[-1]))
     return res, res.eta_max <= tol
 
 
@@ -493,8 +493,7 @@ def cli_main(argv=None):
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (OSError, ProblemError, json.JSONDecodeError, KeyError,
-            ValueError, MemoryError) as exc:
+    except (OSError, ProblemError, KeyError, ValueError, MemoryError) as exc:
         print(f"lrsdp: {exc}", file=sys.stderr)
         return 1
 

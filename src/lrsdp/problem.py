@@ -414,9 +414,16 @@ def dual_slack(problem, y, z=None):
     S[C.rows, C.cols] += C.vals
     off = C.rows != C.cols
     S[C.cols[off], C.rows[off]] += C.vals[off]
-    if z is not None and problem.manifold is not ManifoldKind.FREE:
-        S.flat[::problem.n + 1] -= z
+    if z is not None:
+        _subtract_bstar(problem, S, z)
     return S
+
+
+def _subtract_bstar(problem, S, z):
+    """S - B*(z) in place: z subtracted on the diagonal; B* is zero on
+    Free."""
+    if problem.manifold is not ManifoldKind.FREE:
+        S.flat[::problem.n + 1] -= z
 
 
 class Slack:
@@ -440,6 +447,15 @@ class Slack:
             self.dense, self.block = dual_slack(problem, w), None
         else:
             self.dense, self.block = None, _adjoint_block(problem, w)
+
+    def dual(self, z):
+        """S = S~ - B*(z), the dense ``dual_slack(problem, w, z)``, bit for
+        bit: a copy of the held S~ where there is one, else built."""
+        if self.dense is None:
+            return dual_slack(self.problem, self.w, z)
+        S = self.dense.copy()
+        _subtract_bstar(self.problem, S, z)
+        return S
 
     def times(self, V):
         if self.dense is not None:

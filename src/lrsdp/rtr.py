@@ -74,7 +74,7 @@ def tcg(grad, hess_vec, radius, kappa=0.1, max_iters=None, floor=0.0,
     r0_norm = np.sqrt(rr)
     target = max(r0_norm * min(kappa, r0_norm), floor)
     z = precon(r)
-    zr = _inner(z, r)
+    zr = rr if z is r else _inner(z, r)
     d = -z
     # <eta, M eta>, <eta, M d> and <d, M d>
     e_norm2, e_d, d_norm2 = 0.0, 0.0, zr
@@ -103,7 +103,7 @@ def tcg(grad, hess_vec, radius, kappa=0.1, max_iters=None, floor=0.0,
             reason = "converged"
             break
         z = precon(r)
-        zr_new = _inner(z, r)
+        zr_new = rr if z is r else _inner(z, r)
         beta = zr_new / zr
         d = -z + beta * d
         e_d = beta * (e_d + alpha * d_norm2)

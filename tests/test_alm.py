@@ -167,7 +167,7 @@ class TestPreconditioner:
         point = FactorPoint(np.array([[1.0, 0.0], [0.0, 0.0]]),
                             ManifoldKind.FREE)
         state = AlmSubproblem(sdp, np.array([y]), 2.5).at(point)
-        assert prob.dual_slack(sdp, state.w).any() == bool(y)
+        assert prob.dual_slack(sdp, state.slack.w).any() == bool(y)
         assert (state.precon is not None) == precon
 
 
@@ -262,7 +262,7 @@ class TestAssembleDual:
         assert np.allclose(S.dense, want, atol=1e-10)
         state = AlmSubproblem(sdp, y, 2.0).at(point)
         V = rng.standard_normal((n, 2))
-        assert np.allclose(prob.dual_slack(sdp, state.w) @ V, G @ V,
+        assert np.allclose(prob.dual_slack(sdp, state.slack.w) @ V, G @ V,
                            atol=1e-10)
         assert np.allclose(state.z, z, atol=1e-10)
         assert np.allclose(state.grad, 2.0 * want @ point.Y, atol=1e-10)
@@ -543,16 +543,20 @@ class TestSolve:
     def test_dual_assembly_takes_the_residual_from_solve(self, monkeypatch):
         # solve hands assemble_dual the subproblem's state at the returned
         # point, and assemble_dual evaluates neither A(Y Y^T) nor z: it
-        # builds S once, at the state's own w
+        # builds S once, through the state's own Slack at its own w. Where
+        # the A_i touch all of X (BQP) that copies the held S~ and calls no
+        # dual_slack; elsewhere (the toy) it calls dual_slack once
         C = SparseSymMatrix.from_triplets(3, [(0, 0, 1.0), (1, 2, -0.5),
                                               (2, 2, 2.0)])
         A = [SparseSymMatrix.from_triplets(3, [(0, 1, 1.0), (1, 2, 0.5)])]
         manifold = ManifoldKind.UNIT_DIAGONAL
         Y0 = manifolds.random_point(3, 2, manifold, 1).Y
         b = prob.apply_constraints(SdpProblem(3, C, A, [0.0], manifold), Y0)
-        sdp = SdpProblem(3, C, A, b, manifold)
+        toy = SdpProblem(3, C, A, b, manifold)
+        bqp = generators.gen_bqp_moment(*generators.random_bqp(3, 0))
         assemble, inside, states = alm.assemble_dual, [], []
         dual_slack, slacks = prob.dual_slack, []
+        dual, duals = prob.Slack.dual, []
 
         def forbidden(module, name):
             fn = getattr(module, name)
@@ -568,27 +572,46 @@ class TestSolve:
                 slacks.append((w, S))
             return S
 
+        def counted_dual(slack, z):
+            S = dual(slack, z)
+            if inside:
+                duals.append((slack, z, S))
+            return S
+
         def checked(sdp, state):
             inside.append(state)
             slacks.clear()
+            duals.clear()
             try:
                 z, S = assemble(sdp, state)
             finally:
                 inside.clear()
             assert z is state.z
-            assert len(slacks) == 1
-            assert slacks[0][0] is state.w and S.dense is slacks[0][1]
+            assert len(duals) == 1
+            assert duals[0][0] is state.slack and duals[0][1] is z
+            assert S.dense is duals[0][2]
+            assert len(slacks) == (0 if sdp is bqp else 1)
+            if slacks:
+                assert slacks[0][0] is state.slack.w
+                assert S.dense is slacks[0][1]
+            assert S.dense.tobytes() == \
+                dual_slack(sdp, state.slack.w, z).tobytes()
             states.append(state)
             return z, S
 
         forbidden(prob, "apply_constraints")
         forbidden(manifolds, "multiplier_z")
         monkeypatch.setattr(prob, "dual_slack", counted)
+        monkeypatch.setattr(prob.Slack, "dual", counted_dual)
         monkeypatch.setattr(alm, "assemble_dual", checked)
-        sol = solve(sdp, SolverOptions(max_outer_iters=50))
-        assert sol.status == "converged"
-        assert len(states) == sol.iterations
-        assert states[-1].point is sol.Y and sol.z is states[-1].z
+        for sdp in (toy, bqp):
+            full = sdp._support_map().shape == (sdp.n, sdp.n)
+            assert full == (sdp is bqp)
+            states.clear()
+            sol = solve(sdp, SolverOptions(max_outer_iters=50))
+            assert sol.status == "converged"
+            assert len(states) == sol.iterations
+            assert states[-1].point is sol.Y and sol.z is states[-1].z
 
     def test_iteration_limit_status(self):
         sdp = _unit_trace_toy()

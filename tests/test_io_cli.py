@@ -1,11 +1,13 @@
 """File formats and command-line interface."""
 
+import base64
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from lrsdp import alm, generators as gen, manifolds, problem as prob
 from lrsdp.io_cli import (FormatError, check_document, cli_main,
                           problem_from_document, read_gset, read_sdpa,
                           result_document, write_sdpa, write_trace_csv,
-                          TRACE_COLUMNS)
+                          TRACE_COLUMNS, _doc_array)
 from lrsdp.problem import ManifoldKind, SdpProblem, SparseSymMatrix
 
 
@@ -28,6 +30,59 @@ def _strict_json(text):
     def refuse(name):
         raise ValueError(f"{name} is not JSON")
     return json.loads(text, parse_constant=refuse)
+
+
+def _decoded(doc, key):
+    """A writable copy of the array ``doc[key]`` of a result document:
+    "<i8" for triplet indices, "<f8" for every other array."""
+    dtype = "<i8" if key in ("index", "rows", "cols") else "<f8"
+    return np.frombuffer(base64.b64decode(doc[key]), dtype).copy()
+
+
+def _encoded(values):
+    return base64.b64encode(np.ascontiguousarray(values)).decode("ascii")
+
+
+def _edit(doc, key, edit):
+    """Decode the array ``doc[key]``, apply ``edit`` and store the result
+    re-encoded: the array ``edit`` returns, or the copy it edited in
+    place where it returns None."""
+    values = _decoded(doc, key)
+    out = edit(values)
+    doc[key] = _encoded(values if out is None else out)
+
+
+def _set(k, value):
+    return lambda values: values.__setitem__(k, value)
+
+
+# -0.0, the least subnormal, the largest subnormal and the largest float
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                1.7976931348623157e308]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@lru_cache(maxsize=None)
+def _solution(family):
+    """The solution of one solve and its document as JSON text: "edge"
+    (Max-Cut on one edge) or "bqp" (q = 4: n = 11, m = 57)."""
+    sdp = gen.gen_maxcut(gen.unit_edge_graph()) if family == "edge" \
+        else gen.gen_bqp_moment(*gen.random_bqp(4, 0))
+    opts = alm.SolverOptions()
+    sol = alm.solve(sdp, opts)
+    return sol, json.dumps(result_document(sdp, sol, opts))
+
+
+def _list_form(doc):
+    """``doc`` as documents with one JSON list per array were written."""
+    for part, keys in ((doc["problem"]["C"], ("rows", "cols", "vals")),
+                       (doc["problem"]["A"], ("index", "rows", "cols",
+                                              "vals")),
+                       (doc["problem"], ("b",)), (doc, ("y", "z"))):
+        for key in keys:
+            part[key] = _decoded(part, key).tolist()
+    doc["Y"] = _decoded(doc, "Y").reshape(doc["problem"]["n"], -1).tolist()
 
 
 class TestSdpa:
@@ -273,6 +328,85 @@ class TestResultDocument:
         _, ok = check_document(doc, opts.tol)
         assert ok or sol.status != "converged"
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_arrays_round_trip_bit_for_bit(self, data):
+        # every array comes back through JSON text with its bytes and
+        # dtype, -0.0 and subnormals included; with m = 0 the A_i, b and y
+        # are empty strings
+        n, m, p = (data.draw(st.integers(lo, hi))
+                   for lo, hi in ((1, 4), (0, 3), (1, 3)))
+        manifold = data.draw(st.sampled_from(ALL_MANIFOLDS))
+
+        def floats(size):
+            return np.array(data.draw(st.lists(
+                _FLOATS, min_size=size, max_size=size)), dtype=float)
+
+        iu, ju = np.triu_indices(n)
+
+        def matrix():
+            keep = np.array(data.draw(st.lists(
+                st.booleans(), min_size=iu.size, max_size=iu.size)))
+            return SparseSymMatrix(n, iu[keep], ju[keep],
+                                   floats(int(np.count_nonzero(keep))))
+
+        sdp = SdpProblem(n, matrix(), [matrix() for _ in range(m)],
+                         floats(m), manifold)
+        sol = replace(_solution("edge")[0],
+                      Y=manifolds.FactorPoint(
+                          floats(n * p).reshape(n, p), manifold),
+                      y=floats(m), z=floats(sdp.manifold_rhs().size))
+        doc = json.loads(json.dumps(
+            result_document(sdp, sol, alm.SolverOptions())))
+        pd = doc["problem"]
+        pairs = [(_doc_array(pd["C"], key), getattr(sdp.C, key))
+                 for key in ("rows", "cols", "vals")]
+        pairs += [(_doc_array(pd["A"], key), getattr(sdp.A, key))
+                  for key in ("index", "rows", "cols", "vals")]
+        pairs += [(_doc_array(pd, "b"), sdp.b),
+                  (_doc_array(doc, "Y").reshape(n, -1), sol.Y.Y)]
+        pairs += [(_doc_array(doc, key), getattr(sol, key))
+                  for key in ("y", "z")]
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        if m == 0:
+            assert pd["b"] == doc["y"] == "" and not any(pd["A"].values())
+
+    @pytest.mark.parametrize("tamper,needle", [
+        (lambda d: d.update(y=57), "field 'y' must be a string, got int"),
+        (lambda d: d.update(y="AAAA!AAAAAAA="),
+         "field 'y' is not valid base64"),
+        (lambda d: d.update(y="AAAAAAA\u00e9"),
+         "field 'y' is not valid base64"),
+        (lambda d: d.update(y=base64.b64encode(bytes(7)).decode()),
+         "field 'y' holds 7 bytes, not a multiple of 8"),
+        (lambda d: _edit(d, "y", lambda v: v[1:]),
+         "field 'y' must have length 57, got 56"),
+        (lambda d: _edit(d, "z", lambda v: np.append(v, 1.0)),
+         "field 'z' must have length 11, got 12"),
+        (lambda d: d.update(Y=""), "field 'Y' holds 0 values, not 11 x p"),
+        (lambda d: _edit(d, "Y", lambda v: v[1:]),
+         "values, not 11 x p"),
+        (_list_form, "field 'rows' must be a string, got list"),
+    ], ids=["not-a-string", "bad-base64", "non-ascii", "odd-bytes",
+            "short-y", "long-z", "empty-Y", "ragged-Y", "list-form"])
+    def test_malformed_array_rejected(self, tamper, needle, tmp_path,
+                                      capsys):
+        # check_document raises ProblemError naming the field, and
+        # lrsdp check exits 1 with one "lrsdp:" line
+        doc = json.loads(_solution("bqp")[1])
+        tamper(doc)
+        with pytest.raises(prob.ProblemError) as err:
+            check_document(doc, 1e-8)
+        assert needle in str(err.value)
+        out = tmp_path / "r.json"
+        out.write_text(json.dumps(doc))
+        assert cli_main(["check", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("lrsdp: ")
+        assert needle in err[0]
+
     def test_check_accepts_good_solution(self):
         _, _, doc = self._solved()
         res, ok = check_document(doc, tol=1e-8)
@@ -280,7 +414,9 @@ class TestResultDocument:
 
     def test_check_rejects_tampered(self):
         _, _, doc = self._solved()
-        doc["Y"][0][0] += 0.25
+        Y = _decoded(doc, "Y")
+        Y[0] += 0.25
+        doc["Y"] = _encoded(Y)
         res, ok = check_document(doc, tol=1e-8)
         assert not ok
         assert res.eta_max > 1e-3
@@ -331,10 +467,6 @@ class TestResultDocument:
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert float(first[2]) == sol.trace[0].sigma
-
-
-def _one_to_true(values):
-    values[values.index(1)] = True
 
 
 class TestCli:
@@ -568,9 +700,9 @@ class TestCli:
         assert cli_main(["solve", "--generate", "completion", "--s", "2",
                          "--t", "2", "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
-        doc["problem"].update(n=self.HUGE_N, m=0, b=[], A={
-            "index": [], "rows": [], "cols": [], "vals": []})
-        doc["y"] = []
+        doc["problem"].update(n=self.HUGE_N, m=0, b="", A={
+            "index": "", "rows": "", "cols": "", "vals": ""})
+        doc["y"] = ""
         out.write_text(json.dumps(doc))
         capsys.readouterr()
         assert cli_main(["check", str(out)]) == 1
@@ -613,7 +745,9 @@ class TestCli:
                          "--output", str(out)]) == 0
         assert cli_main(["check", str(out)]) == 0
         doc = json.loads(out.read_text())
-        doc["Y"][0][0] += 0.3
+        Y = _decoded(doc, "Y")
+        Y[0] += 0.3
+        doc["Y"] = _encoded(Y)
         out.write_text(json.dumps(doc))
         assert cli_main(["check", str(out)]) == 2
         assert "FAIL" in capsys.readouterr().out
@@ -690,30 +824,34 @@ class TestCli:
         if tamper == "negative-row":
             # an off-diagonal entry in row 0: numpy indexing would wrap -n
             # back to row 0 and certify the document
-            k = next(k for k, (r, c) in enumerate(zip(C["rows"], C["cols"]))
-                     if r == 0 != c)
-            C["rows"][k] = -doc["problem"]["n"]
+            rows, cols = _decoded(C, "rows"), _decoded(C, "cols")
+            k = np.flatnonzero((rows == 0) & (cols != 0))[0]
+            _edit(C, "rows", _set(k, -doc["problem"]["n"]))
         else:
             for key in ("rows", "cols", "vals"):
-                C[key].append(C[key][0])
+                _edit(C, key, lambda values: np.append(values, values[0]))
         out.write_text(json.dumps(doc))
         assert cli_main(["check", str(out)]) == 1
         assert needle in capsys.readouterr().err
 
     @pytest.mark.parametrize("tamper,needle", [
-        (lambda p: p["A"]["rows"].__setitem__(1, -9), "out of range"),
-        (lambda p: p["A"]["cols"].__setitem__(1, 9), "out of range"),
-        (lambda p: [p["A"][key].append(p["A"][key][1])
+        (lambda p: _edit(p["A"], "rows", _set(1, -9)), "out of range"),
+        (lambda p: _edit(p["A"], "cols", _set(1, 9)), "out of range"),
+        (lambda p: [_edit(p["A"], key, lambda v: np.append(v, v[1]))
                     for key in ("index", "rows", "cols", "vals")],
          "duplicate"),
-        (lambda p: p["A"]["rows"].__setitem__(1, 1.5), "integers"),
-        (lambda p: p["A"]["cols"].__setitem__(1, None), "integers"),
-        (lambda p: p["A"]["vals"].append(1.0), "differ in length"),
-        (lambda p: p["A"]["vals"].__setitem__(1, "x"), "'vals' must be"),
+        # a value inside an array is raw bytes: 1.5, null and "x" now
+        # stand in place of the whole array
+        (lambda p: p["A"].update(rows=1.5), "'rows' must be a string"),
+        (lambda p: p["A"].update(cols=None), "'cols' must be a string"),
+        (lambda p: _edit(p["A"], "vals", lambda v: np.append(v, 1.0)),
+         "differ in length"),
+        (lambda p: p["A"].update(vals="x"), "'vals' is not valid base64"),
         # the former layout, one object per A_i, is not read
         (lambda p: p.update(A=[
             {"rows": [r], "cols": [c], "vals": [v]} for r, c, v in
-            zip(p["A"]["rows"], p["A"]["cols"], p["A"]["vals"])]),
+            zip(*(_decoded(p["A"], key).tolist()
+                  for key in ("rows", "cols", "vals")))]),
          "'A' must be an object"),
     ], ids=["negative-row", "large-col", "duplicate", "float-row",
             "null-col", "ragged", "string-val", "list-matrix"])
@@ -730,31 +868,41 @@ class TestCli:
 
     @pytest.mark.parametrize("bad", [None, 1.5])
     def test_check_rejects_non_integer_index(self, tmp_path, capsys, bad):
-        # null used to escape as a TypeError traceback, 1.5 was truncated
+        # null used to escape as a TypeError traceback, 1.5 was truncated;
+        # an index inside the array is raw bytes, so each now stands in
+        # place of the whole array
         out = tmp_path / "r.json"
         assert cli_main(["solve", "--generate", "maxcut-edge",
                          "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
-        doc["problem"]["C"]["rows"][0] = bad
+        doc["problem"]["C"]["rows"] = bad
         out.write_text(json.dumps(doc))
         assert cli_main(["check", str(out)]) == 1
-        assert "integers" in capsys.readouterr().err
+        assert "'rows' must be a string" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tamper,needle", [
-        (lambda d: d["problem"]["C"]["rows"].append(0), "differ in length"),
+        (lambda d: _edit(d["problem"]["C"], "rows",
+                         lambda v: np.append(v, 0)), "differ in length"),
         (lambda d: d["problem"].update(n="2"), "'n' must be an integer"),
-        (lambda d: d["problem"]["C"].update(rows=5), "'rows' must be a list"),
-        (lambda d: d.update(y=[{}]), "'y' must be a 1-D list"),
-        (lambda d: d["Y"][0].__setitem__(0, {}), "'Y' must be a 2-D list"),
-        (lambda d: _one_to_true(d["problem"]["C"]["cols"]), "'cols' holds"),
-        (lambda d: d["problem"]["C"]["vals"].__setitem__(0, True),
-         "'vals' holds"),
-        (lambda d: _one_to_true(d["problem"]["A"]["index"]), "'index' holds"),
-        (lambda d: _one_to_true(d["problem"]["A"]["rows"]), "'rows' holds"),
-        (lambda d: _one_to_true(d["problem"]["b"]), "'b' holds"),
-        (lambda d: d["Y"][0].__setitem__(0, True), "'Y' holds"),
-        (lambda d: d["y"].__setitem__(0, True), "'y' holds"),
-        (lambda d: d["z"].__setitem__(0, True), "'z' holds"),
+        (lambda d: d["problem"]["C"].update(rows=5),
+         "'rows' must be a string"),
+        (lambda d: d.update(y=[{}]), "'y' must be a string, got list"),
+        (lambda d: d.update(Y=[[{}]]), "'Y' must be a string, got list"),
+        # a boolean inside an array is raw bytes: true now stands in
+        # place of the whole array, which numpy would have read as 1
+        (lambda d: d["problem"]["C"].update(cols=True),
+         "'cols' must be a string, got bool"),
+        (lambda d: d["problem"]["C"].update(vals=True),
+         "'vals' must be a string, got bool"),
+        (lambda d: d["problem"]["A"].update(index=True),
+         "'index' must be a string, got bool"),
+        (lambda d: d["problem"]["A"].update(rows=True),
+         "'rows' must be a string, got bool"),
+        (lambda d: d["problem"].update(b=True),
+         "'b' must be a string, got bool"),
+        (lambda d: d.update(Y=True), "'Y' must be a string, got bool"),
+        (lambda d: d.update(y=True), "'y' must be a string, got bool"),
+        (lambda d: d.update(z=True), "'z' must be a string, got bool"),
         (lambda d: [d], "expected an object"),
     ], ids=["ragged-rows", "string-n", "scalar-rows", "object-in-y",
             "object-in-Y", "bool-C-col", "bool-C-val", "bool-A-index",
@@ -790,11 +938,11 @@ class TestCli:
         assert f"missing field {path[-1]!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("family,tamper,needle", [
-        ("bqp", lambda d: d["y"].pop(),
+        ("bqp", lambda d: _edit(d, "y", lambda v: v[:-1]),
          "field 'y' must have length 57, got 56"),
-        ("bqp", lambda d: d["z"].pop(),
+        ("bqp", lambda d: _edit(d, "z", lambda v: v[:-1]),
          "field 'z' must have length 11, got 10"),
-        ("completion", lambda d: d.update(z=[1, 2]),
+        ("completion", lambda d: d.update(z=_encoded([1.0, 2.0])),
          "field 'z' must have length 0, got 2"),
     ], ids=["short-y", "short-z", "free-z"])
     def test_check_names_multiplier_length(self, tmp_path, capsys, family,

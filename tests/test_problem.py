@@ -632,8 +632,10 @@ def _slack_problem(family, manifold, seed):
 def test_slack_matches_the_dense_slack(family, manifold, seed, p, scale):
     # the product and the Frobenius norm of S~ = C - A*(w) against the
     # dense dual_slack, to 1e-12 relative, on every support layout; dense
-    # S~ only where the A_i touch all of X, and then its very bits. The
-    # maps' A(C) and K against dense and set oracles
+    # S~ only where the A_i touch all of X, and then its very bits. S =
+    # S~ - B*(z) from ``dual`` has the bits of dual_slack(sdp, w, z) and
+    # leaves the held S~ as it was. The maps' A(C) and K against dense
+    # and set oracles
     sdp = _slack_problem(family, manifold, seed)
     rng = np.random.default_rng(seed + 1)
     w = scale * rng.standard_normal(sdp.m)
@@ -656,6 +658,10 @@ def test_slack_matches_the_dense_slack(family, manifold, seed, p, scale):
     assert (slack.dense is not None) == (family in ("full", "quartic"))
     assert (K.size > 0) == (family not in ("disjoint", "empty"))
     assert (sdp.m == 0) == (family == "empty")
+    if slack.dense is not None:
+        assert slack.dense.tobytes() == want.tobytes()
+    z = rng.standard_normal(sdp.manifold_rhs().size)
+    assert slack.dual(z).tobytes() == prob.dual_slack(sdp, w, z).tobytes()
     if slack.dense is not None:
         assert slack.dense.tobytes() == want.tobytes()
     got = slack.times(V)

@@ -243,9 +243,22 @@ class TestTcg:
                       + 0.5 * step[:, 0] @ H @ step[:, 0])
         assert model == pytest.approx(fresh, rel=1e-12, abs=1e-14)
 
-    def test_identity_preconditioner_matches_plain(self, rng):
+    def test_identity_preconditioner_matches_plain(self, rng, monkeypatch):
         # precon=None is P = I: the same recurrences and, for a P = I
-        # whose products are exact, the same bits
+        # whose products are exact, the same bits. Without a precon, <z, r>
+        # is the <r, r> already taken: one inner product fewer per precon
+        # call
+        inner, calls = rtr._inner, {"inner": 0, "precon": 0}
+
+        def counted(A, B):
+            calls["inner"] += 1
+            return inner(A, B)
+
+        def identity(R):
+            calls["precon"] += 1
+            return 1.0 * R
+
+        monkeypatch.setattr(rtr, "_inner", counted)
         seen = set()
         for trial in range(60):
             n = int(rng.integers(2, 10))
@@ -253,9 +266,13 @@ class TestTcg:
             H = Q @ Q.T + 0.1 * np.eye(n) if trial % 2 else 0.5 * (Q + Q.T)
             g = rng.standard_normal((n, 2))
             radius = float(10.0 ** rng.uniform(-1.0, 2.0))
+            calls.update(inner=0, precon=0)
             plain = tcg(g, lambda U: H @ U, radius, kappa=1e-3)
+            plain_inner = calls["inner"]
+            calls.update(inner=0)
             ident = tcg(g, lambda U: H @ U, radius, kappa=1e-3,
-                        precon=lambda R: 1.0 * R)
+                        precon=identity)
+            assert calls["inner"] - plain_inner == calls["precon"] > 0
             assert ident[1] == plain[1]
             assert np.array_equal(ident[0], plain[0])
             assert ident[2] == plain[2]
