@@ -6,7 +6,7 @@ polynomial programs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from typing import Dict, Tuple
 
 import numpy as np
@@ -61,25 +61,38 @@ def gen_maxcut(graph):
 def gen_matrix_completion(s, t, entries):
     """Nuclear-norm matrix completion as a trace-minimization SDP.
 
-    ``entries`` lists (i, j, value) samples of the s x t matrix, 0-based.
-    One constraint per sample pins the off-diagonal block of the PSD
-    variable: <A_ij, X> = 2 value.
+    ``entries`` is the tuple (rows, cols, values) of three 1-D numpy
+    arrays of one length, the 0-based samples of the s x t matrix, as
+    ``random_completion`` returns them; anything else, a list of
+    (i, j, value) tuples included, raises ProblemError. One constraint
+    per sample pins the off-diagonal block of the PSD variable:
+    <A_ij, X> = 2 value.
     """
-    n = s + t
-    rows, cols, vals = (map(np.asarray, zip(*entries)) if len(entries)
-                        else (np.zeros(0, np.intp),) * 3)
+    if not (isinstance(entries, tuple) and len(entries) == 3
+            and all(isinstance(a, np.ndarray) and a.ndim == 1
+                    for a in entries)
+            and entries[0].size == entries[1].size == entries[2].size):
+        raise ProblemError("entries must be a tuple (rows, cols, values) "
+                           "of three 1-D numpy arrays of one length")
+    rows, cols, vals = entries
     if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
         raise ProblemError("sample indices must be integers")
+    if vals.dtype.kind not in "iuf":
+        raise ProblemError("sample values must be real numbers")
     bad = (rows < 0) | (rows >= s) | (cols < 0) | (cols >= t)
     if bad.any():
         k = np.argmax(bad)
         raise ProblemError(f"sample index ({rows[k]}, {cols[k]}) out of range")
-    key, count = np.unique(rows * t + cols, return_counts=True)
-    if np.any(count > 1):
-        i, j = divmod(int(key[np.argmax(count > 1)]), t)
-        raise ProblemError(f"duplicate sample ({i}, {j})")
-    m = rows.size
-    A = ConstraintSet(n, m, np.arange(m), rows, s + cols, np.ones(m))
+    key = rows * t + cols
+    if not np.all(key[1:] > key[:-1]):  # a sorted sample has no duplicate
+        key, count = np.unique(key, return_counts=True)
+        if np.any(count > 1):
+            i, j = divmod(int(key[np.argmax(count > 1)]), t)
+            raise ProblemError(f"duplicate sample ({i}, {j})")
+    n, m = s + t, rows.size
+    # a copy of rows: the problem keeps no view of the caller's array
+    A = ConstraintSet(n, m, np.arange(m), rows.astype(np.intp), s + cols,
+                      np.ones(m))
     return SdpProblem(n, SparseSymMatrix.identity(n), A, 2.0 * vals,
                       ManifoldKind.FREE)
 
@@ -191,7 +204,7 @@ def gen_bqp_moment(Q, c):
     one extra cycle edge per degree-two class; this reproduces the
     constraint counts of the reference relaxation exactly.
 
-    The constraints are built from arrays with no loop over entries
+    C and the constraints are built from arrays with no loop over entries
     (``_bqp_keys``, ``_bqp_constraints``): each entry's reduced monomial
     becomes an integer key whose order is that of the monomials' sorted
     index tuples, and one stable sort of the keys gives the classes in
@@ -210,12 +223,13 @@ def gen_bqp_moment(Q, c):
 
     A = _bqp_constraints(q)
     n = A.n
-    # x_i x_j (i < j) is basis element q + 1 + k for the k-th pair; row 0
-    # in column order, so C needs no sort
-    cost = [_entry_triplet(0, 1 + i, c[i]) for i in range(q) if c[i]]
-    cost += [_entry_triplet(0, q + 1 + k, 2.0 * Q[i, j])
-             for k, (i, j) in enumerate(combinations(range(q), 2)) if Q[i, j]]
-    C = SparseSymMatrix.from_triplets(n, cost)
+    # row 0 holds c_i / 2 at basis element 1 + i (x_i) and Q_ij at
+    # q + 1 + k (x_i x_j, the k-th pair i < j), in column order
+    coeff = np.concatenate((c, Q[np.triu_indices(q, 1)]))
+    cols = np.flatnonzero(coeff)
+    vals = coeff[cols]
+    vals[cols < q] /= 2.0
+    C = SparseSymMatrix(n, np.zeros(cols.size, np.intp), cols + 1, vals)
     b = np.zeros(A.m)
     b[:n] = 1.0
     return SdpProblem(n, C, A, b, ManifoldKind.UNIT_DIAGONAL,
@@ -302,7 +316,9 @@ def random_quartic(q, seed):
 
 
 def random_completion(s, t, rank, num_samples, seed):
-    """Random rank-``rank`` matrix plus a uniform sample of its entries."""
+    """Random rank-``rank`` matrix M plus a uniform sample of its entries:
+    (M, (rows, cols, values)), the int64 indices in row-major order and
+    the float64 values M[rows, cols], one array each."""
     if not 0 <= num_samples <= s * t:
         raise ProblemError(f"num_samples must be in 0..{s * t} (s * t), "
                            f"got {num_samples}")
@@ -313,7 +329,7 @@ def random_completion(s, t, rank, num_samples, seed):
     # the flat indices i t + j of the sample, in row-major order
     i, j = np.divmod(np.sort(rng.choice(s * t, size=num_samples,
                                         replace=False)), t)
-    return M, list(zip(i.tolist(), j.tolist(), M[i, j].tolist()))
+    return M, (i, j, M[i, j])
 
 
 def unit_edge_graph():

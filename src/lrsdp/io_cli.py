@@ -1,6 +1,7 @@
 """File formats (SDPA sparse, Gset graphs, JSON results, CSV traces) and
 the command-line interface. The arrays of a JSON result are base64 strings
-of their little-endian bytes ("<i8" indices, "<f8" values), bit for bit.
+of their little-endian bytes ("<i4" triplet rows and columns, "<i8"
+constraint offsets, "<f8" values), bit for bit.
 """
 
 from __future__ import annotations
@@ -8,9 +9,12 @@ from __future__ import annotations
 import argparse
 import base64
 import csv
+import io
 import json
 import sys
+import warnings
 from dataclasses import asdict, astuple, fields
+from itertools import islice
 
 import numpy as np
 
@@ -30,10 +34,57 @@ class FormatError(ProblemError):
 # --- SDPA sparse format (single PSD block) -----------------------------
 
 _OBJECTIVE = "*lrsdp-objective"
+_SEPARATORS = str.maketrans(",{}", "   ")
+_BLOCK = 1 << 14  # entry lines per np.loadtxt call
+_ENTRY = np.dtype([("matno", "<i8"), ("blkno", "<i8"), ("i", "<i8"),
+                   ("j", "<i8"), ("value", "<f8")])
 
 
 def _sdpa_numbers(line):
-    return line.replace(",", " ").replace("{", " ").replace("}", " ").split()
+    return line.translate(_SEPARATORS).split()
+
+
+def _entry_line(path, no, text, m, n):
+    """The entry line ``text``, line ``no``, parsed and checked alone:
+    FormatError names the line where it is malformed."""
+    toks = _sdpa_numbers(text)
+    try:
+        matno, blkno, i, j = (int(t) for t in toks[:4])
+        val = float(toks[4])
+        if len(toks) != 5:
+            raise ValueError
+    except (ValueError, IndexError):
+        raise FormatError(f"{path}:{no}: bad entry line: {text!r}")
+    if blkno != 1:
+        raise FormatError(f"{path}:{no}: block {blkno} does not exist")
+    if not 0 <= matno <= m:
+        raise FormatError(f"{path}:{no}: matrix index {matno} out of range")
+    if not (1 <= i <= n and i <= j <= n):
+        raise FormatError(
+            f"{path}:{no}: entry ({i}, {j}) outside upper triangle of "
+            f"a {n} x {n} block")
+    return matno, blkno, i, j, val
+
+
+def _entry_block(path, numbers, block, m, n):
+    """The entry lines ``block``, on lines ``numbers``, as one ``_ENTRY``
+    array: one np.loadtxt and vectorized checks. A block that fails
+    either is parsed line by line, which names its first bad line, or
+    reads what Python's int and float accept and numpy's parser does
+    not (1_000)."""
+    try:
+        with warnings.catch_warnings():  # numpy < 2 reads "1.0" as an int
+            warnings.simplefilter("error", DeprecationWarning)
+            e = np.loadtxt(io.StringIO("\n".join(block).translate(
+                _SEPARATORS)), dtype=_ENTRY, comments=None, ndmin=1)
+        i, j = e["i"], e["j"]
+        if np.all((e["blkno"] == 1) & (e["matno"] >= 0) & (e["matno"] <= m)
+                  & (i >= 1) & (i <= j) & (j <= n)):
+            return e
+    except (ValueError, DeprecationWarning):
+        pass
+    return np.array([_entry_line(path, no, text, m, n)
+                     for no, text in zip(numbers, block)], _ENTRY)
 
 
 def read_sdpa(path):
@@ -47,22 +98,28 @@ def read_sdpa(path):
     Lines that start with '"' or '*' are comments. A line
     "*lrsdp-objective sign offset" sets the reported objective
     sign <C, X> + offset, which SDPA cannot express; 1 and 0 without one.
+
+    A generator reads the lines once and drops comments and blank lines.
+    The entry lines reach numpy ``_BLOCK`` at a time (``_entry_block``),
+    with no Python object kept per entry; an error still names its line.
     """
     sign, offset = 1.0, 0.0
+    numbers = []  # the line number of each content line read, until cleared
 
-    def content():  # (line number, text) of each content line, read once
+    def content():  # the text of each content line, read once
         nonlocal sign, offset
         with open(path) as fh:
             for no, ln in enumerate(fh, start=1):
-                if ln.startswith(_OBJECTIVE):
+                text = ln.strip()
+                if text[:1] not in ('"', "*", ""):
+                    numbers.append(no)
+                    yield text
+                elif ln.startswith(_OBJECTIVE):
                     try:
                         sign, offset = map(float, ln[len(_OBJECTIVE):].split())
                     except ValueError:
                         raise FormatError(f"{path}:{no}: bad objective "
-                                          f"line: {ln.strip()!r}")
-                text = ln.strip()
-                if text and not text.startswith(('"', "*")):
-                    yield no, text
+                                          f"line: {text!r}")
 
     lines = content()
     head = [next(lines, None) for _ in range(3)]
@@ -70,26 +127,28 @@ def read_sdpa(path):
         raise FormatError(f"{path}: fewer than three header lines")
 
     def header_int(pos, what):
-        no, text = head[pos]
         try:
-            return int(_sdpa_numbers(text)[0])
+            return int(_sdpa_numbers(head[pos])[0])
         except (ValueError, IndexError):
-            raise FormatError(f"{path}:{no}: bad {what} line: {text!r}")
+            raise FormatError(
+                f"{path}:{numbers[pos]}: bad {what} line: {head[pos]!r}")
 
     m = header_int(0, "constraint count")
     if m < 0:
         raise FormatError(
-            f"{path}:{head[0][0]}: constraint count must not be negative")
+            f"{path}:{numbers[0]}: constraint count must not be negative")
     nblocks = header_int(1, "block count")
     if nblocks != 1:
         raise FormatError(
-            f"{path}:{head[1][0]}: expected one block, got {nblocks}")
+            f"{path}:{numbers[1]}: expected one block, got {nblocks}")
     n = header_int(2, "block size")
     if n <= 0:
-        raise FormatError(f"{path}:{head[2][0]}: block size must be positive")
+        raise FormatError(f"{path}:{numbers[2]}: block size must be positive")
     # m = 0 has no rhs line (a blank one is dropped with the other blank
-    # lines), and a file that ends after its header has no values
-    no, text = next(lines, (head[2][0], "")) if m else (head[2][0], "")
+    # lines), and a file that ends after its header has no values; either
+    # is reported on the block size line
+    text = next(lines, "") if m else ""
+    no = numbers[-1]
     try:
         b = np.array([float(t) for t in _sdpa_numbers(text)])
     except ValueError:
@@ -98,34 +157,38 @@ def read_sdpa(path):
         raise FormatError(
             f"{path}:{no}: expected {m} rhs values, got {b.size}")
 
-    entries, vals = [], []
-    for no, text in lines:
-        toks = _sdpa_numbers(text)
-        try:
-            matno, blkno, i, j = (int(t) for t in toks[:4])
-            val = float(toks[4])
-            if len(toks) != 5:
-                raise ValueError
-        except (ValueError, IndexError):
-            raise FormatError(f"{path}:{no}: bad entry line: {text!r}")
-        if blkno != 1:
-            raise FormatError(f"{path}:{no}: block {blkno} does not exist")
-        if not 0 <= matno <= m:
-            raise FormatError(
-                f"{path}:{no}: matrix index {matno} out of range")
-        if not (1 <= i <= n and i <= j <= n):
-            raise FormatError(
-                f"{path}:{no}: entry ({i}, {j}) outside upper triangle of "
-                f"a {n} x {n} block")
-        entries.append((matno, i - 1, j - 1))
-        vals.append(val)
-
-    # one entry per position, duplicates summed in file order
+    # the entry lines, _BLOCK at a time: per block one int64 key per
+    # entry, its position in the (m + 1) x n x n stack, and its value; the
+    # empty first key array checks that the stack's size fits an int64
     shape = (m + 1, n, n)
-    key, inv = np.unique(np.ravel_multi_index(
-        np.array(entries, dtype=np.intp).reshape(-1, 3).T, shape),
-        return_inverse=True)
-    v = np.bincount(inv, weights=vals, minlength=key.size)
+    keys = [np.ravel_multi_index(np.zeros((3, 0), np.intp), shape)]
+    vals = [np.zeros(0)]
+    while True:
+        numbers.clear()
+        block = []
+        try:
+            block.extend(islice(lines, _BLOCK))
+        except FormatError:  # a bad objective line, after the lines read
+            if block:  # a bad entry line before it is named first
+                _entry_block(path, numbers, block, m, n)
+            raise
+        if not block:
+            break
+        e = _entry_block(path, numbers, block, m, n)
+        keys.append(np.ravel_multi_index(
+            (e["matno"], e["i"] - 1, e["j"] - 1), shape))
+        vals.append(e["value"].copy())  # not a view that keeps the block
+    key, v = np.concatenate(keys), np.concatenate(vals)
+    del keys, vals
+
+    # one entry per position, duplicates summed in file order; keys that
+    # increase, as write_sdpa's do, need no sort, and adding 0.0 makes
+    # -0.0 the 0.0 that the sum makes it
+    if np.all(key[1:] > key[:-1]):
+        v += 0.0
+    else:
+        key, inv = np.unique(key, return_inverse=True)
+        v = np.bincount(inv, weights=v, minlength=key.size)
     k, r, c = np.unravel_index(key, shape)
     nc = np.searchsorted(k, 1)  # matrix 0 is the cost
     C = SparseSymMatrix(n, r[:nc], c[:nc], v[:nc])
@@ -190,7 +253,7 @@ def read_gset(path):
 
 _JSON_TYPES = {dict: "an object", int: "an integer",
                (int, float): "a number", str: "a string"}
-_DTYPES = dict.fromkeys(("index", "rows", "cols"), "<i8")  # else "<f8"
+_DTYPES = {"start": "<i8", "rows": "<i4", "cols": "<i4"}  # else "<f8"
 
 
 def _doc_field(doc, key, kind):
@@ -222,19 +285,30 @@ def _doc_array(doc, key):
         raw = base64.b64decode(text, validate=True)
     except ValueError:  # binascii.Error, or a character beyond ASCII
         raise ProblemError(f"field {key!r} is not valid base64")
-    if len(raw) % 8:
+    dtype = np.dtype(_DTYPES.get(key, "<f8"))
+    if len(raw) % dtype.itemsize:
         raise ProblemError(f"field {key!r} holds {len(raw)} bytes, not a "
-                           f"multiple of 8")
-    return np.frombuffer(raw, _DTYPES.get(key, "<f8"))
+                           f"multiple of {dtype.itemsize}")
+    return np.frombuffer(raw, dtype)
 
 
 def _doc_triplets(doc, key, n, m=None):
     """The ConstraintSet of the triplet object ``doc[key]``, its arrays
-    taken as written: the A_i with their "index" array, or, with no
-    ``m``, C as the one matrix of a set."""
+    taken as written: the A_i with their "start" offsets, A_k holding
+    the triplets start[k]:start[k + 1], or, with no ``m``, C as the one
+    matrix of a set."""
     doc = _doc_field(doc, key, dict)
     rows = _doc_array(doc, "rows")
-    index = np.zeros_like(rows) if m is None else _doc_array(doc, "index")
+    if m is None:
+        index = np.zeros(rows.size, np.intp)
+    else:
+        start = _doc_array(doc, "start")
+        if not (start.size == m + 1 and start[0] == 0
+                and start[-1] == rows.size
+                and np.all(start[1:] >= start[:-1])):
+            raise ProblemError(f"field 'start' must hold {m + 1} offsets "
+                               f"from 0 up to {rows.size}, never decreasing")
+        index = np.repeat(np.arange(m), np.diff(start))
     return ConstraintSet(n, 1 if m is None else m, index, rows,
                          _doc_array(doc, "cols"), _doc_array(doc, "vals"))
 
@@ -250,7 +324,7 @@ def result_document(sdp, solution, options):
             "objective_offset": sdp.objective_offset,
             "C": {k: _encode(sdp.C, k) for k in ("rows", "cols", "vals")},
             "A": {k: _encode(sdp.A, k)
-                  for k in ("index", "rows", "cols", "vals")},
+                  for k in ("start", "rows", "cols", "vals")},
             "b": _encode(sdp, "b"),
         },
         # numpy scalars, which the options accept, as plain Python numbers
@@ -275,8 +349,12 @@ def result_document(sdp, solution, options):
 
 def problem_from_document(doc):
     """The SdpProblem stored in a result document; a field of the wrong
-    type or shape raises ProblemError."""
+    type or shape raises ProblemError, as does the A_i's "index" array of
+    the former format, which "start" replaces."""
     pd = _doc_field(doc, "problem", dict)
+    if "index" in _doc_field(pd, "A", dict):
+        raise ProblemError("field 'index' is not read: the A_i hold their "
+                           "offsets in 'start'")
     n = _doc_field(pd, "n", int)
     manifold = _doc_field(pd, "manifold", str)
     kinds = [kind.value for kind in ManifoldKind]

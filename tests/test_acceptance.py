@@ -274,8 +274,8 @@ def test_criterion_07_matrix_completion():
     # fully sampled rank-1 3x3
     rng = np.random.default_rng(2)
     M = np.outer(rng.standard_normal(3), rng.standard_normal(3))
-    entries = [(i, j, M[i, j]) for i in range(3) for j in range(3)]
-    sol = solve(gen.gen_matrix_completion(3, 3, entries))
+    i, j = np.divmod(np.arange(9), 3)
+    sol = solve(gen.gen_matrix_completion(3, 3, (i, j, M[i, j])))
     Z = (sol.Y.Y @ sol.Y.Y.T)[:3, 3:]
     err_full = float(np.max(np.abs(Z - M)))
 

@@ -127,7 +127,9 @@ class TestBitwiseAgainstPerConstraintBuild:
     def test_completion(self, seed):
         _, entries = gen.random_completion(7, 5, 2, 20, seed)
         sdp = gen.gen_matrix_completion(7, 5, entries)
-        _assert_bitwise(sdp, *_old_completion(7, 5, entries))
+        # the oracle reads the samples as (i, j, value) tuples
+        samples = list(zip(*(a.tolist() for a in entries)))
+        _assert_bitwise(sdp, *_old_completion(7, 5, samples))
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 8, 12, 16])
     def test_bqp_moment(self, q):

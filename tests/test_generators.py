@@ -76,9 +76,15 @@ class TestMaxcut:
             gen_maxcut(WeightedGraph(3, ()))
 
 
+def _samples(*triplets):
+    """The (rows, cols, values) arrays of (i, j, value) samples."""
+    i, j, v = zip(*triplets) if triplets else ((), (), ())
+    return np.array(i, np.int64), np.array(j, np.int64), np.array(v, float)
+
+
 class TestMatrixCompletion:
     def test_sizes(self):
-        entries = [(0, 0, 1.0), (1, 2, 2.0)]
+        entries = _samples((0, 0, 1.0), (1, 2, 2.0))
         sdp = gen_matrix_completion(2, 3, entries)
         assert (sdp.n, sdp.m) == (5, 2)
         assert sdp.manifold is ManifoldKind.FREE
@@ -86,7 +92,7 @@ class TestMatrixCompletion:
 
     def test_constraint_encoding(self, rng):
         # <A_ij, X> picks twice the (i, s+j) entry; rhs is 2 M_ij
-        sdp = gen_matrix_completion(2, 2, [(1, 0, 3.0)])
+        sdp = gen_matrix_completion(2, 2, _samples((1, 0, 3.0)))
         Y = rng.standard_normal((4, 2))
         X = Y @ Y.T
         got = prob.apply_constraints(sdp, Y)[0]
@@ -96,20 +102,66 @@ class TestMatrixCompletion:
     def test_scalar_instance_value(self):
         # M = [3]: optimal SDP trace is 2 * |3| = 6
         from lrsdp.alm import solve
-        sol = solve(gen_matrix_completion(1, 1, [(0, 0, 3.0)]))
+        sol = solve(gen_matrix_completion(1, 1, _samples((0, 0, 3.0))))
         assert sol.status == "converged"
         assert sol.objective == pytest.approx(6.0, abs=1e-6)
 
     def test_rejects_bad_entries(self):
-        with pytest.raises(ProblemError):
-            gen_matrix_completion(2, 2, [(0, 0, 1.0), (0, 0, 2.0)])
-        with pytest.raises(ProblemError):
-            gen_matrix_completion(2, 2, [(2, 0, 1.0)])
-        with pytest.raises(ProblemError):
-            gen_matrix_completion(2, 2, [(0, -1, 1.0)])
-        for bad in ((0.5, 0, 1.0), (0, None, 1.0)):
+        with pytest.raises(ProblemError, match=r"duplicate sample \(0, 0\)"):
+            gen_matrix_completion(2, 2, _samples((0, 0, 1.0), (0, 0, 2.0)))
+        with pytest.raises(ProblemError, match="out of range"):
+            gen_matrix_completion(2, 2, _samples((2, 0, 1.0)))
+        with pytest.raises(ProblemError, match="out of range"):
+            gen_matrix_completion(2, 2, _samples((0, -1, 1.0)))
+        # a float or an object index array, not a cast
+        for rows, cols in (([1, 0.5], [1, 0]), ([1, 0], [1, None])):
             with pytest.raises(ProblemError, match="integers"):
-                gen_matrix_completion(2, 2, [(1, 1, 1.0), bad])
+                gen_matrix_completion(2, 2, (np.array(rows), np.array(cols),
+                                             np.ones(2)))
+
+    def test_duplicate_found_out_of_order(self):
+        # samples in increasing order skip the sort; these are not
+        with pytest.raises(ProblemError, match=r"duplicate sample \(1, 0\)"):
+            gen_matrix_completion(2, 2, _samples(
+                (1, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0)))
+
+    @pytest.mark.parametrize("entries", [
+        [(0, 0, 1.0), (1, 1, 2.0), (0, 1, 3.0)],
+        tuple(_samples((0, 0, 1.0), (1, 1, 2.0))[:2]),
+        _samples((0, 0, 1.0), (1, 1, 2.0))[:2] + (np.ones(3),),
+        (np.array([0, 1]), np.array([0, 1]), [1.0, 2.0]),
+        (np.array([[0, 1]]), np.array([[0, 1]]), np.ones((1, 2))),
+        np.array([(0, 0, 1), (1, 1, 2), (0, 1, 3)]),
+        (np.array([0, 1]), np.array([0, 1]), np.array(["a", "b"])),
+    ], ids=["tuple-list", "pair", "unequal-lengths", "value-list", "2-d",
+            "array-of-triplets", "string-values"])
+    def test_rejects_anything_but_three_arrays(self, entries):
+        # a list of (i, j, value) tuples, the former form, must not be read
+        # as rows (0, 0, 1.0), cols (1, 1, 2.0) and values (0, 1, 3.0)
+        with pytest.raises(ProblemError):
+            gen_matrix_completion(2, 2, entries)
+
+    @pytest.mark.parametrize("s,t,num_samples", [(3, 4, 7), (5, 2, 0),
+                                                  (30, 20, 300)])
+    def test_equals_a_set_built_directly(self, s, t, num_samples):
+        # A_k pins X[i_k, s + j_k] with one triplet of value 1, b_k is
+        # 2 M[i_k, j_k], and C is the identity
+        M, (i, j, v) = gen.random_completion(s, t, 2, num_samples, 0)
+        sdp = gen_matrix_completion(s, t, (i, j, v))
+        want = prob.ConstraintSet(s + t, num_samples, np.arange(num_samples),
+                                  i, s + j, np.ones(num_samples))
+        for f in ("index", "rows", "cols", "vals", "start"):
+            got, exp = getattr(sdp.A, f), getattr(want, f)
+            assert got.dtype == exp.dtype and np.array_equal(got, exp)
+        assert np.array_equal(sdp.b, 2.0 * M[i, j])
+        assert np.array_equal(sdp.C.to_dense(), np.eye(s + t))
+        assert sdp.manifold is ManifoldKind.FREE
+
+    def test_keeps_no_view_of_the_caller_rows(self):
+        rows, cols, vals = _samples((0, 1, 1.0), (1, 0, 2.0))
+        sdp = gen_matrix_completion(2, 2, (rows, cols, vals))
+        rows[0] = 1
+        assert sdp.A.rows.tolist() == [0, 1]
 
 
 def _bqp_moment_vector(x):
@@ -278,7 +330,8 @@ class TestRandomInstances:
         assert gen.random_quartic(3, 2) == gen.random_quartic(3, 2)
         M1, e1 = gen.random_completion(4, 5, 2, 10, 3)
         M2, e2 = gen.random_completion(4, 5, 2, 10, 3)
-        assert np.array_equal(M1, M2) and e1 == e2
+        assert np.array_equal(M1, M2)
+        assert all(np.array_equal(a, b) for a, b in zip(e1, e2))
 
     @pytest.mark.parametrize("rank,num_samples,named", [
         (1, 10, "num_samples must be in 0..9"),
@@ -300,9 +353,9 @@ class TestRandomInstances:
                               @ rng.standard_normal((rank, t)))
         all_idx = [(i, j) for i in range(s) for j in range(t)]
         chosen = rng.choice(len(all_idx), size=num_samples, replace=False)
-        assert entries == [(*all_idx[k], M[all_idx[k]])
-                           for k in sorted(chosen)]
-        assert all(type(x) in (int, float) for x in entries[0])
+        assert list(zip(*(a.tolist() for a in entries))) == [
+            (*all_idx[k], M[all_idx[k]]) for k in sorted(chosen)]
+        assert [a.dtype for a in entries] == [np.int64, np.int64, np.float64]
 
     def test_completion_needs_no_list_of_every_index_pair(self):
         # 10^6 index pairs as Python tuples take ~90 MB; the sample alone
@@ -317,13 +370,43 @@ class TestRandomInstances:
 
     def test_empty_completion(self):
         M, entries = gen.random_completion(3, 4, 1, 0, 0)
-        assert M.shape == (3, 4) and entries == []
+        assert M.shape == (3, 4) and all(a.size == 0 for a in entries)
         sdp = gen_matrix_completion(3, 4, entries)
         assert (sdp.n, sdp.m) == (7, 0)
 
     def test_completion_samples_valid(self):
         M, entries = gen.random_completion(4, 5, 1, 12, 0)
-        assert len(entries) == 12
-        assert len({(i, j) for i, j, _ in entries}) == 12
-        for i, j, v in entries:
+        assert all(a.size == 12 for a in entries)
+        assert len(set(zip(*(a.tolist() for a in entries[:2])))) == 12
+        for i, j, v in zip(*entries):
             assert v == M[i, j]
+
+    @pytest.mark.parametrize("s,t,num_samples,seed", [
+        (4, 5, 12, 0), (1, 7, 7, 1), (30, 40, 600, 2), (3, 3, 0, 3)])
+    def test_completion_samples_are_three_arrays(self, s, t, num_samples,
+                                                 seed):
+        # int64 rows and columns, distinct and in row-major order, and the
+        # float64 values M[i, j]
+        M, entries = gen.random_completion(s, t, 2, num_samples, seed)
+        assert isinstance(entries, tuple) and len(entries) == 3
+        i, j, v = entries
+        assert (i.dtype, j.dtype, v.dtype) == (np.int64, np.int64,
+                                               np.float64)
+        assert i.shape == j.shape == v.shape == (num_samples,)
+        assert np.all((0 <= i) & (i < s) & (0 <= j) & (j < t))
+        flat = i * t + j
+        assert np.all(flat[1:] > flat[:-1])
+        assert v.tobytes() == M[i, j].tobytes()
+
+    def test_completion_at_a_million_samples(self):
+        # 10^6 samples of a 2000 x 2000 matrix: no Python object per
+        # sample in the draw or the build (tuples took ~260 MB)
+        tracemalloc.start()
+        try:
+            _, entries = gen.random_completion(2000, 2000, 3, 10**6, 0)
+            sdp = gen_matrix_completion(2000, 2000, entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sdp.m == 10**6
+        assert peak < 130e6

@@ -9,6 +9,7 @@ import tracemalloc
 from dataclasses import fields, replace
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_MANIFOLDS, random_sym_triplets
-from lrsdp import alm, generators as gen, manifolds, problem as prob
+from lrsdp import alm, generators as gen, io_cli, manifolds, problem as prob
 from lrsdp.io_cli import (FormatError, check_document, cli_main,
                           problem_from_document, read_gset, read_sdpa,
                           result_document, write_sdpa, write_trace_csv,
@@ -32,11 +33,16 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+# the dtype of each array of a result document other than "<f8"
+_DOC_DTYPES = {"start": "<i8", "rows": "<i4", "cols": "<i4"}
+
+
 def _decoded(doc, key):
     """A writable copy of the array ``doc[key]`` of a result document:
-    "<i8" for triplet indices, "<f8" for every other array."""
-    dtype = "<i8" if key in ("index", "rows", "cols") else "<f8"
-    return np.frombuffer(base64.b64decode(doc[key]), dtype).copy()
+    "<i4" for triplet rows and columns, "<i8" for the offsets "start",
+    "<f8" for every other array."""
+    return np.frombuffer(base64.b64decode(doc[key]),
+                         _DOC_DTYPES.get(key, "<f8")).copy()
 
 
 def _encoded(values):
@@ -77,12 +83,25 @@ def _solution(family):
 def _list_form(doc):
     """``doc`` as documents with one JSON list per array were written."""
     for part, keys in ((doc["problem"]["C"], ("rows", "cols", "vals")),
-                       (doc["problem"]["A"], ("index", "rows", "cols",
+                       (doc["problem"]["A"], ("start", "rows", "cols",
                                               "vals")),
                        (doc["problem"], ("b",)), (doc, ("y", "z"))):
         for key in keys:
             part[key] = _decoded(part, key).tolist()
     doc["Y"] = _decoded(doc, "Y").reshape(doc["problem"]["n"], -1).tolist()
+
+
+def _index_form(doc):
+    """``doc`` as documents with one "<i8" constraint index per triplet,
+    in place of the offsets "start", were written."""
+    A = doc["problem"]["A"]
+    start = _decoded(A, "start")
+    A["index"] = _encoded(np.repeat(np.arange(start.size - 1),
+                                    np.diff(start)))
+    del A["start"]
+
+
+_BAD_START = "field 'start' must hold 58 offsets from 0 up to "
 
 
 class TestSdpa:
@@ -133,6 +152,90 @@ class TestSdpa:
         with pytest.raises(FormatError) as err:
             read_sdpa(path)
         assert needle in str(err.value)
+
+    @pytest.mark.parametrize("pad", [1, 2, 3])
+    @pytest.mark.parametrize("bad,message", [
+        ("1 1 3 3 1.0", "entry (3, 3) outside upper triangle of a 2 x 2 "
+                        "block"),
+        ("1 1 2 1 1.0", "entry (2, 1) outside upper triangle"),
+        ("2 1 1 1 1.0", "matrix index 2 out of range"),
+        ("1 2 1 1 1.0", "block 2 does not exist"),
+        ("x y z", "bad entry line: 'x y z'"),
+        ("1 1 1 1 1.0 2.0", "bad entry line: '1 1 1 1 1.0 2.0'"),
+        ("1.0 1 1 1 1.0", "bad entry line: '1.0 1 1 1 1.0'"),
+        ("*lrsdp-objective 1 0 2", "bad objective line"),
+        # the first fault in file order is named, the objective line's
+        # too: it is read after the entry line but in the same block
+        ("1 1 1 1 x\n*lrsdp-objective 1", "bad entry line: '1 1 1 1 x'"),
+        ("*lrsdp-objective 1\n1 1 1 1 x", "bad objective line"),
+    ], ids=["below-n", "lower-triangle", "matrix-index", "block", "words",
+            "six-fields", "float-index", "objective",
+            "entry-then-objective", "objective-then-entry"])
+    def test_bad_line_named_in_any_block(self, tmp_path, monkeypatch, bad,
+                                         message, pad):
+        # with blocks of two entry lines, the bad line ends the first
+        # block, starts the second or follows in it: the same message, on
+        # its own line number, as a file read one line at a time
+        monkeypatch.setattr(io_cli, "_BLOCK", 2)
+        path = tmp_path / "bad.dat-s"
+        path.write_text("1\n1\n2\n1.0\n" + "1 1 1 2 1.0\n" * pad
+                        + bad + "\n1 1 2 2 1.0\n")
+        with pytest.raises(FormatError) as err:
+            read_sdpa(path)
+        assert f"{path}:{5 + pad}: {message}" in str(err.value)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_block_parse_matches_a_line_by_line_read(self, tmp_path_factory,
+                                                     data):
+        # shuffled entries with duplicates, or entries in increasing order,
+        # one side of a block boundary or the other, between comments,
+        # blank lines and objective lines, with commas and braces: the
+        # problem has the bytes of a line-by-line read
+        block = data.draw(st.integers(1, 4))
+        n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+        count = data.draw(st.sampled_from([block - 1, block, block + 1]))
+        spots = [(k, i, j) for k in range(m + 1) for i in range(1, n + 1)
+                 for j in range(i, n + 1)]
+        if data.draw(st.booleans()):
+            keys = sorted(data.draw(st.lists(
+                st.sampled_from(spots), min_size=min(count, len(spots)),
+                max_size=min(count, len(spots)), unique=True)))
+        else:
+            keys = data.draw(st.lists(st.sampled_from(spots),
+                                      min_size=count, max_size=count))
+        values = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1.0]),
+                           st.floats(-1e6, 1e6))
+        sep = st.sampled_from([" ", "  ", "\t", ",", ", ", " ,"])
+        filler = st.sampled_from(["", "   ", "* a comment", '"a comment',
+                                  "*lrsdp-objective -1.0 2.5",
+                                  "*lrsdp-objective 1 -0.0"])
+        lines = [str(m), "1", str(n)] + (
+            [" ".join(repr(v) for v in data.draw(st.lists(
+                values, min_size=m, max_size=m)))] if m else [])
+        for k, i, j in keys:
+            tokens = [str(k), "1", str(i), str(j), repr(data.draw(values))]
+            text = tokens[0] + "".join(data.draw(sep) + t for t in tokens[1:])
+            if data.draw(st.booleans()):
+                text = "{" + text + "}"
+            lines += data.draw(st.lists(filler, max_size=2)) + [text]
+        path = tmp_path_factory.getbasetemp() / "block.dat-s"
+        path.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(io_cli, "_BLOCK", block):
+            sdp = read_sdpa(path)
+        want = _line_by_line(lines)
+        got = [(0, r, c, v) for r, c, v in zip(sdp.C.rows.tolist(),
+                                               sdp.C.cols.tolist(),
+                                               sdp.C.vals.tolist())]
+        got += [(k + 1, r, c, v) for k, r, c, v in zip(
+            sdp.A.index.tolist(), sdp.A.rows.tolist(), sdp.A.cols.tolist(),
+            sdp.A.vals.tolist())]
+        assert [t[:3] for t in got] == [t[:3] for t in want["entries"]]
+        assert np.array([t[3] for t in got]).tobytes() \
+            == np.array([t[3] for t in want["entries"]]).tobytes()
+        assert (sdp.n, sdp.m) == (want["n"], want["m"])
+        assert sdp.b.tobytes() == np.array(want["b"], float).tobytes()
+        assert _objective_bytes(sdp) == np.array(want["objective"]).tobytes()
 
     def test_round_trip(self, tmp_path, rng):
         from conftest import random_problem
@@ -198,6 +301,27 @@ class TestSdpa:
         path.write_text(f"*lrsdp-objective {bad}\n1\n1\n2\n1.0\n")
         with pytest.raises(prob.ProblemError, match="NaN or inf"):
             read_sdpa(path)
+
+
+def _line_by_line(lines):
+    """The content of an SDPA file's lines, read one line at a time: n, m,
+    b, the objective's sign and offset, and the entries (matno, i, j,
+    value), 0-based, in sorted order, duplicates summed in file order."""
+    objective, content = [1.0, 0.0], []
+    for line in lines:
+        if line.startswith("*lrsdp-objective"):
+            objective = [float(t) for t in line.split()[1:]]
+        if line.strip() and line.strip()[0] not in "*\"":
+            content.append(line.replace(",", " ").replace("{", " ")
+                           .replace("}", " ").split())
+    m, n = int(content[0][0]), int(content[2][0])
+    b = [float(t) for t in content[3]] if m else []
+    sums = {}
+    for k, _, i, j, v in content[4 if m else 3:]:
+        key = (int(k), int(i) - 1, int(j) - 1)
+        sums[key] = sums.get(key, 0.0) + float(v)
+    return {"n": n, "m": m, "b": b, "objective": objective,
+            "entries": [key + (v,) for key, v in sorted(sums.items())]}
 
 
 def _objective_bytes(sdp):
@@ -332,8 +456,9 @@ class TestResultDocument:
     @settings(max_examples=100, deadline=None)
     def test_arrays_round_trip_bit_for_bit(self, data):
         # every array comes back through JSON text with its bytes and
-        # dtype, -0.0 and subnormals included; with m = 0 the A_i, b and y
-        # are empty strings
+        # dtype, -0.0 and subnormals included, triplet rows and columns as
+        # "<i4"; with m = 0 the A_i's triplets, b and y are empty strings
+        # and "start" holds the one offset 0
         n, m, p = (data.draw(st.integers(lo, hi))
                    for lo, hi in ((1, 4), (0, 3), (1, 3)))
         manifold = data.draw(st.sampled_from(ALL_MANIFOLDS))
@@ -359,10 +484,11 @@ class TestResultDocument:
         doc = json.loads(json.dumps(
             result_document(sdp, sol, alm.SolverOptions())))
         pd = doc["problem"]
-        pairs = [(_doc_array(pd["C"], key), getattr(sdp.C, key))
-                 for key in ("rows", "cols", "vals")]
-        pairs += [(_doc_array(pd["A"], key), getattr(sdp.A, key))
-                  for key in ("index", "rows", "cols", "vals")]
+        pairs = [(_doc_array(pd["C"], key), getattr(sdp.C, key).astype(
+            _DOC_DTYPES.get(key, "<f8"))) for key in ("rows", "cols", "vals")]
+        pairs += [(_doc_array(pd["A"], key), getattr(sdp.A, key).astype(
+            _DOC_DTYPES.get(key, "<f8")))
+            for key in ("start", "rows", "cols", "vals")]
         pairs += [(_doc_array(pd, "b"), sdp.b),
                   (_doc_array(doc, "Y").reshape(n, -1), sol.Y.Y)]
         pairs += [(_doc_array(doc, key), getattr(sol, key))
@@ -371,7 +497,9 @@ class TestResultDocument:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         if m == 0:
-            assert pd["b"] == doc["y"] == "" and not any(pd["A"].values())
+            assert pd["b"] == doc["y"] == "" and not any(
+                pd["A"][key] for key in ("rows", "cols", "vals"))
+            assert _doc_array(pd["A"], "start").tolist() == [0]
 
     @pytest.mark.parametrize("tamper,needle", [
         (lambda d: d.update(y=57), "field 'y' must be a string, got int"),
@@ -389,8 +517,24 @@ class TestResultDocument:
         (lambda d: _edit(d, "Y", lambda v: v[1:]),
          "values, not 11 x p"),
         (_list_form, "field 'rows' must be a string, got list"),
+        (lambda d: d["problem"]["A"].update(
+            rows=base64.b64encode(bytes(6)).decode()),
+         "field 'rows' holds 6 bytes, not a multiple of 4"),
+        # A_k is start[k]:start[k + 1]: 58 offsets from 0 to the triplet
+        # count, never decreasing
+        (lambda d: _edit(d["problem"]["A"], "start", _set(0, 1)),
+         _BAD_START),
+        (lambda d: _edit(d["problem"]["A"], "start",
+                         lambda v: v.__setitem__(5, v[6] + 1)), _BAD_START),
+        (lambda d: _edit(d["problem"]["A"], "start", lambda v: v[:-1]),
+         _BAD_START),
+        (lambda d: _edit(d["problem"]["A"], "start", _set(-1, 10**6)),
+         _BAD_START),
+        (_index_form, "field 'index' is not read"),
     ], ids=["not-a-string", "bad-base64", "non-ascii", "odd-bytes",
-            "short-y", "long-z", "empty-Y", "ragged-Y", "list-form"])
+            "short-y", "long-z", "empty-Y", "ragged-Y", "list-form",
+            "odd-row-bytes", "start-from-1", "start-decreasing",
+            "start-short", "start-past-the-end", "index-form"])
     def test_malformed_array_rejected(self, tamper, needle, tmp_path,
                                       capsys):
         # check_document raises ProblemError naming the field, and
@@ -701,7 +845,8 @@ class TestCli:
                          "--t", "2", "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
         doc["problem"].update(n=self.HUGE_N, m=0, b="", A={
-            "index": "", "rows": "", "cols": "", "vals": ""})
+            "start": _encoded(np.zeros(1, "<i8")), "rows": "", "cols": "",
+            "vals": ""})
         doc["y"] = ""
         out.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -837,8 +982,10 @@ class TestCli:
     @pytest.mark.parametrize("tamper,needle", [
         (lambda p: _edit(p["A"], "rows", _set(1, -9)), "out of range"),
         (lambda p: _edit(p["A"], "cols", _set(1, 9)), "out of range"),
-        (lambda p: [_edit(p["A"], key, lambda v: np.append(v, v[1]))
-                    for key in ("index", "rows", "cols", "vals")],
+        # the last triplet twice, both in the last A_i
+        (lambda p: [_edit(p["A"], key, lambda v: np.append(v, v[-1]))
+                    for key in ("rows", "cols", "vals")]
+         + [_edit(p["A"], "start", lambda v: np.append(v[:-1], v[-1] + 1))],
          "duplicate"),
         # a value inside an array is raw bytes: 1.5, null and "x" now
         # stand in place of the whole array
@@ -894,8 +1041,11 @@ class TestCli:
          "'cols' must be a string, got bool"),
         (lambda d: d["problem"]["C"].update(vals=True),
          "'vals' must be a string, got bool"),
+        # the former format's "index", even as a boolean, is not read
         (lambda d: d["problem"]["A"].update(index=True),
-         "'index' must be a string, got bool"),
+         "field 'index' is not read"),
+        (lambda d: d["problem"]["A"].update(start=True),
+         "'start' must be a string, got bool"),
         (lambda d: d["problem"]["A"].update(rows=True),
          "'rows' must be a string, got bool"),
         (lambda d: d["problem"].update(b=True),
@@ -906,7 +1056,8 @@ class TestCli:
         (lambda d: [d], "expected an object"),
     ], ids=["ragged-rows", "string-n", "scalar-rows", "object-in-y",
             "object-in-Y", "bool-C-col", "bool-C-val", "bool-A-index",
-            "bool-A-row", "bool-b", "bool-Y", "bool-y", "bool-z",
+            "bool-A-start", "bool-A-row", "bool-b", "bool-Y", "bool-y",
+            "bool-z",
             "list-document"])
     def test_check_rejects_malformed_field(self, tmp_path, capsys, tamper,
                                            needle):
@@ -922,9 +1073,10 @@ class TestCli:
         assert cli_main(["check", str(out)]) == 1
         assert needle in capsys.readouterr().err
 
-    @pytest.mark.parametrize("path", [("problem", "A", "index"), ("y",)])
+    @pytest.mark.parametrize("path", [("problem", "A", "start"), ("y",)])
     def test_check_names_missing_field(self, tmp_path, capsys, path):
-        # a bare KeyError printed only "lrsdp: 'index'"
+        # a bare KeyError printed only "lrsdp: 'index'", the field that
+        # "start" replaced
         out = tmp_path / "r.json"
         assert cli_main(["solve", "--generate", "completion", "--s", "2",
                          "--t", "2", "--output", str(out)]) == 0
