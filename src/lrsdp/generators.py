@@ -12,7 +12,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .problem import (ConstraintSet, ManifoldKind, ProblemError, SdpProblem,
-                      SparseSymMatrix)
+                      SparseSymMatrix, index_dtype)
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,11 @@ def gen_matrix_completion(s, t, entries):
             i, j = divmod(int(key[np.argmax(count > 1)]), t)
             raise ProblemError(f"duplicate sample ({i}, {j})")
     n, m = s + t, rows.size
-    # a copy of rows: the problem keeps no view of the caller's array
-    A = ConstraintSet(n, m, np.arange(m), rows.astype(np.intp), s + cols,
-                      np.ones(m))
+    # int32 copies, which the set keeps: none is a view of the caller's
+    cols = cols.astype(np.int32)
+    cols += s
+    A = ConstraintSet(n, m, np.arange(m + 1, dtype=index_dtype(m)),
+                      rows.astype(np.int32), cols, np.ones(m))
     return SdpProblem(n, SparseSymMatrix.identity(n), A, 2.0 * vals,
                       ManifoldKind.FREE)
 
@@ -114,10 +116,11 @@ def _tie(trips, rhs, e, f):
 
 
 def _constraint_set(n, m, triplets):
-    """The ConstraintSet of (constraint, row, col, value) tuples."""
+    """The ConstraintSet of (constraint, row, col, value) tuples, listed
+    by constraint."""
     k, r, c, v = zip(*triplets)
-    return ConstraintSet(n, m, np.array(k), np.array(r), np.array(c),
-                         np.array(v, dtype=float))
+    return ConstraintSet(n, m, np.searchsorted(k, np.arange(m + 1)),
+                         np.array(r), np.array(c), np.array(v, dtype=float))
 
 
 def _bqp_keys(q):
@@ -128,29 +131,39 @@ def _bqp_keys(q):
     x_i. The four slots of a pair are merged in order and equal neighbours
     cancel (x_i^2 = 1). The slots left, in order and padded with 0 on the
     right, are the digits of a base-(q + 1) key, so keys order monomials as
-    their sorted index tuples do."""
+    their sorted index tuples do. The slots of a's and of b's are
+    gathered by repeats and suffixes of the basis, with no index array
+    per entry, and merged in place: the peak is the key and a few int16
+    and boolean arrays per entry."""
     pi, pj = np.triu_indices(q, 1)
     lo = np.concatenate([np.zeros(q + 1), pi + 1]).astype(np.int16)
     hi = np.concatenate([np.arange(q + 1), pj + 1]).astype(np.int16)
-    a, b = np.triu_indices(lo.size, 1)
-    x0, x1, y0, y1 = lo[a], hi[a], lo[b], hi[b]
+    n = lo.size
+    later = np.arange(n - 1, -1, -1)  # the entries b > a of each row a
+    x0, x1 = np.repeat(lo, later), np.repeat(hi, later)
+    y0, y1 = (np.concatenate([h[a + 1:] for a in range(n)]) for h in (lo, hi))
     s0, s3 = np.minimum(x0, y0), np.maximum(x1, y1)
-    x, y = np.maximum(x0, y0), np.minimum(x1, y1)
-    s1, s2 = np.minimum(x, y), np.maximum(x, y)
+    x, y = np.maximum(x0, y0, out=x0), np.minimum(x1, y1, out=x1)
+    del y0, y1
+    s1, s2 = np.minimum(x, y), np.maximum(x, y, out=x)
+    del x, y
     e01, e12, e23 = s0 == s1, s1 == s2, s2 == s3
     s0[e01] = 0
     s1[e01 | e12] = 0
     s2[e12 | e23] = 0
     s3[e23] = 0
+    del e01, e12, e23
     base = q + 1
     key = np.zeros(s0.size, np.int64)
     degree = np.zeros(s0.size, np.int8)
-    for s in (s0, s1, s2, s3):
+    for s in (s0, s1, s2, s3):  # key * base + s where s is not 0
         nz = s != 0
-        key[nz] = key[nz] * base + s[nz]
+        key *= np.where(nz, np.int16(base), np.int16(1))
+        key += s
         degree += nz
+    del s0, s1, s2, s3, s, nz
     key *= (base ** np.arange(4, -1, -1))[degree]
-    return lo.size, key, degree
+    return n, key, degree
 
 
 def _bqp_constraints(q):
@@ -158,8 +171,10 @@ def _bqp_constraints(q):
     constraints, then per class of entries in key order the star ties from
     its first member and, for a degree-two class of three or more members,
     the tie (members[1], members[2]). A stable sort of the keys lists each
-    class's members in (a, b) order. Every array is built sorted and of
-    the store's dtype, so ``ConstraintSet`` keeps it without a copy."""
+    class's members in (a, b) order, so each tie's two triplets are in
+    (row, col) order. Every array is built in that order and of the
+    store's dtype, so ``ConstraintSet`` keeps it without a copy or a
+    sort."""
     n, key, degree = _bqp_keys(q)
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -169,29 +184,37 @@ def _bqp_constraints(q):
     starts = np.flatnonzero(new)
     size = np.diff(np.append(starts, order.size))
     cycle = (degree[order[starts]] == 2) & (size >= 3)
+    del degree
     # upper pair numbers of the two entries of every tie, in order
     e = np.repeat(order[starts], size - 1)
     f = order[~new]
+    del new
     at = np.cumsum(size - 1)[cycle]
     e = np.insert(e, at, order[starts[cycle] + 1])
     f = np.insert(f, at, order[starts[cycle] + 2])
     del order
-    m = n + e.size
-    index = np.empty(n + 2 * e.size, np.intp)
-    rows, cols = np.empty_like(index), np.empty_like(index)
-    index[:n] = rows[:n] = cols[:n] = np.arange(n)
-    index[n::2] = index[n + 1::2] = np.arange(n, m)
+    m, size = n + e.size, n + 2 * e.size
+    rows = np.empty(size, np.int32)
+    cols = np.empty_like(rows)
+    rows[:n] = cols[:n] = np.arange(n)
     # pair p is (a, b) with first[a] <= p < first[a + 1]
     first = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
     for p, half in ((e, slice(n, None, 2)), (f, slice(n + 1, None, 2))):
         a = np.searchsorted(first, p, "right") - 1
         rows[half] = a
-        cols[half] = p - first[a] + a + 1
-    vals = np.empty(index.size)
+        p -= first[a]
+        p += a
+        p += 1
+        cols[half] = p
+    del e, f, p, a
+    vals = np.empty(size)
     vals[:n] = 1.0
     vals[n::2] = 0.5
     vals[n + 1::2] = -0.5
-    return ConstraintSet(n, m, index, rows, cols, vals)
+    start = np.arange(m + 1, dtype=index_dtype(size))
+    start[n:] *= 2  # one triplet per diagonal constraint, then two
+    start[n:] -= n
+    return ConstraintSet(n, m, start, rows, cols, vals)
 
 
 def gen_bqp_moment(Q, c):
@@ -229,7 +252,8 @@ def gen_bqp_moment(Q, c):
     cols = np.flatnonzero(coeff)
     vals = coeff[cols]
     vals[cols < q] /= 2.0
-    C = SparseSymMatrix(n, np.zeros(cols.size, np.intp), cols + 1, vals)
+    C = SparseSymMatrix(n, np.zeros(cols.size, np.int32),
+                        (cols + 1).astype(np.int32), vals)
     b = np.zeros(A.m)
     b[:n] = 1.0
     return SdpProblem(n, C, A, b, ManifoldKind.UNIT_DIAGONAL,

@@ -1,7 +1,10 @@
 """File formats (SDPA sparse, Gset graphs, JSON results, CSV traces) and
 the command-line interface. The arrays of a JSON result are base64 strings
-of their little-endian bytes ("<i4" triplet rows and columns, "<i8"
-constraint offsets, "<f8" values), bit for bit.
+of their little-endian bytes, bit for bit, in the dtypes of the problem's
+``ConstraintSet``: "<i4" triplet rows and columns, "<i4" constraint
+offsets ("<i8" from 2^31 triplets on) and "<f8" values. Problems read
+from either format, and generated ones, reach the set with their arrays
+in its dtypes and order, and are kept without a copy.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from . import alm, generators, problem as prob
 from .alm import SolverOptions
 from .generators import WeightedGraph
 from .problem import (ConstraintSet, ManifoldKind, ProblemError, SdpProblem,
-                      SparseSymMatrix)
+                      SparseSymMatrix, index_dtype)
 
 TRACE_COLUMNS = tuple(f.name for f in fields(alm.IterationTrace))
 
@@ -35,7 +38,7 @@ class FormatError(ProblemError):
 
 _OBJECTIVE = "*lrsdp-objective"
 _SEPARATORS = str.maketrans(",{}", "   ")
-_BLOCK = 1 << 14  # entry lines per np.loadtxt call
+_BLOCK = 1 << 14  # entry lines per np.loadtxt call, or per write
 _ENTRY = np.dtype([("matno", "<i8"), ("blkno", "<i8"), ("i", "<i8"),
                    ("j", "<i8"), ("value", "<f8")])
 
@@ -189,31 +192,84 @@ def read_sdpa(path):
     else:
         key, inv = np.unique(key, return_inverse=True)
         v = np.bincount(inv, weights=v, minlength=key.size)
+    # int32 rows and columns and the offsets of the A_i, which the set
+    # keeps as they are; k increases, so matrix k is bounds[k]:bounds[k + 1]
     k, r, c = np.unravel_index(key, shape)
-    nc = np.searchsorted(k, 1)  # matrix 0 is the cost
-    C = SparseSymMatrix(n, r[:nc], c[:nc], v[:nc])
-    A = ConstraintSet(n, m, k[nc:] - 1, r[nc:], c[nc:], v[nc:])
+    del key
+    rows, cols = (a.astype(np.int32) for a in (r, c))
+    del r, c
+    bounds = np.searchsorted(k, np.arange(m + 2))
+    nc = bounds[1]  # matrix 0 is the cost
+    start = (bounds[1:] - nc).astype(index_dtype(k.size - nc))
+    C = SparseSymMatrix(n, rows[:nc], cols[:nc], v[:nc])
+    A = ConstraintSet(n, m, start, rows[nc:], cols[nc:], v[nc:])
     return SdpProblem(n, C, A, b, ManifoldKind.FREE, objective_sign=sign,
                       objective_offset=offset)
+
+
+def _decimal(x, base):
+    """The decimal text of the ints x + base, none negative: an
+    (x.size, w) table of ASCII digits, right-aligned, and the mask of the
+    digits each row shows."""
+    x = x.astype(np.int64)[:, None] + base
+    power = 10 ** np.arange(len(str(int(x.max()))) - 1, -1, -1)
+    table = (x // power % 10 + ord("0")).astype(np.uint8)
+    return table, (x >= power) | (power == 1)
+
+
+def _shortest(v):
+    """The shortest round-trip text of the floats ``v``, ``repr``'s, in
+    ``_decimal``'s form, left-aligned: one ``repr`` per distinct bit
+    pattern, so -0.0 keeps its sign."""
+    bits, inv = np.unique(np.ascontiguousarray(v).view(np.int64),
+                          return_inverse=True)
+    text = np.array([repr(x) for x in bits.view(np.float64).tolist()], "S")
+    table = text.view(np.uint8).reshape(bits.size, -1)[inv]
+    return table, table != 0
+
+
+def _chars(text, size):
+    """``size`` rows of the bytes ``text``, in ``_decimal``'s form."""
+    table = np.frombuffer(text, np.uint8)
+    return (np.broadcast_to(table, (size, table.size)),
+            np.broadcast_to(True, (size, table.size)))
+
+
+def _rows(*fields):
+    """The text of rows made of ``fields``, each a table of ASCII
+    characters and the mask of those it shows, read row by row."""
+    table, shown = (np.concatenate(f, axis=1) for f in zip(*fields))
+    return table[shown].tobytes()
 
 
 def write_sdpa(problem, path):
     """Emit the exact dialect read_sdpa accepts, entries sorted by
     (matno, i, j), values at shortest round-trip precision, with an
-    ``_OBJECTIVE`` line first unless the sign is 1 and the offset 0."""
+    ``_OBJECTIVE`` line first unless the sign is 1 and the offset 0.
+
+    The values of b and the entry lines are formatted ``_BLOCK`` at a
+    time from the arrays, each triplet's matrix found in the set's
+    ``start``, with no Python object per entry."""
     sign, offset = problem.objective_sign, problem.objective_offset
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         if (sign, offset) != (1.0, 0.0):
-            fh.write(f"{_OBJECTIVE} {sign!r} {offset!r}\n")
-        fh.write(f"{problem.m}\n1\n{problem.n}\n")
-        fh.write(" ".join(repr(float(v)) for v in problem.b) + "\n"
-                 if problem.m else "\n")
+            fh.write(f"{_OBJECTIVE} {sign!r} {offset!r}\n".encode())
+        fh.write(f"{problem.m}\n1\n{problem.n}\n".encode())
+        for t in range(0, problem.m, _BLOCK):
+            b = problem.b[t:t + _BLOCK]
+            text = _rows(_chars(b" ", b.size), _shortest(b))
+            fh.write(text[1:] if t == 0 else text)  # no space before b_1
+        fh.write(b"\n")
         cost = ConstraintSet.from_matrices(problem.n, [problem.C])
-        for base, S in ((0, cost), (1, problem.A)):
-            fh.writelines(
-                f"{k + base} 1 {r + 1} {c + 1} {v!r}\n"
-                for k, r, c, v in zip(S.index.tolist(), S.rows.tolist(),
-                                      S.cols.tolist(), S.vals.tolist()))
+        for matno, S in ((0, cost), (1, problem.A)):
+            for t in range(0, S.rows.size, _BLOCK):
+                end = min(t + _BLOCK, S.rows.size)
+                k = np.searchsorted(S.start, np.arange(t, end), "right")
+                fh.write(_rows(
+                    _decimal(k, matno - 1), _chars(b" 1 ", end - t),
+                    _decimal(S.rows[t:end], 1), _chars(b" ", end - t),
+                    _decimal(S.cols[t:end], 1), _chars(b" ", end - t),
+                    _shortest(S.vals[t:end]), _chars(b"\n", end - t)))
 
 
 def read_gset(path):
@@ -253,7 +309,8 @@ def read_gset(path):
 
 _JSON_TYPES = {dict: "an object", int: "an integer",
                (int, float): "a number", str: "a string"}
-_DTYPES = {"start": "<i8", "rows": "<i4", "cols": "<i4"}  # else "<f8"
+# else "<f8"; "start" is "<i8" from 2^31 triplets on (``_offsets_dtype``)
+_DTYPES = {"start": "<i4", "rows": "<i4", "cols": "<i4"}
 
 
 def _doc_field(doc, key, kind):
@@ -271,21 +328,30 @@ def _doc_field(doc, key, kind):
     return value
 
 
+def _offsets_dtype(triplets):
+    """The dtype of "start" for a set of ``triplets`` triplets: the set's
+    own, ``index_dtype``, little-endian."""
+    return np.dtype(index_dtype(triplets)).newbyteorder("<")
+
+
 def _encode(owner, key):
     """The array ``owner.<key>`` as the document field ``key``."""
+    dtype = _offsets_dtype(owner.rows.size) if key == "start" \
+        else _DTYPES.get(key, "<f8")
     return base64.b64encode(np.ascontiguousarray(
-        getattr(owner, key), _DTYPES.get(key, "<f8"))).decode("ascii")
+        getattr(owner, key), dtype)).decode("ascii")
 
 
-def _doc_array(doc, key):
-    """The array ``doc[key]`` of a result document, read-only, 1-D;
-    ProblemError names the field where it is no such array."""
+def _doc_array(doc, key, dtype=None):
+    """The array ``doc[key]`` of a result document, read-only, 1-D, of
+    ``dtype`` (by default the field's); ProblemError names the field
+    where it is no such array."""
     text = _doc_field(doc, key, str)
     try:
         raw = base64.b64decode(text, validate=True)
     except ValueError:  # binascii.Error, or a character beyond ASCII
         raise ProblemError(f"field {key!r} is not valid base64")
-    dtype = np.dtype(_DTYPES.get(key, "<f8"))
+    dtype = np.dtype(dtype or _DTYPES.get(key, "<f8"))
     if len(raw) % dtype.itemsize:
         raise ProblemError(f"field {key!r} holds {len(raw)} bytes, not a "
                            f"multiple of {dtype.itemsize}")
@@ -294,22 +360,14 @@ def _doc_array(doc, key):
 
 def _doc_triplets(doc, key, n, m=None):
     """The ConstraintSet of the triplet object ``doc[key]``, its arrays
-    taken as written: the A_i with their "start" offsets, A_k holding
-    the triplets start[k]:start[k + 1], or, with no ``m``, C as the one
-    matrix of a set."""
+    taken as written, and kept with no copy: the A_i with their "start"
+    offsets, A_k holding the triplets start[k]:start[k + 1], or, with no
+    ``m``, C as the one matrix of a set."""
     doc = _doc_field(doc, key, dict)
     rows = _doc_array(doc, "rows")
-    if m is None:
-        index = np.zeros(rows.size, np.intp)
-    else:
-        start = _doc_array(doc, "start")
-        if not (start.size == m + 1 and start[0] == 0
-                and start[-1] == rows.size
-                and np.all(start[1:] >= start[:-1])):
-            raise ProblemError(f"field 'start' must hold {m + 1} offsets "
-                               f"from 0 up to {rows.size}, never decreasing")
-        index = np.repeat(np.arange(m), np.diff(start))
-    return ConstraintSet(n, 1 if m is None else m, index, rows,
+    start = [0, rows.size] if m is None \
+        else _doc_array(doc, "start", _offsets_dtype(rows.size))
+    return ConstraintSet(n, 1 if m is None else m, start, rows,
                          _doc_array(doc, "cols"), _doc_array(doc, "vals"))
 
 

@@ -1,22 +1,24 @@
 """Problem data model: sparse symmetric matrices, SDP instances, KKT residues.
 
-The A_i are one ``ConstraintSet``, a single sorted list of triplets with no
-object per A_i. ``SdpProblem`` takes one, or a sequence of
-``SparseSymMatrix`` that it converts once, and checks C and the A_i with
-one vectorized pass each.
+The A_i are one ``ConstraintSet``: int32 triplet rows and columns, float64
+values and the m + 1 offsets ``start`` of each A_i's triplets, 16 bytes
+per triplet and no object per A_i. ``SdpProblem`` takes one, or a
+sequence of ``SparseSymMatrix`` that it converts once, and checks C and
+the A_i with one vectorized pass each.
 
 The solver holds the factor Y of X = Y Y^T, not X. The support map is
 the one place that knows where the A_i sit: their support block R x C,
 R their rows and C their columns, and one cached (m, |R| |C|) map that
-holds each triplet once. The four constraint products read it for every
-m, m = 0 included: A(Y Y^T) from the block Y_R Y_C^T
-(``apply_constraints``, once per ALM point), A(Y U^T + U Y^T) from
-Y_R U_C^T + U_R Y_C^T (``apply_constraints_sym``), and A*(v) V and A*(v)
-from the block B = M^T v and its transpose (``apply_adjoint_times``,
-``adjoint_dense``). So do A(C) and the overlap K = R n C. Where the A_i
-touch all of X (BQP) the block is n x n; where they touch one
-off-diagonal block (completion) no product forms an n x n array but
-``adjoint_dense``, whose result is one.
+holds each triplet once, with the set's ``start`` as its row offsets.
+The four constraint products read it for every m, m = 0 included:
+A(Y Y^T) from the block Y_R Y_C^T (``apply_constraints``, once per ALM
+point), A(Y U^T + U Y^T) from Y_R U_C^T + U_R Y_C^T
+(``apply_constraints_sym``), and A*(v) V and A*(v) from the block
+B = M^T v and its transpose (``apply_adjoint_times``, ``adjoint_dense``).
+So do A(C) and the overlap K = R n C. Where the A_i touch all of X (BQP)
+the block is n x n; where they touch one off-diagonal block (completion)
+no product forms an n x n array but ``adjoint_dense``, whose result is
+one.
 
 The inner solve reads the slack S~ = C - A*(w) only through ``Slack``:
 its products with a factor-sized V and its Frobenius norm. Where the
@@ -71,12 +73,12 @@ class SparseSymMatrix:
         idx = np.array((r, c))
         if idx.size and idx.dtype.kind not in "iu":
             raise ProblemError("triplet indices must be integers")
-        return ConstraintSet(n, 1, np.zeros(idx.shape[1], np.intp),
-                             idx.min(axis=0), idx.max(axis=0), v)[0]
+        return ConstraintSet(n, 1, [0, idx.shape[1]], idx.min(axis=0),
+                             idx.max(axis=0), v)[0]
 
     @staticmethod
     def identity(n):
-        idx = np.arange(n, dtype=np.intp)
+        idx = np.arange(n, dtype=np.int32)
         return SparseSymMatrix(n, idx, idx.copy(), np.ones(n))
 
     @property
@@ -90,25 +92,36 @@ class SparseSymMatrix:
         return A
 
 
-def _in_order(index, rows, cols):
-    """Whether the triplets are sorted by (index, row, col), ties allowed,
-    by comparing neighbours: linear time, and boolean temporaries only."""
-    i0, i1, r0, r1 = index[:-1], index[1:], rows[:-1], rows[1:]
-    return bool(np.all((i0 < i1) | ((i0 == i1) & (
-        (r0 < r1) | ((r0 == r1) & (cols[:-1] <= cols[1:]))))))
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def index_dtype(bound):
+    """int32 while ``bound`` (a largest index or count) fits in it, else
+    int64: the dtype of ``ConstraintSet.start`` for ``bound`` triplets,
+    and of the support map's indices."""
+    return np.int32 if bound <= _INT32_MAX else np.int64
 
 
 class ConstraintSet:
-    """The m constraint matrices as one list of upper-triangular triplets,
-    sorted by (matrix, row, col): A_k holds entry (rows[t], cols[t]) =
-    vals[t] for t in start[k]:start[k + 1]. ``len`` is m, and ``A[k]`` and
-    iteration give A_k as a ``SparseSymMatrix`` of slices, not copies.
-    An n that is not an integer >= 1, an m that is not an integer >= 0,
-    non-integer or out-of-range indices, a position twice in one matrix,
-    values that are not real numbers and non-finite values raise
-    ProblemError."""
+    """The m constraint matrices as one list of upper-triangular triplets:
+    A_k holds entry (rows[t], cols[t]) = vals[t] for t in
+    start[k]:start[k + 1], sorted by (row, col). ``rows`` and ``cols``
+    are int32 and ``vals`` float64, 16 bytes per triplet; ``start`` holds
+    the m + 1 offsets, int32 while the triplet count fits
+    (``index_dtype``). No array is kept per triplet beyond these three.
+    ``len`` is m, and ``A[k]`` and iteration give A_k as a
+    ``SparseSymMatrix`` of slices, not copies.
 
-    def __init__(self, n, m, index, rows, cols, vals):
+    Arrays of these dtypes, each matrix's triplets in order, are kept
+    as given, with no copy; others are cast. Only a matrix whose
+    triplets are out of order is sorted, by a matrix number that exists
+    only during the sort. An n that is not an integer in 1..2^31, an m
+    that is not an integer >= 0, offsets that do not rise from 0 to the
+    triplet count, non-integer or out-of-range indices, a position twice
+    in one matrix, values that are not real numbers and non-finite
+    values raise ProblemError."""
+
+    def __init__(self, n, m, start, rows, cols, vals):
         for name, value, least in (("dimension", n, 1),
                                    ("constraint count", m, 0)):
             if isinstance(value, bool) \
@@ -116,10 +129,13 @@ class ConstraintSet:
                     or value < least:
                 raise ProblemError(f"{name} must be an integer >= {least}, "
                                    f"got {value!r}")
-        t = [np.asarray(a) for a in (index, rows, cols)]
+        if n > _INT32_MAX + 1:
+            raise ProblemError(f"dimension must be at most 2^31 (int32 "
+                               f"indices), got {n!r}")
+        t = [np.asarray(a) for a in (start, rows, cols)]
         if any(a.size and a.dtype.kind not in "iu" for a in t):
-            raise ProblemError("triplet indices must be integers")
-        index, rows, cols = (a.astype(np.intp, copy=False) for a in t)
+            raise ProblemError("triplet indices and offsets must be integers")
+        start, rows, cols = t
         vals = np.asarray(vals)
         # as float, None would read as NaN and "x" raise a bare ValueError
         if vals.dtype.kind not in "biuf" and not (
@@ -127,29 +143,41 @@ class ConstraintSet:
                     isinstance(v, numbers.Real) for v in vals.flat)):
             raise ProblemError("triplet values must be real numbers")
         vals = vals.astype(float, copy=False)
-        if index.ndim != 1 \
-                or not index.shape == rows.shape == cols.shape == vals.shape:
-            raise ProblemError("index, rows, cols and vals must be 1-D and "
-                               "must not differ in length")
+        if rows.ndim != 1 or not rows.shape == cols.shape == vals.shape:
+            raise ProblemError("rows, cols and vals must be 1-D and must "
+                               "not differ in length")
+        size = rows.size
+        if not (start.shape == (m + 1,) and start[0] == 0
+                and start[-1] == size and np.all(start[1:] >= start[:-1])):
+            raise ProblemError(f"start must hold {m + 1} offsets from 0 up "
+                               f"to {size}, never decreasing")
         if not np.all(np.isfinite(vals)):
             raise ProblemError("problem data contains NaN or inf")
-        # as unsigned, a negative index is huge: one test checks both ends
-        if np.count_nonzero(index.view(np.uintp) >= m):
-            raise ProblemError("constraint index out of range")
-        if rows.size and not (rows.min() >= 0 and cols.max() < n
-                              and np.all(rows <= cols)):
+        if size and not (rows.min() >= 0 and cols.max() < n
+                         and np.all(rows <= cols)):
             raise ProblemError("triplet index out of range or below the "
                                "diagonal: need 0 <= row <= col < n")
-        if not _in_order(index, rows, cols):  # sorted input is not copied
+        start = start.astype(index_dtype(size), copy=False)
+        rows, cols = (a.astype(np.int32, copy=False) for a in (rows, cols))
+        # neighbours t - 1 and t lie in different matrices where t is an
+        # inner offset; there order and equality do not matter
+        inner = start[1:-1]
+        inner = inner[(inner > 0) & (inner < size)] - 1
+        r0, r1, c0, c1 = rows[:-1], rows[1:], cols[:-1], cols[1:]
+        ordered = (r0 < r1) | ((r0 == r1) & (c0 <= c1))
+        ordered[inner] = True
+        if not np.all(ordered):  # sorted input is not copied
+            index = np.repeat(np.arange(m), np.diff(start))
             order = np.lexsort((cols, rows, index))
-            index, rows, cols, vals = (a[order]
-                                       for a in (index, rows, cols, vals))
-        if np.any((index[1:] == index[:-1]) & (rows[1:] == rows[:-1])
-                  & (cols[1:] == cols[:-1])):
+            del index
+            rows, cols, vals = (a[order] for a in (rows, cols, vals))
+            r0, r1, c0, c1 = rows[:-1], rows[1:], cols[:-1], cols[1:]
+        same = (r0 == r1) & (c0 == c1)
+        same[inner] = False
+        if np.any(same):
             raise ProblemError("duplicate (row, col) entry in one matrix")
         self.n, self.m = n, m
-        self.index, self.rows, self.cols, self.vals = index, rows, cols, vals
-        self.start = np.searchsorted(index, np.arange(m + 1))
+        self.start, self.rows, self.cols, self.vals = start, rows, cols, vals
 
     @staticmethod
     def from_matrices(n, matrices):
@@ -158,8 +186,8 @@ class ConstraintSet:
         for k, M in enumerate(mats):
             if M.n != n:
                 raise ProblemError(f"constraint {k} dimension mismatch")
-        index = np.repeat(np.arange(len(mats)), [M.nnz for M in mats])
-        return ConstraintSet(n, len(mats), index, *(
+        return ConstraintSet(n, len(mats), np.cumsum(
+            [0] + [M.nnz for M in mats]), *(
             np.concatenate([getattr(M, f) for M in mats] or [np.zeros(0)])
             for f in ("rows", "cols", "vals")))
 
@@ -290,14 +318,15 @@ class SdpProblem:
 
         The triplets are sorted by (matrix, row, col) and the maps from
         n to R and to C are increasing, so each row of M is sorted as
-        built: no COO copy and no sort."""
+        built: no COO copy and no sort. M's row offsets are the set's
+        ``start`` itself, not a copy, unless the block needs int64
+        indices; M keeps its own values, whose diagonal ones are halved."""
         if self._map is None:
             A, n, m = self.A, self.n, self.m
             masks = np.zeros((2, n), bool)
             masks[0, A.rows] = masks[1, A.cols] = True
             nr, nc = map(int, np.count_nonzero(masks, axis=1))
-            idx = np.int32 if max(m, nr * nc, A.rows.size) \
-                <= np.iinfo(np.int32).max else np.int64
+            idx = index_dtype(max(m, nr * nc, A.rows.size))
             where = np.cumsum(masks, axis=1, dtype=idx)
             where -= 1  # where[0][r] = r', where[1][c] = c'
             indices = where[0][A.rows]
@@ -305,8 +334,7 @@ class SdpProblem:
             indices += where[1][A.cols]
             data = A.vals.copy()
             data[A.rows == A.cols] *= 0.5
-            M = sp.csr_matrix((data, indices, A.start.astype(idx)),
-                              shape=(m, nr * nc))
+            M = sp.csr_matrix((data, indices, A.start), shape=(m, nr * nc))
             both = masks[0] & masks[1]
             self._map = SupportMap(_support(masks[0]), _support(masks[1]),
                                    (nr, nc), M, M.T,

@@ -23,6 +23,12 @@ def random_sym_triplets(n, nnz, rng):
     return [(i, j, float(rng.standard_normal())) for i, j in sorted(pairs)]
 
 
+def matrix_numbers(A):
+    """The matrix k of each triplet of the ConstraintSet ``A``, from its
+    offsets ``start``: the per-triplet index the set does not keep."""
+    return np.repeat(np.arange(A.m), np.diff(A.start))
+
+
 def random_problem(n, m, manifold, rng, nnz=None):
     nnz = nnz or max(2, n)
     C = SparseSymMatrix.from_triplets(n, random_sym_triplets(n, nnz, rng))

@@ -11,19 +11,21 @@ import numpy as np
 import pytest
 
 from conftest import random_sym_triplets
-from lrsdp import generators as gen
-from lrsdp.io_cli import read_sdpa, write_sdpa
+from lrsdp import alm, generators as gen
+from lrsdp.io_cli import (problem_from_document, read_sdpa, result_document,
+                          write_sdpa)
 from lrsdp.problem import (ConstraintSet, ManifoldKind, ProblemError,
                            SdpProblem, SparseSymMatrix)
 
 
 def _flat(mats):
-    """The flattened (index, rows, cols, vals) of a matrix list, as
-    ``SdpProblem`` concatenated them from one object per A_i."""
-    k = np.repeat(np.arange(len(mats), dtype=np.intp), [M.nnz for M in mats])
+    """The flattened (start, rows, cols, vals) of a matrix list, as
+    ``SdpProblem`` concatenated them from one object per A_i, in the
+    set's dtypes: int32 offsets, rows and columns, float64 values."""
+    k = np.cumsum([0] + [M.nnz for M in mats]).astype(np.int32)
     r, c, v = (np.concatenate([np.zeros(0, dtype)]
-                              + [getattr(M, f) for M in mats])
-               for f, dtype in (("rows", np.intp), ("cols", np.intp),
+                              + [getattr(M, f) for M in mats]).astype(dtype)
+               for f, dtype in (("rows", np.int32), ("cols", np.int32),
                                 ("vals", float)))
     return k, r, c, v
 
@@ -35,7 +37,7 @@ def _assert_same_bytes(got, want):
 
 
 def _assert_bitwise(sdp, mats, b):
-    got = (sdp.A.index, sdp.A.rows, sdp.A.cols, sdp.A.vals, sdp.b)
+    got = (sdp.A.start, sdp.A.rows, sdp.A.cols, sdp.A.vals, sdp.b)
     _assert_same_bytes(got, _flat(mats) + (np.asarray(b, dtype=float),))
 
 
@@ -203,27 +205,30 @@ class TestConstraintSet:
                 A[k]
 
     def test_triplets_sorted_by_matrix_row_col(self):
-        A = ConstraintSet(3, 2, [1, 0, 1, 0], [1, 0, 0, 0], [2, 2, 1, 0],
-                          [1.0, 2.0, 3.0, 4.0])
-        assert A.index.tolist() == [0, 0, 1, 1]
+        # each matrix's triplets out of (row, col) order
+        A = ConstraintSet(3, 2, [0, 2, 4], [0, 0, 1, 0], [2, 0, 2, 1],
+                          [2.0, 4.0, 1.0, 3.0])
         assert A.rows.tolist() == [0, 0, 0, 1]
         assert A.cols.tolist() == [0, 2, 1, 2]
         assert A.vals.tolist() == [4.0, 2.0, 3.0, 1.0]
         assert A.start.tolist() == [0, 2, 4]
 
-    @pytest.mark.parametrize("field", ["index", "rows", "cols"])
+    @pytest.mark.parametrize("field", ["start", "rows", "cols"])
     def test_non_integer_index_rejected(self, field):
-        t = dict(index=[0, 1], rows=[0, 1], cols=[1, 1])
-        t[field] = [0.0, 1.0]
+        t = dict(start=[0, 1, 2], rows=[0, 1], cols=[1, 1])
+        t[field] = [float(i) for i in t[field]]
         with pytest.raises(ProblemError, match="integers"):
             ConstraintSet(3, 2, vals=[1.0, 2.0], **t)
 
     @pytest.mark.parametrize("index", [2, -1])
     def test_matrix_index_out_of_range_rejected(self, index):
-        # rows, columns, duplicates and values are checked through
-        # SdpProblem in test_problem
-        with pytest.raises(ProblemError, match="constraint index out of"):
-            ConstraintSet(3, 2, [index], [0], [1], [1.0])
+        # an offset past the triplets or below 0 puts a triplet in no
+        # matrix or in two; rows, columns, duplicates and values are
+        # checked through SdpProblem in test_problem
+        with pytest.raises(ProblemError, match=re.escape(
+                "start must hold 3 offsets from 0 up to 1, never "
+                "decreasing")):
+            ConstraintSet(3, 2, [0, index, 1], [0], [1], [1.0])
 
     @pytest.mark.parametrize("n,m,needle", [
         (0, 1, "dimension must be an integer >= 1, got 0"),
@@ -233,6 +238,9 @@ class TestConstraintSet:
         (3, -1, "constraint count must be an integer >= 0, got -1"),
         (3, 2.5, "constraint count must be an integer >= 0, got 2.5"),
         (3, None, "constraint count must be an integer >= 0, got None"),
+        # int32 indices
+        (2**31 + 1, 1, "dimension must be at most 2^31 (int32 indices), "
+                       "got 2147483649"),
     ])
     def test_bad_size_rejected(self, n, m, needle):
         # a negative m used to construct, and len() then raised a bare
@@ -241,7 +249,8 @@ class TestConstraintSet:
             ConstraintSet(n, m, [], [], [], [])
 
     def test_numpy_integer_sizes_accepted(self):
-        A = ConstraintSet(np.int64(3), np.int32(2), [1], [0], [2], [1.0])
+        A = ConstraintSet(np.int64(3), np.int32(2), np.array([0, 0, 1]),
+                          [0], [2], [1.0])
         assert len(A) == 2 and A[1].n == 3 and A[0].nnz == 0
 
     @pytest.mark.parametrize("value", [None, "x", "1.0", 1 + 2j])
@@ -250,7 +259,7 @@ class TestConstraintSet:
         with pytest.raises(ProblemError, match="must be real numbers"):
             SparseSymMatrix.from_triplets(2, [(0, 0, value)])
         with pytest.raises(ProblemError, match="must be real numbers"):
-            ConstraintSet(2, 1, [0, 0], [0, 0], [0, 1], [1.0, value])
+            ConstraintSet(2, 1, [0, 2], [0, 0], [0, 1], [1.0, value])
 
     def test_real_values_of_any_type_accepted(self):
         M = SparseSymMatrix.from_triplets(
@@ -262,7 +271,7 @@ class TestConstraintSet:
 
     def test_ragged_arrays_rejected(self):
         with pytest.raises(ProblemError, match="differ in length"):
-            ConstraintSet(3, 1, [0, 0], [0, 1], [1], [1.0, 2.0])
+            ConstraintSet(3, 1, [0, 2], [0, 1], [1], [1.0, 2.0])
 
     def test_problem_accepts_set_or_sequence(self, rng):
         mats = _matrices(rng)
@@ -281,8 +290,9 @@ class TestConstraintSet:
 
 
 def test_completion_retains_little_per_constraint():
-    # one object per A_i retained 531 B per constraint on this instance;
-    # the flat store holds the five triplet arrays, b and the offsets
+    # one object per A_i retained 531 B per constraint on this instance,
+    # and the store with an intp index per triplet 49; int32 rows,
+    # columns and offsets, the values and b hold 29
     s = t = 200
     m = 10_000
     _, entries = gen.random_completion(s, t, 3, m, 0)
@@ -294,13 +304,15 @@ def test_completion_retains_little_per_constraint():
     finally:
         tracemalloc.stop()
     assert sdp.m == m
-    assert retained / m < 150
+    assert retained / m < 35
 
 
 @pytest.mark.parametrize("q", [16, 20])
 def test_bqp_build_peak_under_twice_retained(q):
     # the loop over entries peaked at 624 B per constraint against 134 B
-    # retained at q = 16; the array build stays within twice what it keeps
+    # retained at q = 16, and the store with an intp index per triplet
+    # kept 81; it keeps 45 now, and the build's temporaries stay within
+    # twice that
     Q, c = gen.random_bqp(q, 0)
     tracemalloc.start()
     try:
@@ -311,16 +323,18 @@ def test_bqp_build_peak_under_twice_retained(q):
         tracemalloc.stop()
     assert sdp.m == {16: 7057, 20: 16361}[q]
     assert peak <= 2 * retained
-    assert retained / sdp.m < 110
+    assert retained / sdp.m < 55
 
 
-def _old_order(index, rows, cols, vals):
-    """The arrays ConstraintSet keeps, as the full lexsort decided them:
-    the input itself when the sort leaves it in place, else sorted copies."""
+def _old_order(start, rows, cols, vals):
+    """The arrays ConstraintSet keeps, as a full lexsort by (matrix, row,
+    col) decides them: the input itself when the sort leaves it in place,
+    else sorted copies."""
+    index = np.repeat(np.arange(start.size - 1), np.diff(start))
     order = np.lexsort((cols, rows, index))
     if np.any(order[1:] < order[:-1]):
-        return tuple(a[order] for a in (index, rows, cols, vals))
-    return index, rows, cols, vals
+        return tuple(a[order] for a in (rows, cols, vals))
+    return rows, cols, vals
 
 
 class TestSortedness:
@@ -339,6 +353,8 @@ class TestSortedness:
     @pytest.mark.parametrize("case", ["sorted", "reversed", "last-swapped",
                                       "shuffled", "ties"])
     def test_same_arrays_and_copies_as_a_full_sort(self, case, rng):
+        # the triplets come grouped by matrix, each group in the order
+        # the case names; int32 and float64 arrays in order are kept
         n, m, size = 5, 4, 30
         index = rng.integers(0, m, size)
         rows = rng.integers(0, n, size)
@@ -348,32 +364,131 @@ class TestSortedness:
         key = np.unique((index * n + rows) * n + cols)
         index, rest = np.divmod(key, n * n)
         rows, cols = np.divmod(rest, n)
+        start = np.searchsorted(index, np.arange(m + 1)).astype(np.int32)
         vals = rng.standard_normal(index.size)
-        perm = {"sorted": np.arange(index.size),
-                "reversed": np.arange(index.size)[::-1],
-                "last-swapped": np.r_[np.arange(index.size - 2),
-                                      index.size - 1, index.size - 2],
-                "shuffled": rng.permutation(index.size),
-                # equal (matrix, row), columns out of order
-                "ties": np.arange(index.size)}[case]
-        t = [np.ascontiguousarray(a[perm]) for a in (index, rows, cols, vals)]
-        if case == "ties":
-            t = [np.array([0, 0, 1, 1]), np.array([1, 1, 0, 0]),
-                 np.array([3, 2, 0, 1]), np.array([1.0, 2.0, 3.0, 4.0])]
+        # a permutation of each matrix's triplets, in place
+        within = {"sorted": lambda k: k,
+                  "reversed": lambda k: k[::-1],
+                  "last-swapped": lambda k: k if k.size < 2 else np.r_[
+                      k[:-2], k[-1], k[-2]],
+                  "shuffled": rng.permutation,
+                  "ties": lambda k: k}[case]
+        perm = np.concatenate([within(np.arange(start[k], start[k + 1]))
+                               for k in range(m)])
+        t = [start] + [np.ascontiguousarray(a[perm], dtype)
+                       for a, dtype in ((rows, np.int32), (cols, np.int32),
+                                        (vals, float))]
+        if case == "ties":  # equal (matrix, row), columns out of order
+            t = [np.array([0, 2, 4, 4, 4], np.int32),
+                 np.array([1, 1, 0, 0], np.int32),
+                 np.array([3, 2, 0, 1], np.int32),
+                 np.array([1.0, 2.0, 3.0, 4.0])]
         A = ConstraintSet(n, m, *t)
         want = _old_order(*t)
-        _assert_same_bytes((A.index, A.rows, A.cols, A.vals), want)
-        for got, given, old in zip((A.index, A.rows, A.cols, A.vals), t,
-                                   want):
+        assert A.start is t[0]
+        _assert_same_bytes((A.rows, A.cols, A.vals), want)
+        for got, given, old in zip((A.rows, A.cols, A.vals), t[1:], want):
             assert (got is given) == (old is given)
 
     @pytest.mark.parametrize("triplets", [
-        ([0, 0], [1, 1], [2, 2]),             # sorted, equal neighbours
-        ([1, 0, 1], [0, 0, 0], [2, 1, 2]),     # unsorted, apart
+        ([0, 2, 2], [1, 1], [2, 2]),        # sorted, equal neighbours
+        ([0, 0, 3], [0, 0, 0], [2, 1, 2]),  # unsorted, apart
     ])
     def test_duplicates_rejected_either_way(self, triplets):
-        index, rows, cols = (np.array(a) for a in triplets)
+        start, rows, cols = (np.array(a) for a in triplets)
         with pytest.raises(ProblemError,
                            match=r"^duplicate \(row, col\) entry in one "
                                  r"matrix$"):
-            ConstraintSet(3, 2, index, rows, cols, np.ones(index.size))
+            ConstraintSet(3, 2, start, rows, cols, np.ones(rows.size))
+
+    def test_equal_positions_in_two_matrices_allowed(self):
+        # neighbours across an offset may hold one position: A_0 ends and
+        # A_1, once sorted, begins at (0, 2)
+        A = ConstraintSet(3, 2, [0, 2, 4], [0, 0, 1, 0], [1, 2, 1, 2],
+                          [1.0, 2.0, 3.0, 4.0])
+        assert A.rows.tolist() == [0, 0, 0, 1]
+        assert A.cols.tolist() == [1, 2, 2, 1]
+        assert A.vals.tolist() == [1.0, 2.0, 4.0, 3.0]
+
+
+def _sources(tmp_path):
+    """Problems from every source of a set, by name: the four generators,
+    an SDPA file and a result document."""
+    sdp = gen.gen_bqp_moment(*gen.random_bqp(4, 0))
+    path = tmp_path / "b.dat-s"
+    write_sdpa(sdp, path)
+    opts = alm.SolverOptions(max_outer_iters=1)
+    return {
+        "bqp": lambda: gen.gen_bqp_moment(*gen.random_bqp(4, 0)),
+        "completion": lambda: gen.gen_matrix_completion(
+            6, 5, gen.random_completion(6, 5, 2, 12, 0)[1]),
+        "quartic": lambda: gen.gen_quartic_sphere(
+            2, gen.random_quartic(2, 0)),
+        "maxcut": lambda: gen.gen_maxcut(gen.unit_triangle_graph()),
+        "sdpa": lambda: read_sdpa(path),
+        "document": lambda: problem_from_document(
+            result_document(sdp, alm.solve(sdp, opts), opts)),
+    }
+
+
+_SOURCES = ["bqp", "completion", "quartic", "maxcut", "sdpa", "document"]
+
+
+class TestLayout:
+    @pytest.mark.parametrize("source", _SOURCES)
+    def test_dtypes_and_no_index(self, source, tmp_path):
+        # int32 offsets, rows and columns and float64 values, 16 bytes a
+        # triplet: no set keeps an index per triplet, C's included
+        sdp = _sources(tmp_path)[source]()
+        for S in (sdp.A, ConstraintSet.from_matrices(sdp.n, [sdp.C])):
+            assert [a.dtype for a in (S.start, S.rows, S.cols, S.vals)] \
+                == [np.int32, np.int32, np.int32, np.float64]
+            assert S.start.shape == (S.m + 1,)
+            assert not hasattr(S, "index")
+        assert (sdp.C.rows.dtype, sdp.C.cols.dtype) == (np.int32, np.int32)
+
+    @pytest.mark.parametrize("source", ["bqp", "completion", "sdpa",
+                                        "document"])
+    def test_arrays_kept_without_a_copy(self, source, tmp_path,
+                                        monkeypatch):
+        # the array-built sources hand the A_i's set arrays of its dtypes,
+        # grouped by matrix and in order, and the set keeps those very
+        # arrays; the quartic and Max-Cut build theirs from lists
+        build = _sources(tmp_path)[source]
+        given = {}
+        init = ConstraintSet.__init__
+
+        def spy(self, n, m, *arrays):
+            init(self, n, m, *arrays)
+            given[id(self)] = arrays
+        monkeypatch.setattr(ConstraintSet, "__init__", spy)
+        A = build().A
+        kept = (A.start, A.rows, A.cols, A.vals)
+        assert all(a is b for a, b in zip(kept, given[id(A)], strict=True))
+
+    @pytest.mark.parametrize("family", ["bqp", "completion"])
+    def test_support_map_rows_are_the_offsets(self, family):
+        # the map's indptr is the set's start, not a copy, on both
+        # benchmark families
+        sdp = gen.gen_bqp_moment(*gen.random_bqp(6, 0)) \
+            if family == "bqp" else gen.gen_matrix_completion(
+                20, 20, gen.random_completion(20, 20, 3, 200, 0)[1])
+        M = sdp._support_map().M
+        assert M.indptr.dtype == np.int32
+        assert np.shares_memory(M.indptr, sdp.A.start)
+
+
+def test_bqp_retains_under_35_bytes_per_triplet():
+    # at q = 30 (154 166 triplets) the store and the support map kept
+    # 54.3 B per triplet with an intp index, rows and columns; the int32
+    # store and M with the store's offsets keep 34.2
+    Q, c = gen.random_bqp(30, 0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sdp = gen.gen_bqp_moment(Q, c)
+        sdp._support_map()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / sdp.A.vals.size < 35

@@ -148,9 +148,10 @@ class TestMatrixCompletion:
         # 2 M[i_k, j_k], and C is the identity
         M, (i, j, v) = gen.random_completion(s, t, 2, num_samples, 0)
         sdp = gen_matrix_completion(s, t, (i, j, v))
-        want = prob.ConstraintSet(s + t, num_samples, np.arange(num_samples),
-                                  i, s + j, np.ones(num_samples))
-        for f in ("index", "rows", "cols", "vals", "start"):
+        want = prob.ConstraintSet(s + t, num_samples,
+                                  np.arange(num_samples + 1), i, s + j,
+                                  np.ones(num_samples))
+        for f in ("start", "rows", "cols", "vals"):
             got, exp = getattr(sdp.A, f), getattr(want, f)
             assert got.dtype == exp.dtype and np.array_equal(got, exp)
         assert np.array_equal(sdp.b, 2.0 * M[i, j])

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_MANIFOLDS, random_sym_triplets
+from conftest import ALL_MANIFOLDS, matrix_numbers, random_sym_triplets
 from lrsdp import alm, generators as gen, io_cli, manifolds, problem as prob
 from lrsdp.io_cli import (FormatError, check_document, cli_main,
                           problem_from_document, read_gset, read_sdpa,
@@ -33,14 +33,15 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-# the dtype of each array of a result document other than "<f8"
-_DOC_DTYPES = {"start": "<i8", "rows": "<i4", "cols": "<i4"}
+# the dtype of each array of a result document other than "<f8", for
+# fewer than 2^31 triplets
+_DOC_DTYPES = {"start": "<i4", "rows": "<i4", "cols": "<i4"}
 
 
 def _decoded(doc, key):
     """A writable copy of the array ``doc[key]`` of a result document:
-    "<i4" for triplet rows and columns, "<i8" for the offsets "start",
-    "<f8" for every other array."""
+    "<i4" for triplet rows and columns and for the offsets "start", "<f8"
+    for every other array."""
     return np.frombuffer(base64.b64decode(doc[key]),
                          _DOC_DTYPES.get(key, "<f8")).copy()
 
@@ -101,7 +102,7 @@ def _index_form(doc):
     del A["start"]
 
 
-_BAD_START = "field 'start' must hold 58 offsets from 0 up to "
+_BAD_START = "start must hold 58 offsets from 0 up to "
 
 
 class TestSdpa:
@@ -228,14 +229,104 @@ class TestSdpa:
                                                sdp.C.cols.tolist(),
                                                sdp.C.vals.tolist())]
         got += [(k + 1, r, c, v) for k, r, c, v in zip(
-            sdp.A.index.tolist(), sdp.A.rows.tolist(), sdp.A.cols.tolist(),
-            sdp.A.vals.tolist())]
+            matrix_numbers(sdp.A).tolist(), sdp.A.rows.tolist(),
+            sdp.A.cols.tolist(), sdp.A.vals.tolist())]
         assert [t[:3] for t in got] == [t[:3] for t in want["entries"]]
         assert np.array([t[3] for t in got]).tobytes() \
             == np.array([t[3] for t in want["entries"]]).tobytes()
         assert (sdp.n, sdp.m) == (want["n"], want["m"])
         assert sdp.b.tobytes() == np.array(want["b"], float).tobytes()
         assert _objective_bytes(sdp) == np.array(want["objective"]).tobytes()
+
+    # a sign and offset, b with -0.0, a subnormal and exponents, C, an
+    # empty A_2, an A_4 given out of order, and ten or more rows, columns
+    # and matrices
+    GOLDEN = """*lrsdp-objective -1.0 0.25
+11
+1
+12
+1.0 -0.0 1e+16 0.1 5e-324 2.0 3.0 4.0 1e-05 123456.789 -7.0
+0 1 1 1 -1.5
+0 1 1 12 0.1
+0 1 10 11 1e+16
+1 1 1 1 1.0
+1 1 1 12 -0.0
+3 1 2 2 1.0
+3 1 2 12 -0.0
+4 1 1 2 0.3333333333333333
+4 1 3 4 5e-324
+4 1 11 12 -2.5e-07
+""" + "".join(f"{k + 1} 1 {k} {k} 1.0\n{k + 1} 1 {k} 12 -0.0\n"
+              for k in range(4, 11))
+
+    @pytest.mark.parametrize("block", [1, 4, 1 << 14])
+    def test_written_text_is_golden(self, block, tmp_path):
+        # the entry lines and b are formatted a block at a time; any block
+        # size gives these bytes, which a line-by-line repr wrote
+        n = 12
+        A = [SparseSymMatrix.from_triplets(n, [(k, k, 1.0), (k, 11, -0.0)])
+             for k in range(10)]
+        A.insert(1, SparseSymMatrix.from_triplets(n, []))
+        A[3] = SparseSymMatrix.from_triplets(
+            n, [(2, 3, 5e-324), (0, 1, 1 / 3), (10, 11, -2.5e-7)])
+        C = SparseSymMatrix.from_triplets(
+            n, [(0, 0, -1.5), (0, 11, 0.1), (9, 10, 1e16)])
+        b = [1.0, -0.0, 1e16, 0.1, 5e-324, 2.0, 3.0, 4.0, 1e-5, 123456.789,
+             -7.0]
+        sdp = SdpProblem(n, C, A, b, ManifoldKind.FREE, objective_sign=-1.0,
+                         objective_offset=0.25)
+        path = tmp_path / "g.dat-s"
+        with mock.patch.object(io_cli, "_BLOCK", block):
+            write_sdpa(sdp, path)
+        assert path.read_bytes() == self.GOLDEN.encode()
+        edge = tmp_path / "e.dat-s"
+        with mock.patch.object(io_cli, "_BLOCK", block):
+            write_sdpa(gen.gen_maxcut(gen.unit_edge_graph()), edge)
+        assert edge.read_bytes() == (b"*lrsdp-objective -1.0 0.0\n0\n1\n2\n"
+                                     b"\n0 1 1 1 -0.25\n0 1 1 2 0.25\n"
+                                     b"0 1 2 2 -0.25\n")
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_written_text_matches_a_line_by_line_repr(self, tmp_path_factory,
+                                                      data):
+        # the block writer against the per-line f-string writer it
+        # replaced, kept here as the oracle: random sizes, empty matrices,
+        # edge floats and any block size
+        n, m = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 12))
+        iu, ju = np.triu_indices(n)
+
+        def matrix():
+            keep = np.array(data.draw(st.lists(
+                st.booleans(), min_size=iu.size, max_size=iu.size)))
+            vals = data.draw(st.lists(_FLOATS, min_size=int(keep.sum()),
+                                      max_size=int(keep.sum())))
+            return SparseSymMatrix(n, iu[keep], ju[keep],
+                                   np.array(vals, float))
+
+        b = np.array(data.draw(st.lists(_FLOATS, min_size=m, max_size=m)),
+                     float)
+        sdp = SdpProblem(n, matrix(), [matrix() for _ in range(m)], b,
+                         ManifoldKind.FREE,
+                         objective_sign=data.draw(st.sampled_from([1.0,
+                                                                   -1.0])))
+        path = tmp_path_factory.getbasetemp() / "w.dat-s"
+        with mock.patch.object(io_cli, "_BLOCK",
+                               data.draw(st.integers(1, 40))):
+            write_sdpa(sdp, path)
+        head = "" if sdp.objective_sign == 1.0 \
+            else "*lrsdp-objective -1.0 0.0\n"
+        want = head + f"{m}\n1\n{n}\n" + " ".join(
+            repr(float(v)) for v in b) + "\n"
+        for matno, mats in ((0, [sdp.C]), (1, list(sdp.A))):
+            for k, M in enumerate(mats):
+                order = np.lexsort((M.cols, M.rows))
+                want += "".join(
+                    f"{k + matno} 1 {r + 1} {c + 1} {v!r}\n"
+                    for r, c, v in zip(M.rows[order].tolist(),
+                                       M.cols[order].tolist(),
+                                       M.vals[order].tolist()))
+        assert path.read_bytes() == want.encode()
 
     def test_round_trip(self, tmp_path, rng):
         from conftest import random_problem
@@ -418,7 +509,7 @@ class TestResultDocument:
         doc = result_document(sdp, alm.solve(sdp, opts), opts)
         back = problem_from_document(json.loads(json.dumps(doc)))
         pairs = [(getattr(back.A, f), getattr(sdp.A, f))
-                 for f in ("index", "rows", "cols", "vals", "start")]
+                 for f in ("start", "rows", "cols", "vals")]
         pairs += [(getattr(back.C, f), getattr(sdp.C, f))
                   for f in ("rows", "cols", "vals")] + [(back.b, sdp.b)]
         for got, want in pairs:
@@ -531,10 +622,14 @@ class TestResultDocument:
         (lambda d: _edit(d["problem"]["A"], "start", _set(-1, 10**6)),
          _BAD_START),
         (_index_form, "field 'index' is not read"),
+        # the former "<i8" offsets read as twice as many "<i4" ones
+        (lambda d: _edit(d["problem"]["A"], "start",
+                         lambda v: v.astype("<i8")), _BAD_START),
     ], ids=["not-a-string", "bad-base64", "non-ascii", "odd-bytes",
             "short-y", "long-z", "empty-Y", "ragged-Y", "list-form",
             "odd-row-bytes", "start-from-1", "start-decreasing",
-            "start-short", "start-past-the-end", "index-form"])
+            "start-short", "start-past-the-end", "index-form",
+            "start-8-bytes"])
     def test_malformed_array_rejected(self, tamper, needle, tmp_path,
                                       capsys):
         # check_document raises ProblemError naming the field, and
@@ -845,7 +940,7 @@ class TestCli:
                          "--t", "2", "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
         doc["problem"].update(n=self.HUGE_N, m=0, b="", A={
-            "start": _encoded(np.zeros(1, "<i8")), "rows": "", "cols": "",
+            "start": _encoded(np.zeros(1, "<i4")), "rows": "", "cols": "",
             "vals": ""})
         doc["y"] = ""
         out.write_text(json.dumps(doc))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_MANIFOLDS, dense_bstar, dense_constraint_values, \
-    random_problem, random_sym_triplets
+    matrix_numbers, random_problem, random_sym_triplets
 from lrsdp import generators as gen
 from lrsdp import problem as prob
 from lrsdp.problem import (KktResidues, ManifoldKind, ProblemError,
@@ -70,9 +70,9 @@ def _from_triplets_oracle(n, triplets):
         raise ProblemError(f"dimension must be positive, got {n}")
     if not triplets:
         z = np.zeros(0)
-        return z.astype(np.intp), z.astype(np.intp), z
-    r = np.array([t[0] for t in triplets], dtype=np.intp)
-    c = np.array([t[1] for t in triplets], dtype=np.intp)
+        return z.astype(np.int32), z.astype(np.int32), z
+    r = np.array([t[0] for t in triplets], dtype=np.int32)
+    c = np.array([t[1] for t in triplets], dtype=np.int32)
     v = np.array([t[2] for t in triplets], dtype=float)
     lo, hi = np.minimum(r, c), np.maximum(r, c)
     if lo.min() < 0 or hi.max() >= n:
@@ -119,7 +119,7 @@ class TestFromTriplets:
     def test_numpy_integer_indices_accepted(self):
         A = SparseSymMatrix.from_triplets(
             3, [(np.int64(2), np.int32(0), 1.0), (np.uint8(1), 1, 2.0)])
-        assert A.rows.dtype == np.intp
+        assert A.rows.dtype == np.int32
         assert A.to_dense()[0, 2] == 1.0 and A.to_dense()[1, 1] == 2.0
 
 
@@ -142,19 +142,19 @@ class TestSdpProblem:
             assert np.allclose(prob.apply_constraints(sdp, Y), want,
                                atol=1e-12)
 
-    def test_constraint_index(self, rng):
-        # A.index[t] is the constraint that flattened triplet t belongs to
+    def test_constraint_offsets(self, rng):
+        # A_k is triplets start[k]:start[k + 1]; the set keeps no index
+        # per triplet
         A = [SparseSymMatrix.from_triplets(5, random_sym_triplets(5, k, rng))
              for k in (3, 1, 4)]
         A.insert(1, SparseSymMatrix.from_triplets(5, []))
         sdp = SdpProblem(5, A[0], A, np.zeros(4), ManifoldKind.FREE)
-        want = np.concatenate([np.full(Ak.nnz, k, dtype=np.intp)
-                               for k, Ak in enumerate(A)])
-        assert sdp.A.index.dtype == np.intp
-        assert np.array_equal(sdp.A.index, want)
+        assert sdp.A.start.dtype == np.int32
+        assert sdp.A.start.tolist() == [0, 3, 3, 4, 8]
+        assert not hasattr(sdp.A, "index")
         empty = random_problem(4, 0, ManifoldKind.FREE, rng)
-        assert empty.A.index.dtype == np.intp
-        assert empty.A.index.shape == (0,)
+        assert empty.A.start.dtype == np.int32
+        assert empty.A.start.tolist() == [0]
 
     def test_apply_constraints_no_constraints(self, rng):
         # m = 0 takes the one code path through the empty map: each of the
@@ -202,7 +202,8 @@ class TestSdpProblem:
     def _per_triplet(sdp, tw, Y):
         # the per-triplet formula sum_t tw_t Y_r . Y_c, kept as the oracle
         prod = np.einsum("ij,ij->i", Y[sdp.A.rows], Y[sdp.A.cols])
-        return np.bincount(sdp.A.index, weights=tw * prod, minlength=sdp.m)
+        return np.bincount(matrix_numbers(sdp.A), weights=tw * prod,
+                           minlength=sdp.m)
 
     @pytest.mark.parametrize("denominator", [None, 4096])
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -478,7 +479,7 @@ def _coo_support_map(sdp):
     R, C = np.unique(A.rows), np.unique(A.cols)
     pos = np.searchsorted(R, A.rows) * C.size + np.searchsorted(C, A.cols)
     v = np.where(A.rows == A.cols, 0.5, 1.0) * A.vals
-    return R, C, sp.csr_matrix((v, (A.index, pos)),
+    return R, C, sp.csr_matrix((v, (matrix_numbers(A), pos)),
                                shape=(sdp.m, R.size * C.size))
 
 

@@ -10,7 +10,8 @@ one line: n, m, the triplets of C and the A_i, the file's size, the write
 and check times, and the process's peak RSS (``ru_maxrss``) after the
 solve, after the write and after the check. The file is removed on exit.
 Memory figures depend on the numpy build; set OPENBLAS_NUM_THREADS=1 to
-compare machines.
+compare machines. Run from anywhere: the checkout's ``src`` comes first
+on the path.
 """
 
 import argparse
@@ -21,8 +22,11 @@ import sys
 import tempfile
 import time
 
-from lrsdp import generators, io_cli
-from lrsdp.alm import SolverOptions, solve
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from lrsdp import generators, io_cli  # noqa: E402
+from lrsdp.alm import SolverOptions, solve  # noqa: E402
 
 
 def peak_rss_mb():

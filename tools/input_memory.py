@@ -1,15 +1,20 @@
-"""Measure the cost of reading a problem's entries on both input paths.
+"""Measure the cost of building a problem and of reading its entries on
+both input paths.
 
     python tools/input_memory.py [--q Q] [--samples K]
 
-SDPA: writes ``gen_bqp_moment(*random_bqp(q, 0))`` (default q = 16) with
+Run from anywhere: the checkout's ``src`` comes first on the path. BQP:
+builds ``gen_bqp_moment(*random_bqp(q, 0))`` (default q = 16) and its
+support map under tracemalloc. SDPA: writes that problem with
 ``write_sdpa`` into a temporary directory and reads it back with
 ``read_sdpa``. Completion: draws K samples (default 10 000) of a rank-3
 s x s matrix, s = 2 ceil(sqrt(K)) so that a quarter of the entries is
 sampled, with ``random_completion`` and builds the problem with
 ``gen_matrix_completion``. Each step is timed once untraced, then run
-again under tracemalloc for its peak. Prints one line per path: the
-entries (triplets of C and the A_i, or samples), the times, and the
+again under tracemalloc for its peak. Prints one line per path: for BQP
+the bytes per triplet of the A_i that the built problem retains, the
+store and then the support map, and the build's peak; for the others
+the entries (triplets of C and the A_i, or samples), the times, and the
 tracemalloc peak in bytes per entry. The file is removed on exit.
 """
 
@@ -21,7 +26,10 @@ import tempfile
 import time
 import tracemalloc
 
-from lrsdp import generators, io_cli
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from lrsdp import generators, io_cli  # noqa: E402
 
 
 def timed(step):
@@ -48,7 +56,21 @@ def main(argv):
                         help="samples of the completion instance")
     args = parser.parse_args(argv)
 
-    sdp = generators.gen_bqp_moment(*generators.random_bqp(args.q, 0))
+    Q, c = generators.random_bqp(args.q, 0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sdp = generators.gen_bqp_moment(Q, c)
+        built, peak = (x - before for x in tracemalloc.get_traced_memory())
+        sdp._support_map()
+        mapped = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    size = sdp.A.vals.size
+    print(f"bqp q={args.q} n={sdp.n} m={sdp.m} triplets={size} "
+          f"retained={mapped / size:.1f}B/triplet "
+          f"(store={built / size:.1f} map={(mapped - built) / size:.1f}) "
+          f"build_peak={peak / size:.1f}B/triplet")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "bqp.dat-s")
         t0 = time.perf_counter()
