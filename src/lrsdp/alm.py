@@ -184,7 +184,7 @@ class _PointState:
         return manifolds.riem_hess_vec(self.point, U, self.ehess, self.z)
 
 
-def assemble_dual(sdp, state):
+def assemble_dual(state):
     """Multipliers z and the dual slack operator S = grad Phi(X) - B*(z) at
     the point of ``state``, an ``AlmSubproblem.at`` result: its own z, and
     S = C - A*(w) - B*(z) at its own w, the one dense n x n S of an outer
@@ -301,7 +301,7 @@ def solve(sdp, opts=None):
 
         r0, _ = sub.residual_cost(point)
         y = y - sigma * r0  # sub keeps its own reference to the old y
-        z, S = assemble_dual(sdp, state)
+        z, S = assemble_dual(state)
         eta_p, eta_g = prob.primal_gap_residues(sdp, point.Y, y, z)
         # the proofs' bound: any diagonal entry of S is a Rayleigh quotient,
         # so L <= |lambda_max|, and lambda_min >= -tol (1 + L) gives

@@ -12,7 +12,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .problem import (ConstraintSet, ManifoldKind, ProblemError, SdpProblem,
-                      SparseSymMatrix, index_dtype)
+                      SparseSymMatrix)
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def gen_matrix_completion(s, t, entries):
     # int32 copies, which the set keeps: none is a view of the caller's
     cols = cols.astype(np.int32)
     cols += s
-    A = ConstraintSet(n, m, np.arange(m + 1, dtype=index_dtype(m)),
+    A = ConstraintSet(n, m, np.arange(m + 1, dtype=np.int32),
                       rows.astype(np.int32), cols, np.ones(m))
     return SdpProblem(n, SparseSymMatrix.identity(n), A, 2.0 * vals,
                       ManifoldKind.FREE)
@@ -211,7 +211,7 @@ def _bqp_constraints(q):
     vals[:n] = 1.0
     vals[n::2] = 0.5
     vals[n + 1::2] = -0.5
-    start = np.arange(m + 1, dtype=index_dtype(size))
+    start = np.arange(m + 1, dtype=np.int32)
     start[n:] *= 2  # one triplet per diagonal constraint, then two
     start[n:] -= n
     return ConstraintSet(n, m, start, rows, cols, vals)

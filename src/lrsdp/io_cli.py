@@ -1,10 +1,10 @@
 """File formats (SDPA sparse, Gset graphs, JSON results, CSV traces) and
 the command-line interface. The arrays of a JSON result are base64 strings
 of their little-endian bytes, bit for bit, in the dtypes of the problem's
-``ConstraintSet``: "<i4" triplet rows and columns, "<i4" constraint
-offsets ("<i8" from 2^31 triplets on) and "<f8" values. Problems read
-from either format, and generated ones, reach the set with their arrays
-in its dtypes and order, and are kept without a copy.
+``ConstraintSet``: "<i4" triplet rows, columns and constraint offsets and
+"<f8" values. Problems read from either format, and generated ones, reach
+the set with their arrays in its dtypes and order, and are kept without a
+copy.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import alm, generators, problem as prob
 from .alm import SolverOptions
 from .generators import WeightedGraph
 from .problem import (ConstraintSet, ManifoldKind, ProblemError, SdpProblem,
-                      SparseSymMatrix, index_dtype)
+                      SparseSymMatrix)
 
 TRACE_COLUMNS = tuple(f.name for f in fields(alm.IterationTrace))
 
@@ -192,15 +192,18 @@ def read_sdpa(path):
     else:
         key, inv = np.unique(key, return_inverse=True)
         v = np.bincount(inv, weights=v, minlength=key.size)
-    # int32 rows and columns and the offsets of the A_i, which the set
-    # keeps as they are; k increases, so matrix k is bounds[k]:bounds[k + 1]
-    k, r, c = np.unravel_index(key, shape)
-    del key
-    rows, cols = (a.astype(np.int32) for a in (r, c))
-    del r, c
-    bounds = np.searchsorted(k, np.arange(m + 2))
+    # int32 rows, columns and offsets of the A_i, which the set keeps as
+    # they are: matrix k holds the keys from k n^2 on, and a key is
+    # i n + j past that; each division writes int32, with no int64 array
+    # per entry beyond the key, divided in place
+    bounds = np.searchsorted(key, np.arange(m + 2) * (n * n))
     nc = bounds[1]  # matrix 0 is the cost
-    start = (bounds[1:] - nc).astype(index_dtype(k.size - nc))
+    start = (bounds[1:] - nc).astype(np.int32)
+    rows, cols = (np.empty(key.size, np.int32) for _ in range(2))
+    np.remainder(key, n, out=cols, casting="unsafe")
+    key //= n
+    np.remainder(key, n, out=rows, casting="unsafe")
+    del key
     C = SparseSymMatrix(n, rows[:nc], cols[:nc], v[:nc])
     A = ConstraintSet(n, m, start, rows[nc:], cols[nc:], v[nc:])
     return SdpProblem(n, C, A, b, ManifoldKind.FREE, objective_sign=sign,
@@ -309,8 +312,7 @@ def read_gset(path):
 
 _JSON_TYPES = {dict: "an object", int: "an integer",
                (int, float): "a number", str: "a string"}
-# else "<f8"; "start" is "<i8" from 2^31 triplets on (``_offsets_dtype``)
-_DTYPES = {"start": "<i4", "rows": "<i4", "cols": "<i4"}
+_DTYPES = {"start": "<i4", "rows": "<i4", "cols": "<i4"}  # else "<f8"
 
 
 def _doc_field(doc, key, kind):
@@ -328,30 +330,22 @@ def _doc_field(doc, key, kind):
     return value
 
 
-def _offsets_dtype(triplets):
-    """The dtype of "start" for a set of ``triplets`` triplets: the set's
-    own, ``index_dtype``, little-endian."""
-    return np.dtype(index_dtype(triplets)).newbyteorder("<")
-
-
 def _encode(owner, key):
     """The array ``owner.<key>`` as the document field ``key``."""
-    dtype = _offsets_dtype(owner.rows.size) if key == "start" \
-        else _DTYPES.get(key, "<f8")
     return base64.b64encode(np.ascontiguousarray(
-        getattr(owner, key), dtype)).decode("ascii")
+        getattr(owner, key), _DTYPES.get(key, "<f8"))).decode("ascii")
 
 
-def _doc_array(doc, key, dtype=None):
+def _doc_array(doc, key):
     """The array ``doc[key]`` of a result document, read-only, 1-D, of
-    ``dtype`` (by default the field's); ProblemError names the field
-    where it is no such array."""
+    the field's dtype; ProblemError names the field where it is no such
+    array."""
     text = _doc_field(doc, key, str)
     try:
         raw = base64.b64decode(text, validate=True)
     except ValueError:  # binascii.Error, or a character beyond ASCII
         raise ProblemError(f"field {key!r} is not valid base64")
-    dtype = np.dtype(dtype or _DTYPES.get(key, "<f8"))
+    dtype = np.dtype(_DTYPES.get(key, "<f8"))
     if len(raw) % dtype.itemsize:
         raise ProblemError(f"field {key!r} holds {len(raw)} bytes, not a "
                            f"multiple of {dtype.itemsize}")
@@ -365,8 +359,7 @@ def _doc_triplets(doc, key, n, m=None):
     ``m``, C as the one matrix of a set."""
     doc = _doc_field(doc, key, dict)
     rows = _doc_array(doc, "rows")
-    start = [0, rows.size] if m is None \
-        else _doc_array(doc, "start", _offsets_dtype(rows.size))
+    start = [0, rows.size] if m is None else _doc_array(doc, "start")
     return ConstraintSet(n, 1 if m is None else m, start, rows,
                          _doc_array(doc, "cols"), _doc_array(doc, "vals"))
 

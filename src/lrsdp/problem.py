@@ -1,10 +1,11 @@
 """Problem data model: sparse symmetric matrices, SDP instances, KKT residues.
 
-The A_i are one ``ConstraintSet``: int32 triplet rows and columns, float64
-values and the m + 1 offsets ``start`` of each A_i's triplets, 16 bytes
-per triplet and no object per A_i. ``SdpProblem`` takes one, or a
-sequence of ``SparseSymMatrix`` that it converts once, and checks C and
-the A_i with one vectorized pass each.
+The A_i are one ``ConstraintSet``: int32 triplet rows, columns and
+offsets ``start``, float64 values, 16 bytes per triplet and no object per
+A_i; at most 2^31 - 1 triplets, and a support block of at most 2^31 - 1
+entries. ``SdpProblem`` takes one, or a sequence of ``SparseSymMatrix``
+that it converts once, and checks C and the A_i with one vectorized pass
+each.
 
 The solver holds the factor Y of X = Y Y^T, not X. The support map is
 the one place that knows where the A_i sit: their support block R x C,
@@ -95,20 +96,12 @@ class SparseSymMatrix:
 _INT32_MAX = int(np.iinfo(np.int32).max)
 
 
-def index_dtype(bound):
-    """int32 while ``bound`` (a largest index or count) fits in it, else
-    int64: the dtype of ``ConstraintSet.start`` for ``bound`` triplets,
-    and of the support map's indices."""
-    return np.int32 if bound <= _INT32_MAX else np.int64
-
-
 class ConstraintSet:
     """The m constraint matrices as one list of upper-triangular triplets:
     A_k holds entry (rows[t], cols[t]) = vals[t] for t in
-    start[k]:start[k + 1], sorted by (row, col). ``rows`` and ``cols``
-    are int32 and ``vals`` float64, 16 bytes per triplet; ``start`` holds
-    the m + 1 offsets, int32 while the triplet count fits
-    (``index_dtype``). No array is kept per triplet beyond these three.
+    start[k]:start[k + 1], sorted by (row, col). ``rows``, ``cols`` and
+    the m + 1 offsets ``start`` are int32 and ``vals`` float64, 16 bytes
+    per triplet. No array is kept per triplet beyond these three.
     ``len`` is m, and ``A[k]`` and iteration give A_k as a
     ``SparseSymMatrix`` of slices, not copies.
 
@@ -116,7 +109,8 @@ class ConstraintSet:
     as given, with no copy; others are cast. Only a matrix whose
     triplets are out of order is sorted, by a matrix number that exists
     only during the sort. An n that is not an integer in 1..2^31, an m
-    that is not an integer >= 0, offsets that do not rise from 0 to the
+    that is not an integer >= 0, more than 2^31 - 1 triplets (checked
+    before any pass over them), offsets that do not rise from 0 to the
     triplet count, non-integer or out-of-range indices, a position twice
     in one matrix, values that are not real numbers and non-finite
     values raise ProblemError."""
@@ -137,16 +131,19 @@ class ConstraintSet:
             raise ProblemError("triplet indices and offsets must be integers")
         start, rows, cols = t
         vals = np.asarray(vals)
+        if rows.ndim != 1 or not rows.shape == cols.shape == vals.shape:
+            raise ProblemError("rows, cols and vals must be 1-D and must "
+                               "not differ in length")
+        size = rows.size
+        if size > _INT32_MAX:
+            raise ProblemError(f"at most 2^31 - 1 triplets (int32 offsets), "
+                               f"got {size}")
         # as float, None would read as NaN and "x" raise a bare ValueError
         if vals.dtype.kind not in "biuf" and not (
                 vals.dtype.kind == "O" and all(
                     isinstance(v, numbers.Real) for v in vals.flat)):
             raise ProblemError("triplet values must be real numbers")
         vals = vals.astype(float, copy=False)
-        if rows.ndim != 1 or not rows.shape == cols.shape == vals.shape:
-            raise ProblemError("rows, cols and vals must be 1-D and must "
-                               "not differ in length")
-        size = rows.size
         if not (start.shape == (m + 1,) and start[0] == 0
                 and start[-1] == size and np.all(start[1:] >= start[:-1])):
             raise ProblemError(f"start must hold {m + 1} offsets from 0 up "
@@ -157,8 +154,8 @@ class ConstraintSet:
                          and np.all(rows <= cols)):
             raise ProblemError("triplet index out of range or below the "
                                "diagonal: need 0 <= row <= col < n")
-        start = start.astype(index_dtype(size), copy=False)
-        rows, cols = (a.astype(np.int32, copy=False) for a in (rows, cols))
+        start, rows, cols = (a.astype(np.int32, copy=False)
+                             for a in (start, rows, cols))
         # neighbours t - 1 and t lie in different matrices where t is an
         # inner offset; there order and equality do not matter
         inner = start[1:-1]
@@ -310,24 +307,28 @@ class SdpProblem:
         triplets, each a slice when it is a contiguous range. M is the
         (m, |R| |C|) CSR map whose row k holds A_k's triplets at
         r' |C| + c', where r and c are the r'-th of R and the c'-th of C,
-        with each diagonal value halved and scipy's index dtype. So for a
-        symmetric Z, <A_k, Z> = 2 (M vec(Z[R, C]))_k, and sum_k v_k A_k is
-        B + B^T for the n x n embedding of B = M^T v at R x C. With m = 0,
-        R and C are empty slices and M is 0 x 0. K's positions in R and
-        in C are those of the indices that both hold.
+        with each diagonal value halved. So for a symmetric Z,
+        <A_k, Z> = 2 (M vec(Z[R, C]))_k, and sum_k v_k A_k is B + B^T for
+        the n x n embedding of B = M^T v at R x C. With m = 0, R and C
+        are empty slices and M is 0 x 0. K's positions in R and in C are
+        those of the indices that both hold.
 
-        The triplets are sorted by (matrix, row, col) and the maps from
-        n to R and to C are increasing, so each row of M is sorted as
-        built: no COO copy and no sort. M's row offsets are the set's
-        ``start`` itself, not a copy, unless the block needs int64
-        indices; M keeps its own values, whose diagonal ones are halved."""
+        M's indices are int32, as the set's are, so a block of more than
+        2^31 - 1 entries raises ProblemError; that needs n >= 46 341,
+        where one dense n x n S alone takes 17 GB. The triplets are
+        sorted by (matrix, row, col) and the maps from n to R and to C
+        are increasing, so each row of M is sorted as built: no COO copy
+        and no sort. M's row offsets are the set's ``start`` itself; M
+        keeps its own values, whose diagonal ones are halved."""
         if self._map is None:
             A, n, m = self.A, self.n, self.m
             masks = np.zeros((2, n), bool)
             masks[0, A.rows] = masks[1, A.cols] = True
             nr, nc = map(int, np.count_nonzero(masks, axis=1))
-            idx = index_dtype(max(m, nr * nc, A.rows.size))
-            where = np.cumsum(masks, axis=1, dtype=idx)
+            if nr * nc > _INT32_MAX:
+                raise ProblemError(f"the support block of the A_i, {nr} x "
+                                   f"{nc}, has more than 2^31 - 1 entries")
+            where = np.cumsum(masks, axis=1, dtype=np.int32)
             where -= 1  # where[0][r] = r', where[1][c] = c'
             indices = where[0][A.rows]
             indices *= nc

@@ -217,7 +217,7 @@ class TestAssembleDual:
             sdp = random_problem(6, 3, manifold, rng)
             y = rng.standard_normal(3)
             point = manifolds.random_point(6, 2, manifold, 4)
-            z, S = assemble_dual(sdp, AlmSubproblem(sdp, y, 3.0).at(point))
+            z, S = assemble_dual(AlmSubproblem(sdp, y, 3.0).at(point))
             G = dense_phi_grad(sdp, y, 3.0, point.Y)
             want = G - dense_bstar(manifold, z, 6)
             assert np.allclose(S.dense, want, atol=1e-10)
@@ -232,7 +232,7 @@ class TestAssembleDual:
         y, sigma = rng.standard_normal(4), 3.0
         point = manifolds.random_point(9, 3, manifold, 5)
         r0 = _residual(sdp, point)
-        z, S = assemble_dual(sdp, AlmSubproblem(sdp, y, sigma).at(point))
+        z, S = assemble_dual(AlmSubproblem(sdp, y, sigma).at(point))
         want_z = AlmSubproblem(sdp, y, sigma).at(point).z
         assert z.dtype == want_z.dtype and z.tobytes() == want_z.tobytes()
         want_S = prob.dual_slack(sdp, y - sigma * r0, z)
@@ -243,7 +243,7 @@ class TestAssembleDual:
         sdp = random_problem(6, 2, ManifoldKind.UNIT_DIAGONAL, rng)
         y = rng.standard_normal(2)
         point = manifolds.random_point(6, 3, sdp.manifold, 8)
-        z, S = assemble_dual(sdp, AlmSubproblem(sdp, y, 2.0).at(point))
+        z, S = assemble_dual(AlmSubproblem(sdp, y, 2.0).at(point))
         state = AlmSubproblem(sdp, y, 2.0).at(point)
         assert np.allclose(2.0 * S.times(point.Y), state.grad, atol=1e-10)
 
@@ -257,7 +257,7 @@ class TestAssembleDual:
         y = rng.standard_normal(3)
         point = manifolds.random_point(n, 2, manifold, 6)
         G = dense_phi_grad(sdp, y, 2.0, point.Y)
-        z, S = assemble_dual(sdp, AlmSubproblem(sdp, y, 2.0).at(point))
+        z, S = assemble_dual(AlmSubproblem(sdp, y, 2.0).at(point))
         want = G - dense_bstar(manifold, z, n)
         assert np.allclose(S.dense, want, atol=1e-10)
         state = AlmSubproblem(sdp, y, 2.0).at(point)
@@ -312,8 +312,7 @@ class TestEscapeDirection:
         sdp = _unit_trace_toy()
         point = FactorPoint(np.array([[1.0], [0.0]]),
                             ManifoldKind.UNIT_TRACE)
-        z, S = assemble_dual(sdp, AlmSubproblem(sdp, np.zeros(0), 1.0)
-                             .at(point))
+        z, S = assemble_dual(AlmSubproblem(sdp, np.zeros(0), 1.0).at(point))
         assert np.allclose(S.dense, np.diag([0.0, -2.0]), atol=1e-12)
         V, delta = escape_direction(spectral.extreme_eigs(S, True),
                                     delta_ne=10, tol_escape=1e-10)
@@ -578,12 +577,13 @@ class TestSolve:
                 duals.append((slack, z, S))
             return S
 
-        def checked(sdp, state):
+        def checked(state):
+            sdp = state.slack.problem
             inside.append(state)
             slacks.clear()
             duals.clear()
             try:
-                z, S = assemble(sdp, state)
+                z, S = assemble(state)
             finally:
                 inside.clear()
             assert z is state.z

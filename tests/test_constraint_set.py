@@ -2,7 +2,9 @@
 against the per-constraint build it replaced (one ``from_triplets`` matrix
 per A_i, concatenated in order), which is kept here as the oracle."""
 
+import base64
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -273,6 +275,25 @@ class TestConstraintSet:
         with pytest.raises(ProblemError, match="differ in length"):
             ConstraintSet(3, 1, [0, 2], [0, 1], [1], [1.0, 2.0])
 
+    def test_more_triplets_than_int32_rejected_at_once(self):
+        # 2^31 triplets as zero-stride views: their count alone rejects
+        # the set, before a pass over them allocates an array per triplet
+        size = 2**31
+        index = np.broadcast_to(np.int32(0), (size,))
+        vals = np.broadcast_to(1.0, (size,))
+        t0 = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProblemError, match=re.escape(
+                    "at most 2^31 - 1 triplets (int32 offsets), got "
+                    "2147483648")):
+                ConstraintSet(1, 1, np.array([0, size]), index, index, vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 0.5
+        assert peak < 1 << 20
+
     def test_problem_accepts_set_or_sequence(self, rng):
         mats = _matrices(rng)
         C = SparseSymMatrix.identity(6)
@@ -466,16 +487,36 @@ class TestLayout:
         kept = (A.start, A.rows, A.cols, A.vals)
         assert all(a is b for a, b in zip(kept, given[id(A)], strict=True))
 
-    @pytest.mark.parametrize("family", ["bqp", "completion"])
-    def test_support_map_rows_are_the_offsets(self, family):
-        # the map's indptr is the set's start, not a copy, on both
-        # benchmark families
-        sdp = gen.gen_bqp_moment(*gen.random_bqp(6, 0)) \
-            if family == "bqp" else gen.gen_matrix_completion(
-                20, 20, gen.random_completion(20, 20, 3, 200, 0)[1])
-        M = sdp._support_map().M
-        assert M.indptr.dtype == np.int32
-        assert np.shares_memory(M.indptr, sdp.A.start)
+    @pytest.mark.parametrize("family", ["bqp", "completion", "sdpa"])
+    def test_support_map_rows_are_the_offsets(self, family, tmp_path):
+        # one index width from source to document, on both benchmark
+        # families and a file: the set's arrays and M's are int32, M's
+        # indptr is the set's start, not a copy, and a document writes
+        # start as "<i4"
+        sdp = _sources(tmp_path)[family]()
+        A, M = sdp.A, sdp._support_map().M
+        assert [a.dtype for a in (A.start, A.rows, A.cols, M.indices,
+                                  M.indptr)] == [np.int32] * 5
+        assert np.shares_memory(M.indptr, A.start)
+        opts = alm.SolverOptions(max_outer_iters=1)
+        doc = result_document(sdp, alm.solve(sdp, opts), opts)
+        start = base64.b64decode(doc["problem"]["A"]["start"])
+        assert start == A.start.astype("<i4").tobytes()
+
+
+def test_support_block_past_int32_rejected():
+    # A_k = e_k e_{h + k}^T for k < h = 46 341, n = 2 h: the support block
+    # is h x h, 2 147 488 281 entries, one past int32's reach
+    h = 46_341
+    k = np.arange(h, dtype=np.int32)
+    A = ConstraintSet(2 * h, h, np.arange(h + 1, dtype=np.int32), k, k + h,
+                      np.ones(h))
+    sdp = SdpProblem(2 * h, SparseSymMatrix.identity(2 * h), A, np.ones(h),
+                     ManifoldKind.FREE)
+    with pytest.raises(ProblemError, match=re.escape(
+            "the support block of the A_i, 46341 x 46341, has more than "
+            "2^31 - 1 entries")):
+        sdp._support_map()
 
 
 def test_bqp_retains_under_35_bytes_per_triplet():

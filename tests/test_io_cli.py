@@ -33,8 +33,7 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-# the dtype of each array of a result document other than "<f8", for
-# fewer than 2^31 triplets
+# the dtype of each array of a result document other than "<f8"
 _DOC_DTYPES = {"start": "<i4", "rows": "<i4", "cols": "<i4"}
 
 

@@ -2,6 +2,7 @@
 
     python tools/ulp_ensemble.py [--q Q] [--seeds FIRST LAST] [--delta-ne D]
 
+Run from anywhere: the checkout's ``src`` comes first on the path.
 For each seed s in FIRST..LAST (default 0 1, the ``bqp-moment`` benchmark
 instances at the default q = 16), builds ``gen_bqp_moment(*random_bqp(q, s))``
 and solves it with ``SolverOptions(seed=s, delta_ne=D)`` eight times, with C
@@ -19,13 +20,17 @@ compare machines.
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
 
-from lrsdp import generators, manifolds
-from lrsdp.alm import SolverOptions, solve
-from lrsdp.problem import SdpProblem
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from lrsdp import generators, manifolds  # noqa: E402
+from lrsdp.alm import SolverOptions, solve  # noqa: E402
+from lrsdp.problem import SdpProblem  # noqa: E402
 
 ROUNDINGS = range(8)
 
